@@ -37,7 +37,14 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"bad value for {name}: {raw!r}")
+        raise ParseError(f"bad value for {name}: {raw!r}") from None
+
+
+def _play_cap(cap: int) -> int:
+    # Random clopen games draw their depth from 2 .. cap.
+    if cap < 2:
+        raise ParseError(f"play cap must be at least 2, got {cap}")
+    return cap
 
 
 def _max_rank() -> int:
@@ -53,7 +60,10 @@ def _parse_pred(spec: str) -> tuple[str, frozenset]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        tuples.add(tuple(int(x) for x in chunk.split(",")))
+        try:
+            tuples.add(tuple(int(x) for x in chunk.split(",")))
+        except ValueError:
+            raise ParseError(f"predicate {name!r} has a non-integer entry in {chunk!r}") from None
     return name, frozenset(tuples)
 
 
@@ -116,7 +126,7 @@ def _solve_choice(args) -> dict:
 
 def _solve_random_clopen(args) -> dict:
     rng = random.Random(f"solve:{args.seed}")
-    G = games.random_clopen_game(rng, max_nodes=args.max_nodes, max_cap=args.cap)
+    G = games.random_clopen_game(rng, max_nodes=args.max_nodes, max_cap=_play_cap(args.cap))
     winner, strat = games.value_strategy(G)
     _, label_winner, label_strat = games.label_clopen(G)
     return {
@@ -282,7 +292,7 @@ def cmd_verify(args) -> int:
     cfg = suites.RunConfig(
         universe_rank=args.rank,
         random_rank=max(args.rank, args.random_rank),
-        play_cap=_env_int("HFGAMES_PLAY_CAP", args.cap),
+        play_cap=_play_cap(_env_int("HFGAMES_PLAY_CAP", args.cap)),
         clock_budget_factor=_env_int("HFGAMES_CLOCK_FACTOR", 2),
         seed=args.seed,
         node_budget=_env_int("HFGAMES_NODE_BUDGET", args.node_budget),

@@ -3,7 +3,7 @@
 A recursion rule is a formula with designated free variables (x, i) and a
 binary predicate symbol F.  Solving proceeds in a topological order of the
 relation: slice b collects the x satisfying the rule when F denotes the
-partial solution restricted to the strict predecessors of b.  Reads of F
+partial solution restricted to the indices j <| b.  Reads of F
 are thereby predecessor-relativized exactly as in the recursion game's
 F(j,y) /\\ j <| i substitution, so unguarded reads never see later slices.
 
@@ -39,6 +39,7 @@ from .logic import (
     instance,
     parse_formula,
     print_instance,
+    subformulas,
     to_text,
 )
 from .universe import (
@@ -97,31 +98,24 @@ class RecursionRule:
 
 
 def _pred_atoms(f: Formula, name: str) -> list[Pred]:
-    if isinstance(f, Pred):
-        return [f] if f.name == name else []
-    if isinstance(f, Not):
-        return _pred_atoms(f.body, name)
-    if isinstance(f, And):
-        return _pred_atoms(f.left, name) + _pred_atoms(f.right, name)
-    if isinstance(f, Exists):
-        return _pred_atoms(f.body, name)
-    return []
+    return [g for g in subformulas(f) if isinstance(g, Pred) and g.name == name]
 
 
-def _relativize(f: Formula, f_symbol: str, bound) -> Formula:
+def _relativize(f: Formula, f_symbol: str, bound, guard: str = EDGE_SYMBOL) -> Formula:
+    """Conjoin every read F(j, y) with guard(j, bound)."""
     if isinstance(f, Pred):
         if f.name == f_symbol:
-            return And(f, Pred(EDGE_SYMBOL, (f.args[0], bound)))
+            return And(f, Pred(guard, (f.args[0], bound)))
         return f
     if isinstance(f, Not):
-        return Not(_relativize(f.body, f_symbol, bound))
+        return Not(_relativize(f.body, f_symbol, bound, guard))
     if isinstance(f, And):
         return And(
-            _relativize(f.left, f_symbol, bound),
-            _relativize(f.right, f_symbol, bound),
+            _relativize(f.left, f_symbol, bound, guard),
+            _relativize(f.right, f_symbol, bound, guard),
         )
     if isinstance(f, Exists):
-        return Exists(f.var, _relativize(f.body, f_symbol, bound))
+        return Exists(f.var, _relativize(f.body, f_symbol, bound, guard))
     return f
 
 
@@ -149,7 +143,7 @@ class Solution:
         return len(self.pairs)
 
 
-def _recursion_structure(M: Structure, rel: WellFoundedRelation, rule: RecursionRule) -> Structure:
+def _recursion_structure(M: Structure, rel: WellFoundedRelation) -> Structure:
     """Install <| (unless the caller already bound it) for rule evaluation."""
     if EDGE_SYMBOL in M.predicates:
         return M
@@ -192,7 +186,7 @@ def etr_solve(
         if not isinstance(i, int) or i not in M.universe:
             raise SignatureError(f"carrier element {i!r} is not a universe element")
     domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
-    Mr = _recursion_structure(M, rel, rule)
+    Mr = _recursion_structure(M, rel)
     preds = rel.predecessor_map()
     if order is None:
         order = topological_order(rel)
@@ -217,7 +211,7 @@ def check_solution(
 ) -> bool:
     """True iff every slice equation F_b = {x : phi(x, b, F|b)} holds exactly."""
     domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
-    Mr = _recursion_structure(M, rel, rule)
+    Mr = _recursion_structure(M, rel)
     preds = rel.predecessor_map()
     for b in rel.carrier:
         restricted = frozenset(
@@ -328,25 +322,9 @@ def kleene_brouwer(tree, universe: Universe) -> WellOrder:
 def guarded_rule(rule: RecursionRule, direct_symbol: str) -> RecursionRule:
     """Guard every F read by the original direct relation, kept as a
     structure predicate, so the recursion transfers to a coarser order."""
-    guarded = _guard(rule.formula, rule.f_symbol, direct_symbol, Var(rule.i_var))
+    guarded = _relativize(rule.formula, rule.f_symbol, Var(rule.i_var), direct_symbol)
     return RecursionRule(guarded, rule.x_var, rule.i_var, rule.f_symbol)
 
-
-def _guard(f: Formula, f_symbol: str, pred_symbol: str, bound) -> Formula:
-    if isinstance(f, Pred):
-        if f.name == f_symbol:
-            return And(f, Pred(pred_symbol, (f.args[0], bound)))
-        return f
-    if isinstance(f, Not):
-        return Not(_guard(f.body, f_symbol, pred_symbol, bound))
-    if isinstance(f, And):
-        return And(
-            _guard(f.left, f_symbol, pred_symbol, bound),
-            _guard(f.right, f_symbol, pred_symbol, bound),
-        )
-    if isinstance(f, Exists):
-        return Exists(f.var, _guard(f.body, f_symbol, pred_symbol, bound))
-    return f
 
 DIRECT_SYMBOL = "D"
 
@@ -360,10 +338,8 @@ def solve_via_transitive_closure(
     """Run the recursion over the transitive closure; slices agree exactly
     with the direct solution."""
     po = transitive_closure(rel)
-    M2 = M.with_predicate(DIRECT_SYMBOL, rel.edges)
-    if EDGE_SYMBOL not in M2.predicates:
-        M2 = M2.with_predicate(EDGE_SYMBOL, rel.edges)
     rule2 = guarded_rule(rule, DIRECT_SYMBOL)
+    M2 = _recursion_structure(M.with_predicate(DIRECT_SYMBOL, rel.edges), rel)
     return etr_solve(M2, po, rule2, value_domain)
 
 
@@ -371,7 +347,6 @@ def _sequence_solve(
     M: Structure,
     rel: WellFoundedRelation,
     rule: RecursionRule,
-    seq_nodes: Sequence[tuple],
     process_order: Sequence[tuple],
     value_domain: Optional[Sequence[int]],
 ) -> dict:
@@ -380,25 +355,22 @@ def _sequence_solve(
     Each nonempty sequence s computes the original slice at its last entry,
     reading the collapsed pairs of its proper extensions; the empty root
     carries no slice.  ``process_order`` must put every proper extension of
-    a node before the node itself.
+    a node before the node itself, so each node's collapsed pairs are
+    complete, accumulated from its children, when its turn comes.
     """
     domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
-    M2 = M.with_predicate(DIRECT_SYMBOL, rel.edges)
-    if EDGE_SYMBOL not in M2.predicates:
-        M2 = M2.with_predicate(EDGE_SYMBOL, rel.edges)
+    M2 = _recursion_structure(M.with_predicate(DIRECT_SYMBOL, rel.edges), rel)
     rule2 = guarded_rule(rule, DIRECT_SYMBOL)
-    node_set = set(seq_nodes)
+    below: dict = {}
     slices: dict = {}
-    collapsed: dict = {}
     for s in process_order:
         if s == ():
             continue
-        ext_pairs = set()
-        for t in node_set:
-            if len(t) > len(s) and t[: len(s)] == s:
-                ext_pairs.update((t[-1], x) for x in slices.get(t, ()))
-        collapsed[s] = frozenset(ext_pairs)
-        slices[s] = _slice(M2, rule2, s[-1], collapsed[s], domain)
+        reads = below.pop(s, set())
+        slices[s] = _slice(M2, rule2, s[-1], frozenset(reads), domain)
+        parent = below.setdefault(s[:-1], set())
+        parent |= reads
+        parent.update((s[-1], x) for x in slices[s])
     return slices
 
 
@@ -414,7 +386,7 @@ def solve_via_descending_tree(
     po = transitive_closure(rel)
     tree = descending_tree(po, node_budget)
     nodes = sorted(tree.carrier, key=lambda s: (-len(s), s))
-    slices = _sequence_solve(M, rel, rule, nodes, nodes, value_domain)
+    slices = _sequence_solve(M, rel, rule, nodes, value_domain)
     return _project_singletons(slices, rel)
 
 
@@ -430,7 +402,7 @@ def solve_via_kleene_brouwer(
     po = transitive_closure(rel)
     tree = descending_tree(po, node_budget)
     kb = kleene_brouwer(tree, M.universe)
-    slices = _sequence_solve(M, rel, rule, kb.elements, kb.elements, value_domain)
+    slices = _sequence_solve(M, rel, rule, kb.elements, value_domain)
     return _project_singletons(slices, rel), kb
 
 
@@ -482,24 +454,6 @@ class IteratedTruthPredicate:
         return base.with_predicate(self.truth_symbol, self.truth_relation_before(i))
 
 
-def _structure_at_stage(
-    M: Structure,
-    order: WellOrder,
-    slices: Mapping,
-    coding: Mapping[int, FormulaInstance],
-    truth_symbol: str,
-    i,
-) -> Structure:
-    cut = order.index(i)
-    rel = set()
-    for j in order.elements[:cut]:
-        entries = slices[j].entries
-        for code, inst in coding.items():
-            if inst in entries:
-                rel.add((j, code))
-    return M.with_predicate(truth_symbol, rel)
-
-
 def iterated_truth(
     M: Structure,
     order: WellOrder,
@@ -536,7 +490,7 @@ def iterated_truth(
                     f"closure references stage {first.code} outside the well-order"
                 )
     slices: dict = {}
+    it = IteratedTruthPredicate(order, slices, tuple(closure), coding, truth_symbol)
     for i in order:
-        Mi = _structure_at_stage(base, order, slices, coding, truth_symbol, i)
-        slices[i] = build_truth_predicate(Mi, closure)
-    return IteratedTruthPredicate(order, slices, tuple(closure), coding, truth_symbol)
+        slices[i] = build_truth_predicate(it.structure_at(base, i), closure)
+    return it

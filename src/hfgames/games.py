@@ -191,6 +191,39 @@ def value_strategy(G: Game) -> tuple[str, Strategy]:
     return winner, Strategy(winner, table)
 
 
+def _minimax(
+    G: Game, memo: dict, node_budget: Optional[int] = None
+) -> Callable[[tuple], str]:
+    """Memoized backward induction: the returned function gives the winner
+    at a position, filling ``memo``.  A mover who can reach a child won by
+    them wins; undecided full-length plays go by ``G.winner_at_cap``."""
+    count = 0
+
+    def win(p: tuple) -> str:
+        nonlocal count
+        if p in memo:
+            return memo[p]
+        count += 1
+        if node_budget is not None and count > node_budget:
+            raise ResourceBoundError(f"winning_region exceeded {node_budget} nodes")
+        d = G.decide(p)
+        if d is not None:
+            result = d
+        elif len(p) == G.play_cap:
+            result = G.winner_at_cap(p)
+        else:
+            mover = turn(p)
+            result = other_player(mover)
+            for x in G.moves:
+                if win(p + (x,)) == mover:
+                    result = mover
+                    break
+        memo[p] = result
+        return result
+
+    return win
+
+
 def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     """Backward-induction labeling of a clopen game tree.
 
@@ -201,27 +234,7 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     if G.kind != "clopen":
         raise NotClopenError("labeling applies to clopen games")
     labels: dict = {}
-
-    def label(p: tuple) -> str:
-        if p in labels:
-            return labels[p]
-        d = G.decide(p)
-        if d is not None:
-            result = d
-        elif len(p) == G.play_cap:
-            raise NotClopenError(
-                f"clopen game undecided at full-length position {p}"
-            )
-        else:
-            mover = turn(p)
-            result = other_player(mover)
-            for x in G.moves:
-                if label(p + (x,)) == mover:
-                    result = mover
-                    break
-        labels[p] = result
-        return result
-
+    label = _minimax(G, labels)
     winner = label(())
     table: dict = {}
     frontier = [()]
@@ -245,30 +258,7 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
 def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:
     """Positions from which exhaustive minimax gives player I the win."""
     wins: dict = {}
-    count = 0
-
-    def minimax(p: tuple) -> str:
-        nonlocal count
-        if p in wins:
-            return wins[p]
-        count += 1
-        if node_budget is not None and count > node_budget:
-            raise ResourceBoundError(f"winning_region exceeded {node_budget} nodes")
-        d = G.decide(p)
-        if d is not None:
-            result = d
-        elif len(p) == G.play_cap:
-            result = G.winner_at_cap(p)
-        else:
-            mover = turn(p)
-            result = other_player(mover)
-            for x in G.moves:
-                if minimax(p + (x,)) == mover:
-                    result = mover
-                    break
-        wins[p] = result
-        return result
-
+    minimax = _minimax(G, wins, node_budget)
     minimax(())
     # Force evaluation of the full truncated tree so the region is total.
     frontier = [()]
@@ -407,6 +397,8 @@ def random_clopen_game(
     max_cap: int = 8,
 ) -> Game:
     """Seeded random clopen game, decided-position table built breadth-first."""
+    if max_cap < 2:
+        raise InvariantError(f"max_cap must be at least 2, got {max_cap}")
     branching = rng.randint(2, max_branching)
     cap = rng.randint(2, max_cap)
     decide_prob = rng.uniform(0.15, 0.45)

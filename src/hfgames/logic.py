@@ -35,8 +35,6 @@ from .universe import Universe, member
 
 EDGE_SYMBOL = "<|"
 
-GRAMMAR_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # Terms and formulas.
@@ -151,6 +149,22 @@ class Exists:
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
 
 ATOMIC_KINDS = (Member, Eq, Pred)
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula of f in pre-order, left before right, f first.
+
+    Iterative, so formulas of any depth stay clear of the recursion limit.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (Not, Exists)):
+            stack.append(g.body)
+        elif isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
 
 
 def size(f: Formula) -> int:
@@ -731,7 +745,7 @@ def enumerate_formulas(
         for v in var_pool:
             for f in by_size.get(s - 1, []):
                 if not any(
-                    isinstance(g, Exists) and g.var == v for g in _subformulas(f)
+                    isinstance(g, Exists) and g.var == v for g in subformulas(f)
                 ):
                     bucket.append(Exists(v, f))
         for s1 in range(smallest_atom, s - smallest_atom):
@@ -743,17 +757,6 @@ def enumerate_formulas(
         if s <= max_size:
             out.extend(by_size[s])
     return out
-
-
-def _subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _subformulas(f.body)
-    elif isinstance(f, And):
-        yield from _subformulas(f.left)
-        yield from _subformulas(f.right)
-    elif isinstance(f, Exists):
-        yield from _subformulas(f.body)
 
 
 def enumerate_instances(

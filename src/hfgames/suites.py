@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import etr, games, logic, truthgames
+from . import etr, games, logic, oracles, truthgames
 from .errors import HFGamesError, ResourceBoundError
 from .universe import (
     Ordinal,
@@ -23,6 +23,7 @@ from .universe import (
     build_universe,
     check_wellfounded,
     ordinal_compare,
+    topological_order,
 )
 
 DEFAULT_EXHAUSTIVE_RANK = 3
@@ -220,31 +221,6 @@ def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
 # games suite
 
 
-def _oracle_minimax(G: games.Game) -> str:
-    """Suite-local exhaustive minimax, kept separate from the solvers."""
-    memo: dict = {}
-
-    def win(p: tuple) -> str:
-        if p in memo:
-            return memo[p]
-        d = G.decide(p)
-        if d is not None:
-            r = d
-        elif len(p) == G.play_cap:
-            r = G.winner_at_cap(p)
-        else:
-            mover = games.turn(p)
-            r = games.other_player(mover)
-            for x in G.moves:
-                if win(p + (x,)) == mover:
-                    r = mover
-                    break
-        memo[p] = r
-        return r
-
-    return win(())
-
-
 def _buggy_label_clopen(G: games.Game):
     """Mutation fixture: demands all children carry the mover's label."""
     labels: dict = {}
@@ -277,7 +253,7 @@ def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
             g = games.random_clopen_game(rng, max_nodes=600, max_cap=cfg.play_cap)
             w_value, s_value = games.value_strategy(g)
             _, w_label, s_label = labeler(g)
-            w_oracle = _oracle_minimax(g)
+            w_oracle = oracles.minimax_winner_dp(g)[()]
             ok_value = games.verify_strategy(g, s_value).ok
             if not (w_value == w_label == w_oracle and ok_value):
                 # The game regenerates deterministically from (seed, k).
@@ -489,8 +465,6 @@ def suite_etr(cfg: RunConfig) -> Report:
 
     def uniqueness():
         rng = cfg.rng("etr.uniqueness")
-        from .universe import topological_order
-
         for k in range(20):
             rel, rule = _random_recursion_instance(rng, U)
             order = topological_order(rel)
@@ -506,7 +480,7 @@ def suite_etr(cfg: RunConfig) -> Report:
         for k in range(20):
             rel, rule = _random_recursion_instance(rng, U)
             sol = etr.etr_solve(M, rel, rule)
-            oracle = _worklist_fixpoint(M, rel, rule)
+            oracle = oracles.worklist_fixpoint(M, rel, rule)
             if sol.pairs != oracle:
                 return False, "solver differs from fixpoint oracle", {"k": k}
             if not etr.check_solution(M, rel, rule, sol):
@@ -567,51 +541,9 @@ def suite_etr(cfg: RunConfig) -> Report:
 
 
 def _alternative_topological_order(rel: WellFoundedRelation) -> list:
-    """Kahn's algorithm with the reversed tie-break."""
-    preds = rel.predecessor_map()
-    remaining = {n: len(ps) for n, ps in preds.items()}
-    succs: dict = {n: [] for n in rel.carrier}
-    for a, b in rel.edges:
-        succs[a].append(b)
-    from .universe import _node_key
-
-    ready = sorted((n for n, k in remaining.items() if k == 0), key=_node_key, reverse=True)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for b in succs[node]:
-            remaining[b] -= 1
-            if remaining[b] == 0:
-                ready.append(b)
-        ready.sort(key=_node_key, reverse=True)
-    return order
-
-
-def _worklist_fixpoint(M, rel, rule) -> frozenset:
-    """Iterate the slice equations to stability; valid because rules read F
-    only on strict predecessors."""
-    from .logic import EDGE_SYMBOL
-
-    M2 = M if EDGE_SYMBOL in M.predicates else M.with_predicate(EDGE_SYMBOL, rel.edges)
-    preds = rel.predecessor_map()
-    domain = list(M.universe.elements)
-    pairs: frozenset = frozenset()
-    for _ in range(len(rel.carrier) + 1):
-        new = set()
-        for b in rel.carrier:
-            restricted = frozenset((j, x) for j, x in pairs if j in preds[b])
-            Mb = M2.with_predicate(rule.f_symbol, restricted)
-            env = {rule.i_var: b}
-            for x in domain:
-                env[rule.x_var] = x
-                if logic.eval_formula(Mb, rule.formula, env):
-                    new.add((b, x))
-        new_frozen = frozenset(new)
-        if new_frozen == pairs:
-            return pairs
-        pairs = new_frozen
-    return pairs
+    """A second valid order: the converse relation's order, reversed."""
+    converse = WellFoundedRelation(rel.carrier, frozenset((b, a) for a, b in rel.edges))
+    return topological_order(converse)[::-1]
 
 
 def _is_well_order(order: WellOrder) -> bool:

@@ -50,6 +50,7 @@ from .logic import (
     size,
     skolem_witness,
     sub_instance,
+    subformulas,
     tarski_check,
     to_text,
 )
@@ -387,33 +388,16 @@ class RefereeState:
         out.extend(self.add(inq, pron.verdict))
         return out
 
-    def verdict_bits(self) -> dict[FormulaInstance, int]:
-        return dict(self.marks)
-
     def _check_inquiry_signature(self, inst: FormulaInstance) -> None:
         checked = self.game._sig_checked
         if inst.formula in checked:
             return
         preds = self.game.structure.predicates
         f_symbol = self._f_symbol
-        for g in _walk(inst.formula):
+        for g in subformulas(inst.formula):
             if isinstance(g, Pred) and g.name not in preds and g.name != f_symbol:
                 raise SignatureError(f"inquiry uses unknown predicate {g.name!r}")
         checked.add(inst.formula)
-
-
-def _walk(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, And):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Exists):
-            stack.append(g.body)
 
 
 def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:

@@ -335,9 +335,6 @@ class WellFoundedRelation:
             preds[b].append(a)
         return preds
 
-    def predecessors(self, b) -> list:
-        return sorted((a for a, bb in self.edges if bb == b), key=_node_key)
-
     def minimal_elements(self, subset: Iterable) -> list:
         sub = set(subset)
         return sorted(
@@ -454,10 +451,6 @@ class WellOrder:
 #
 # with one declaration per line, `node` lines for every carrier member in
 # ascending order, then `edge` lines sorted.  Round trips are bit-exact.
-
-
-def serialize_universe(universe: Universe) -> str:
-    return f"universe rank={universe.rank}\n"
 
 
 def serialize_relation(universe: Universe, rel: WellFoundedRelation) -> str:

@@ -56,7 +56,7 @@ from hfgames.truthgames import (
 )
 from hfgames.universe import WellFoundedRelation, WellOrder, build_universe, member
 
-from oracles import kb_less, minimax_winner_dp
+from hfgames.oracles import kb_less, minimax_winner_dp
 
 V3 = Structure(build_universe(3))
 V4 = Structure(build_universe(4))

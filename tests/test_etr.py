@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 
 from hfgames.errors import InvariantError, ResourceBoundError, SignatureError
+from hfgames import suites
 from hfgames.etr import (
     RecursionRule,
+    _relativize,
     Solution,
     check_solution,
     descending_tree,
@@ -41,7 +44,7 @@ from hfgames.universe import (
     topological_order,
 )
 
-from oracles import (
+from hfgames.oracles import (
     descending_sequences,
     kb_less,
     reachability_closure,
@@ -310,6 +313,45 @@ class TestTransports:
         rule = guarded_rule(ACCUMULATE, "D")
         text = to_text(rule.formula)
         assert "D(j, i)" in text
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "x = #3 | Ej. ((j <| i) & F(j, x))",
+            "x = i | Ej. ((j <| i) & F(j, x))",
+            "(x in i) | Ej. ((j <| i) & F(j, x))",
+            "x = #3 | Ej. (Ey. ((j <| i) & F(j, y) & x in y))",
+        ],
+        ids=["seed", "index", "member", "nested"],
+    )
+    def test_relativize_guard_rewrites_each_f_read(self, shape):
+        rule = RecursionRule.parse(shape)
+
+        def guarded(guard):
+            return parse_formula(
+                re.sub(r"F\((\w+), (\w+)\)", rf"(F(\1, \2) & {guard})", shape)
+            )
+
+        direct = guarded(r"D(\1, i)")
+        assert _relativize(rule.formula, "F", Var("i"), "D") == direct
+        assert guarded_rule(rule, "D").formula == direct
+        assert rule.relativized() == guarded(r"(\1 <| i)")
+
+
+class TestUniquenessOrders:
+    def test_alternative_order_is_topological_and_differs(self):
+        cfg = suites.RunConfig(seed=1)
+        rng = cfg.rng("etr.uniqueness")
+        U = build_universe(cfg.universe_rank)
+        differs = 0
+        for _ in range(20):
+            rel, _ = suites._random_recursion_instance(rng, U)
+            alt = suites._alternative_topological_order(rel)
+            assert sorted(alt) == sorted(rel.carrier)
+            position = {n: k for k, n in enumerate(alt)}
+            assert all(position[a] < position[b] for a, b in rel.edges)
+            differs += alt != topological_order(rel)
+        assert differs > 0
 
 
 class TestIteratedTruth:

@@ -34,7 +34,7 @@ from hfgames.games import (
 )
 from hfgames.universe import Ordinal, build_universe, member, ordinal_compare
 
-from oracles import clopen_distance_dp, enumerate_positions, minimax_winner_dp
+from hfgames.oracles import clopen_distance_dp, enumerate_positions, minimax_winner_dp
 
 V3 = build_universe(3)
 
@@ -316,6 +316,10 @@ class TestGameHygiene:
         assert g.winner_at_cap((0, 0, 0)) == PLAYER_II
         g2 = Game(moves=(0, 1), decide=lambda p: None, play_cap=3, kind="open_II")
         assert g2.winner_at_cap((0, 0, 0)) == PLAYER_I
+
+    def test_random_game_cap_below_two_rejected(self):
+        with pytest.raises(InvariantError):
+            random_clopen_game(random.Random(1), max_cap=1)
 
     def test_bad_game_kind(self):
         with pytest.raises(InvariantError):

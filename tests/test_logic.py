@@ -39,12 +39,13 @@ from hfgames.logic import (
     size,
     skolem_witness,
     sub_instance,
+    subformulas,
     tarski_check,
     to_text,
 )
 from hfgames.universe import build_universe
 
-from oracles import tarski_eval
+from hfgames.oracles import tarski_eval
 
 V2 = Structure(build_universe(2))
 V3 = Structure(build_universe(3))
@@ -122,6 +123,25 @@ class TestSizeAndVars:
         f = parse_formula("Ex. (x in y)")
         assert free_vars(f) == {"y"}
         assert free_vars(parse_formula("(x in y)")) == {"x", "y"}
+
+    def test_subformulas_pre_order_left_first(self):
+        f = parse_formula("!(#0 in #1) & Ex. (x = #0)")
+        assert [to_text(g) for g in subformulas(f)] == [
+            "(!(#0 in #1) & Ex. (x = #0))",
+            "!(#0 in #1)",
+            "(#0 in #1)",
+            "Ex. (x = #0)",
+            "(x = #0)",
+        ]
+
+    def test_subformulas_walks_deep_chain(self):
+        atom = Member(Const(0), Const(1))
+        f = atom
+        for _ in range(3000):
+            f = Not(f)
+        nodes = list(subformulas(f))
+        assert len(nodes) == 3001
+        assert nodes[0] is f and nodes[-1] is atom
 
     def test_instance_requires_cover(self):
         f = parse_formula("(x in y)")
