@@ -17,12 +17,7 @@ from typing import Optional
 
 from . import etr, games, logic, suites, truthgames
 from .errors import HFGamesError, ParseError, ResourceBoundError
-from .universe import (
-    MAX_RANK,
-    WellFoundedRelation,
-    build_universe,
-    parse_ordinal,
-)
+from .universe import MAX_RANK, WellFoundedRelation, build_universe
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -15,7 +15,7 @@ along finite well-orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -26,8 +26,6 @@ from .logic import (
     Exists,
     Formula,
     FormulaInstance,
-    Member,
-    Eq,
     Not,
     Pred,
     SatisfactionClass,
@@ -36,11 +34,8 @@ from .logic import (
     build_truth_predicate,
     eval_formula,
     free_vars,
-    instance,
     parse_formula,
-    print_instance,
     subformulas,
-    to_text,
 )
 from .universe import (
     Universe,

@@ -4,12 +4,22 @@ Positions are plain tuples of moves; player I moves at even lengths.  A
 game's ``decide`` function reports the winner once a position is decided,
 and decided positions stay decided on every extension.  Plays that reach
 the cap undecided count as wins for the closed player.
+
+Every solver runs on an arena: the truncated game tree compiled once,
+breadth-first, into parallel lists (``_arena``), with one call of
+``decide`` per position.  A parent comes before its children, so values
+and winners are one pass over the indices in reverse order (retrograde
+analysis, linear in the edges), and strategies are walks over indices.
+No solver recurses on depth.  A single module-level entry keeps the most
+recent game's arena, matched by identity, so solvers called one after
+another on the same game share one compile, and a long-lived process holds
+at most one arena.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
@@ -67,14 +77,18 @@ class Game:
     def winner_at_cap(self, position: tuple) -> str:
         """Truncation convention: an undecided full-length play goes to the
         closed player; clopen games may not have one."""
-        d = self.decide(position)
-        if d is not None:
-            return d
+        return self._outcome_at_cap(position, self.decide(position))
+
+    def _outcome_at_cap(self, position: tuple, decided: Optional[str]) -> str:
+        if decided is not None:
+            return decided
         if self.kind == "clopen":
-            raise NotClopenError(
-                f"clopen game undecided at full-length position {position}"
-            )
+            raise _not_clopen(position)
         return self.closed_player
+
+
+def _not_clopen(position: tuple) -> NotClopenError:
+    return NotClopenError(f"clopen game undecided at full-length position {position}")
 
 
 @dataclass(frozen=True)
@@ -104,39 +118,149 @@ def _check_position(G: Game, position: tuple) -> None:
         raise PlayCapError(f"position of length {len(position)} exceeds cap {G.play_cap}")
 
 
+class _Arena:
+    """The truncated tree of one game, breadth-first in parallel lists.
+
+    Node 0 is the root.  ``positions[i]`` is node i's tuple and
+    ``decided[i]`` its ``decide`` result.  The children of node i are
+    ``first[i]`` .. ``first[i] + width - 1`` in move order; ``first[i]`` is
+    -1 at a leaf, which is decided or at the cap.  Values and winners are
+    computed on first use and kept with the arena.
+    """
+
+    __slots__ = ("game", "positions", "first", "decided", "width", "move_index", "_values", "_wins")
+
+    def __init__(self, G: Game, node_budget: Optional[int]):
+        decide, moves, cap = G.decide, G.moves, G.play_cap
+        positions: list = [()]
+        first: list = []
+        decided: list = []
+        # The loop reads the nodes it appends: breadth-first order.
+        for p in positions:
+            d = decide(p)
+            decided.append(d)
+            if d is None and len(p) < cap:
+                first.append(len(positions))
+                positions.extend([p + (x,) for x in moves])
+                if node_budget is not None and len(positions) > node_budget:
+                    raise ResourceBoundError(f"game tree exceeded {node_budget} nodes")
+            else:
+                first.append(-1)
+        self.game = G
+        self.positions = positions
+        self.first = first
+        self.decided = decided
+        self.width = len(moves)
+        self.move_index = {x: k for k, x in enumerate(moves)}
+        self._values: Optional[list] = None
+        self._wins: Optional[list] = None
+
+    def find(self, position: tuple) -> int:
+        """Index of ``position``, or of the decided leaf it extends."""
+        i = 0
+        for depth, x in enumerate(position):
+            if self.first[i] < 0:
+                break
+            k = self.move_index.get(x)
+            if k is None:
+                raise InvariantError(f"illegal move {x!r} at {position[:depth]}")
+            i = self.first[i] + k
+        return i
+
+    def values(self) -> list:
+        """Ordinal value of every node as an int (finite branching and cap
+        keep every value below omega), None where unvalued."""
+        if self._values is None:
+            G, first, positions, width = self.game, self.first, self.positions, self.width
+            open_player = G.open_player
+            open_parity = 0 if open_player == PLAYER_I else 1
+            values: list = [None] * len(positions)
+            for i in range(len(positions) - 1, -1, -1):
+                f = first[i]
+                if f < 0:
+                    if self.decided[i] == open_player:
+                        values[i] = 0
+                    continue
+                children = values[f:f + width]
+                if len(positions[i]) % 2 == open_parity:
+                    valued = [v for v in children if v is not None]
+                    if valued:
+                        values[i] = min(valued) + 1
+                elif None not in children:
+                    values[i] = max(children)
+            self._values = values
+        return self._values
+
+    def wins(self) -> list:
+        """Winner of every node by backward induction.
+
+        An undecided leaf of a clopen game holds its own index instead of a
+        winner.  A node takes the first child, in move order, that its
+        mover wins or that holds an index, so an index reaches a node
+        exactly when a depth-first minimax from there would meet that leaf
+        before a winning move.
+        """
+        if self._wins is None:
+            first, positions, width = self.first, self.positions, self.width
+            wins: list = [None] * len(positions)
+            for i in range(len(positions) - 1, -1, -1):
+                f = first[i]
+                if f < 0:
+                    d = self.decided[i]
+                    if d is None:
+                        d = i if self.game.kind == "clopen" else self.game.closed_player
+                    wins[i] = d
+                    continue
+                mover = PLAYER_II if len(positions[i]) % 2 else PLAYER_I
+                w = other_player(mover)
+                for c in wins[f:f + width]:
+                    if c == mover or type(c) is int:
+                        w = c
+                        break
+                wins[i] = w
+            self._wins = wins
+        return self._wins
+
+
+_last_arena: Optional[_Arena] = None
+
+
+def _arena(G: Game, node_budget: Optional[int] = None) -> _Arena:
+    """G's arena, compiled unless G is the game compiled last.
+
+    Only that one arena is kept, so memory stays bounded however many games
+    a process solves.  ``node_budget`` raises ResourceBoundError as soon as
+    the tree passes it.
+    """
+    global _last_arena
+    if _last_arena is None or _last_arena.game is not G:
+        # Drop the old arena first: two never coexist, and a compile cut
+        # short by the budget leaves none.
+        _last_arena = None
+        _last_arena = _Arena(G, node_budget)
+    elif node_budget is not None and len(_last_arena.positions) > node_budget:
+        raise ResourceBoundError(f"game tree exceeded {node_budget} nodes")
+    return _last_arena
+
+
 def game_value(G: Game, position: tuple = (), _memo: Optional[dict] = None) -> Optional[Ordinal]:
     """Ordinal value for the open player, or None when unvalued.
 
     Value 0 at positions decided for the open player; the open player's
     moves add one above the least valued child; the closed player's
     positions are valued only when every child is, at the supremum (the
-    maximum, on finite branching).
+    maximum, on finite branching).  ``_memo``, when given, caches results
+    by position.
     """
     _check_position(G, position)
-    memo = _memo if _memo is not None else {}
-
-    def value(p: tuple) -> Optional[Ordinal]:
-        if p in memo:
-            return memo[p]
-        d = G.decide(p)
-        if d == G.open_player:
-            result: Optional[Ordinal] = Ordinal.zero()
-        elif d is not None or len(p) == G.play_cap:
-            result = None
-        else:
-            child_values = [value(p + (x,)) for x in G.moves]
-            if turn(p) == G.open_player:
-                valued = [v for v in child_values if v is not None]
-                result = min(valued).succ() if valued else None
-            else:
-                if any(v is None for v in child_values):
-                    result = None
-                else:
-                    result = max(child_values)
-        memo[p] = result
-        return result
-
-    return value(position)
+    if _memo is not None and position in _memo:
+        return _memo[position]
+    A = _arena(G)
+    v = A.values()[A.find(position)]
+    result = None if v is None else Ordinal.from_nat(v)
+    if _memo is not None:
+        _memo[position] = result
+    return result
 
 
 def value_strategy(G: Game) -> tuple[str, Strategy]:
@@ -145,83 +269,33 @@ def value_strategy(G: Game) -> tuple[str, Strategy]:
     The open player descends in value (least such move); the closed player
     stays on unvalued positions (least such move).
     """
-    memo: dict = {}
-    root = game_value(G, (), _memo=memo)
-
-    def value(p):
-        if p not in memo:
-            game_value(G, p, _memo=memo)
-        return memo[p]
-
-    if root is not None:
-        winner = G.open_player
-    else:
-        winner = G.closed_player
+    A = _arena(G)
+    values, first, positions, width = A.values(), A.first, A.positions, A.width
+    winner = G.open_player if values[0] is not None else G.closed_player
     table: dict = {}
-    frontier = [()]
-    seen = set()
+    frontier = [0]
     while frontier:
-        p = frontier.pop()
-        if p in seen:
+        i = frontier.pop()
+        f = first[i]
+        if f < 0:
             continue
-        seen.add(p)
-        if G.decide(p) is not None or len(p) >= G.play_cap:
-            continue
+        p = positions[i]
         if turn(p) == winner:
+            best = None
             if winner == G.open_player:
-                v = value(p)
-                best = None
-                for x in G.moves:
-                    cv = value(p + (x,))
-                    if cv is not None and cv < v:
-                        best = x
+                for c in range(f, f + width):
+                    if values[c] is not None and values[c] < values[i]:
+                        best = c
                         break
-            else:
-                best = None
-                for x in G.moves:
-                    if value(p + (x,)) is None:
-                        best = x
-                        break
+            elif None in values[f:f + width]:
+                best = values.index(None, f, f + width)
             if best is None:
                 raise InvariantError(f"no admissible move at {p}; value analysis broken")
-            table[p] = best
-            frontier.append(p + (best,))
+            table[p] = G.moves[best - f]
+            frontier.append(best)
         else:
-            frontier.extend(p + (x,) for x in G.moves)
+            frontier.extend(range(f, f + width))
     return winner, Strategy(winner, table)
-
-
-def _minimax(
-    G: Game, memo: dict, node_budget: Optional[int] = None
-) -> Callable[[tuple], str]:
-    """Memoized backward induction: the returned function gives the winner
-    at a position, filling ``memo``.  A mover who can reach a child won by
-    them wins; undecided full-length plays go by ``G.winner_at_cap``."""
-    count = 0
-
-    def win(p: tuple) -> str:
-        nonlocal count
-        if p in memo:
-            return memo[p]
-        count += 1
-        if node_budget is not None and count > node_budget:
-            raise ResourceBoundError(f"winning_region exceeded {node_budget} nodes")
-        d = G.decide(p)
-        if d is not None:
-            result = d
-        elif len(p) == G.play_cap:
-            result = G.winner_at_cap(p)
-        else:
-            mover = turn(p)
-            result = other_player(mover)
-            for x in G.moves:
-                if win(p + (x,)) == mover:
-                    result = mover
-                    break
-        memo[p] = result
-        return result
-
-    return win
 
 
 def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
@@ -233,42 +307,36 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     """
     if G.kind != "clopen":
         raise NotClopenError("labeling applies to clopen games")
-    labels: dict = {}
-    label = _minimax(G, labels)
-    winner = label(())
+    A = _arena(G)
+    wins, first, positions, width = A.wins(), A.first, A.positions, A.width
+    winner = wins[0]
+    if type(winner) is int:
+        raise _not_clopen(positions[winner])
+    labels = {p: w for p, w in zip(positions, wins) if type(w) is str}
     table: dict = {}
-    frontier = [()]
+    frontier = [0]
     while frontier:
-        p = frontier.pop()
-        if G.decide(p) is not None or len(p) >= G.play_cap:
+        i = frontier.pop()
+        f = first[i]
+        if f < 0:
             continue
-        if turn(p) == winner:
-            best = None
-            for x in G.moves:
-                if label(p + (x,)) == winner:
-                    best = x
-                    break
-            table[p] = best
-            frontier.append(p + (best,))
+        if turn(positions[i]) == winner:
+            best = wins.index(winner, f, f + width)
+            table[positions[i]] = G.moves[best - f]
+            frontier.append(best)
         else:
-            frontier.extend(p + (x,) for x in G.moves)
+            frontier.extend(range(f, f + width))
     return labels, winner, Strategy(winner, table)
 
 
 def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:
     """Positions from which exhaustive minimax gives player I the win."""
-    wins: dict = {}
-    minimax = _minimax(G, wins, node_budget)
-    minimax(())
-    # Force evaluation of the full truncated tree so the region is total.
-    frontier = [()]
-    while frontier:
-        p = frontier.pop()
-        if G.decide(p) is None and len(p) < G.play_cap:
-            for x in G.moves:
-                minimax(p + (x,))
-                frontier.append(p + (x,))
-    return frozenset(p for p, w in wins.items() if w == PLAYER_I)
+    A = _arena(G, node_budget)
+    wins = A.wins()
+    unsettled = [w for w in wins if type(w) is int]
+    if unsettled:
+        raise _not_clopen(A.positions[unsettled[0]])
+    return frozenset(p for p, w in zip(A.positions, wins) if w == PLAYER_I)
 
 
 def play(G: Game, strategy_I: Strategy, strategy_II: Strategy) -> tuple[str, tuple]:
@@ -291,23 +359,29 @@ def play(G: Game, strategy_I: Strategy, strategy_II: Strategy) -> tuple[str, tup
 
 
 def verify_strategy(G: Game, s: Strategy) -> VerifyResult:
-    """Exhaustively walk every opposing play; verified iff s always wins."""
-    frontier: list[tuple] = [()]
+    """Exhaustively walk every opposing play; verified iff s always wins.
+
+    An illegal move in s raises InvariantError, as in ``play``.
+    """
+    A = _arena(G)
+    first, positions, width = A.first, A.positions, A.width
+    frontier = [0]
     while frontier:
-        p = frontier.pop()
-        d = G.decide(p)
-        if d is not None:
-            if d != s.player:
-                return VerifyResult(False, p)
+        i = frontier.pop()
+        f = first[i]
+        if f < 0:
+            if G._outcome_at_cap(positions[i], A.decided[i]) != s.player:
+                return VerifyResult(False, positions[i])
             continue
-        if len(p) == G.play_cap:
-            if G.winner_at_cap(p) != s.player:
-                return VerifyResult(False, p)
-            continue
+        p = positions[i]
         if turn(p) == s.player:
-            frontier.append(p + (s.move_at(p),))
+            x = s.move_at(p)
+            k = A.move_index.get(x)
+            if k is None:
+                raise InvariantError(f"illegal move {x!r} at {p}")
+            frontier.append(f + k)
         else:
-            frontier.extend(p + (x,) for x in G.moves)
+            frontier.extend(range(f, f + width))
     return VerifyResult(True)
 
 
@@ -373,9 +447,16 @@ def table_game(
     ``decide`` prefix-monotone by construction.
     """
     table = dict(decided)
+    # The lengths of the table's entries, the only prefixes worth slicing;
+    # found on the first call, as many games are built and never played.
+    lengths: list = []
 
     def decide(p: tuple) -> Optional[str]:
-        for k in range(len(p) + 1):
+        if not lengths:
+            lengths.extend(sorted({len(q) for q in table}))
+        for k in lengths:
+            if k > len(p):
+                break
             if p[:k] in table:
                 return table[p[:k]]
         return None
@@ -430,14 +511,7 @@ def random_clopen_game(
 
 def count_nodes(G: Game) -> int:
     """Nodes of the truncated game tree (interior plus decided frontier)."""
-    total = 0
-    frontier = [()]
-    while frontier:
-        p = frontier.pop()
-        total += 1
-        if G.decide(p) is None and len(p) < G.play_cap:
-            frontier.extend(p + (x,) for x in G.moves)
-    return total
+    return len(_arena(G).positions)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     CoverageError,
@@ -276,12 +276,42 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Most levels a formula may nest: the formula nodes on its longest path
+# from the root down to an atom, both ends included, counted after sugar is
+# desugared.  The parser also counts its own levels against it (each prefix
+# ``!``, quantifier, pair of parentheses and right-nested arrow), so a
+# formula it accepts stays within Python's default recursion limit in the
+# parser, the printers and the evaluator.
+MAX_NESTING = 100
+
+
+def _depth(f: Formula) -> int:
+    """Formula nodes on the longest path from f down to an atom."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, (Not, Exists)):
+            stack.append((g.body, d + 1))
+        elif isinstance(g, And):
+            stack.append((g.left, d + 1))
+            stack.append((g.right, d + 1))
+        elif d > deepest:
+            deepest = d
+    return deepest
+
+
+def _too_deep(at: Optional[int]) -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_NESTING} levels", at)
+
+
 class _Parser:
     def __init__(self, text: str, signature: Optional[Mapping[str, int]]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.signature = signature
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -300,6 +330,18 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        if _depth(f) > MAX_NESTING:
+            raise _too_deep(None)
+        return f
+
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        """Run ``parse`` one nesting level down, within MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise _too_deep(tok[2] if tok else len(self.text))
+        f = parse()
+        self.depth -= 1
         return f
 
     # precedence: <-> weakest, then ->, |, &, unary
@@ -308,7 +350,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "iff":
             self.next()
-            right = self.formula()
+            right = self.nested(self.formula)
             return And(Not(And(left, Not(right))), Not(And(right, Not(left))))
         return left
 
@@ -317,7 +359,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "imp":
             self.next()
-            right = self.implication()
+            right = self.nested(self.implication)
             return Not(And(left, Not(right)))
         return left
 
@@ -349,7 +391,7 @@ class _Parser:
         kind, value, at = tok
         if kind == "not":
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "ident" and value[0] in "EA":
             follow = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
             var = value[1:]
@@ -362,7 +404,7 @@ class _Parser:
                     self.pos = dot_at + 1
                     if var == "in":
                         raise ParseError("'in' is reserved", at)
-                    body = self.formula()
+                    body = self.nested(self.formula)
                     if value[0] == "E":
                         return Exists(var, body)
                     return Not(Exists(var, Not(body)))
@@ -372,7 +414,7 @@ class _Parser:
         tok = self.next()
         kind, value, at = tok
         if kind == "lparen":
-            f = self.formula()
+            f = self.nested(self.formula)
             self.next("rparen")
             return f
         if kind == "ident" and value[0].isupper():

@@ -21,7 +21,6 @@ from .universe import (
     WellFoundedRelation,
     WellOrder,
     build_universe,
-    check_wellfounded,
     ordinal_compare,
     topological_order,
 )

@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     CoverageError,
@@ -38,7 +38,6 @@ from .logic import (
     Pred,
     SatisfactionClass,
     Structure,
-    build_truth_predicate,
     enumerate_formulas,
     eval_instance,
     free_vars,
@@ -52,7 +51,6 @@ from .logic import (
     sub_instance,
     subformulas,
     tarski_check,
-    to_text,
 )
 from .universe import Ordinal, WellFoundedRelation, ordinal_compare
 

@@ -9,7 +9,7 @@ well-order.  Ordinals live below epsilon_0 in Cantor normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 

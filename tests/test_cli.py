@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hfgames.cli import main
+from hfgames.logic import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -51,6 +52,33 @@ class TestEval:
     def test_free_variables_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "--rank", "2", "x in #1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda n: "!" * (n - 1) + "(#0 in #1)",
+            lambda n: "Ex. " * (n - 1) + "(#0 in #1)",
+            lambda n: " & ".join(["(#0 in #1)"] * n),
+            lambda n: "(" * n + "#0 in #1" + ")" * n,
+        ],
+        ids=["not", "exists", "and", "parens"],
+    )
+    def test_nesting_limit(self, capsys, nested):
+        code, out, err = run(capsys, "eval", "--rank", "2", "--json", nested(MAX_NESTING))
+        assert code == 0, err
+        assert json.loads(out)["verdict"] in (True, False)
+        code, out, err = run(capsys, "eval", "--rank", "2", nested(MAX_NESTING + 1))
+        assert code == 2 and out == ""
+        assert f"nested deeper than {MAX_NESTING} levels" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("join", ["->", "<->", "|", "&"])
+    def test_deep_formula_usage_error(self, capsys, join):
+        text = f" {join} ".join(["(#0 in #1)"] * 3000)
+        for formula in (text, "!" * 3000 + "(#0 in #1)"):
+            code, out, err = run(capsys, "eval", "--rank", "2", formula)
+            assert code == 2 and out == ""
+            assert "nested deeper" in err and "Traceback" not in err
 
 
 class TestSolve:

@@ -1,13 +1,18 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgames.errors import (
     IncompleteStrategyError,
     InvariantError,
     NotClopenError,
     PlayCapError,
+    ResourceBoundError,
 )
 from hfgames.games import (
     PLAYER_I,
@@ -346,3 +351,121 @@ class TestResourceBudget:
         g = random_clopen_game(rng, max_nodes=500)
         with pytest.raises(ResourceBoundError):
             winning_region(g, node_budget=2)
+
+    def test_budget_pinned_at_tree_size(self):
+        g = random_clopen_game(random.Random(73), max_nodes=500)
+        n = len(enumerate_positions(g))
+        oracle = frozenset(p for p, w in minimax_winner_dp(g).items() if w == PLAYER_I)
+        # The first two calls compile under the budget (a compile cut short
+        # is not kept); the last two check it against the kept arena.
+        for _ in range(2):
+            with pytest.raises(ResourceBoundError):
+                winning_region(g, node_budget=n - 1)
+            assert winning_region(g, node_budget=n) == oracle
+
+
+def copy_game(g, cap=None, kind=None):
+    return table_game(g.moves, g.payload["decided"], cap or g.play_cap, kind or g.kind)
+
+
+class TestArena:
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        cap=st.integers(min_value=2, max_value=9),
+        kind=st.sampled_from(["clopen", "open_I", "open_II"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_solvers_agree_with_oracles(self, seed, cap, kind):
+        g = random_clopen_game(random.Random(seed), max_nodes=300, max_cap=cap)
+        if kind != "clopen":
+            # One move shorter: the deepest plays end undecided at the cap.
+            g = copy_game(g, cap=max(1, g.play_cap - 1), kind=kind)
+        positions = enumerate_positions(g)
+        win = minimax_winner_dp(g)
+        dist = clopen_distance_dp(g)
+        assert count_nodes(g) == len(positions)
+        assert winning_region(g) == frozenset(p for p, w in win.items() if w == PLAYER_I)
+        for p in positions:
+            v = game_value(g, p)
+            assert (None if v is None else v.to_int()) == dist[p], p
+        winner, s_value = value_strategy(g)
+        assert winner == win[()]
+        assert verify_strategy(g, s_value).ok
+        if kind == "clopen":
+            labels, w_label, s_label = label_clopen(g)
+            assert labels == win and w_label == win[()]
+            assert verify_strategy(g, s_label).ok
+        else:
+            with pytest.raises(NotClopenError):
+                label_clopen(g)
+
+    def test_value_past_a_decided_leaf(self):
+        g = simple_game({(0,): PLAYER_I, (1,): PLAYER_II})
+        assert game_value(g, (0, 1, 1)) == Ordinal.zero()
+        assert game_value(g, (1, 0)) is None
+        with pytest.raises(InvariantError):
+            game_value(g, (2,))
+
+    def test_illegal_strategy_move_raises(self):
+        g = simple_game({(0, 0): PLAYER_I, (1, 1): PLAYER_I}, cap=2)
+        bad = Strategy(PLAYER_I, {(): 5})
+        with pytest.raises(InvariantError, match="illegal move 5"):
+            verify_strategy(g, bad)
+        with pytest.raises(InvariantError, match="illegal move 5"):
+            play(g, bad, Strategy(PLAYER_II, {}))
+
+    def test_undecided_leaf_skipped_by_first_winning_move(self):
+        # I wins at once with move 0, so the undecided plays after 1 are
+        # never needed for the label; the region needs every node.
+        g = simple_game({(0,): PLAYER_I}, cap=2)
+        labels, winner, s = label_clopen(g)
+        assert winner == PLAYER_I and s.table == {(): 0}
+        assert set(labels) == {(), (0,)}
+        with pytest.raises(NotClopenError, match=r"\(1, 0\)"):
+            winning_region(g)
+
+    def test_undecided_leaf_met_before_a_winning_move(self):
+        g = simple_game({(1,): PLAYER_I}, cap=2)
+        with pytest.raises(NotClopenError, match=r"\(0, 0\)"):
+            label_clopen(g)
+        with pytest.raises(NotClopenError):
+            winning_region(g)
+
+    def test_deep_game_solves_without_recursion(self):
+        g = table_game((0,), {(0,) * 3000: PLAYER_I}, 3000)
+        assert count_nodes(g) == 3001
+        assert game_value(g) == Ordinal.from_nat(1500)
+        winner, s_value = value_strategy(g)
+        labels, w_label, s_label = label_clopen(g)
+        assert winner == w_label == PLAYER_I and len(labels) == 3001
+        assert len(winning_region(g)) == 3001
+        assert verify_strategy(g, s_value).ok and verify_strategy(g, s_label).ok
+
+    def test_one_decide_call_per_position(self):
+        base = random_clopen_game(random.Random(79), max_nodes=800)
+        calls = 0
+
+        def decide(p):
+            nonlocal calls
+            calls += 1
+            return base.decide(p)
+
+        g = Game(base.moves, decide, base.play_cap)
+        count_nodes(g)
+        game_value(g)
+        _, s_value = value_strategy(g)
+        _, _, s_label = label_clopen(g)
+        winning_region(g)
+        assert verify_strategy(g, s_value).ok and verify_strategy(g, s_label).ok
+        assert calls == count_nodes(g) == len(enumerate_positions(base))
+
+    def test_only_the_last_game_stays_compiled(self):
+        rng = random.Random(83)
+        a = random_clopen_game(rng, max_nodes=300)
+        b = random_clopen_game(rng, max_nodes=300)
+        label_clopen(a)
+        ref = weakref.ref(a)
+        label_clopen(b)
+        del a
+        gc.collect()
+        assert ref() is None

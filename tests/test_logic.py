@@ -12,6 +12,7 @@ from hfgames.errors import (
     SignatureError,
 )
 from hfgames.logic import (
+    MAX_NESTING,
     And,
     Const,
     Eq,
@@ -142,6 +143,25 @@ class TestSizeAndVars:
         nodes = list(subformulas(f))
         assert len(nodes) == 3001
         assert nodes[0] is f and nodes[-1] is atom
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "!" * (MAX_NESTING - 1) + "(#0 in #1)",
+            "Ex. " * (MAX_NESTING - 1) + "(#0 in x)",
+            " & ".join(["(#0 in x)"] * MAX_NESTING),
+        ],
+        ids=["not", "exists", "and"],
+    )
+    def test_formula_at_nesting_limit(self, text):
+        f = parse_formula(text)
+        assert parse_formula(to_text(f)) == f
+        assert size(f) >= MAX_NESTING
+        assert free_vars(f) <= {"x"}
+        env = {"x": 1} if free_vars(f) else {}
+        assert eval_formula(V2, f, env) in (True, False)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula("!" + text if text[0] == "!" else f"!({text})")
 
     def test_instance_requires_cover(self):
         f = parse_formula("(x in y)")
