@@ -32,9 +32,9 @@ from .logic import (
     Structure,
     Var,
     build_truth_predicate,
-    eval_formula,
     free_vars,
     parse_formula,
+    satisfiers,
     subformulas,
 )
 from .universe import (
@@ -153,13 +153,7 @@ def _slice(
     value_domain: Sequence[int],
 ) -> frozenset:
     Mb = M.with_predicate(rule.f_symbol, partial_pairs)
-    env = {rule.i_var: int(b)}
-    out = set()
-    for x in value_domain:
-        env[rule.x_var] = x
-        if eval_formula(Mb, rule.formula, env):
-            out.add(x)
-    return frozenset(out)
+    return satisfiers(Mb, rule.formula, rule.x_var, {rule.i_var: int(b)}, value_domain)
 
 
 def etr_solve(

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SignatureError,
 )
-from .universe import Universe, member
+from .universe import Universe
 
 EDGE_SYMBOL = "<|"
 
@@ -41,7 +41,14 @@ EDGE_SYMBOL = "<|"
 
 
 # Formula nodes sit in referee indexes and memo tables on every move of
-# every game, so each node caches its hash at construction.
+# every game, so each node caches its hash and its free variables at
+# construction, from the caches of its children.  Terms cache theirs too.
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    return a if b <= a else b if a <= b else a | b
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,7 @@ class Var:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("var", self.name)))
+        object.__setattr__(self, "_fv", frozenset((self.name,)))
 
     def __hash__(self):
         return self._h
@@ -64,6 +72,7 @@ class Const:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("const", self.code)))
+        object.__setattr__(self, "_fv", _NO_VARS)
 
     def __hash__(self):
         return self._h
@@ -82,6 +91,7 @@ class Member:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("in", self.left, self.right)))
+        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
     def __hash__(self):
         return self._h
@@ -94,6 +104,7 @@ class Eq:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("eq", self.left, self.right)))
+        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
     def __hash__(self):
         return self._h
@@ -106,6 +117,10 @@ class Pred:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("pred", self.name, self.args)))
+        fv = _NO_VARS
+        for t in self.args:
+            fv = _join(fv, t._fv)
+        object.__setattr__(self, "_fv", fv)
 
     def __hash__(self):
         return self._h
@@ -117,6 +132,7 @@ class Not:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("not", self.body)))
+        object.__setattr__(self, "_fv", self.body._fv)
 
     def __hash__(self):
         return self._h
@@ -129,6 +145,7 @@ class And:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("and", self.left, self.right)))
+        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
     def __hash__(self):
         return self._h
@@ -141,6 +158,8 @@ class Exists:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("exists", self.var, self.body)))
+        fv = self.body._fv
+        object.__setattr__(self, "_fv", fv - {self.var} if self.var in fv else fv)
 
     def __hash__(self):
         return self._h
@@ -149,6 +168,7 @@ class Exists:
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
 
 ATOMIC_KINDS = (Member, Eq, Pred)
+_FORMULA_KINDS = frozenset((Member, Eq, Pred, Not, And, Exists))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -169,85 +189,113 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def size(f: Formula) -> int:
     """Node count over the whole AST, term nodes included."""
-    if isinstance(f, (Member, Eq)):
-        return 3
-    if isinstance(f, Pred):
-        return 1 + len(f.args)
-    if isinstance(f, Not):
-        return 1 + size(f.body)
-    if isinstance(f, And):
-        return 1 + size(f.left) + size(f.right)
-    if isinstance(f, Exists):
-        return 1 + size(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    n = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Not or t is Exists:
+            n += 1
+            stack.append(g.body)
+        elif t is And:
+            n += 1
+            stack.append(g.left)
+            stack.append(g.right)
+        elif t is Member or t is Eq:
+            n += 3
+        elif t is Pred:
+            n += 1 + len(g.args)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return n
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Member, Eq)):
-        return frozenset(t.name for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Pred):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, And):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Exists):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    """The variables free in f, as cached on the node at construction."""
+    try:
+        return f._fv
+    except AttributeError:
+        raise TypeError(f"not a formula: {f!r}") from None
 
 
 def _ends_in_quantifier(f: Formula) -> bool:
     # A quantifier at the right edge would greedily swallow a following '&'.
-    if isinstance(f, Exists):
-        return True
-    if isinstance(f, Not):
-        return _ends_in_quantifier(f.body)
-    return False
+    while isinstance(f, Not):
+        f = f.body
+    return isinstance(f, Exists)
 
 
 def to_text(f: Formula) -> str:
     """Canonical core-connective rendering; parse(to_text(f)) == f."""
-    if isinstance(f, Member):
-        return f"({f.left} in {f.right})"
-    if isinstance(f, Eq):
-        return f"({f.left} = {f.right})"
-    if isinstance(f, Pred):
-        if f.name == EDGE_SYMBOL:
-            return f"({f.args[0]} <| {f.args[1]})"
-        return f"{f.name}({', '.join(str(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return f"!{to_text(f.body)}"
-    if isinstance(f, And):
-        left = to_text(f.left)
-        if _ends_in_quantifier(f.left):
-            left = f"({left})"
-        return f"({left} & {to_text(f.right)})"
-    if isinstance(f, Exists):
-        return f"E{f.var}. {to_text(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    out = []
+    stack: list = [f]  # formulas still to render, and text to follow them
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Not:
+            out.append("!")
+            stack.append(g.body)
+        elif t is And:
+            if _ends_in_quantifier(g.left):
+                out.append("((")
+                stack += [")", g.right, ") & ", g.left]
+            else:
+                out.append("(")
+                stack += [")", g.right, " & ", g.left]
+        elif t is Exists:
+            out.append(f"E{g.var}. ")
+            stack.append(g.body)
+        elif t is Member:
+            out.append(f"({g.left} in {g.right})")
+        elif t is Eq:
+            out.append(f"({g.left} = {g.right})")
+        elif t is Pred:
+            if g.name == EDGE_SYMBOL:
+                out.append(f"({g.args[0]} <| {g.args[1]})")
+            else:
+                out.append(f"{g.name}({', '.join(str(a) for a in g.args)})")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def subst_closed(f: Formula, assignment: Mapping[str, int]) -> Formula:
     """Replace free variables by constants per the assignment."""
     def sub_term(t: Term) -> Term:
-        if isinstance(t, Var) and t.name in assignment:
-            return Const(assignment[t.name])
-        return t
+        return Const(a[t.name]) if type(t) is Var and t.name in a else t
 
-    if isinstance(f, Member):
-        return Member(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Pred):
-        return Pred(f.name, tuple(sub_term(a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(subst_closed(f.body, assignment))
-    if isinstance(f, And):
-        return And(subst_closed(f.left, assignment), subst_closed(f.right, assignment))
-    if isinstance(f, Exists):
-        inner = {k: v for k, v in assignment.items() if k != f.var}
-        return Exists(f.var, subst_closed(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+    done: list[Formula] = []
+    # (g, a): substitute a into g; (g, None): rebuild g from its parts in done.
+    stack: list = [(f, assignment)]
+    while stack:
+        g, a = stack.pop()
+        t = type(g)
+        if a is None:
+            if t is And:
+                right = done.pop()
+                done.append(And(done.pop(), right))
+            elif t is Not:
+                done.append(Not(done.pop()))
+            else:
+                done.append(Exists(g.var, done.pop()))
+        elif t not in _FORMULA_KINDS:
+            raise TypeError(f"not a formula: {g!r}")
+        elif g._fv.isdisjoint(a):
+            done.append(g)
+        elif t is Member or t is Eq:
+            done.append(t(sub_term(g.left), sub_term(g.right)))
+        elif t is Pred:
+            done.append(Pred(g.name, tuple(sub_term(x) for x in g.args)))
+        elif t is And:
+            stack += [(g, None), (g.right, a), (g.left, a)]
+        else:
+            stack.append((g, None))
+            if t is Exists and g.var in a:
+                a = {k: v for k, v in a.items() if k != g.var}
+            stack.append((g.body, a))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +604,10 @@ class Structure:
                         )
             fixed[name] = tuples
         object.__setattr__(self, "predicates", fixed)
+        # Masks over the codes for predicate atoms, built by the evaluator
+        # on first use: (name, which arguments are the variable) -> the
+        # other arguments' values -> mask.
+        object.__setattr__(self, "_index", {})
 
     def with_predicate(self, name: str, rel: Iterable) -> "Structure":
         preds = dict(self.predicates)
@@ -569,42 +621,162 @@ class Structure:
         return sig
 
 
-def eval_formula(M: Structure, f: Formula, env: Mapping[str, int]) -> bool:
-    """Tarskian truth by structural recursion; Exists scans the universe."""
+# The evaluator works bottom-up on bitmasks over the codes (relational
+# evaluation, specialised to Ackermann's coding).  A subformula is evaluated
+# over one variable v, the innermost quantified one, as the mask whose bit b
+# is set when it holds with v set to b; only bits of a given ``care`` mask
+# are ever set.  Atoms need no scan: {v : v in #k} is the code k itself,
+# {v : #k in v} a fixed pattern per universe, {v : v = #k} is 1 << k.  Not
+# complements within care, And evaluates its right side only where its left
+# side holds, and Exists w is one nested mask over w, tested for a set bit.
+# Only an Exists whose body mentions v loops over the bits of care, one
+# nested mask per bit.  With v None the formula is a sentence under env,
+# care is 1 and the mask is the verdict.
 
-    def term_val(t: Term) -> int:
-        if isinstance(t, Const):
-            if t.code not in M.universe:
+# What the consumer of a mask needs: all of it, or only its lowest set bit
+# (an existential's witness) or its lowest clear bit (a universal's
+# counterexample), so that loops can stop there.
+_ALL, _LOWEST_SET, _LOWEST_CLEAR = 0, 1, 2
+_NEGATED_NEED = (_ALL, _LOWEST_CLEAR, _LOWEST_SET)
+# Continuation frames on the evaluator's stack; each consumes the mask just
+# computed.
+_NOT, _AND, _SOME, _EACH = range(4)
+_UNSET = object()
+
+
+def _bits(m: int) -> list[int]:
+    """Positions of the set bits of m, lowest first."""
+    return [i for i, d in enumerate(bin(m)[:1:-1]) if d == "1"]
+
+
+def _pred_mask(M: Structure, g: Pred, v: str, val: Callable[[Term], int]) -> int:
+    """Codes c whose tuple of g's arguments, with c for v, is in the relation."""
+    at = tuple(isinstance(t, Var) and t.name == v for t in g.args)
+    index = M._index.get((g.name, at))
+    if index is None:
+        index = {}
+        for tup in M.predicates[g.name]:
+            if len(tup) != len(at):
+                continue
+            mine = {c for c, here in zip(tup, at) if here}
+            if len(mine) == 1:
+                key = tuple(c for c, here in zip(tup, at) if not here)
+                index[key] = index.get(key, 0) | 1 << mine.pop()
+        M._index[(g.name, at)] = index
+    return index.get(tuple(val(t) for t, here in zip(g.args, at) if not here), 0)
+
+
+def _mask(
+    M: Structure, f: Formula, v: Optional[str], env: dict, care: int, need: int = _ALL
+) -> int:
+    """The bits b of care for which f holds under env with v set to b.
+
+    Under ``need`` _LOWEST_SET (_LOWEST_CLEAR) the answer is exact only up
+    to the lowest bit of care that is set (clear) in the exact answer.
+    Loops bind variables in env, so the caller hands over its own copy.
+    """
+    U = M.universe
+    size = U.size
+
+    def val(t: Term) -> int:
+        if type(t) is Const:
+            if not 0 <= t.code < size:
                 raise SignatureError(f"constant #{t.code} outside the universe")
             return t.code
-        if t.name not in env:
-            raise MalformedInstanceError(f"unbound variable {t.name!r}")
-        return env[t.name]
+        try:
+            return env[t.name]
+        except KeyError:
+            raise MalformedInstanceError(f"unbound variable {t.name!r}") from None
 
-    if isinstance(f, Member):
-        return member(term_val(f.left), term_val(f.right))
-    if isinstance(f, Eq):
-        return term_val(f.left) == term_val(f.right)
-    if isinstance(f, Pred):
-        if f.name not in M.predicates:
-            raise SignatureError(f"unknown predicate symbol {f.name!r}")
-        return tuple(term_val(a) for a in f.args) in M.predicates[f.name]
-    if isinstance(f, Not):
-        return not eval_formula(M, f.body, env)
-    if isinstance(f, And):
-        return eval_formula(M, f.left, env) and eval_formula(M, f.right, env)
-    if isinstance(f, Exists):
-        env2 = dict(env)
-        for b in M.universe.elements:
-            env2[f.var] = b
-            if eval_formula(M, f.body, env2):
-                return True
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+    m = 0
+    stack: list = [(f, v, care, need)]
+    while stack:
+        frame = stack.pop()
+        g = frame[0]
+        if type(g) is int:
+            if g == _NOT:
+                m ^= frame[1]
+            elif g == _AND:
+                if m:
+                    stack.append((frame[1], frame[2], m, frame[3]))
+            elif g == _SOME:
+                m = frame[1] if m else 0
+            else:
+                _, ex, v, care, need, bits, k, acc, saved = frame
+                b = bits[k]
+                if m:
+                    acc |= 1 << b
+                stop = need == (_LOWEST_SET if m else _LOWEST_CLEAR)
+                k += 1
+                if stop or k == len(bits):
+                    if saved is _UNSET:
+                        del env[v]
+                    else:
+                        env[v] = saved
+                    m = acc
+                else:
+                    env[v] = bits[k]
+                    stack.append((_EACH, ex, v, care, need, bits, k, acc, saved))
+                    stack.append((ex.body, ex.var, U.full_mask(), _LOWEST_SET))
+            continue
+        _, v, care, need = frame
+        t = type(g)
+        if t is Member:
+            a, b = g.left, g.right
+            if v not in g._fv:
+                k = val(a)
+                m = care if val(b) >> k & 1 else 0
+            elif type(a) is Var and a.name == v:
+                m = 0 if type(b) is Var and b.name == v else val(b) & care
+            else:
+                m = U.containing_mask(val(a)) & care
+        elif t is Eq:
+            a, b = g.left, g.right
+            if v not in g._fv:
+                m = care if val(a) == val(b) else 0
+            elif type(a) is Var and a.name == v and type(b) is Var and b.name == v:
+                m = care
+            else:
+                k = val(b) if type(a) is Var and a.name == v else val(a)
+                m = 1 << k if 0 <= k and care >> k & 1 else 0
+        elif t is Pred:
+            rel = M.predicates.get(g.name)
+            if rel is None:
+                raise SignatureError(f"unknown predicate symbol {g.name!r}")
+            if v not in g._fv:
+                m = care if tuple(val(a) for a in g.args) in rel else 0
+            else:
+                m = _pred_mask(M, g, v, val) & care
+        elif t is Not:
+            stack.append((_NOT, care))
+            stack.append((g.body, v, care, _NEGATED_NEED[need]))
+        elif t is And:
+            stack.append((_AND, g.right, v, need))
+            stack.append((g.left, v, care, _ALL))
+        elif t is Exists:
+            if v not in g._fv:
+                stack.append((_SOME, care))
+            else:
+                bits = _bits(care)
+                if not bits:
+                    m = 0
+                    continue
+                saved = env.get(v, _UNSET)
+                env[v] = bits[0]
+                stack.append((_EACH, g, v, care, need, bits, 0, 0, saved))
+            stack.append((g.body, g.var, U.full_mask(), _LOWEST_SET))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return m
+
+
+def eval_formula(M: Structure, f: Formula, env: Mapping[str, int]) -> bool:
+    """Tarskian truth of f in M under env, by the bitmask evaluator."""
+    return _mask(M, f, None, dict(env), 1) == 1
 
 
 def eval_instance(M: Structure, inst: FormulaInstance) -> bool:
-    return eval_formula(M, inst.formula, inst.assignment)
+    return _mask(M, inst.formula, None, inst.assignment, 1) == 1
 
 
 def skolem_witness(M: Structure, inst: FormulaInstance) -> int:
@@ -612,12 +784,31 @@ def skolem_witness(M: Structure, inst: FormulaInstance) -> int:
     f = inst.formula
     if not isinstance(f, Exists):
         raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
-    env = inst.assignment
-    for b in M.universe.elements:
-        env[f.var] = b
-        if eval_formula(M, f.body, env):
-            return b
-    raise NoWitnessError(f"no witness for {print_instance(inst)}")
+    m = _mask(M, f.body, f.var, inst.assignment, M.universe.full_mask(), _LOWEST_SET)
+    if not m:
+        raise NoWitnessError(f"no witness for {print_instance(inst)}")
+    return (m & -m).bit_length() - 1
+
+
+def satisfiers(
+    M: Structure, f: Formula, var: str, env: Mapping[str, int], codes: Iterable[int]
+) -> frozenset[int]:
+    """The codes c among ``codes`` for which f holds under env with var = c.
+
+    Codes of the universe are decided together, as one mask over var.
+    """
+    size = M.universe.size
+    inside = bytearray((size + 7) // 8)
+    outside = []
+    for c in codes:
+        if 0 <= c < size:
+            inside[c >> 3] |= 1 << (c & 7)
+        else:
+            outside.append(c)
+    care = int.from_bytes(inside, "little")
+    found = set(_bits(_mask(M, f, var, dict(env), care)))
+    found.update(c for c in outside if _mask(M, f, None, {**env, var: c}, 1))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

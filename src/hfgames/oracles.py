@@ -8,7 +8,7 @@ dynamic programs.
 from __future__ import annotations
 
 from hfgames.games import Game, other_player, turn
-from hfgames.logic import And, Eq, Exists, Member, Not, Pred, Structure
+from hfgames.logic import EDGE_SYMBOL, And, Eq, Exists, Member, Not, Pred, Structure
 from hfgames.universe import WellFoundedRelation
 
 
@@ -134,8 +134,6 @@ def kb_less(s: tuple, t: tuple) -> bool:
 
 def worklist_fixpoint(M: Structure, rel, rule, value_domain=None) -> frozenset:
     """Iterate all slice equations simultaneously until stable."""
-    from hfgames.logic import EDGE_SYMBOL, eval_formula
-
     M2 = M if EDGE_SYMBOL in M.predicates else M.with_predicate(EDGE_SYMBOL, rel.edges)
     domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
     preds = {n: {a for a, b in rel.edges if b == n} for n in rel.carrier}
@@ -146,7 +144,7 @@ def worklist_fixpoint(M: Structure, rel, rule, value_domain=None) -> frozenset:
             restricted = frozenset((j, x) for j, x in pairs if j in preds[b])
             Mb = M2.with_predicate(rule.f_symbol, restricted)
             for x in domain:
-                if eval_formula(Mb, rule.formula, {rule.i_var: b, rule.x_var: x}):
+                if tarski_eval(Mb, rule.formula, {rule.i_var: b, rule.x_var: x}):
                     new.add((b, x))
         if frozenset(new) == pairs:
             return pairs

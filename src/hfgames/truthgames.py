@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import (
     CoverageError,
     InvariantError,
     MalformedTranscriptError,
+    NoWitnessError,
     NotWinningStrategyError,
     SignatureError,
 )
@@ -115,6 +115,9 @@ class TruthGame:
             self.rule_instance_formula = self.obligation.rule.instance_formula()
         self._eval_cache: dict = {}
         self._sig_checked: set = set()
+        # The referee's sub-instances, per game so they die with it.
+        self._parts: dict = {}
+        self._witness_bodies: dict = {}
 
     def eval_atomic(self, inst: FormulaInstance) -> bool:
         cached = self._eval_cache.get(inst)
@@ -122,6 +125,26 @@ class TruthGame:
             cached = eval_instance(self.structure, inst)
             self._eval_cache[inst] = cached
         return cached
+
+    def parts(self, inst: FormulaInstance) -> tuple[FormulaInstance, ...]:
+        """The sub-instances of a Not or And instance."""
+        got = self._parts.get(inst)
+        if got is None:
+            f = inst.formula
+            if isinstance(f, Not):
+                got = (sub_instance(inst, f.body),)
+            else:
+                got = (sub_instance(inst, f.left), sub_instance(inst, f.right))
+            self._parts[inst] = got
+        return got
+
+    def witness_body(self, inst: FormulaInstance, witness: int) -> FormulaInstance:
+        """The body of an existential instance at the named witness."""
+        key = (inst, witness)
+        got = self._witness_bodies.get(key)
+        if got is None:
+            got = self._witness_bodies[key] = instantiate(inst, inst.formula.var, witness)
+        return got
 
     def teller_symbol(self) -> Optional[str]:
         return self.obligation.rule.f_symbol if self.obligation else None
@@ -174,23 +197,6 @@ class Violation:
 
 
 _TRUE, _FALSE = 1, 2
-
-
-@lru_cache(maxsize=None)
-def _not_body_inst(inst: FormulaInstance) -> FormulaInstance:
-    return sub_instance(inst, inst.formula.body)
-
-
-@lru_cache(maxsize=None)
-def _and_part_insts(inst: FormulaInstance):
-    f = inst.formula
-    return sub_instance(inst, f.left), sub_instance(inst, f.right)
-
-
-@lru_cache(maxsize=None)
-def _witness_inst(inst: FormulaInstance, witness: int) -> FormulaInstance:
-    return instantiate(inst, inst.formula.var, witness)
-
 
 
 class RefereeState:
@@ -265,14 +271,14 @@ class RefereeState:
                         )
                     )
         elif isinstance(f, Not):
-            body = _not_body_inst(inst)
+            (body,) = self.game.parts(inst)
             self._register(self.not_wraps, body, inst)
             if marks.get(body, 0) & bit:
                 out.append(
                     Violation("negation", inst, "agrees with its own negatum")
                 )
         elif isinstance(f, And):
-            left, right = _and_part_insts(inst)
+            left, right = self.game.parts(inst)
             self._register(self.and_wraps, left, inst)
             if right != left:
                 self._register(self.and_wraps, right, inst)
@@ -298,7 +304,7 @@ class RefereeState:
                     Violation("negation", wrap, "agrees with its own negatum")
                 )
         for wrap in self.and_wraps.get(inst, ()):
-            left, right = _and_part_insts(wrap)
+            left, right = self.game.parts(wrap)
             out.extend(self._check_conjunction(wrap, left, right))
         if verdict:
             self._register(self.true_by_formula, f, inst)
@@ -369,7 +375,7 @@ class RefereeState:
                     Violation("quantifier", inq, f"witness {pron.witness} not in universe")
                 )
                 return out
-            body = _witness_inst(inq, pron.witness)
+            body = self.game.witness_body(inq, pron.witness)
             if pron.witness_instance is not None and pron.witness_instance != body:
                 out.append(
                     Violation("quantifier", inq, "witness instance mismatches the body")
@@ -542,11 +548,13 @@ class HonestTeller:
 
     @staticmethod
     def _eval_answer(M: Structure, inquiry: FormulaInstance) -> Pronouncement:
-        verdict = eval_instance(M, inquiry)
-        if verdict and isinstance(inquiry.formula, Exists):
+        if not isinstance(inquiry.formula, Exists):
+            return Pronouncement(eval_instance(M, inquiry))
+        try:
             w = skolem_witness(M, inquiry)
-            return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
-        return Pronouncement(verdict)
+        except NoWitnessError:
+            return Pronouncement(False)
+        return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
 
 
 def honest_teller(

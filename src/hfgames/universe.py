@@ -84,9 +84,40 @@ class Universe:
 
     rank: int
 
+    def __post_init__(self):
+        # Bitmasks over the codes, made on first use; bit c stands for the
+        # set coded c.
+        object.__setattr__(self, "_masks", {})
+
     @property
     def size(self) -> int:
         return universe_size(self.rank)
+
+    def full_mask(self) -> int:
+        """Every code of the universe."""
+        m = self._masks.get(None)
+        if m is None:
+            m = self._masks[None] = (1 << self.size) - 1
+        return m
+
+    def containing_mask(self, k: int) -> int:
+        """The codes of the sets having the set coded k as an element."""
+        m = self._masks.get(k)
+        if m is None:
+            size = self.size
+            # Codes below size = 2^n have bits 0 .. n-1 only.
+            if not 0 <= k < size.bit_length() - 1:
+                return 0
+            # Bit k of the codes runs in periods of 2^(k+1): 2^k codes
+            # clear, then 2^k codes set.  Double one period up to size.
+            half = 1 << k
+            m = ((1 << half) - 1) << half
+            width = 2 * half
+            while width < size:
+                m |= m << width
+                width *= 2
+            self._masks[k] = m
+        return m
 
     @property
     def elements(self) -> range:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,12 @@ class TestEval:
             "verdict": True,
             "witness": 0,
         }
+
+    def test_nested_quantifiers_over_v5(self, capsys):
+        started = time.process_time()
+        code, out, _ = run(capsys, "eval", "--rank", "5", "Ax. Ey. (x = y)")
+        assert code == 0 and out.strip() == "true"
+        assert time.process_time() - started < 5
 
     def test_custom_predicate(self, capsys):
         code, out, _ = run(

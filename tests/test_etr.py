@@ -41,6 +41,7 @@ from hfgames.universe import (
     WellOrder,
     build_universe,
     check_wellfounded,
+    hf_elements,
     topological_order,
 )
 
@@ -154,6 +155,29 @@ class TestEtrSolve:
         sol = etr_solve(U5, rel, rule, value_domain=domain)
         assert sol.pairs == worklist_fixpoint(U5, rel, rule, value_domain=domain)
         assert all(sol.slice(i) == {0} for i in nodes)
+        assert check_solution(U5, rel, rule, sol, value_domain=domain)
+
+    def test_v5_dag_with_quantified_rule(self):
+        # Carrier codes spread over all of V_5.  Both quantifiers range over
+        # the whole universe; the evaluator only meets the guarded ones.
+        rng = random.Random(97)
+        U5 = Structure(build_universe(5))
+        nodes = sorted(rng.sample(range(1, 65536), 12))
+        edges = {
+            (a, b) for k, a in enumerate(nodes) for b in nodes[k + 1:] if rng.random() < 0.3
+        }
+        rel = WellFoundedRelation(frozenset(nodes), frozenset(edges))
+        rule = RecursionRule.parse("x = i | Ej. ((j <| i) & Ey. (F(j, y) & (x in y)))")
+        domain = sorted(set(nodes).union(*(hf_elements(n) for n in nodes)))
+        sol = etr_solve(U5, rel, rule, value_domain=domain)
+        # The slices by hand: F(i) = {i} with the elements of F(j)'s sets, j <| i.
+        want: dict = {}
+        for b in topological_order(rel):
+            want[b] = {b}.union(
+                *(hf_elements(y) for a, c in edges if c == b for y in want[a])
+            ) & set(domain)
+        assert {b: set(sol.slice(b)) for b in nodes} == want
+        assert any(len(s) > 1 for s in want.values())
         assert check_solution(U5, rel, rule, sol, value_domain=domain)
 
 

@@ -39,3 +39,78 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "from typing import Callable, Optional\nimport json\n\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["Callable (line 1)", "json (line 2)"]
+
+
+# Functions that must stay iterative: a formula built in code may be nested
+# far deeper than Python's recursion limit.
+ITERATIVE = [
+    "size",
+    "free_vars",
+    "to_text",
+    "subst_closed",
+    "eval_formula",
+    "eval_instance",
+    "skolem_witness",
+    "satisfiers",
+    "_mask",
+    "_pred_mask",
+]
+
+
+def recursive_functions(source: str) -> set[str]:
+    """Module-level functions that can reach themselves through calls by
+    name to module-level functions (nested functions count as their owner)."""
+    tree = ast.parse(source)
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls = {
+        name: {
+            n.func.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in defs
+        }
+        for name, node in defs.items()
+    }
+    out = set()
+    for name in defs:
+        seen, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(calls[callee])
+        if name in seen:
+            out.add(name)
+    return out
+
+
+def test_formula_functions_do_not_recurse():
+    recursive = recursive_functions((PACKAGE / "logic.py").read_text())
+    assert recursive.isdisjoint(ITERATIVE), sorted(recursive & set(ITERATIVE))
+
+
+def test_recursion_scan_flags_self_and_mutual_calls():
+    source = (
+        "def a(n):\n    return a(n - 1)\n\n"
+        "def b(n):\n    def inner():\n        return c(n)\n    return inner()\n\n"
+        "def c(n):\n    return b(n)\n\n"
+        "def d(n):\n    return len(n)\n"
+    )
+    assert recursive_functions(source) == {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unbounded_module_caches(path):
+    """Caches that grow with input live on the objects they serve."""
+    tree = ast.parse(path.read_text())
+    unbounded = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                text = ast.unparse(dec)
+                if text in ("cache", "functools.cache") or "maxsize=None" in text:
+                    unbounded.append(f"{node.name} (line {node.lineno})")
+    assert unbounded == []

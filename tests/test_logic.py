@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hfgames.logic import (
     Const,
     Eq,
     Exists,
+    FormulaInstance,
     Member,
     Not,
     Pred,
@@ -41,10 +44,11 @@ from hfgames.logic import (
     skolem_witness,
     sub_instance,
     subformulas,
+    subst_closed,
     tarski_check,
     to_text,
 )
-from hfgames.universe import build_universe
+from hfgames.universe import build_universe, universe_size
 
 from hfgames.oracles import tarski_eval
 
@@ -163,6 +167,29 @@ class TestSizeAndVars:
         with pytest.raises(ParseError, match="nested deeper"):
             parse_formula("!" + text if text[0] == "!" else f"!({text})")
 
+    def test_free_vars_cached_on_the_node(self):
+        f = parse_formula("Ex. ((x in y) & !(z = x))")
+        assert free_vars(f) == {"y", "z"}
+        assert free_vars(f) is free_vars(f)
+        assert free_vars(f.body) == {"x", "y", "z"}
+
+    def test_deep_formula_built_in_code(self):
+        # Built in code, so the parser's nesting limit does not apply.
+        body = Member(Var("x"), Const(1))
+        for _ in range(3000):
+            body = Not(body)
+        f = Exists("x", body)
+        assert to_text(f) == "Ex. " + "!" * 3000 + "(x in #1)"
+        assert size(f) == 1 + 3000 + 3
+        assert free_vars(f) == set() and free_vars(body) == {"x"}
+        assert to_text(subst_closed(body, {"x": 0})) == "!" * 3000 + "(#0 in #1)"
+        assert subst_closed(f, {"x": 0}) is f
+        assert eval_formula(V2, f, {})
+        assert eval_formula(V2, body, {"x": 0}) and not eval_formula(V2, body, {"x": 1})
+        inst = instance(f, {})
+        assert eval_instance(V2, inst)
+        assert skolem_witness(V2, inst) == 0
+
     def test_instance_requires_cover(self):
         f = parse_formula("(x in y)")
         with pytest.raises(MalformedInstanceError):
@@ -209,6 +236,169 @@ class TestEval:
         M = V3.with_predicate("P", {(0,), (2,)})
         assert eval_formula(M, parse_formula("P(#2)"), {})
         assert not eval_formula(M, parse_formula("P(#1)"), {})
+
+
+VARS = ("x", "y", "z")
+
+
+def random_case(rng: random.Random, rank: int):
+    """A structure of rank 1..4 with unary P, binary R and <|, a formula over
+    x, y, z whose binders may shadow or be vacuous, and an assignment."""
+    n = universe_size(rank)
+    max_quantifiers = 2 if rank == 4 else 3
+
+    def term(scope):
+        if n and rng.random() < 0.3:
+            return Const(rng.randrange(n))
+        if scope and rng.random() < 0.7:
+            return Var(rng.choice(scope))
+        return Var(rng.choice(VARS))
+
+    def atom(scope):
+        kind = rng.choice(["in", "in", "eq", "eq", "P", "R", "<|"])
+        if kind == "P":
+            return Pred("P", (term(scope),))
+        if kind in ("R", "<|"):
+            return Pred(kind, (term(scope), term(scope)))
+        return (Member if kind == "in" else Eq)(term(scope), term(scope))
+
+    def gen(budget, scope):
+        kinds = ["atom"]
+        if budget > 1:
+            kinds += ["not", "and", "and"] + ["exists"] * 2 * (len(scope) < max_quantifiers)
+        kind = rng.choice(kinds)
+        if kind == "atom":
+            return atom(scope)
+        if kind == "not":
+            return Not(gen(budget - 1, scope))
+        if kind == "exists":
+            v = rng.choice(VARS)
+            return Exists(v, gen(budget - 1, scope + (v,)))
+        k = rng.randint(1, budget - 1)
+        return And(gen(k, scope), gen(budget - k, scope))
+
+    codes = range(n)
+    preds = {
+        "P": {(c,) for c in rng.sample(codes, min(n, 5))},
+        "R": {(rng.choice(codes), rng.choice(codes)) for _ in range(8)},
+        "<|": {(rng.choice(codes), rng.choice(codes)) for _ in range(8)},
+    }
+    f = gen(rng.randint(1, 12), ())
+    env = {v: rng.randrange(n) for v in sorted(free_vars(f))}
+    return Structure(build_universe(rank), preds), f, env
+
+
+def least_witness(M, f, env):
+    for b in M.universe.elements:
+        if tarski_eval(M, f.body, {**env, f.var: b}):
+            return b
+    return None
+
+
+class TestBitmaskEvaluator:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32))
+    def test_agrees_with_tarski_eval(self, rank, seed):
+        M, f, env = random_case(random.Random(seed), rank)
+        want = tarski_eval(M, f, env)
+        assert eval_formula(M, f, env) is want, (to_text(f), env)
+        inst = instance(f, env)
+        assert eval_instance(M, inst) is want
+        if isinstance(f, Exists):
+            w = least_witness(M, f, env)
+            assert (w is not None) is want
+            if want:
+                assert skolem_witness(M, inst) == w, (to_text(f), env)
+            else:
+                with pytest.raises(NoWitnessError):
+                    skolem_witness(M, inst)
+
+    @pytest.mark.parametrize(
+        "text, verdict, witness",
+        [
+            ("Ex. ((x in #3) & Ex. (x = #0))", True, 0),  # shadowed binder
+            ("Ex. (Ey. (x in y) & (x = #1))", True, 1),
+            ("Ex. ((!Ay. !(y in x)) & (x = #4))", True, 4),
+            ("Ey. ((y = #2) & Ex. Ez. (x in z) & !(y = #0) & (y in #4))", True, 2),
+            ("Ex. Ey. ((x = #3) & Ex. Ez. (x in z) & (y = x))", True, 3),
+            ("Ex. ((x in #3) & Ex. !(x = #0))", True, 0),
+            ("Ex. (!(x = #0) & Ex. Ey. (x in y & (y = #2)))", True, 1),
+            ("Ex. Ex. (x = #5)", True, 0),  # vacuous outer binder
+            ("Ey. (#0 in #2)", False, None),  # vacuous binder
+            ("Ex. (x in #6 & Ay. (y in x -> !(y = #0)))", True, 2),
+            ("Ax. Ey. (x in y)", False, None),
+            ("Ex. Ay. !(y in x)", True, 0),
+        ],
+    )
+    def test_binders(self, text, verdict, witness):
+        f = parse_formula(text)
+        assert tarski_eval(V4, f, {}) is verdict
+        inst = instance(f, {})
+        assert eval_instance(V4, inst) is verdict
+        if witness is not None:
+            assert skolem_witness(V4, inst) == witness
+
+    def test_empty_universe(self):
+        V0 = Structure(build_universe(0))
+        inst = parse_instance("Ex. (x = x)")
+        assert not eval_instance(V0, inst) and eval_formula(V0, parse_formula("Ax. (x in x)"), {})
+        with pytest.raises(NoWitnessError):
+            skolem_witness(V0, inst)
+
+    @pytest.mark.parametrize(
+        "text, env, verdict",
+        [
+            ("(Ex. Ey. (x in y)) & (x = #1)", {"x": 1}, True),
+            ("(Ex. Ay. !(y in x)) & (x = #1)", {"x": 1}, True),
+            ("Ey. ((Ex. (x in y)) & (y = x))", {"x": 1}, True),
+            ("Ey. ((y = #2) & Ex. (x in y) & (x in y))", {"x": 1}, True),
+        ],
+    )
+    def test_rebound_variable_keeps_its_outer_value(self, text, env, verdict):
+        f = parse_formula(text)
+        assert tarski_eval(V4, f, env) is verdict
+        assert eval_formula(V4, f, env) is verdict
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("(x in #1)", MalformedInstanceError),
+            ("Ex. (x in y)", MalformedInstanceError),
+            ("Ex. (y = x)", MalformedInstanceError),
+            ("Ex. Ey. (x in z)", MalformedInstanceError),
+            ("(#0 in #4)", SignatureError),
+            ("Ex. (x in #4)", SignatureError),
+            ("Ex. (#4 in x)", SignatureError),
+            ("Ex. (x = #4)", SignatureError),
+            ("Ex. Ey. (x = #7)", SignatureError),
+            ("Q(#0)", SignatureError),
+            ("Ex. Q(x)", SignatureError),
+            ("Ex. Ey. Q(x, y)", SignatureError),
+        ],
+    )
+    def test_typed_errors(self, text, error):
+        f = parse_formula(text)
+        with pytest.raises(error):
+            eval_formula(V2, f, {})
+        if isinstance(f, Exists):
+            with pytest.raises(error):
+                skolem_witness(V2, FormulaInstance(f, ()))
+
+    def test_predicate_index_dies_with_its_structure(self):
+        M = V3.with_predicate("P", {(1,), (3,)})
+        assert eval_formula(M, parse_formula("Ex. (P(x) & (#0 in x))"), {})
+        ref = weakref.ref(M)
+        del M
+        gc.collect()
+        assert ref() is None
+
+    def test_nested_quantifiers_over_v5(self):
+        V5 = Structure(build_universe(5))
+        # Code 16 is the first set whose singleton lies outside V_5.
+        assert not eval_instance(V5, parse_instance("Ax. Ey. (x in y)"))
+        assert skolem_witness(V5, parse_instance("Ex. !Ey. (x in y)")) == 16
+        inst = parse_instance("Ex. Ay. ((y in x) <-> (y = #1 | y = #3))")
+        assert skolem_witness(V5, inst) == (1 << 1) | (1 << 3)
 
 
 class TestTruthPredicate:

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -471,6 +473,21 @@ class TestWitnessDiscipline:
         ex = parse_instance("Ex. (x in #1)")
         rounds = [Round(1, ex, Pronouncement(True, 99, None))]
         assert referee(game, Transcript(rounds)) == INTERROGATOR_WINS
+
+
+class TestPerGameCaches:
+    def test_instances_die_with_their_game(self):
+        inquiries = [parse_instance("!(#0 in #1) & Ex. (x in #3)")]
+        game = truth_game(V3)
+        play_truth_game(game, ScriptedInterrogator(inquiries), honest_teller(game, V3))
+        conjunct = game.parts(inquiries[0])[1]
+        assert print_instance(conjunct) == "Ex. (x in #3)"
+        ref = weakref.ref(conjunct)
+        del game, conjunct
+        other = truth_game(V3)
+        play_truth_game(other, ScriptedInterrogator(inquiries), honest_teller(other, V3))
+        gc.collect()
+        assert ref() is None
 
 
 class TestLargeCarrierRecursion:
