@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import etr, games, logic, suites, truthgames
-from .errors import HFGamesError, ParseError, ResourceBoundError
+from .errors import HFGamesError, MalformedTranscriptError, ParseError, ResourceBoundError
 from .universe import MAX_RANK, WellFoundedRelation, build_universe
 
 EXIT_OK = 0
@@ -227,13 +227,22 @@ def cmd_play(args) -> int:
     game = truthgames.truth_game(M, mode)
     teller = truthgames.honest_teller(game, M)
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            transcript = truthgames.transcript_from_json(game, fh.read())
-        transcript.status = truthgames.referee(game, transcript)
+        try:
+            with open(args.replay, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read transcript {args.replay!r}: {exc}") from None
+        transcript = truthgames.transcript_from_json(game, text)
+        try:
+            transcript.status = truthgames.referee(game, transcript)
+        except MalformedTranscriptError as exc:
+            raise ParseError(f"malformed transcript: {exc}") from None
         print(truthgames.transcript_to_json(game, transcript))
         return EXIT_OK
     if not args.interactive:
         raise ParseError("play needs --interactive or --replay FILE")
+    if args.clock < 1:
+        raise ParseError(f"--clock must be at least 1, got {args.clock}")
     transcript = _interactive_loop(game, teller, args.clock)
     print(truthgames.transcript_to_json(game, transcript))
     return EXIT_OK
@@ -242,7 +251,6 @@ def cmd_play(args) -> int:
 def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
     err = sys.stderr
     sig = game.structure.signature() or None
-    transcript = truthgames.Transcript()
     state = truthgames.RefereeState(game)
     print(f"You are the interrogator; the clock starts at {clock}.", file=err)
     print("Type a closed formula per turn (empty line or 'quit' to stop).", file=err)
@@ -260,21 +268,19 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
         except HFGamesError as exc:
             print(f"  ! {exc}", file=err)
             continue
-        pron = teller.answer(game, inquiry, game.clock(remaining), transcript.rounds)
-        rnd = truthgames.Round(game.clock(remaining), inquiry, pron)
-        transcript.rounds.append(rnd)
+        violations = state.ask(teller, game.clock(remaining), inquiry)
+        pron = state.rounds[-1].pronouncement
         reply = "true" if pron.verdict else "false"
         if pron.witness is not None:
             reply += f", witness #{pron.witness}"
         print(f"  teller: {reply}", file=err)
-        violations = state.process_round(rnd)
         if violations:
             print(f"  violation! {violations[0]}", file=err)
             break
         remaining -= 1
     if remaining == 0:
-        transcript.rounds.append(truthgames.Round(game.clock(0), None, None))
-    transcript.status = truthgames.referee(game, transcript)
+        state.process_round(truthgames.Round(game.clock(0), None, None))
+    transcript = truthgames.Transcript(state.rounds, state.status())
     print(f"status: {transcript.status}", file=err)
     return transcript
 

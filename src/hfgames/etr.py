@@ -98,20 +98,28 @@ def _pred_atoms(f: Formula, name: str) -> list[Pred]:
 
 def _relativize(f: Formula, f_symbol: str, bound, guard: str = EDGE_SYMBOL) -> Formula:
     """Conjoin every read F(j, y) with guard(j, bound)."""
-    if isinstance(f, Pred):
-        if f.name == f_symbol:
-            return And(f, Pred(guard, (f.args[0], bound)))
-        return f
-    if isinstance(f, Not):
-        return Not(_relativize(f.body, f_symbol, bound, guard))
-    if isinstance(f, And):
-        return And(
-            _relativize(f.left, f_symbol, bound, guard),
-            _relativize(f.right, f_symbol, bound, guard),
-        )
-    if isinstance(f, Exists):
-        return Exists(f.var, _relativize(f.body, f_symbol, bound, guard))
-    return f
+    done: list[Formula] = []
+    # (g, True): relativize g; (g, False): rebuild g from its parts in done.
+    stack: list = [(f, True)]
+    while stack:
+        g, expand = stack.pop()
+        if not expand:
+            if isinstance(g, And):
+                right = done.pop()
+                done.append(And(done.pop(), right))
+            elif isinstance(g, Not):
+                done.append(Not(done.pop()))
+            else:
+                done.append(Exists(g.var, done.pop()))
+        elif isinstance(g, Pred) and g.name == f_symbol:
+            done.append(And(g, Pred(guard, (g.args[0], bound))))
+        elif isinstance(g, And):
+            stack += [(g, False), (g.right, True), (g.left, True)]
+        elif isinstance(g, (Not, Exists)):
+            stack += [(g, False), (g.body, True)]
+        else:
+            done.append(g)
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,6 @@ class Solution:
 
     def slice(self, i) -> frozenset:
         return frozenset(x for j, x in self.pairs if j == i)
-
-    def restrict(self, indices: Iterable) -> frozenset:
-        idx = set(indices)
-        return frozenset((j, x) for j, x in self.pairs if j in idx)
 
     def serialize(self) -> str:
         lines = sorted(f"{i} {x}" for i, x in self.pairs)
@@ -222,24 +226,26 @@ def transitive_closure(rel: WellFoundedRelation) -> WellFoundedRelation:
     succs: dict = {n: set() for n in rel.carrier}
     for a, b in rel.edges:
         succs[a].add(b)
-    closed: dict = {}
-
-    def reach(n) -> set:
-        if n in closed:
-            return closed[n]
-        acc = set()
-        for b in succs[n]:
-            acc.add(b)
-            acc |= reach(b)
-        closed[n] = acc
-        return acc
-
-    if not check_wellfounded(rel):
-        raise InvariantError("relation is not well-founded (cycle present)")
-    edges = set()
-    for a in rel.carrier:
-        for b in reach(a):
-            edges.add((a, b))
+    # reach[n]: every node reachable from n, filled in depth-first post-order.
+    reach: dict = {}
+    for root in rel.carrier:
+        if root in reach:
+            continue
+        path, stack = {root}, [(root, iter(succs[root]))]
+        while stack:
+            n, targets = stack[-1]
+            for b in targets:
+                if b in path:
+                    raise InvariantError("relation is not well-founded (cycle present)")
+                if b not in reach:
+                    path.add(b)
+                    stack.append((b, iter(succs[b])))
+                    break
+            else:
+                stack.pop()
+                path.remove(n)
+                reach[n] = set(succs[n]).union(*(reach[b] for b in succs[n]))
+    edges = {(a, b) for a in rel.carrier for b in reach[a]}
     return WellFoundedRelation(rel.carrier, frozenset(edges))
 
 

@@ -496,8 +496,8 @@ def suite_etr(cfg: RunConfig) -> Report:
             via_kb, kb = etr.solve_via_kleene_brouwer(M, rel, rule, node_budget=cfg.node_budget)
             if not (base.pairs == via_tc.pairs == via_tree.pairs == via_kb.pairs):
                 return False, "transport changed the solution", {"k": k}
-            if not _is_well_order(kb):
-                return False, "KB output is not a well-order", {"k": k}
+            if not _is_kb_order(kb):
+                return False, "KB output is out of Kleene-Brouwer order", {"k": k}
         return True, "20 instances preserved through the reduction chain", None
 
     def tree_budget():
@@ -545,13 +545,10 @@ def _alternative_topological_order(rel: WellFoundedRelation) -> list:
     return topological_order(converse)[::-1]
 
 
-def _is_well_order(order: WellOrder) -> bool:
+def _is_kb_order(order: WellOrder) -> bool:
+    """Consecutive elements ascend in the Kleene-Brouwer comparison."""
     elems = order.elements
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            if not order.less(a, b) or order.less(b, a):
-                return False
-    return True
+    return all(oracles.kb_less(a, b) for a, b in zip(elems, elems[1:]))
 
 
 SUITES = {

@@ -24,6 +24,7 @@ from .errors import (
     MalformedTranscriptError,
     NoWitnessError,
     NotWinningStrategyError,
+    ParseError,
     SignatureError,
 )
 from .etr import RecursionRule, Solution, check_solution
@@ -200,15 +201,19 @@ _TRUE, _FALSE = 1, 2
 
 
 class RefereeState:
-    """Incremental violation detector over the pronouncements so far.
+    """The one referee that plays a truth game: it keeps the rounds so far,
+    asks the teller, judges each answer and reads off the status.
 
-    Supports frames so game-tree search can backtrack without copying.
-    Repeating an instance with the opposite verdict is not by itself a
-    violation; only the Tarskian pair conditions are.
+    Supports frames so game-tree search can backtrack without copying;
+    popping a frame undoes its rounds, marks and loss.  Repeating an
+    instance with the opposite verdict is not by itself a violation; only
+    the Tarskian pair conditions are.
     """
 
     def __init__(self, game: TruthGame):
         self.game = game
+        self.rounds: list[Round] = []
+        self.lost = False
         self.marks: dict[FormulaInstance, int] = {}
         self.not_wraps: dict[FormulaInstance, list] = {}
         self.and_wraps: dict[FormulaInstance, list] = {}
@@ -216,16 +221,20 @@ class RefereeState:
         self.true_by_formula: dict[Formula, list] = {}
         self.witness_bodies: dict[FormulaInstance, list] = {}
         self._frames: list[list] = [[]]
+        # Per pushed frame: the round count and the loss flag to restore.
+        self._frame_starts: list[tuple[int, bool]] = []
         self._f_symbol = game.teller_symbol()
 
     # -- frames
 
     def push_frame(self):
         self._frames.append([])
+        self._frame_starts.append((len(self.rounds), self.lost))
 
     def pop_frame(self):
-        ops = self._frames.pop()
-        for op in reversed(ops):
+        n, self.lost = self._frame_starts.pop()
+        del self.rounds[n:]
+        for op in reversed(self._frames.pop()):
             tag = op[0]
             if tag == "mark":
                 _, inst, prev = op
@@ -355,53 +364,64 @@ class RefereeState:
             )
         return out
 
+    def ask(self, teller, clock, inquiry: FormulaInstance) -> list[Violation]:
+        """Put one inquiry to the teller, record the round and judge it.
+
+        The teller sees the rounds so far as ``history``: the live list,
+        which tellers read and never change."""
+        pron = teller.answer(self.game, inquiry, clock, self.rounds)
+        return self.process_round(Round(clock, inquiry, pron))
+
     def process_round(self, rnd: Round) -> list[Violation]:
-        """Record one inquiry/pronouncement pair; returns any violations."""
+        """Record one round and judge it; returns any violations.  A round
+        without an inquiry closes play and is recorded unjudged."""
         inq, pron = rnd.inquiry, rnd.pronouncement
-        if inq is None or pron is None:
-            raise MalformedTranscriptError("inquiry round without inquiry or reply")
-        self._check_inquiry_signature(inq)
-        out: list[Violation] = []
-        f = inq.formula
-        if isinstance(f, Exists) and pron.verdict:
-            if pron.witness is None:
-                out.append(
-                    Violation("quantifier", inq, "affirmed existential without witness")
-                )
-                out.extend(self.add(inq, True))
-                return out
-            if pron.witness not in self.game.structure.universe:
-                out.append(
-                    Violation("quantifier", inq, f"witness {pron.witness} not in universe")
-                )
-                return out
+        if inq is None:
+            self.rounds.append(rnd)
+            return []
+        if pron is None:
+            raise MalformedTranscriptError("inquiry round without a reply")
+        if inq.formula not in self.game._sig_checked:
+            self._check_inquiry_signature(inq)
+        self.rounds.append(rnd)
+        if not (pron.verdict and isinstance(inq.formula, Exists)):
+            out = self.add(inq, pron.verdict)
+        elif pron.witness is None:
+            out = [Violation("quantifier", inq, "affirmed existential without witness")]
+            out += self.add(inq, True)
+        elif pron.witness not in self.game.structure.universe:
+            out = [Violation("quantifier", inq, f"witness {pron.witness} not in universe")]
+        else:
             body = self.game.witness_body(inq, pron.witness)
             if pron.witness_instance is not None and pron.witness_instance != body:
-                out.append(
-                    Violation("quantifier", inq, "witness instance mismatches the body")
-                )
-                return out
-            out.extend(self.add(inq, True))
-            if self.marks.get(body, 0) & _FALSE:
-                out.append(
-                    Violation("quantifier", inq, "witness body already denied")
-                )
-            self._register(self.witness_bodies, body, inq)
-            out.extend(self.add(body, True))
-            return out
-        out.extend(self.add(inq, pron.verdict))
+                out = [Violation("quantifier", inq, "witness instance mismatches the body")]
+            else:
+                out = self.add(inq, True)
+                if self.marks.get(body, 0) & _FALSE:
+                    out.append(Violation("quantifier", inq, "witness body already denied"))
+                self._register(self.witness_bodies, body, inq)
+                out += self.add(body, True)
+        if out:
+            self.lost = True
         return out
 
+    def status(self) -> str:
+        """The interrogator wins at the first violation, the teller wins
+        when the clock runs out, otherwise play is ongoing."""
+        _validate_clocks(self.game, self.rounds)
+        if self.lost:
+            return INTERROGATOR_WINS
+        if _clock_exhausted(self.game, self.rounds):
+            return TELLER_WINS
+        return ONGOING
+
     def _check_inquiry_signature(self, inst: FormulaInstance) -> None:
-        checked = self.game._sig_checked
-        if inst.formula in checked:
-            return
         preds = self.game.structure.predicates
         f_symbol = self._f_symbol
         for g in subformulas(inst.formula):
             if isinstance(g, Pred) and g.name not in preds and g.name != f_symbol:
                 raise SignatureError(f"inquiry uses unknown predicate {g.name!r}")
-        checked.add(inst.formula)
+        self.game._sig_checked.add(inst.formula)
 
 
 def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:
@@ -423,6 +443,8 @@ def _as_ordinal(clock) -> Ordinal:
 def _validate_clocks(game: TruthGame, rounds: Sequence[Round]) -> None:
     if not rounds:
         return
+    if any(rnd.inquiry is None for rnd in rounds[:-1]):
+        raise MalformedTranscriptError("play continues after a round without inquiry")
     if game.clock_mode == NATURAL:
         first = rounds[0].clock
         if not isinstance(first, int) or isinstance(first, bool) or first < 1:
@@ -465,18 +487,15 @@ def _clock_exhausted(game: TruthGame, rounds: Sequence[Round]) -> bool:
 
 
 def referee(game: TruthGame, transcript: Transcript) -> str:
-    """Status of a transcript: the interrogator wins at the first violation,
-    the teller wins when the clock runs out, otherwise play is ongoing."""
+    """Status of a finished transcript: its clocks are checked first, then
+    its rounds replay through a fresh referee state up to the first
+    violation."""
     _validate_clocks(game, transcript.rounds)
     state = RefereeState(game)
     for rnd in transcript.rounds:
-        if rnd.inquiry is None:
-            break
         if state.process_round(rnd):
-            return INTERROGATOR_WINS
-    if _clock_exhausted(game, transcript.rounds):
-        return TELLER_WINS
-    return ONGOING
+            break
+    return state.status()
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +506,12 @@ class HonestTeller:
     """Answers every inquiry from a fixed source of truth.
 
     Structure-backed tellers evaluate; class-backed tellers read the marks
-    and fall back to a structure when one is supplied, else raise
-    CoverageError outside the closure.  Answers do not depend on the play.
+    and raise CoverageError outside the closure.  Answers do not depend on
+    the play.
     """
 
-    def __init__(
-        self,
-        source: Union[Structure, SatisfactionClass],
-        fallback: Optional[Structure] = None,
-    ):
+    def __init__(self, source: Union[Structure, SatisfactionClass]):
         self.source = source
-        self.fallback = fallback
         self._cache: dict[FormulaInstance, Pronouncement] = {}
 
     def answer(
@@ -516,14 +530,16 @@ class HonestTeller:
 
     def _answer(self, inquiry: FormulaInstance) -> Pronouncement:
         if isinstance(self.source, Structure):
-            return self._eval_answer(self.source, inquiry)
+            if not isinstance(inquiry.formula, Exists):
+                return Pronouncement(eval_instance(self.source, inquiry))
+            try:
+                w = skolem_witness(self.source, inquiry)
+            except NoWitnessError:
+                return Pronouncement(False)
+            return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
         verdict = self.source.verdict(inquiry)
         if verdict is None:
-            if self.fallback is None:
-                raise CoverageError(
-                    f"inquiry outside closure: {print_instance(inquiry)}"
-                )
-            return self._eval_answer(self.fallback, inquiry)
+            raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
         if verdict and isinstance(inquiry.formula, Exists):
             f = inquiry.formula
             if f.var in free_vars(f.body):
@@ -540,21 +556,8 @@ class HonestTeller:
                 if self.source.holds(body):
                     # Vacuous binder: any element witnesses; take the least.
                     return Pronouncement(True, 0, body)
-            if self.fallback is not None:
-                w = skolem_witness(self.fallback, inquiry)
-                return Pronouncement(True, w, instantiate(inquiry, f.var, w))
             raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
         return Pronouncement(verdict)
-
-    @staticmethod
-    def _eval_answer(M: Structure, inquiry: FormulaInstance) -> Pronouncement:
-        if not isinstance(inquiry.formula, Exists):
-            return Pronouncement(eval_instance(M, inquiry))
-        try:
-            w = skolem_witness(M, inquiry)
-        except NoWitnessError:
-            return Pronouncement(False)
-        return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
 
 
 def honest_teller(
@@ -573,9 +576,7 @@ def honest_teller(
             M = M.with_predicate(game.obligation.rule.f_symbol, pairs)
             return HonestTeller(M)
         raise InvariantError("recursion-mode honest teller needs a structure source")
-    if isinstance(source, Structure):
-        return HonestTeller(source)
-    return HonestTeller(source, fallback=None)
+    return HonestTeller(source)
 
 
 # ---------------------------------------------------------------------------
@@ -624,24 +625,19 @@ class RandomInterrogator:
 def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
     """Alternate interrogator moves and teller answers until the clock runs
     out, a violation occurs, or the interrogator stops."""
-    transcript = Transcript()
     state = RefereeState(game)
+    transcript = Transcript(state.rounds)
     while True:
         move = interrogator.move(game, transcript)
         if move is None:
             break
         clock, inquiry = move
         if inquiry is None or _as_ordinal(clock).is_zero():
-            transcript.rounds.append(Round(clock, None, None))
+            state.process_round(Round(clock, None, None))
             break
-        pron = teller.answer(game, inquiry, clock, tuple(transcript.rounds))
-        rnd = Round(clock, inquiry, pron)
-        transcript.rounds.append(rnd)
-        if state.process_round(rnd):
+        if state.ask(teller, clock, inquiry) or _clock_exhausted(game, state.rounds):
             break
-        if _clock_exhausted(game, transcript.rounds):
-            break
-    transcript.status = referee(game, transcript)
+    transcript.status = state.status()
     return transcript
 
 
@@ -675,26 +671,19 @@ def _probe(
     inquiries, then unfold follow-ups until the queue or the clock is spent.
     Raises NotWinningStrategyError if the teller loses the play."""
     state = RefereeState(game)
-    rounds: list[Round] = []
     queue = deque(opening)
     asked: set[FormulaInstance] = set()
-    k = 0
-    while queue and k < budget:
+    while queue and len(state.rounds) < budget:
         inquiry = queue.pop() if lifo else queue.popleft()
         if inquiry in asked:
             continue
         asked.add(inquiry)
-        clock = game.clock(budget - k)
-        pron = teller.answer(game, inquiry, clock, tuple(rounds))
-        rnd = Round(clock, inquiry, pron)
-        rounds.append(rnd)
-        violations = state.process_round(rnd)
+        violations = state.ask(teller, game.clock(budget - len(state.rounds)), inquiry)
         if violations:
             raise NotWinningStrategyError(
                 f"teller lost a probe at {print_instance(inquiry)}: {violations[0]}"
             )
-        queue.extend(_unfold(inquiry, pron))
-        k += 1
+        queue.extend(_unfold(inquiry, state.rounds[-1].pronouncement))
     return state
 
 
@@ -718,22 +707,22 @@ def extract_satisfaction(
     targets: Sequence[FormulaInstance],
     clock_factor: int = DEFAULT_CLOCK_FACTOR,
     extra_clock: int = 0,
-    presearch_depth: int = 2,
     presearch_budget: Optional[int] = 2000,
 ) -> SatisfactionClass:
     """Read a satisfaction class off a winning teller strategy.
 
-    Each target is probed at its clock budget with the target asked first
-    and follow-ups unfolded breadth-first, then again in depth-first order;
-    verdicts must agree across all probes.  The result must pass the
-    Tarskian audit on the target closure.
+    A depth-2 interrogator search over the targets and their immediate
+    follow-ups runs first.  Each target is then probed at its clock budget
+    with the target asked first and follow-ups unfolded breadth-first, then
+    again in depth-first order; verdicts must agree across all probes.  The
+    result must pass the Tarskian audit on the target closure.
     """
     targets = list(targets)
     if presearch_budget:
         found = interrogator_search(
             game,
             teller,
-            depth=presearch_depth,
+            depth=2,
             budget=presearch_budget,
             pool=_presearch_pool(targets),
         )
@@ -745,7 +734,7 @@ def extract_satisfaction(
     merged: dict[FormulaInstance, int] = {}
     verdicts: dict[FormulaInstance, bool] = {}
     for target in targets:
-        budget = clock_factor * size(target.formula) + 2 + extra_clock
+        budget = clock_budget(target, clock_factor) + extra_clock
         for lifo in (False, True):
             state = _probe(game, teller, [target], budget, lifo=lifo)
             clash = _merge_marks(merged, state)
@@ -765,7 +754,8 @@ def extract_satisfaction(
     return result
 
 
-def _presearch_pool(targets: Sequence[FormulaInstance], cap: int = 120) -> list:
+def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:
+    cap = 120
     pool: list[FormulaInstance] = []
     seen = set()
     for t in targets:
@@ -782,12 +772,7 @@ def _presearch_pool(targets: Sequence[FormulaInstance], cap: int = 120) -> list:
     return pool[:cap]
 
 
-def extract_solution(
-    teller,
-    game: TruthGame,
-    clock_factor: int = DEFAULT_CLOCK_FACTOR,
-    extra_clock: int = 0,
-) -> Solution:
+def extract_solution(teller, game: TruthGame) -> Solution:
     """Read the asserted recursion solution off a winning teller strategy.
 
     Probes every F(i, x) over the carrier and value domain together with
@@ -798,7 +783,8 @@ def extract_solution(
     if ob is None:
         raise InvariantError("extract_solution needs a recursion game")
     rf = game.rule_instance_formula
-    budget = clock_factor * size(rf) + 2 + extra_clock
+    # Every rule instance has the same formula, so one budget serves all.
+    budget = clock_budget(instance(rf, {ob.rule.i_var: 0, ob.rule.x_var: 0}))
     merged: dict[FormulaInstance, int] = {}
     pairs = set()
     nodes = sorted(ob.relation.carrier)
@@ -852,11 +838,7 @@ class SearchResult:
         return self.plan is None and self.exhausted
 
 
-def default_inquiry_pool(
-    game: TruthGame,
-    max_size: int = 4,
-    var_pool: Sequence[str] = ("x",),
-) -> list[FormulaInstance]:
+def default_inquiry_pool(game: TruthGame, max_size: int = 4) -> list[FormulaInstance]:
     """Closed instances of bounded size over the game's signature; in
     recursion mode the teller's F-atoms and the rule instances join in."""
     sig = dict(game.structure.signature())
@@ -865,9 +847,7 @@ def default_inquiry_pool(
         sig[ob.rule.f_symbol] = 2
     pool = [
         instance(f, {})
-        for f in enumerate_formulas(
-            game.structure.universe, max_size, var_pool, sig or None
-        )
+        for f in enumerate_formulas(game.structure.universe, max_size, ("x",), sig or None)
         if not free_vars(f)
     ]
     if ob is not None:
@@ -900,7 +880,6 @@ def interrogator_search(
     pool_set = set(pool)
     start = initial_clock if initial_clock is not None else depth
     state = RefereeState(game)
-    rounds: list[Round] = []
     nodes = 0
     out_of_budget = False
 
@@ -914,9 +893,8 @@ def interrogator_search(
         candidates = pool
         derived = [
             r.pronouncement.witness_instance
-            for r in rounds
-            if r.pronouncement is not None
-            and r.pronouncement.witness_instance is not None
+            for r in state.rounds
+            if r.pronouncement.witness_instance is not None
             and r.pronouncement.witness_instance not in pool_set
         ]
         if derived:
@@ -926,18 +904,12 @@ def interrogator_search(
             if budget is not None and nodes > budget:
                 out_of_budget = True
                 return None
-            pron = teller.answer(game, inquiry, clock, rounds)
             state.push_frame()
-            rnd = Round(clock, inquiry, pron)
-            rounds.append(rnd)
-            violations = state.process_round(rnd)
-            if violations:
-                line = tuple(r.inquiry for r in rounds)
-                rounds.pop()
+            if state.ask(teller, clock, inquiry):
+                line = tuple(r.inquiry for r in state.rounds)
                 state.pop_frame()
                 return line
             line = dfs(k + 1)
-            rounds.pop()
             state.pop_frame()
             if line is not None:
                 return line
@@ -978,25 +950,42 @@ def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
 
 
 def transcript_from_json(game: TruthGame, text: str) -> Transcript:
+    """Parse a transcript written by ``transcript_to_json``; any other shape
+    raises ParseError."""
     from .universe import parse_ordinal
 
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"transcript is not JSON: {exc}") from None
+    rdocs = doc.get("rounds") if isinstance(doc, dict) else None
+    if not isinstance(rdocs, list):
+        raise ParseError("transcript needs a list of rounds")
     sig = dict(game.structure.signature())
     if game.obligation is not None:
         sig[game.obligation.rule.f_symbol] = 2
     rounds = []
-    for rdoc in doc["rounds"]:
-        clock = rdoc["clock"]
+    for k, rdoc in enumerate(rdocs):
+        clock = rdoc.get("clock") if isinstance(rdoc, dict) else None
+        if not isinstance(clock, (int, str)):
+            raise ParseError(f"round {k} needs a clock, a natural or an ordinal string")
         if isinstance(clock, str):
             clock = parse_ordinal(clock)
         if "inquiry" not in rdoc:
             rounds.append(Round(clock, None, None))
             continue
-        inquiry = instance(parse_formula(rdoc["inquiry"], sig), {})
-        verdict = bool(rdoc["verdict"])
-        witness = rdoc.get("witness")
+        text, verdict, witness = rdoc["inquiry"], rdoc.get("verdict"), rdoc.get("witness")
+        integer_witness = witness is None or type(witness) is int
+        if not (isinstance(text, str) and isinstance(verdict, bool) and integer_witness):
+            raise ParseError(
+                f"round {k} needs an inquiry string, a true/false verdict and an integer witness if any"
+            )
+        f = parse_formula(text, sig)
+        if free_vars(f):
+            raise ParseError(f"round {k} asks about a formula with free variables")
+        inquiry = instance(f, {})
         witness_inst = None
-        if witness is not None and isinstance(inquiry.formula, Exists):
-            witness_inst = instantiate(inquiry, inquiry.formula.var, witness)
+        if witness is not None and isinstance(f, Exists):
+            witness_inst = instantiate(inquiry, f.var, witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

@@ -131,10 +131,6 @@ class Universe:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
-    def least(self, codes: Iterable[int]) -> int:
-        """Global-well-order least element of a nonempty collection."""
-        return min(int(c) for c in codes)
-
 
 def build_universe(rank: int, max_rank: int = MAX_RANK) -> Universe:
     if rank < 0:
@@ -188,12 +184,6 @@ class Ordinal:
     @staticmethod
     def omega() -> "Ordinal":
         return _OMEGA
-
-    @staticmethod
-    def omega_power(exp, coeff: int = 1) -> "Ordinal":
-        if isinstance(exp, int):
-            exp = Ordinal.from_nat(exp)
-        return Ordinal(((exp, coeff),))
 
     # -- comparison (lexicographic on CNF)
 

@@ -169,6 +169,67 @@ class TestPlay:
         assert json.loads(out)["status"] == "interrogator_wins"
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps({"clock_mode": "first_move_natural", "status": "ongoing"}),
+            json.dumps([1, 2]),
+            json.dumps({"rounds": [{"clock": 1, "inquiry": "(#0 in #1)"}]}),
+            json.dumps({"rounds": [{"inquiry": "(#0 in #1)", "verdict": True}]}),
+            json.dumps({"rounds": [{"clock": 1, "inquiry": "(#0 in #1)", "verdict": "yes"}]}),
+            json.dumps({"rounds": [{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": "a"}]}),
+            json.dumps({"rounds": [{"clock": 1, "inquiry": "(x in #1)", "verdict": True}]}),
+            json.dumps({"rounds": [{"clock": "w+", "inquiry": "(#0 in #1)", "verdict": True}]}),
+            json.dumps({"rounds": [
+                {"clock": 2, "inquiry": "(#0 in #1)", "verdict": True},
+                {"clock": 2, "inquiry": "(#0 in #1)", "verdict": True},
+            ]}),
+            json.dumps({"rounds": [{"clock": 2}, {"clock": 1, "inquiry": "(#0 in #1)", "verdict": True}]}),
+        ],
+        ids=[
+            "invalid-json", "no-rounds", "not-an-object", "no-verdict", "no-clock",
+            "verdict-not-bool", "witness-not-code", "free-variable", "bad-ordinal",
+            "clock-not-descending", "round-after-stop",
+        ],
+    )
+    def test_malformed_replay_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "play", "--replay", str(path), "--rank", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_missing_replay_file_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "play", "--replay", str(tmp_path / "absent.json"))
+        assert code == 2 and out == ""
+        assert "cannot read transcript" in err
+
+    @pytest.mark.parametrize("clock", ["0", "-3"])
+    def test_clock_below_one_usage_error(self, capsys, monkeypatch, clock):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("(#0 in #1)\n"))
+        code, out, err = run(capsys, "play", "--interactive", "--rank", "2", "--clock", clock)
+        assert code == 2 and out == ""
+        assert "--clock must be at least 1" in err
+        assert "You are the interrogator" not in err
+
+    def test_interactive_play_judged_live(self, capsys, monkeypatch):
+        import io
+
+        def no_replay(game, transcript):
+            raise AssertionError("the interactive loop replayed its transcript")
+
+        monkeypatch.setattr("hfgames.truthgames.referee", no_replay)
+        monkeypatch.setattr("sys.stdin", io.StringIO("(#0 in #1)\n(#1 in #0)\n"))
+        code, out, err = run(capsys, "play", "--interactive", "--rank", "2", "--clock", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "teller_wins"
+        assert [r["clock"] for r in doc["rounds"]] == [2, 1, 0]
+
+
 class TestVerify:
     def test_all_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--seed", "1", "--rank", "3")

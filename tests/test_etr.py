@@ -1,5 +1,7 @@
+import inspect
 import random
 import re
+import sys
 
 import pytest
 
@@ -95,6 +97,18 @@ class TestRules:
         f = ACCUMULATE.instance_formula()
         assert isinstance(f, And)
         assert isinstance(f.left, Not) and isinstance(f.right, Not)
+
+    def test_relativize_deep_not_chain(self):
+        read = Pred("F", (Var("i"), Var("x")))
+        f = read
+        for _ in range(3000):
+            f = Not(f)
+        g = RecursionRule(f).relativized()
+        for _ in range(3000):
+            assert isinstance(g, Not)
+            g = g.body
+        assert g == And(read, Pred("<|", (Var("i"), Var("i"))))
+        assert isinstance(RecursionRule(f).instance_formula(), And)
 
 
 class TestEtrSolve:
@@ -249,6 +263,29 @@ class TestTransitiveClosure:
             rel, _ = random_dag_rule(rng, V3)
             assert check_wellfounded(transitive_closure(rel))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [{(0, 0)}, {(0, 1), (1, 0)}, {(0, 1), (1, 2), (2, 3), (3, 1)}, {(3, 2), (2, 1), (1, 3), (0, 1)}],
+        ids=["self-loop", "two-cycle", "cycle-below-a-root", "cycle-entered-late"],
+    )
+    def test_cycle_rejected(self, edges):
+        with pytest.raises(InvariantError, match="not well-founded"):
+            transitive_closure(WellFoundedRelation(frozenset({0, 1, 2, 3}), frozenset(edges)))
+
+    def test_chain_deeper_than_the_frames_left(self):
+        # The closure of a chain longer than the default recursion limit
+        # holds over 500,000 edges, so a shorter chain runs under a limit
+        # only 150 frames above the current depth.
+        n = 400
+        chain = WellFoundedRelation(frozenset(range(n)), frozenset((k, k + 1) for k in range(n - 1)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            tc = transitive_closure(chain)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(tc.edges) == n * (n - 1) // 2
+
 
 class TestDescendingTree:
     def test_single_point(self):
@@ -320,6 +357,12 @@ class TestKleeneBrouwer:
         assert kb_compare((0, 1), (0,)) == -1
         assert kb_compare((0,), (0, 1)) == 1
         assert kb_compare((), ()) == 0
+
+    def test_suite_check_rejects_an_order_out_of_kb(self):
+        order = kleene_brouwer([(), (0,), (1,), (0, 1)], build_universe(3))
+        assert suites._is_kb_order(order)
+        swapped = WellOrder((order.elements[1], order.elements[0], *order.elements[2:]))
+        assert not suites._is_kb_order(swapped)
 
 
 class TestTransports:

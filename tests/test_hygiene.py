@@ -55,35 +55,44 @@ ITERATIVE = [
     "_mask",
     "_pred_mask",
 ]
+ITERATIVE_ETR = ["_relativize", "transitive_closure"]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _called_names(node) -> set[str]:
+    return {
+        n.func.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
 
 
 def recursive_functions(source: str) -> set[str]:
     """Module-level functions that can reach themselves through calls by
-    name to module-level functions (nested functions count as their owner)."""
+    name, or that hold a nested function that can reach itself.  A nested
+    function's calls count as its owner's too."""
     tree = ast.parse(source)
-    defs = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    calls = {
-        name: {
-            n.func.id
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in defs
-        }
-        for name, node in defs.items()
-    }
+    defs = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}
+    # Graph keys: a module-level name, or (owner, name) for a nested function.
+    calls: dict = {}
+    for name, node in defs.items():
+        inner = {n.name: n for n in ast.walk(node) if isinstance(n, FUNCTIONS) and n is not node}
+        for key, fn in [(name, node), *(((name, k), n) for k, n in inner.items())]:
+            calls[key] = {
+                (name, c) if c in inner else c
+                for c in _called_names(fn)
+                if c in inner or c in defs
+            }
     out = set()
-    for name in defs:
-        seen, todo = set(), list(calls[name])
+    for key in calls:
+        seen, todo = set(), list(calls[key])
         while todo:
             callee = todo.pop()
             if callee not in seen:
                 seen.add(callee)
                 todo.extend(calls[callee])
-        if name in seen:
-            out.add(name)
+        if key in seen:
+            out.add(key if isinstance(key, str) else key[0])
     return out
 
 
@@ -92,14 +101,22 @@ def test_formula_functions_do_not_recurse():
     assert recursive.isdisjoint(ITERATIVE), sorted(recursive & set(ITERATIVE))
 
 
+def test_etr_walks_do_not_recurse():
+    recursive = recursive_functions((PACKAGE / "etr.py").read_text())
+    assert recursive.isdisjoint(ITERATIVE_ETR), sorted(recursive & set(ITERATIVE_ETR))
+
+
 def test_recursion_scan_flags_self_and_mutual_calls():
     source = (
         "def a(n):\n    return a(n - 1)\n\n"
         "def b(n):\n    def inner():\n        return c(n)\n    return inner()\n\n"
         "def c(n):\n    return b(n)\n\n"
-        "def d(n):\n    return len(n)\n"
+        "def d(n):\n    return len(n)\n\n"
+        "def e(n):\n    def reach(k):\n        return reach(k - 1)\n    return reach(n)\n\n"
+        "def f(n):\n    def g(k):\n        return h(k)\n    def h(k):\n        return k\n"
+        "    return g(n)\n"
     )
-    assert recursive_functions(source) == {"a", "b", "c"}
+    assert recursive_functions(source) == {"a", "b", "c", "e"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

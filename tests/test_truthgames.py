@@ -1,12 +1,15 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
 
 import pytest
 
+from hfgames import truthgames
 from hfgames.errors import (
     CoverageError,
+    HFGamesError,
     MalformedTranscriptError,
     NotWinningStrategyError,
     SignatureError,
@@ -188,8 +191,9 @@ class TestReferee:
             Round(1, left, Pronouncement(True)),
         ]
         # (#1 in #0) is false, but it was never pronounced; the conjunction
-        # check fires only through pronounced conjuncts.
-        assert referee(game, Transcript(rounds)) == ONGOING or True
+        # check fires only through pronounced conjuncts, so the teller
+        # outlasts the clock.
+        assert referee(game, Transcript(rounds)) == TELLER_WINS
         right = parse_instance("#1 in #0")
         rounds = [
             Round(3, both, Pronouncement(True)),
@@ -207,6 +211,19 @@ class TestReferee:
     def test_empty_transcript_ongoing(self):
         game = truth_game(V2)
         assert referee(game, Transcript([])) == ONGOING
+
+    def test_rounds_after_a_round_without_inquiry_malformed(self):
+        phi = parse_instance("#0 = #0")
+        for mode, clocks in ((NATURAL, (3, 2, 1)), (ORDINAL, (5, 3, 0))):
+            game = truth_game(V2, mode)
+            rounds = [
+                Round(game.clock(clocks[0]), phi, Pronouncement(True)),
+                Round(game.clock(clocks[1]), None, None),
+                Round(game.clock(clocks[2]), None, None),
+            ]
+            with pytest.raises(MalformedTranscriptError, match="without inquiry"):
+                referee(game, Transcript(rounds))
+            assert referee(game, Transcript(rounds[:2])) == ONGOING
 
 
 class TestHonestTeller:
@@ -518,3 +535,141 @@ class TestLargeCarrierRecursion:
         teller = honest_teller(game, U5, solution=solution)
         extracted = extract_solution(teller, game)
         assert extracted.pairs == solution.pairs
+
+
+class CoinFlipLiar:
+    """Flips a seeded coin per inquiry and lies on heads."""
+
+    def __init__(self, base, seed):
+        self.base = base
+        self.rng = random.Random(seed)
+
+    def answer(self, game, inquiry, clock, history):
+        pron = self.base.answer(game, inquiry, clock, history)
+        if self.rng.random() < 0.15:
+            return Pronouncement(not pron.verdict)
+        return pron
+
+
+class ClockListInterrogator:
+    """Announces a fixed list of clocks, malformed ones included."""
+
+    def __init__(self, clocks, inquiries):
+        self.clocks = clocks
+        self.inquiries = inquiries
+
+    def move(self, game, transcript):
+        k = len(transcript.rounds)
+        if k >= len(self.clocks):
+            return None
+        return self.clocks[k], self.inquiries[k % len(self.inquiries)]
+
+
+MALFORMED_CLOCKS = [
+    [3, 3],
+    [2, 5],
+    [0],
+    [4, 2, 1],
+    [1, 0],
+    [2, 1, 0],
+    [True, 0],
+    [-1],
+    [5, 4, 4, 3],
+]
+
+
+def _play_statuses() -> list[str]:
+    """Seeded plays in both clock modes, honest and faulty tellers, plus
+    interrogators announcing malformed clocks: one line per play, the
+    transcript JSON or the type of the error it raised."""
+    lines = []
+    for mode in (NATURAL, ORDINAL):
+        game = truth_game(V3, mode)
+        honest = honest_teller(game, V3)
+        rng = random.Random(f"statuses:{mode}")
+        tellers = [
+            honest,
+            CoinFlipLiar(honest, 11),
+            LowClockScrambler(honest, seed=5),
+            BadWitnessTeller(honest, parse_instance("Ex. (x in #3)")),
+        ]
+        for teller in tellers:
+            for _ in range(25):
+                interrogator = RandomInterrogator(rng, depth=rng.randint(1, 8), max_size=5)
+                t = play_truth_game(game, interrogator, teller)
+                assert referee(game, t) == t.status
+                lines.append(transcript_to_json(game, t))
+        inquiries = [parse_instance("#0 in #1"), parse_instance("Ex. (x in #3)")]
+        for clocks in MALFORMED_CLOCKS:
+            try:
+                t = play_truth_game(game, ClockListInterrogator(clocks, inquiries), honest)
+            except HFGamesError as exc:
+                lines.append(type(exc).__name__)
+            else:
+                lines.append(t.status)
+    return lines
+
+
+class TestOnePlayLoop:
+    def test_statuses_pinned(self):
+        # Computed before plays, probes, search and the CLI shared one
+        # referee state; change it only with a deliberate change of rules.
+        lines = _play_statuses()
+        assert len(lines) == 218
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "7bdf048263817ddcf85265b1e4070dd743606dd4ab9b46edaea4096cff22b4ca"
+        )
+
+    def test_each_answered_round_judged_once(self, monkeypatch):
+        judged = []
+        process_round = RefereeState.process_round
+
+        def counting(state, rnd):
+            judged.append(rnd)
+            return process_round(state, rnd)
+
+        monkeypatch.setattr(RefereeState, "process_round", counting)
+        game = truth_game(V3)
+        teller = LyingTeller(honest_teller(game, V3), parse_instance("#1 in #2"))
+        rng = random.Random(5)
+        plays = [
+            natural_transcript(game, teller, [parse_instance("#0 in #1"), parse_instance("#1 in #2")]),
+            *(play_truth_game(game, RandomInterrogator(rng, depth=6), teller) for _ in range(20)),
+        ]
+        assert plays[0].status == INTERROGATOR_WINS
+        assert judged == [rnd for t in plays for rnd in t.rounds]
+
+    def test_tellers_read_the_live_rounds(self):
+        seen = []
+
+        class Watcher:
+            def __init__(self, base):
+                self.base = base
+
+            def answer(self, game, inquiry, clock, history):
+                seen.append((history, len(history)))
+                return self.base.answer(game, inquiry, clock, history)
+
+        game = truth_game(V2)
+        inquiries = [parse_instance("#0 in #1"), parse_instance("#0 = #0"), parse_instance("!(#1 in #0)")]
+        t = natural_transcript(game, Watcher(honest_teller(game, V2)), inquiries)
+        assert [n for _, n in seen] == [0, 1, 2]
+        assert all(history is t.rounds for history, _ in seen)
+
+    def test_search_leaves_no_rounds(self, monkeypatch):
+        states = []
+
+        class Recording(RefereeState):
+            def __init__(self, game):
+                super().__init__(game)
+                states.append(self)
+
+        monkeypatch.setattr(truthgames, "RefereeState", Recording)
+        game = truth_game(V2)
+        honest = honest_teller(game, V2)
+        liar = LyingTeller(honest, parse_instance("#0 in #1"))
+        for teller, budget in ((honest, None), (honest, 40), (liar, None)):
+            res = interrogator_search(game, teller, depth=2, budget=budget)
+            state = states[-1]
+            assert (state.rounds, state.lost, state.marks) == ([], False, {}), res
+        assert res.plan is not None
