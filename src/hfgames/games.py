@@ -1,9 +1,11 @@
 """Finite game trees with open/clopen payoffs and their solvers.
 
 Positions are plain tuples of moves; player I moves at even lengths.  A
-game's ``decide`` function reports the winner once a position is decided,
-and decided positions stay decided on every extension.  Plays that reach
-the cap undecided count as wins for the closed player.
+game's ``decide`` function reports the winner once a position is decided.
+It is asked only on positions whose proper prefixes are all undecided:
+every caller stops a play at its first decided position, so what
+``decide`` returns past a decided position is unspecified.  Plays that
+reach the cap undecided count as wins for the closed player.
 
 Every solver runs on an arena: the truncated game tree compiled once,
 breadth-first, into parallel lists (``_arena``), with one call of
@@ -26,10 +28,11 @@ from .errors import (
     IncompleteStrategyError,
     InvariantError,
     NotClopenError,
+    ParseError,
     PlayCapError,
     ResourceBoundError,
 )
-from .universe import Ordinal, Universe, member
+from .universe import Ordinal, Universe, build_universe, member
 
 PLAYER_I = "I"
 PLAYER_II = "II"
@@ -48,7 +51,8 @@ class Game:
     """A finite two-player game of perfect information.
 
     kind is "clopen", "open_I", or "open_II"; for clopen games player I is
-    the designated open player when computing ordinal values.
+    the designated open player when computing ordinal values.  ``decide``
+    is asked only on positions whose proper prefixes it left undecided.
     """
 
     moves: tuple
@@ -243,24 +247,18 @@ def _arena(G: Game, node_budget: Optional[int] = None) -> _Arena:
     return _last_arena
 
 
-def game_value(G: Game, position: tuple = (), _memo: Optional[dict] = None) -> Optional[Ordinal]:
+def game_value(G: Game, position: tuple = ()) -> Optional[Ordinal]:
     """Ordinal value for the open player, or None when unvalued.
 
     Value 0 at positions decided for the open player; the open player's
     moves add one above the least valued child; the closed player's
     positions are valued only when every child is, at the supremum (the
-    maximum, on finite branching).  ``_memo``, when given, caches results
-    by position.
+    maximum, on finite branching).
     """
     _check_position(G, position)
-    if _memo is not None and position in _memo:
-        return _memo[position]
     A = _arena(G)
     v = A.values()[A.find(position)]
-    result = None if v is None else Ordinal.from_nat(v)
-    if _memo is not None:
-        _memo[position] = result
-    return result
+    return None if v is None else Ordinal.from_nat(v)
 
 
 def value_strategy(G: Game) -> tuple[str, Strategy]:
@@ -385,23 +383,6 @@ def verify_strategy(G: Game, s: Strategy) -> VerifyResult:
     return VerifyResult(True)
 
 
-def validate_prefix_monotone(G: Game, rng, samples: int = 200) -> Optional[tuple]:
-    """Sample plays looking for a decided position that flips on extension;
-    returns a witness position pair or None."""
-    for _ in range(samples):
-        p: tuple = ()
-        decided_as: Optional[str] = None
-        decided_at: Optional[tuple] = None
-        while len(p) < G.play_cap:
-            d = G.decide(p)
-            if decided_as is not None and d != decided_as:
-                return (decided_at, p)
-            if decided_as is None and d is not None:
-                decided_as, decided_at = d, p
-            p = p + (rng.choice(G.moves),)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Built-in games.
 
@@ -443,27 +424,13 @@ def table_game(
 ) -> Game:
     """Game given by an explicit table of earliest decided positions.
 
-    The shortest decided prefix of a position fixes its winner, which makes
-    ``decide`` prefix-monotone by construction.
+    No entry may extend another, so ``decide`` is one lookup: a position
+    whose proper prefixes are undecided is decided iff it is in the table.
     """
     table = dict(decided)
-    # The lengths of the table's entries, the only prefixes worth slicing;
-    # found on the first call, as many games are built and never played.
-    lengths: list = []
-
-    def decide(p: tuple) -> Optional[str]:
-        if not lengths:
-            lengths.extend(sorted({len(q) for q in table}))
-        for k in lengths:
-            if k > len(p):
-                break
-            if p[:k] in table:
-                return table[p[:k]]
-        return None
-
     return Game(
         moves=tuple(moves),
-        decide=decide,
+        decide=table.get,
         play_cap=play_cap,
         kind=kind,
         name="table",
@@ -543,16 +510,46 @@ def game_to_json(G: Game) -> str:
 
 
 def game_from_json(text: str) -> Game:
-    doc = json.loads(text)
-    rule = doc.get("rule")
-    if rule == "choice":
-        from .universe import build_universe
-
+    """Parse a game written by ``game_to_json``.  Any other document raises
+    ParseError, a table entry that repeats or extends another included."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"game is not JSON: {exc}") from None
+    rule = doc.get("rule") if isinstance(doc, dict) else None
+    if rule == "choice" and type(doc.get("rank")) is int:
         return choice_game(build_universe(doc["rank"]))
-    if rule == "table":
-        decided = {tuple(p): w for p, w in doc["decided"]}
-        return table_game(doc["moves"], decided, doc["cap"], doc.get("kind", "clopen"))
-    raise InvariantError(f"unknown game rule {rule!r}")
+    if rule != "table":
+        raise ParseError('a game needs rule "choice" with an integer rank, or rule "table"')
+    moves, cap, entries = doc.get("moves"), doc.get("cap"), doc.get("decided")
+    if not (
+        isinstance(moves, list)
+        and all(type(x) in (int, str) for x in moves)
+        and len(set(moves)) == len(moves)
+        and type(cap) is int
+        and isinstance(entries, list)
+    ):
+        raise ParseError("a table game needs distinct moves, an integer cap and decided entries")
+    legal, pairs = set(moves), []
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], list)
+            and all(type(x) in (int, str) and x in legal for x in entry[0])
+            and entry[1] in (PLAYER_I, PLAYER_II)
+        ):
+            raise ParseError(f'decided entry {entry!r} is not [legal moves, "I" or "II"]')
+        pairs.append((tuple(entry[0]), entry[1]))
+    decided: dict = {}
+    for p, w in sorted(pairs, key=lambda pw: len(pw[0])):
+        if any(p[:k] in decided for k in range(len(p) + 1)):
+            raise ParseError(f"decided position {list(p)} repeats or extends another entry")
+        decided[p] = w
+    try:
+        return table_game(moves, decided, cap, doc.get("kind", "clopen"))
+    except InvariantError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def transcript_to_json(winner: str, position: tuple) -> str:

@@ -275,8 +275,7 @@ def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
         rng = cfg.rng("games.monotone")
         for k in range(60):
             g = games.random_clopen_game(rng, max_nodes=400, max_cap=cfg.play_cap)
-            memo: dict = {}
-            root = games.game_value(g, (), _memo=memo)
+            root = games.game_value(g)
             if root is None:
                 continue
             p: tuple = ()
@@ -289,13 +288,13 @@ def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
                     if p not in s.table:
                         break
                     p = p + (s.table[p],)
-                    nxt = games.game_value(g, p, _memo=memo)
+                    nxt = games.game_value(g, p)
                     if nxt is None or not (nxt < current):
                         return False, "value failed to decrease", {"k": k, "pos": list(p)}
                     current = nxt
                 else:
                     p = p + (rng.choice(g.moves),)
-                    nxt = games.game_value(g, p, _memo=memo)
+                    nxt = games.game_value(g, p)
                     if nxt is None or nxt > current:
                         return False, "closed player raised the value", {"k": k, "pos": list(p)}
                     current = nxt

@@ -437,7 +437,18 @@ def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:
 def _as_ordinal(clock) -> Ordinal:
     if isinstance(clock, Ordinal):
         return clock
+    if not isinstance(clock, int) or clock < 0:
+        raise MalformedTranscriptError(f"a clock is a natural or an ordinal, got {clock!r}")
     return Ordinal.from_nat(int(clock))
+
+
+def _first_natural(rounds: Sequence[Round]) -> int:
+    first = rounds[0].clock
+    if not isinstance(first, int) or isinstance(first, bool) or first < 1:
+        raise MalformedTranscriptError(
+            f"first move must announce a positive natural, got {first!r}"
+        )
+    return first
 
 
 def _validate_clocks(game: TruthGame, rounds: Sequence[Round]) -> None:
@@ -446,11 +457,7 @@ def _validate_clocks(game: TruthGame, rounds: Sequence[Round]) -> None:
     if any(rnd.inquiry is None for rnd in rounds[:-1]):
         raise MalformedTranscriptError("play continues after a round without inquiry")
     if game.clock_mode == NATURAL:
-        first = rounds[0].clock
-        if not isinstance(first, int) or isinstance(first, bool) or first < 1:
-            raise MalformedTranscriptError(
-                f"first move must announce a positive natural, got {first!r}"
-            )
+        first = _first_natural(rounds)
         for k, rnd in enumerate(rounds):
             expected = first - k
             if rnd.clock != expected:
@@ -480,9 +487,8 @@ def _clock_exhausted(game: TruthGame, rounds: Sequence[Round]) -> bool:
     if not rounds:
         return False
     if game.clock_mode == NATURAL:
-        first = rounds[0].clock
         inquiries = sum(1 for r in rounds if r.inquiry is not None)
-        return inquiries >= first
+        return inquiries >= _first_natural(rounds)
     return _as_ordinal(rounds[-1].clock).is_zero()
 
 
@@ -879,48 +885,44 @@ def interrogator_search(
     pool = list(pool)
     pool_set = set(pool)
     start = initial_clock if initial_clock is not None else depth
+    limit = min(depth, start)
     state = RefereeState(game)
     nodes = 0
-    out_of_budget = False
-
-    def dfs(k: int) -> Optional[tuple]:
-        nonlocal nodes, out_of_budget
-        if k >= depth or start - k <= 0:
-            return None
-        clock = game.clock(start - k)
+    # One (clock, candidates) entry per round of the current line; each
+    # entry past the first sits on the referee frame of the round before it.
+    stack = [(game.clock(start), iter(pool))] if limit > 0 else []
+    while stack:
+        clock, candidates = stack[-1]
+        inquiry = next(candidates, None)
+        if inquiry is None:
+            stack.pop()
+            if stack:
+                state.pop_frame()
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            break
+        state.push_frame()
+        if state.ask(teller, clock, inquiry):
+            line = tuple(r.inquiry for r in state.rounds)
+            for _ in stack:
+                state.pop_frame()
+            return SearchResult(InterrogatorPlan(line, start), False, nodes)
+        if len(stack) == limit:
+            state.pop_frame()
+            continue
         # The teller's own witness pronouncements join the candidates: the
         # re-asking device needs the exact instances she produced.
-        candidates = pool
         derived = [
             r.pronouncement.witness_instance
             for r in state.rounds
             if r.pronouncement.witness_instance is not None
             and r.pronouncement.witness_instance not in pool_set
         ]
-        if derived:
-            candidates = pool + derived
-        for inquiry in candidates:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                out_of_budget = True
-                return None
-            state.push_frame()
-            if state.ask(teller, clock, inquiry):
-                line = tuple(r.inquiry for r in state.rounds)
-                state.pop_frame()
-                return line
-            line = dfs(k + 1)
-            state.pop_frame()
-            if line is not None:
-                return line
-            if out_of_budget:
-                return None
-        return None
-
-    line = dfs(0)
-    if line is not None:
-        return SearchResult(InterrogatorPlan(line, start), False, nodes)
-    return SearchResult(None, not out_of_budget, nodes)
+        stack.append((game.clock(start - len(stack)), iter(pool + derived if derived else pool)))
+    for _ in stack[1:]:
+        state.pop_frame()
+    return SearchResult(None, not stack, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfgames import games, suites
 from hfgames.errors import (
     IncompleteStrategyError,
     InvariantError,
     NotClopenError,
+    ParseError,
     PlayCapError,
     ResourceBoundError,
 )
@@ -32,7 +34,6 @@ from hfgames.games import (
     table_game,
     transcript_to_json,
     turn,
-    validate_prefix_monotone,
     value_strategy,
     verify_strategy,
     winning_region,
@@ -62,9 +63,8 @@ class TestGameValue:
         for _ in range(60):
             g = random_clopen_game(rng, max_nodes=600)
             dist = clopen_distance_dp(g)
-            memo = {}
             for p in enumerate_positions(g):
-                v = game_value(g, p, _memo=memo)
+                v = game_value(g, p)
                 d = dist[p]
                 if d is None:
                     assert v is None, p
@@ -100,18 +100,17 @@ class TestValueStrategy:
         rng = random.Random(31)
         for _ in range(40):
             g = random_clopen_game(rng, max_nodes=400)
-            memo = {}
-            if game_value(g, (), _memo=memo) is None:
+            current = game_value(g)
+            if current is None:
                 continue
             winner, s = value_strategy(g)
             p = ()
-            current = memo[()]
             while g.decide(p) is None and len(p) < g.play_cap:
                 if turn(p) == g.open_player:
                     p = p + (s.table[p],)
                 else:
                     p = p + (rng.choice(g.moves),)
-                nxt = game_value(g, p, _memo=memo)
+                nxt = game_value(g, p)
                 assert nxt is not None
                 assert ordinal_compare(nxt, current) <= 0
                 if turn(p) == g.closed_player:  # open player just moved
@@ -123,15 +122,13 @@ class TestValueStrategy:
         rng = random.Random(37)
         for _ in range(40):
             g = random_clopen_game(rng, max_nodes=400)
-            memo = {}
-            game_value(g, (), _memo=memo)
             for p in enumerate_positions(g):
                 if g.decide(p) is not None or len(p) >= g.play_cap:
                     continue
-                v = game_value(g, p, _memo=memo)
+                v = game_value(g, p)
                 if v is not None:
                     continue
-                children = [game_value(g, p + (x,), _memo=memo) for x in g.moves]
+                children = [game_value(g, p + (x,)) for x in g.moves]
                 if turn(p) == g.closed_player:
                     assert any(c is None for c in children)
                 else:
@@ -298,12 +295,6 @@ class TestChoiceGame:
 
 
 class TestGameHygiene:
-    def test_prefix_monotone_sampled(self):
-        rng = random.Random(61)
-        for _ in range(20):
-            g = random_clopen_game(rng, max_nodes=300)
-            assert validate_prefix_monotone(g, rng) is None
-
     def test_serialization_round_trip(self):
         rng = random.Random(67)
         g = random_clopen_game(rng, max_nodes=200)
@@ -315,6 +306,28 @@ class TestGameHygiene:
         c = choice_game(V3)
         c2 = game_from_json(game_to_json(c))
         assert c2.moves == c.moves and c2.play_cap == c.play_cap
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"rule": "table"}',
+            '{"rule": "choice"}',
+            '{"rule": "borel"}',
+            '{"rule": "table", "moves": [0, 1], "cap": 2, "decided": [[[0], "X"]]}',
+            '{"rule": "table", "moves": [0, 1], "cap": 2, "decided": [[[0, 1], "I"], [[0], "II"]]}',
+            '{"rule": "table", "moves": [0, 1], "cap": 2, "decided": [[[0], "I"], [[0], "I"]]}',
+            '{"rule": "table", "moves": [0, 1], "cap": 2, "decided": [[[2], "I"]]}',
+            '{"rule": "table", "moves": [0, [1]], "cap": 2, "decided": []}',
+            '{"rule": "table", "moves": [0, 0], "cap": 1, "decided": [[[0], "I"]]}',
+            '{"rule": "table", "moves": [0, 1], "cap": 0, "decided": []}',
+            '{"rule": "table", "moves": [0, 1], "cap": 2, "decided": [], "kind": "borel"}',
+        ],
+    )
+    def test_malformed_game_json(self, text):
+        with pytest.raises(ParseError):
+            game_from_json(text)
 
     def test_open_game_truncation(self):
         g = Game(moves=(0, 1), decide=lambda p: None, play_cap=3, kind="open_I")
@@ -368,6 +381,17 @@ def copy_game(g, cap=None, kind=None):
     return table_game(g.moves, g.payload["decided"], cap or g.play_cap, kind or g.kind)
 
 
+def strict(g):
+    """g with a ``decide`` that fails when asked past a decided position."""
+    table = g.payload["decided"]
+
+    def decide(p):
+        assert not any(p[:k] in table for k in range(len(p))), f"decide asked at {p}"
+        return g.decide(p)
+
+    return Game(g.moves, decide, g.play_cap, g.kind, g.name, g.payload)
+
+
 class TestArena:
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
@@ -380,6 +404,8 @@ class TestArena:
         if kind != "clopen":
             # One move shorter: the deepest plays end undecided at the cap.
             g = copy_game(g, cap=max(1, g.play_cap - 1), kind=kind)
+        # Every solver and oracle asks decide only below decided positions.
+        g = strict(g)
         positions = enumerate_positions(g)
         win = minimax_winner_dp(g)
         dist = clopen_distance_dp(g)
@@ -391,6 +417,10 @@ class TestArena:
         winner, s_value = value_strategy(g)
         assert winner == win[()]
         assert verify_strategy(g, s_value).ok
+        loser = other_player(winner)
+        s_loser = Strategy(loser, {p: g.moves[-1] for p in positions if turn(p) == loser})
+        pair = (s_value, s_loser) if winner == PLAYER_I else (s_loser, s_value)
+        assert play(g, *pair)[0] == winner
         if kind == "clopen":
             labels, w_label, s_label = label_clopen(g)
             assert labels == win and w_label == win[()]
@@ -398,6 +428,12 @@ class TestArena:
         else:
             with pytest.raises(NotClopenError):
                 label_clopen(g)
+
+    def test_suite_asks_decide_only_below_decided(self, monkeypatch):
+        build = games.table_game
+        monkeypatch.setattr(games, "table_game", lambda *a, **k: strict(build(*a, **k)))
+        report = suites.suite_games(suites.RunConfig(seed=3))
+        assert report.failed == 0, report.to_text()
 
     def test_value_past_a_decided_leaf(self):
         g = simple_game({(0,): PLAYER_I, (1,): PLAYER_II})

@@ -56,6 +56,7 @@ ITERATIVE = [
     "_pred_mask",
 ]
 ITERATIVE_ETR = ["_relativize", "transitive_closure"]
+ITERATIVE_TRUTHGAMES = ["interrogator_search"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -104,6 +105,15 @@ def test_formula_functions_do_not_recurse():
 def test_etr_walks_do_not_recurse():
     recursive = recursive_functions((PACKAGE / "etr.py").read_text())
     assert recursive.isdisjoint(ITERATIVE_ETR), sorted(recursive & set(ITERATIVE_ETR))
+
+
+def test_truthgames_search_does_not_recurse():
+    recursive = recursive_functions((PACKAGE / "truthgames.py").read_text())
+    assert recursive.isdisjoint(ITERATIVE_TRUTHGAMES), sorted(recursive & set(ITERATIVE_TRUTHGAMES))
+
+
+def test_games_module_does_not_recurse():
+    assert recursive_functions((PACKAGE / "games.py").read_text()) == set()
 
 
 def test_recursion_scan_flags_self_and_mutual_calls():

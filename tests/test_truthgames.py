@@ -166,6 +166,13 @@ class TestReferee:
         with pytest.raises(MalformedTranscriptError):
             referee(game, Transcript(bad))
 
+    def test_ordinal_clock_in_natural_mode_malformed(self):
+        game = truth_game(V2)
+        phi = parse_instance("#0 = #0")
+        clocks = [Ordinal.omega(), Ordinal.from_nat(7), Ordinal.from_nat(7)]
+        with pytest.raises(MalformedTranscriptError):
+            play_truth_game(game, ClockListInterrogator(clocks, [phi]), honest_teller(game, V2))
+
     def test_affirmed_existential_needs_witness(self):
         game = truth_game(V2)
         ex = parse_instance("Ex. (x in #1)")
@@ -362,6 +369,13 @@ class TestInterrogatorSearch:
         assert capped.plan is None and not capped.exhausted and not capped.proven_none
         full = interrogator_search(game, teller, depth=1)
         assert full.proven_none
+
+    def test_deep_search_without_recursion(self):
+        game = truth_game(V2)
+        res = interrogator_search(
+            game, honest_teller(game, V2), depth=1500, pool=[parse_instance("#0 in #1")]
+        )
+        assert res.proven_none and res.nodes == 1500
 
     def test_pool_includes_structure_predicates(self):
         M = V2.with_predicate("Z", {(0,)})
@@ -617,7 +631,7 @@ class TestOnePlayLoop:
         lines = _play_statuses()
         assert len(lines) == 218
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "7bdf048263817ddcf85265b1e4070dd743606dd4ab9b46edaea4096cff22b4ca"
+            "f933cd1614dcce196010b5f2e6132ddaba5cc7acead78999beeade36032eb8db"
         )
 
     def test_each_answered_round_judged_once(self, monkeypatch):
