@@ -254,9 +254,8 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
     state = truthgames.RefereeState(game)
     print(f"You are the interrogator; the clock starts at {clock}.", file=err)
     print("Type a closed formula per turn (empty line or 'quit' to stop).", file=err)
-    remaining = clock
-    while remaining > 0:
-        print(f"clock {remaining}> ", end="", file=err, flush=True)
+    while len(state.rounds) < clock:
+        print(f"clock {clock - len(state.rounds)}> ", end="", file=err, flush=True)
         line = sys.stdin.readline()
         if not line:
             break
@@ -268,7 +267,7 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
         except HFGamesError as exc:
             print(f"  ! {exc}", file=err)
             continue
-        violations = state.ask(teller, game.clock(remaining), inquiry)
+        violations = state.ask(teller, game.clock(clock - len(state.rounds)), inquiry)
         pron = state.rounds[-1].pronouncement
         reply = "true" if pron.verdict else "false"
         if pron.witness is not None:
@@ -277,8 +276,7 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
         if violations:
             print(f"  violation! {violations[0]}", file=err)
             break
-        remaining -= 1
-    if remaining == 0:
+    if len(state.rounds) == clock and not state.lost:
         state.process_round(truthgames.Round(game.clock(0), None, None))
     transcript = truthgames.Transcript(state.rounds, state.status())
     print(f"status: {transcript.status}", file=err)
@@ -297,7 +295,6 @@ def cmd_verify(args) -> int:
         clock_budget_factor=_env_int("HFGAMES_CLOCK_FACTOR", 2),
         seed=args.seed,
         node_budget=_env_int("HFGAMES_NODE_BUDGET", args.node_budget),
-        output="json" if args.json else "text",
     )
     try:
         reports = suites.run_suite(args.suite, cfg, inject_bug=args.inject_bug)
@@ -354,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_play.add_argument("--clock", type=int, default=8)
     p_play.add_argument("--clock-mode", choices=["natural", "ordinal"], default="natural")
     p_play.add_argument("--pred", action="append")
-    p_play.add_argument("--json", action="store_true")
     p_play.set_defaults(fn=cmd_play)
 
     p_verify = sub.add_parser("verify", help="run a module's property suite")

@@ -84,8 +84,50 @@ class Const:
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Member:
+def _formula_eq(a: "_FormulaNode", b) -> bool:
+    if not isinstance(b, _FormulaNode):
+        return NotImplemented
+    stack = [a, b]  # pairs still to compare, flattened
+    while stack:
+        y = stack.pop()
+        x = stack.pop()
+        if x is y:
+            continue
+        t = type(x)
+        if t is not type(y) or x._h != y._h:
+            return False
+        if t is Not:
+            stack += (x.body, y.body)
+        elif t is And:
+            stack += (x.right, y.right, x.left, y.left)
+        elif t is Exists:
+            if x.var != y.var:
+                return False
+            stack += (x.body, y.body)
+        elif t is Pred:
+            if x.name != y.name or x.args != y.args:
+                return False
+        elif (x.left, x.right) != (y.left, y.right):
+            return False
+    return True
+
+
+class _FormulaNode:
+    """What the six formula classes share: the hash cached at construction,
+    equality by an explicit stack and a repr in the text syntax, so formulas
+    of any depth hash, compare and print."""
+
+    def __hash__(self):
+        return self._h
+
+    __eq__ = _formula_eq
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {to_text(self)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Member(_FormulaNode):
     left: Term
     right: Term
 
@@ -93,12 +135,9 @@ class Member:
         object.__setattr__(self, "_h", hash(("in", self.left, self.right)))
         object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
-    def __hash__(self):
-        return self._h
 
-
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Eq(_FormulaNode):
     left: Term
     right: Term
 
@@ -106,12 +145,9 @@ class Eq:
         object.__setattr__(self, "_h", hash(("eq", self.left, self.right)))
         object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
-    def __hash__(self):
-        return self._h
 
-
-@dataclass(frozen=True)
-class Pred:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pred(_FormulaNode):
     name: str
     args: tuple[Term, ...]
 
@@ -122,24 +158,18 @@ class Pred:
             fv = _join(fv, t._fv)
         object.__setattr__(self, "_fv", fv)
 
-    def __hash__(self):
-        return self._h
 
-
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_FormulaNode):
     body: "Formula"
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("not", self.body)))
         object.__setattr__(self, "_fv", self.body._fv)
 
-    def __hash__(self):
-        return self._h
 
-
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
@@ -147,12 +177,9 @@ class And:
         object.__setattr__(self, "_h", hash(("and", self.left, self.right)))
         object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
 
-    def __hash__(self):
-        return self._h
 
-
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False, repr=False)
+class Exists(_FormulaNode):
     var: str
     body: "Formula"
 
@@ -160,9 +187,6 @@ class Exists:
         object.__setattr__(self, "_h", hash(("exists", self.var, self.body)))
         fv = self.body._fv
         object.__setattr__(self, "_fv", fv - {self.var} if self.var in fv else fv)
-
-    def __hash__(self):
-        return self._h
 
 
 Formula = Union[Member, Eq, Pred, Not, And, Exists]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from hfgames.games import Game, other_player, turn
 from hfgames.logic import EDGE_SYMBOL, And, Eq, Exists, Member, Not, Pred, Structure
-from hfgames.universe import WellFoundedRelation
+from hfgames.truthgames import NATURAL
+from hfgames.universe import Ordinal, WellFoundedRelation
 
 
 def tarski_eval(M: Structure, formula, env: dict) -> bool:
@@ -149,3 +150,44 @@ def worklist_fixpoint(M: Structure, rel, rule, value_domain=None) -> frozenset:
         if frozenset(new) == pairs:
             return pairs
         pairs = frozenset(new)
+
+
+def clock_outcome(clock_mode: str, rounds) -> str:
+    """The truth-telling game's clock rules over a whole transcript, written
+    out from their statement: "malformed", "spent" or "running".
+
+    No round follows a round without an inquiry and a zero clock only closes
+    play.  In natural mode the first round announces an int >= 1 (not a
+    bool) and round k announces it minus k; in ordinal mode the clocks,
+    naturals or ordinals, strictly descend.  A natural clock is spent at a
+    closing round at 0 or an answered round at 1, an ordinal clock at 0.
+    """
+    if not rounds:
+        return "running"
+    if any(r.inquiry is None for r in rounds[:-1]):
+        return "malformed"
+    if clock_mode == NATURAL:
+        first = rounds[0].clock
+        if type(first) is not int or first < 1:
+            return "malformed"
+        values = [first - k for k in range(len(rounds))]
+        if any(r.clock != v for r, v in zip(rounds, values)):
+            return "malformed"
+        zeros = [v == 0 for v in values]
+        spent = values[-1] == 0 or (values[-1] == 1 and rounds[-1].inquiry is not None)
+    else:
+        values = []
+        for r in rounds:
+            if isinstance(r.clock, Ordinal):
+                values.append(r.clock)
+            elif isinstance(r.clock, int) and r.clock >= 0:
+                values.append(Ordinal.from_nat(int(r.clock)))
+            else:
+                return "malformed"
+        if any(not later < earlier for earlier, later in zip(values, values[1:])):
+            return "malformed"
+        zeros = [v.is_zero() for v in values]
+        spent = zeros[-1]
+    if any(z and r.inquiry is not None for z, r in zip(zeros, rounds)):
+        return "malformed"
+    return "spent" if spent else "running"

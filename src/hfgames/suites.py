@@ -39,7 +39,6 @@ class RunConfig:
     clock_budget_factor: int = 2
     seed: int = 1
     node_budget: int = etr.DEFAULT_NODE_BUDGET
-    output: str = "text"
 
     def rng(self, label: str) -> random.Random:
         # Seeding from a string is deterministic across processes.

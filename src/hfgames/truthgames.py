@@ -373,10 +373,12 @@ class RefereeState:
         return self.process_round(Round(clock, inquiry, pron))
 
     def process_round(self, rnd: Round) -> list[Violation]:
-        """Record one round and judge it; returns any violations.  A round
-        without an inquiry closes play and is recorded unjudged."""
+        """Check the round's clock, record the round and judge it; returns
+        any violations.  A round without an inquiry closes play; it, and
+        every round after the teller has lost, is recorded unjudged."""
+        self._check_clock(rnd)
         inq, pron = rnd.inquiry, rnd.pronouncement
-        if inq is None:
+        if inq is None or self.lost:
             self.rounds.append(rnd)
             return []
         if pron is None:
@@ -405,15 +407,46 @@ class RefereeState:
             self.lost = True
         return out
 
+    def _check_clock(self, rnd: Round) -> None:
+        """No round follows a round without an inquiry, a zero clock only
+        closes play, and the clock counts down by one from a positive natural
+        announced on the first move, or strictly descends as an ordinal."""
+        clock = rnd.clock
+        prev = self.rounds[-1] if self.rounds else None
+        if prev is not None and prev.inquiry is None:
+            raise MalformedTranscriptError("play continues after a round without inquiry")
+        if self.game.clock_mode == ORDINAL:
+            cur = _as_ordinal(clock)
+            if prev is not None and ordinal_compare(cur, _as_ordinal(prev.clock)) >= 0:
+                raise MalformedTranscriptError(f"clocks must strictly descend: {prev.clock}, {cur}")
+            zero = cur.is_zero()
+        else:
+            if prev is None:
+                if not isinstance(clock, int) or isinstance(clock, bool) or clock < 1:
+                    raise MalformedTranscriptError(
+                        f"first move must announce a positive natural, got {clock!r}"
+                    )
+            elif clock != prev.clock - 1:
+                raise MalformedTranscriptError(
+                    f"natural countdown must step by one: {prev.clock}, then {clock!r}"
+                )
+            zero = clock == 0
+        if zero and rnd.inquiry is not None:
+            raise MalformedTranscriptError("play continues past zero clock")
+
     def status(self) -> str:
         """The interrogator wins at the first violation, the teller wins
-        when the clock runs out, otherwise play is ongoing."""
-        _validate_clocks(self.game, self.rounds)
+        once the last round runs the clock out, otherwise play is ongoing."""
         if self.lost:
             return INTERROGATOR_WINS
-        if _clock_exhausted(self.game, self.rounds):
-            return TELLER_WINS
-        return ONGOING
+        if not self.rounds:
+            return ONGOING
+        last = self.rounds[-1]
+        if self.game.clock_mode == NATURAL:
+            spent = last.clock == 0 or (last.clock == 1 and last.inquiry is not None)
+        else:
+            spent = _as_ordinal(last.clock).is_zero()
+        return TELLER_WINS if spent else ONGOING
 
     def _check_inquiry_signature(self, inst: FormulaInstance) -> None:
         preds = self.game.structure.predicates
@@ -442,65 +475,13 @@ def _as_ordinal(clock) -> Ordinal:
     return Ordinal.from_nat(int(clock))
 
 
-def _first_natural(rounds: Sequence[Round]) -> int:
-    first = rounds[0].clock
-    if not isinstance(first, int) or isinstance(first, bool) or first < 1:
-        raise MalformedTranscriptError(
-            f"first move must announce a positive natural, got {first!r}"
-        )
-    return first
-
-
-def _validate_clocks(game: TruthGame, rounds: Sequence[Round]) -> None:
-    if not rounds:
-        return
-    if any(rnd.inquiry is None for rnd in rounds[:-1]):
-        raise MalformedTranscriptError("play continues after a round without inquiry")
-    if game.clock_mode == NATURAL:
-        first = _first_natural(rounds)
-        for k, rnd in enumerate(rounds):
-            expected = first - k
-            if rnd.clock != expected:
-                raise MalformedTranscriptError(
-                    f"natural countdown must step by one: round {k} has "
-                    f"clock {rnd.clock!r}, expected {expected}"
-                )
-            if expected == 0:
-                if rnd.inquiry is not None or k != len(rounds) - 1:
-                    raise MalformedTranscriptError("play continues past zero clock")
-            elif expected < 0:
-                raise MalformedTranscriptError("play continues past zero clock")
-    else:
-        prev: Optional[Ordinal] = None
-        for k, rnd in enumerate(rounds):
-            cur = _as_ordinal(rnd.clock)
-            if prev is not None and ordinal_compare(cur, prev) >= 0:
-                raise MalformedTranscriptError(
-                    f"clocks must strictly descend: {prev} then {cur}"
-                )
-            if cur.is_zero() and (rnd.inquiry is not None or k != len(rounds) - 1):
-                raise MalformedTranscriptError("play continues past zero clock")
-            prev = cur
-
-
-def _clock_exhausted(game: TruthGame, rounds: Sequence[Round]) -> bool:
-    if not rounds:
-        return False
-    if game.clock_mode == NATURAL:
-        inquiries = sum(1 for r in rounds if r.inquiry is not None)
-        return inquiries >= _first_natural(rounds)
-    return _as_ordinal(rounds[-1].clock).is_zero()
-
-
 def referee(game: TruthGame, transcript: Transcript) -> str:
-    """Status of a finished transcript: its clocks are checked first, then
-    its rounds replay through a fresh referee state up to the first
-    violation."""
-    _validate_clocks(game, transcript.rounds)
+    """Status of a finished transcript, replayed round by round through a
+    fresh referee state; a round that breaks the clock rules raises
+    MalformedTranscriptError."""
     state = RefereeState(game)
     for rnd in transcript.rounds:
-        if state.process_round(rnd):
-            break
+        state.process_round(rnd)
     return state.status()
 
 
@@ -633,7 +614,7 @@ def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
     out, a violation occurs, or the interrogator stops."""
     state = RefereeState(game)
     transcript = Transcript(state.rounds)
-    while True:
+    while state.status() == ONGOING:
         move = interrogator.move(game, transcript)
         if move is None:
             break
@@ -641,8 +622,7 @@ def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
         if inquiry is None or _as_ordinal(clock).is_zero():
             state.process_round(Round(clock, None, None))
             break
-        if state.ask(teller, clock, inquiry) or _clock_exhausted(game, state.rounds):
-            break
+        state.ask(teller, clock, inquiry)
     transcript.status = state.status()
     return transcript
 

@@ -189,7 +189,7 @@ class Ordinal:
 
     def _cmp(self, other: "Ordinal") -> int:
         for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            r = e1._cmp(e2)
+            r = 0 if e1 is e2 else e1._cmp(e2)
             if r != 0:
                 return r
             if c1 != c2:

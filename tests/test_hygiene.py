@@ -54,6 +54,7 @@ ITERATIVE = [
     "satisfiers",
     "_mask",
     "_pred_mask",
+    "_formula_eq",
 ]
 ITERATIVE_ETR = ["_relativize", "transitive_closure"]
 ITERATIVE_TRUTHGAMES = ["interrogator_search"]
@@ -110,6 +111,19 @@ def test_etr_walks_do_not_recurse():
 def test_truthgames_search_does_not_recurse():
     recursive = recursive_functions((PACKAGE / "truthgames.py").read_text())
     assert recursive.isdisjoint(ITERATIVE_TRUTHGAMES), sorted(recursive & set(ITERATIVE_TRUTHGAMES))
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_referee_clock_reads_no_history():
+    """The referee checks each round's clock against the round before it and
+    reads the status off the last round; neither rescans the transcript."""
+    tree = ast.parse((PACKAGE / "truthgames.py").read_text())
+    (referee,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RefereeState"]
+    methods = {n.name: n for n in referee.body if isinstance(n, FUNCTIONS)}
+    for name in ("status", "_check_clock"):
+        assert [type(n).__name__ for n in ast.walk(methods[name]) if isinstance(n, LOOPS)] == [], name
 
 
 def test_games_module_does_not_recurse():

@@ -190,6 +190,21 @@ class TestSizeAndVars:
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
 
+    def test_deep_formulas_compare_and_print(self):
+        def chain(code):
+            f = And(Member(Const(0), Const(code)), Exists("x", Pred("P", (Var("x"),))))
+            for _ in range(3000):
+                f = Not(f)
+            return f
+
+        a, b, c = chain(1), chain(1), chain(2)
+        assert a is not b and a == b and not a != b
+        assert a != c and not a == c
+        assert {a: 1}[b] == 1 and c not in {a: 1}
+        assert (a == 3) is False and a != "a"
+        assert repr(a) == "<Not " + "!" * 3000 + "((#0 in #1) & Ex. P(x))>"
+        assert repr(Pred("P", (Var("x"), Const(2)))) == "<Pred P(x, #2)>"
+
     def test_instance_requires_cover(self):
         f = parse_formula("(x in y)")
         with pytest.raises(MalformedInstanceError):

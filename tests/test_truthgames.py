@@ -5,6 +5,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgames import truthgames
 from hfgames.errors import (
@@ -53,6 +55,7 @@ from hfgames.truthgames import (
     transcript_to_json,
     truth_game,
 )
+from hfgames.oracles import clock_outcome
 from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
 
 V2 = Structure(build_universe(2))
@@ -687,3 +690,99 @@ class TestOnePlayLoop:
             state = states[-1]
             assert (state.rounds, state.lost, state.marks) == ([], False, {}), res
         assert res.plan is not None
+
+
+ORDINAL_CLOCKS = [
+    *(Ordinal.from_nat(k) for k in range(5)),
+    Ordinal.omega(),
+    Ordinal.omega().succ(),
+    Ordinal(((Ordinal.from_nat(1), 2),)),
+]
+ANY_CLOCKS = [-1, 0, 1, 2, 3, 4, 5, True, False, *ORDINAL_CLOCKS]
+CLOCK_INQUIRIES = [
+    parse_instance("#0 in #1"),
+    parse_instance("#0 = #0"),
+    parse_instance("Ex. (x in #1)"),
+    parse_instance("!(#1 in #0)"),
+    parse_instance("!Ex. (x in #0)"),
+]
+# False in every structure: affirming it always loses.
+LIE = parse_instance("#0 in #0")
+
+
+@st.composite
+def clocked_transcripts(draw):
+    """A clock mode and rounds whose clocks are a countdown or arbitrary,
+    perhaps with one clock replaced, closing rounds anywhere, honest
+    verdicts, and perhaps one round that lies."""
+    mode = draw(st.sampled_from([NATURAL, ORDINAL]))
+    if draw(st.booleans()):
+        clocks = draw(st.lists(st.sampled_from(ANY_CLOCKS), max_size=6))
+    elif mode == NATURAL:
+        start = draw(st.sampled_from([0, 1, 2, 3, 4, 5, True]))
+        clocks = [start, *range(start - 1, -1, -1)][: draw(st.integers(0, start + 1))]
+    else:
+        clocks = sorted(draw(st.sets(st.sampled_from(ORDINAL_CLOCKS), max_size=6)), reverse=True)
+    if clocks and draw(st.booleans()):
+        clocks[draw(st.integers(0, len(clocks) - 1))] = draw(st.sampled_from(ANY_CLOCKS))
+    closing = draw(st.sets(st.integers(0, 6), max_size=1))
+    if draw(st.booleans()):
+        closing.add(len(clocks) - 1)
+    liar = draw(st.none() | st.integers(0, max(len(clocks) - 1, 0)))
+    game = truth_game(V2, mode)
+    honest = honest_teller(game, V2)
+    rounds = []
+    for k, clock in enumerate(clocks):
+        if k in closing:
+            rounds.append(Round(clock, None, None))
+        elif k == liar:
+            rounds.append(Round(clock, LIE, Pronouncement(True)))
+        else:
+            inq = draw(st.sampled_from(CLOCK_INQUIRIES))
+            rounds.append(Round(clock, inq, honest.answer(game, inq, clock, rounds)))
+    return game, rounds
+
+
+class TestClockRules:
+    @given(clocked_transcripts())
+    @settings(max_examples=400, deadline=None)
+    def test_referee_agrees_with_clock_oracle(self, case):
+        game, rounds = case
+        outcome = clock_outcome(game.clock_mode, rounds)
+        if outcome == "malformed":
+            with pytest.raises(MalformedTranscriptError):
+                referee(game, Transcript(rounds))
+            return
+        if any(r.inquiry == LIE for r in rounds):
+            expected = INTERROGATOR_WINS
+        else:
+            expected = TELLER_WINS if outcome == "spent" else ONGOING
+        assert referee(game, Transcript(rounds)) == expected
+
+    def test_malformed_clock_stops_play_at_its_round(self):
+        asked = []
+
+        class Counting:
+            def __init__(self, base):
+                self.base = base
+
+            def answer(self, game, inquiry, clock, history):
+                asked.append(clock)
+                return self.base.answer(game, inquiry, clock, history)
+
+        game = truth_game(V3)
+        teller = Counting(honest_teller(game, V3))
+        interrogator = ClockListInterrogator([5, 4, 4, 3], [parse_instance("#0 in #1")])
+        with pytest.raises(MalformedTranscriptError, match="step by one"):
+            play_truth_game(game, interrogator, teller)
+        assert len(asked) <= 3
+        # A violation does not end the clock checks of a replay.
+        phi = parse_instance("#0 = #0")
+        rounds = [
+            Round(3, LIE, Pronouncement(True)),
+            Round(2, phi, Pronouncement(True)),
+            Round(2, phi, Pronouncement(True)),
+        ]
+        assert referee(game, Transcript(rounds[:2])) == INTERROGATOR_WINS
+        with pytest.raises(MalformedTranscriptError):
+            referee(game, Transcript(rounds))
