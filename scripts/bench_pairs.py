@@ -1,0 +1,135 @@
+"""Paired benchmark runs of two checkouts, and the BENCH_<n>.json they make.
+
+    python3 scripts/bench_pairs.py run --parent DIR --change DIR \\
+        --workload truth_game --seed 1 --pairs 10 --out RUNS
+    python3 scripts/bench_pairs.py write --out RUNS --bench BENCH_8.json
+
+``run`` runs ``perfbench/run.py --trace 0`` in each checkout for the run
+length ``BENCHMARK.json`` sets, one run at a time, alternating which side
+goes first from pair to pair.  After each run it copies that checkout's
+``perfbench/out/summary-<workload>-seed<N>.json`` to ``RUNS/<side>/``,
+numbered by pair, and adds the run's end-to-end metrics (the last line
+``run.py`` prints) under ``"metrics"``: the summary file does not hold
+``setup_s`` or ``peak_rss_mb``.
+
+``write`` reads every such file back and records, per workload, seed and
+end-to-end metric, each side's median and quartiles, how many pairs the
+change won (ties count for neither) and the number of pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
+              out: Path) -> None:
+    seconds = _spec()["run_seconds"]
+    checkouts = {"parent": parent, "change": change}
+    for side in SIDES:
+        (out / side).mkdir(parents=True, exist_ok=True)
+    for k in range(pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for side in order:
+            root = checkouts[side]
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                cwd=root, capture_output=True, text=True, check=True,
+            )
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            name = f"summary-{workload}-seed{seed}.json"
+            summary = json.loads((root / "perfbench" / "out" / name).read_text())
+            summary["metrics"] = result["metrics"]
+            summary["correct"] = result["correct"]
+            dest = out / side / f"summary-{workload}-seed{seed}-pair{k}.json"
+            dest.write_text(json.dumps(summary, indent=1))
+            batch = result["metrics"]["batch_norm_s"]["value"]
+            print(f"pair {k} {side:6s} {workload} seed {seed}: batch_norm_s {batch:.4f}", flush=True)
+
+
+def _spec() -> dict:
+    return json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def bench_document(out: Path, better: dict) -> list:
+    """One entry per workload and seed: for each end-to-end metric, both
+    sides' median and quartiles over the runs in ``out`` and the pairs the
+    change won, plus the number of pairs."""
+    runs: dict = {}
+    for side in SIDES:
+        for path in sorted((out / side).glob("summary-*.json")):
+            doc = json.loads(path.read_text())
+            group = runs.setdefault((doc["workload"], doc["seed"]), {})
+            group.setdefault(path.name, {})[side] = doc
+    entries = []
+    for (workload, seed), by_pair in sorted(runs.items()):
+        paired = [p for p in by_pair.values() if len(p) == 2]
+        metrics = {}
+        for name, first in paired[0]["parent"]["metrics"].items():
+            sides = {s: [p[s]["metrics"][name]["value"] for p in paired] for s in SIDES}
+            sign = -1 if better.get(name, "lower") == "lower" else 1
+            wins = sum(1 for a, b in zip(sides["parent"], sides["change"]) if sign * (b - a) > 0)
+            metrics[name] = {
+                "unit": first["unit"],
+                "better": better.get(name, "lower"),
+                "parent": _spread(sides["parent"]),
+                "change": _spread(sides["change"]),
+                "change_wins": wins,
+            }
+        entries.append({
+            "workload": workload,
+            "seed": seed,
+            "pairs": len(paired),
+            "all_correct": all(p[s]["correct"] for p in paired for s in SIDES),
+            "metrics": metrics,
+        })
+    return entries
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    run = sub.add_parser("run")
+    run.add_argument("--parent", type=Path, required=True)
+    run.add_argument("--change", type=Path, required=True)
+    run.add_argument("--workload", required=True)
+    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--pairs", type=int, default=10)
+    run.add_argument("--out", type=Path, required=True)
+    write = sub.add_parser("write")
+    write.add_argument("--out", type=Path, required=True)
+    write.add_argument("--bench", type=Path, required=True)
+    write.add_argument("--note", default="")
+    args = parser.parse_args(argv)
+    if args.cmd == "run":
+        run_pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seed,
+                  args.pairs, args.out)
+        return 0
+    better = {m["name"]: m["better"] for m in _spec()["end_to_end"]}
+    doc = {
+        "harness": "perfbench/run.py --trace 0, alternating sides, one run at a time",
+        "note": args.note,
+        "results": bench_document(args.out, better),
+    }
+    args.bench.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -514,7 +514,7 @@ def game_from_json(text: str) -> Game:
     ParseError, a table entry that repeats or extends another included."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"game is not JSON: {exc}") from None
     rule = doc.get("rule") if isinstance(doc, dict) else None
     if rule == "choice" and type(doc.get("rank")) is int:

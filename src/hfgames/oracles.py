@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hfgames.games import Game, other_player, turn
 from hfgames.logic import EDGE_SYMBOL, And, Eq, Exists, Member, Not, Pred, Structure
-from hfgames.truthgames import NATURAL
+from hfgames.truthgames import INTERROGATOR_WINS, NATURAL, Round, Transcript, referee
 from hfgames.universe import Ordinal, WellFoundedRelation
 
 
@@ -191,3 +191,35 @@ def clock_outcome(clock_mode: str, rounds) -> str:
     if any(z and r.inquiry is not None for z, r in zip(zeros, rounds)):
         return "malformed"
     return "spent" if spent else "running"
+
+
+def line_search(game, teller, depth: int, budget=None, pool=(), initial_clock=None):
+    """Brute-force interrogator search: every line of inquiries to ``depth``
+    rounds, each round picking from ``pool`` plus the out-of-pool witness
+    instances named earlier on the line, visited depth first in pool order.
+    Each line is replayed from scratch and judged by ``referee``.
+
+    Returns (the first winning line or None, whether every line was seen,
+    lines visited); lines past ``budget`` are not seen.
+    """
+    pool = list(pool)
+    start = initial_clock if initial_clock is not None else depth
+    limit = min(depth, start)
+    nodes = 0
+    todo = [(q,) for q in reversed(pool)] if limit > 0 else []
+    while todo:
+        line = todo.pop()
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return None, False, nodes
+        rounds = []
+        for k, q in enumerate(line):
+            clock = game.clock(start - k)
+            rounds.append(Round(clock, q, teller.answer(game, q, clock, list(rounds))))
+        if referee(game, Transcript(rounds)) == INTERROGATOR_WINS:
+            return line, False, nodes
+        if len(line) < limit:
+            named = [r.pronouncement.witness_instance for r in rounds]
+            derived = [w for w in named if w is not None and w not in pool]
+            todo.extend(line + (q,) for q in reversed(pool + derived))
+    return None, True, nodes

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     CoverageError,
+    HFGamesError,
     InvariantError,
     MalformedTranscriptError,
     NoWitnessError,
@@ -494,8 +495,10 @@ class HonestTeller:
 
     Structure-backed tellers evaluate; class-backed tellers read the marks
     and raise CoverageError outside the closure.  Answers do not depend on
-    the play.
+    the play, so the teller is memoryless (see ``interrogator_search``).
     """
+
+    memoryless = True
 
     def __init__(self, source: Union[Structure, SatisfactionClass]):
         self.source = source
@@ -855,17 +858,39 @@ def interrogator_search(
 ) -> SearchResult:
     """Search adaptive interrogator play to the given depth.
 
-    Explores every sequence of pool inquiries under a one-step countdown
-    from ``initial_clock`` (default: depth).  Returns a winning plan if one
-    trips the referee, a proven-none result if the walk completed, or a
-    none-within-budget result if the node budget ran out first.
+    Walks every line of inquiries under a one-step countdown from
+    ``initial_clock`` (default: depth): each round picks from the pool plus
+    the out-of-pool witness instances the teller named earlier on the line.
+    Returns a winning plan if one trips the referee, a proven-none result if
+    the walk completed, or a none-within-budget result if the node budget
+    ran out first.  ``nodes`` counts the lines visited, capped at
+    ``budget + 1``.
+
+    A teller may declare ``memoryless = True``: its answer depends only on
+    the inquiry, never on the clock or the history (``HonestTeller`` does).
+    For such a teller a futility certificate runs first: one referee state
+    asks every pool instance and every witness instance they lead to, once
+    each.  The referee checks each Tarskian condition in both directions
+    and each violation involves at most three marks, so if this one set of
+    marks holds no violation, no line of the walk wins, whatever its order.
+    The result is then the one the walk would return, with ``nodes``
+    counted from the shape of the walk's line tree instead of walked.  If
+    the certificate finds a violation or raises, the walk runs as usual.
     """
     if pool is None:
         pool = default_inquiry_pool(game, pool_max_size)
     pool = list(pool)
-    pool_set = set(pool)
     start = initial_clock if initial_clock is not None else depth
     limit = min(depth, start)
+    if limit > 0 and pool and getattr(teller, "memoryless", False):
+        named = _futility_certificate(game, teller, pool)
+        if named is not None:
+            cap = None if budget is None else max(budget, 0)
+            count = _line_count(pool, named, limit, cap)
+            if cap is not None and count > cap:
+                return SearchResult(None, False, cap + 1)
+            return SearchResult(None, True, count)
+    pool_set = set(pool)
     state = RefereeState(game)
     nodes = 0
     # One (clock, candidates) entry per round of the current line; each
@@ -905,6 +930,103 @@ def interrogator_search(
     return SearchResult(None, not stack, nodes)
 
 
+def _futility_certificate(
+    game: TruthGame, teller, pool: list[FormulaInstance]
+) -> Optional[dict[FormulaInstance, Optional[FormulaInstance]]]:
+    """Ask each distinct pool instance once, then each out-of-pool witness
+    instance the answers name until no new one appears, all in one referee
+    state.  Returns, for every inquiry asked, the out-of-pool witness
+    instance its answer names (or None); returns None instead if the teller
+    lost, raised a typed error, or named a witness instance anywhere but on
+    an affirmed existential.
+
+    The referee holds a named witness instance to the existential's body,
+    so it is smaller than the inquiry that named it: there are at most as
+    many asks as the pool's sizes add up to, and a countdown from that sum
+    plus one per pool entry never reaches zero."""
+    pool_set = set(pool)
+    named: dict = dict.fromkeys(pool)
+    todo = list(named)
+    clock = sum(1 + size(inst.formula) for inst in pool)
+    state = RefereeState(game)
+    state.push_frame()
+    try:
+        for inquiry in todo:  # grows as witness instances are named
+            if state.ask(teller, game.clock(clock), inquiry):
+                return None
+            clock -= 1
+            pron = state.rounds[-1].pronouncement
+            wi = pron.witness_instance
+            if wi is None:
+                continue
+            if not (pron.verdict and isinstance(inquiry.formula, Exists)):
+                return None
+            if wi not in pool_set:
+                named[inquiry] = wi
+                if wi not in named:
+                    named[wi] = None
+                    todo.append(wi)
+    except HFGamesError:
+        return None
+    finally:
+        state.pop_frame()
+    return named
+
+
+def _line_count(
+    pool: list[FormulaInstance],
+    named: dict[FormulaInstance, Optional[FormulaInstance]],
+    limit: int,
+    cap: Optional[int],
+) -> int:
+    """Nodes of the walk's line tree to ``limit`` rounds, for a teller whose
+    answers ``named`` records; stops at the first total past ``cap``.
+
+    A line's candidates are the pool plus the out-of-pool witness instances
+    named on it, so the shape of its subtree depends only on how many of
+    those it holds at each height, the height being the length of the chain
+    of witness instances one still leads to.  Asking one of height h adds
+    one of height h - 1; asking a pool entry adds the one it names, if any.
+    Lines are counted level by level, grouped by those counts."""
+    height: dict = {}
+    for inst in named:
+        chain = [inst]
+        while named[chain[-1]] is not None and named[chain[-1]] not in height:
+            chain.append(named[chain[-1]])
+        last = named[chain[-1]]
+        h = -1 if last is None else height[last]
+        for link in reversed(chain):
+            h += 1
+            height[link] = h
+    adds = [0] * (max(height.values()) + 1)
+    plain = 0
+    for inst in pool:
+        if named[inst] is None:
+            plain += 1
+        else:
+            adds[height[named[inst]]] += 1
+    total = 0
+    level = {(0,) * len(adds): 1}
+    for rounds_left in range(limit, 0, -1):
+        deeper: dict = {}
+        for held, lines in level.items():
+            total += lines * (len(pool) + sum(held))
+            if cap is not None and total > cap:
+                return total
+            if rounds_left == 1:
+                continue
+            stay = plain + held[0]
+            if stay:
+                deeper[held] = deeper.get(held, 0) + lines * stay
+            for h, pool_adds in enumerate(adds):
+                grow = pool_adds + (held[h + 1] if h + 1 < len(held) else 0)
+                if grow:
+                    key = held[:h] + (held[h] + 1,) + held[h + 1 :]
+                    deeper[key] = deeper.get(key, 0) + lines * grow
+        level = deeper
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Transcript serialization.
 
@@ -938,7 +1060,7 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"transcript is not JSON: {exc}") from None
     rdocs = doc.get("rounds") if isinstance(doc, dict) else None
     if not isinstance(rdocs, list):

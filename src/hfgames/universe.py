@@ -499,11 +499,11 @@ def parse_relation(text: str) -> tuple[Universe, WellFoundedRelation]:
                 raise ParseError(f"bad universe header {line!r}", lineno)
             universe = build_universe(int(m.group(1)))
         elif parts[0] == "node":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(f"bad node line {line!r}", lineno)
             carrier.add(int(parts[1]))
         elif parts[0] == "edge":
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
                 raise ParseError(f"bad edge line {line!r}", lineno)
             a, b = int(parts[1]), int(parts[2])
             carrier.update((a, b))

@@ -1,0 +1,314 @@
+"""The futility certificate: for memoryless tellers ``interrogator_search``
+answers from one referee pass, with the result the walk would return.
+
+Three paths are held to each other: the certificate, the explicit-stack
+walk (forced by hiding the teller's ``memoryless`` declaration) and the
+brute-force ``oracles.line_search``, which replays every line from scratch
+through ``referee``.
+"""
+
+import hashlib
+import itertools
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hfgames import truthgames
+from hfgames.logic import (
+    And,
+    Exists,
+    Not,
+    Structure,
+    build_truth_predicate,
+    instance,
+    instantiate,
+    parse_instance,
+    print_instance,
+    sub_instance,
+)
+from hfgames.oracles import line_search
+from hfgames.truthgames import (
+    HonestTeller,
+    Pronouncement,
+    RefereeState,
+    Round,
+    SearchResult,
+    default_inquiry_pool,
+    honest_teller,
+    interrogator_search,
+    truth_game,
+)
+from hfgames.universe import build_universe
+
+STRUCTURES = {rank: Structure(build_universe(rank)) for rank in (1, 2, 3, 4)}
+
+
+class Walked:
+    """The wrapped teller's answers without its ``memoryless`` declaration,
+    so ``interrogator_search`` walks every line."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def answer(self, game, inquiry, clock, history):
+        return self.base.answer(game, inquiry, clock, history)
+
+
+def _digest(salt, inquiry) -> int:
+    return hashlib.sha256(f"{salt}:{print_instance(inquiry)}".encode()).digest()[0]
+
+
+class HashLiar:
+    """Memoryless and faulty: flips the honest verdict, naming no witness, on
+    the inquiries whose digest picks them (one in ``rate``)."""
+
+    memoryless = True
+
+    def __init__(self, base, salt, rate=4):
+        self.base = base
+        self.salt = salt
+        self.rate = rate
+
+    def answer(self, game, inquiry, clock, history):
+        honest = self.base.answer(game, inquiry, clock, history)
+        if _digest(self.salt, inquiry) % self.rate == 0:
+            return Pronouncement(not honest.verdict)
+        return honest
+
+
+class HashWitness:
+    """Memoryless and faulty: names a witness picked by the inquiry's digest
+    for every true existential, whether or not it satisfies the body."""
+
+    memoryless = True
+
+    def __init__(self, base, salt):
+        self.base = base
+        self.salt = salt
+
+    def answer(self, game, inquiry, clock, history):
+        honest = self.base.answer(game, inquiry, clock, history)
+        if honest.witness is None:
+            return honest
+        w = _digest(self.salt, inquiry) % game.structure.universe.size
+        return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
+
+
+def tarski_closure(M, pool) -> set:
+    """The pool with every sub-instance and every instantiation."""
+    out, stack = set(), list(pool)
+    while stack:
+        inst = stack.pop()
+        if inst in out:
+            continue
+        out.add(inst)
+        f = inst.formula
+        if isinstance(f, Not):
+            stack.append(sub_instance(inst, f.body))
+        elif isinstance(f, And):
+            stack += [sub_instance(inst, f.left), sub_instance(inst, f.right)]
+        elif isinstance(f, Exists):
+            stack += [instantiate(inst, f.var, b) for b in M.universe.elements]
+    return out
+
+
+def make_teller(kind, game, M, pool):
+    honest = honest_teller(game, M)
+    if kind == "structure":
+        return honest
+    if kind == "class":
+        return HonestTeller(build_truth_predicate(M, tarski_closure(M, pool)))
+    return HashLiar(honest, salt="agreement")
+
+
+def as_oracle(res: SearchResult):
+    return (res.plan.inquiries if res.plan else None, res.exhausted, res.nodes)
+
+
+def three_ways(game, teller, depth, budget, pool):
+    cert = interrogator_search(game, teller, depth, budget=budget, pool=pool)
+    walk = interrogator_search(game, Walked(teller), depth, budget=budget, pool=pool)
+    oracle = line_search(game, teller, depth, budget, pool)
+    return cert, walk, oracle
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("kind", ["structure", "class", "liar"])
+    @pytest.mark.parametrize(
+        "rank,depth", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+    )
+    def test_certificate_walk_and_oracle_agree(self, rank, depth, kind):
+        M = STRUCTURES[rank]
+        game = truth_game(M)
+        pool = default_inquiry_pool(game)
+        teller = make_teller(kind, game, M, pool)
+        certified = truthgames._futility_certificate(game, teller, pool)
+        # The liar takes the fallback path; the honest tellers do not.
+        assert (certified is None) == (kind == "liar")
+        budgets = (None, 0, 5, 2000)
+        if kind == "class" and (rank, depth) in ((2, 3), (3, 2)):
+            # The two largest trees (41,222 and 13,124 lines) are replayed
+            # whole once, for the structure-backed teller, which answers
+            # every inquiry the search can ask exactly as this teller does.
+            structure = honest_teller(game, M)
+            assert all(teller.answer(game, q, 1, ()) == structure.answer(game, q, 1, ()) for q in certified)
+            budgets = (0, 5, 2000)
+        for budget in budgets:
+            cert = interrogator_search(game, teller, depth, budget=budget, pool=pool)
+            assert as_oracle(cert) == line_search(game, teller, depth, budget, pool), budget
+            if cert.plan is not None:
+                assert cert.plan.initial_clock == depth
+            # The walk is held to the oracle over whole trees up to 13,124
+            # lines here; over the 41,222-line tree only the certificate is.
+            if (rank, depth, budget) != (2, 3, None):
+                walk = interrogator_search(game, Walked(teller), depth, budget=budget, pool=pool)
+                assert cert == walk, budget
+
+    def test_budget_fifty(self):
+        game = truth_game(STRUCTURES[3])
+        teller = honest_teller(game, STRUCTURES[3])
+        pool = default_inquiry_pool(game)
+        cert, walk, oracle = three_ways(game, teller, 2, 50, pool)
+        assert cert == walk == SearchResult(None, False, 51)
+        assert oracle == (None, False, 51)
+
+    def test_budget_at_the_tree_size(self):
+        game = truth_game(STRUCTURES[2])
+        teller = honest_teller(game, STRUCTURES[2])
+        pool = default_inquiry_pool(game)
+        size = interrogator_search(game, teller, 2, pool=pool).nodes
+        for budget, want in (
+            (size - 1, SearchResult(None, False, size)),
+            (size, SearchResult(None, True, size)),
+            (size + 1, SearchResult(None, True, size)),
+            (-1, SearchResult(None, False, 1)),
+        ):
+            cert, walk, oracle = three_ways(game, teller, 2, budget, pool)
+            assert cert == walk == want
+            assert oracle == as_oracle(want)
+        # The count stops once past the budget, however deep the tree.
+        started = time.process_time()
+        res = interrogator_search(game, teller, 10**6, budget=5, pool=pool[:1])
+        assert time.process_time() - started < 0.1
+        assert res == SearchResult(None, False, 6)
+
+    def test_initial_clock_below_depth(self):
+        game = truth_game(STRUCTURES[2])
+        teller = honest_teller(game, STRUCTURES[2])
+        pool = default_inquiry_pool(game)
+        for clock in (0, 1, 2):
+            cert = interrogator_search(game, teller, 3, pool=pool, initial_clock=clock)
+            walk = interrogator_search(game, Walked(teller), 3, pool=pool, initial_clock=clock)
+            assert cert == walk
+            assert as_oracle(cert) == line_search(game, teller, 3, None, pool, clock)
+
+    def test_out_of_pool_witness_chain(self):
+        M = STRUCTURES[3]
+        game = truth_game(M)
+        teller = honest_teller(game, M)
+        # Each existential's witness instance is the next, one variable
+        # fewer, none of them in the pool: a chain of three derived inquiries.
+        chain = parse_instance("Ex. Ey. Ez. ((x in y) & (y in z))")
+        pool = [chain, parse_instance("#0 in #1"), parse_instance("!(#1 = #2)")]
+        named = truthgames._futility_certificate(game, teller, pool)
+        assert sum(1 for w in named.values() if w is not None) == 3
+        cert, walk, oracle = three_ways(game, teller, 3, None, pool)
+        assert cert == walk and as_oracle(cert) == oracle
+        started = time.process_time()
+        deep = interrogator_search(game, teller, 6, pool=pool)
+        assert time.process_time() - started < 0.1
+        assert deep == interrogator_search(game, Walked(teller), 6, pool=pool)
+        assert deep.proven_none and deep.nodes > 3**6
+
+    def test_duplicate_pool_entries_count_twice(self):
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        teller = honest_teller(game, M)
+        ex = parse_instance("Ex. Ey. (x in y)")
+        pool = [ex, parse_instance("#0 in #1"), ex]
+        for depth in (1, 2, 3, 4):
+            cert, walk, oracle = three_ways(game, teller, depth, None, pool)
+            assert cert == walk and as_oracle(cert) == oracle
+
+    def test_witness_instances_off_existentials_take_the_walk(self):
+        """A witness instance named with a plain verdict joins the walk's
+        candidates all the same, and here two of them name each other."""
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        p, a, b = (parse_instance(t) for t in ("#0 in #1", "#0 in #0", "#1 in #1"))
+        follow = {p: a, a: b, b: a}
+
+        class Pointing:
+            memoryless = True
+
+            def answer(self, game, inquiry, clock, history):
+                return Pronouncement(inquiry == p, None, follow[inquiry])
+
+        assert truthgames._futility_certificate(game, Pointing(), [p]) is None
+        for depth in (1, 2, 3, 4):
+            cert, walk, oracle = three_ways(game, Pointing(), depth, None, [p])
+            assert cert == walk and as_oracle(cert) == oracle
+
+    def test_v4_pool_certified_at_depth_three(self):
+        M = STRUCTURES[4]
+        game = truth_game(M)
+        teller = honest_teller(game, M)
+        n = len(default_inquiry_pool(game))
+        assert n == 1602
+        started = time.process_time()
+        res = interrogator_search(game, teller, depth=3)
+        assert time.process_time() - started < 1.0
+        assert res.proven_none and res.nodes >= n + n**2 + n**3
+
+
+@st.composite
+def memoryless_rounds(draw):
+    """A game over V_2 or V_3 and up to six rounds answered by a seeded
+    memoryless faulty teller: pool inquiries, some with their parts, their
+    negation or their named witness instance, so that pair and triple
+    conditions come up."""
+    M = STRUCTURES[draw(st.sampled_from([2, 3]))]
+    game = truth_game(M)
+    pool = default_inquiry_pool(game)
+    honest = honest_teller(game, M)
+    salt = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        teller = HashLiar(honest, salt, rate=draw(st.sampled_from([2, 4, 8])))
+    else:
+        teller = HashWitness(honest, salt)
+    inquiries: list = []
+    while len(inquiries) < draw(st.integers(1, 6)):
+        q = draw(st.sampled_from(pool))
+        family = [q]
+        extra = draw(st.sampled_from(["none", "parts", "negation", "witness"]))
+        if extra == "parts" and isinstance(q.formula, (Not, And)):
+            family += game.parts(q)
+        elif extra == "negation":
+            family.append(instance(Not(q.formula), {}))
+        elif extra == "witness":
+            family.append(teller.answer(game, q, 1, ()).witness_instance)
+        inquiries += [i for i in family if i is not None and i not in inquiries]
+    inquiries = inquiries[:6]
+    return game, [(q, teller.answer(game, q, 1, ())) for q in inquiries]
+
+
+def lost_after(game, rounds) -> bool:
+    state = RefereeState(game)
+    for k, (q, pron) in enumerate(rounds):
+        state.process_round(Round(game.clock(len(rounds) - k), q, pron))
+    return state.lost
+
+
+class TestOrderLemma:
+    @settings(max_examples=60, deadline=None)
+    @given(memoryless_rounds())
+    def test_loss_depends_only_on_the_set_of_rounds(self, case):
+        game, rounds = case
+        outcomes = {lost_after(game, list(p)) for p in itertools.permutations(rounds)}
+        assert len(outcomes) == 1
+        if outcomes == {False}:
+            for k in range(1, len(rounds)):
+                for subset in itertools.combinations(rounds, k):
+                    assert not lost_after(game, list(subset))

@@ -57,7 +57,7 @@ ITERATIVE = [
     "_formula_eq",
 ]
 ITERATIVE_ETR = ["_relativize", "transitive_closure"]
-ITERATIVE_TRUTHGAMES = ["interrogator_search"]
+ITERATIVE_TRUTHGAMES = ["interrogator_search", "_futility_certificate", "_line_count"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
