@@ -35,11 +35,20 @@ def _env_int(name: str, default: int) -> int:
         raise ParseError(f"bad value for {name}: {raw!r}") from None
 
 
+def _at_least(name: str, value: int, least: int) -> int:
+    if value < least:
+        raise ParseError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def _play_cap(cap: int) -> int:
     # Random clopen games draw their depth from 2 .. cap.
-    if cap < 2:
-        raise ParseError(f"play cap must be at least 2, got {cap}")
-    return cap
+    return _at_least("play cap", cap, 2)
+
+
+# The least --rank each game or suite runs on: V_0 is empty, V_1 = {0}, and
+# the recursion cases draw relations of two or more nodes.
+_LEAST_RANK = {"choice": 1, "truthtelling": 1, "logic": 1, "truthgames": 2, "etr": 2, "all": 2}
 
 
 def _max_rank() -> int:
@@ -241,9 +250,7 @@ def cmd_play(args) -> int:
         return EXIT_OK
     if not args.interactive:
         raise ParseError("play needs --interactive or --replay FILE")
-    if args.clock < 1:
-        raise ParseError(f"--clock must be at least 1, got {args.clock}")
-    transcript = _interactive_loop(game, teller, args.clock)
+    transcript = _interactive_loop(game, teller, _at_least("--clock", args.clock, 1))
     print(truthgames.transcript_to_json(game, transcript))
     return EXIT_OK
 
@@ -292,14 +299,11 @@ def cmd_verify(args) -> int:
         universe_rank=args.rank,
         random_rank=max(args.rank, args.random_rank),
         play_cap=_play_cap(_env_int("HFGAMES_PLAY_CAP", args.cap)),
-        clock_budget_factor=_env_int("HFGAMES_CLOCK_FACTOR", 2),
+        clock_budget_factor=_at_least("HFGAMES_CLOCK_FACTOR", _env_int("HFGAMES_CLOCK_FACTOR", 2), 1),
         seed=args.seed,
         node_budget=_env_int("HFGAMES_NODE_BUDGET", args.node_budget),
     )
-    try:
-        reports = suites.run_suite(args.suite, cfg, inject_bug=args.inject_bug)
-    except KeyError as exc:
-        raise ParseError(str(exc))
+    reports = suites.run_suite(args.suite, cfg, inject_bug=args.inject_bug)
     if args.json:
         print(json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True))
     else:
@@ -373,6 +377,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        what = getattr(args, "game", None) or getattr(args, "suite", None)
+        _at_least("--rank", args.rank, _LEAST_RANK.get(what, 0))
         return args.fn(args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ from .universe import (
     Universe,
     WellFoundedRelation,
     WellOrder,
-    check_wellfounded,
     topological_order,
 )
 
@@ -173,8 +172,7 @@ def etr_solve(
     does not depend on the choice.  ``value_domain`` restricts the x range
     (defaults to the whole universe).
     """
-    if not check_wellfounded(rel):
-        raise InvariantError("relation is not well-founded (cycle present)")
+    topo = topological_order(rel)
     for i in rel.carrier:
         if not isinstance(i, int) or i not in M.universe:
             raise SignatureError(f"carrier element {i!r} is not a universe element")
@@ -182,7 +180,7 @@ def etr_solve(
     Mr = _recursion_structure(M, rel)
     preds = rel.predecessor_map()
     if order is None:
-        order = topological_order(rel)
+        order = topo
     pairs: set = set()
     slices: dict = {}
     for b in order:
@@ -223,28 +221,13 @@ def check_solution(
 
 def transitive_closure(rel: WellFoundedRelation) -> WellFoundedRelation:
     """Smallest transitive superset of the edges; preserves well-foundedness."""
-    succs: dict = {n: set() for n in rel.carrier}
+    succs: dict = {n: [] for n in rel.carrier}
     for a, b in rel.edges:
-        succs[a].add(b)
-    # reach[n]: every node reachable from n, filled in depth-first post-order.
+        succs[a].append(b)
+    # Reversed topological order: every node after all of its targets.
     reach: dict = {}
-    for root in rel.carrier:
-        if root in reach:
-            continue
-        path, stack = {root}, [(root, iter(succs[root]))]
-        while stack:
-            n, targets = stack[-1]
-            for b in targets:
-                if b in path:
-                    raise InvariantError("relation is not well-founded (cycle present)")
-                if b not in reach:
-                    path.add(b)
-                    stack.append((b, iter(succs[b])))
-                    break
-            else:
-                stack.pop()
-                path.remove(n)
-                reach[n] = set(succs[n]).union(*(reach[b] for b in succs[n]))
+    for n in reversed(topological_order(rel)):
+        reach[n] = set(succs[n]).union(*(reach[b] for b in succs[n]))
     edges = {(a, b) for a in rel.carrier for b in reach[a]}
     return WellFoundedRelation(rel.carrier, frozenset(edges))
 
@@ -263,20 +246,11 @@ def descending_tree(
     for n in below:
         below[n].sort()
     nodes: list[tuple] = [()]
-    frontier: list[tuple] = [(n,) for n in sorted(po.carrier)]
-    nodes.extend(frontier)
-    while frontier:
+    # The loop reads the nodes it appends: breadth-first order.
+    for s in nodes:
         if len(nodes) > node_budget:
-            raise ResourceBoundError(
-                f"descending tree exceeds node budget {node_budget}"
-            )
-        s = frontier.pop(0)
-        for a in below[s[-1]]:
-            t = s + (a,)
-            nodes.append(t)
-            frontier.append(t)
-    if len(nodes) > node_budget:
-        raise ResourceBoundError(f"descending tree exceeds node budget {node_budget}")
+            raise ResourceBoundError(f"descending tree exceeds node budget {node_budget}")
+        nodes.extend([s + (a,) for a in (below[s[-1]] if s else sorted(po.carrier))])
     edges = set()
     for s in nodes:
         for k in range(len(s)):
@@ -462,8 +436,8 @@ def iterated_truth(
     The object language sees the earlier stages through the binary symbol
     ``truth_symbol``: T(j, c) holds when stage j marked true the instance
     that the (declared, finite) coding assigns to universe element c.  The
-    inner omega of the recursion is the formula-size stratification inside
-    build_truth_predicate.
+    evaluator decides each instance outright, so the inner omega of the
+    recursion (formula size) needs no pass of its own.
     """
     base = M
     if Z:

@@ -881,14 +881,9 @@ def serialize_class(S: SatisfactionClass, closure: Optional[Iterable[FormulaInst
 
 
 def build_truth_predicate(M: Structure, instances: Iterable[FormulaInstance]) -> SatisfactionClass:
-    """Mark exactly the listed instances that evaluate true in M.
-
-    Instances are processed in formula-size order: the inner omega of the
-    Tarskian recursion, though plain evaluation does not depend on it.
-    """
-    insts = sorted(set(instances), key=lambda i: (size(i.formula), print_instance(i)))
-    entries = frozenset(i for i in insts if eval_instance(M, i))
-    return SatisfactionClass(entries, frozenset(insts))
+    """Mark exactly the listed instances that evaluate true in M."""
+    insts = frozenset(instances)
+    return SatisfactionClass(frozenset(i for i in insts if eval_instance(M, i)), insts)
 
 
 @dataclass(frozen=True)
@@ -960,25 +955,17 @@ def tarski_check(
 # Deterministic enumeration and seeded sampling of formulas.
 
 
-def _terms(universe: Universe, var_pool: Sequence[str], cap: Optional[int] = None) -> list[Term]:
-    codes = list(universe.elements)
-    if cap is not None:
-        codes = codes[:cap]
-    return [Const(c) for c in codes] + [Var(v) for v in var_pool]
-
-
 def enumerate_formulas(
     universe: Universe,
     max_size: int,
     var_pool: Sequence[str] = ("x", "y"),
     signature: Optional[Mapping[str, int]] = None,
-    const_cap: Optional[int] = None,
 ) -> list[Formula]:
     """All formulas of size <= max_size over the pool, deterministic order.
 
     Quantifiers bind pool variables without shadowing.
     """
-    terms = _terms(universe, var_pool, const_cap)
+    terms = [Const(c) for c in universe.elements] + [Var(v) for v in var_pool]
     atoms: list[Formula] = []
     for t1 in terms:
         for t2 in terms:
@@ -1020,13 +1007,10 @@ def enumerate_instances(
     M: Structure,
     max_size: int,
     var_pool: Sequence[str] = ("x", "y"),
-    const_cap: Optional[int] = None,
 ) -> list[FormulaInstance]:
     """Every size-bounded formula with every assignment of its free variables."""
     out = []
-    for f in enumerate_formulas(
-        M.universe, max_size, var_pool, M.signature() or None, const_cap
-    ):
+    for f in enumerate_formulas(M.universe, max_size, var_pool, M.signature() or None):
         fv = sorted(free_vars(f))
         if not fv:
             out.append(instance(f, {}))
@@ -1046,7 +1030,6 @@ def random_formula(
     max_size: int,
     var_pool: Sequence[str] = ("x", "y", "z"),
     signature: Optional[Mapping[str, int]] = None,
-    bound_only: bool = False,
 ) -> Formula:
     """Seeded random formula of size <= max_size."""
 
@@ -1071,7 +1054,7 @@ def random_formula(
         return And(gen(left_budget, scope), gen(budget - 1 - left_budget, scope))
 
     def gen_term(scope: tuple[str, ...]) -> Term:
-        vs = scope if bound_only else tuple(dict.fromkeys(tuple(var_pool) + scope))
+        vs = tuple(dict.fromkeys(tuple(var_pool) + scope))
         if vs and rng.random() < 0.5:
             return Var(rng.choice(vs))
         return Const(rng.randrange(universe.size))

@@ -40,6 +40,7 @@ from .logic import (
     Pred,
     SatisfactionClass,
     Structure,
+    TarskiViolation,
     enumerate_formulas,
     eval_instance,
     free_vars,
@@ -188,16 +189,6 @@ def recursion_game(
 # The referee.
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    inst: FormulaInstance
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {print_instance(self.inst)}: {self.detail}"
-
-
 _TRUE, _FALSE = 1, 2
 
 
@@ -261,13 +252,13 @@ class RefereeState:
 
     # -- the checks
 
-    def add(self, inst: FormulaInstance, verdict: bool) -> list[Violation]:
+    def add(self, inst: FormulaInstance, verdict: bool) -> list[TarskiViolation]:
         bit = _TRUE if verdict else _FALSE
         prev = self.marks.get(inst, 0)
         if prev & bit:
             return []
         self._set_mark(inst, bit)
-        out: list[Violation] = []
+        out: list[TarskiViolation] = []
         f = inst.formula
         marks = self.marks
 
@@ -276,7 +267,7 @@ class RefereeState:
                 actual = self.game.eval_atomic(inst)
                 if verdict != actual:
                     out.append(
-                        Violation(
+                        TarskiViolation(
                             "atomic", inst, f"pronounced {verdict}, structure says {actual}"
                         )
                     )
@@ -285,7 +276,7 @@ class RefereeState:
             self._register(self.not_wraps, body, inst)
             if marks.get(body, 0) & bit:
                 out.append(
-                    Violation("negation", inst, "agrees with its own negatum")
+                    TarskiViolation("negation", inst, "agrees with its own negatum")
                 )
         elif isinstance(f, And):
             left, right = self.game.parts(inst)
@@ -299,7 +290,7 @@ class RefereeState:
                 for cand in self.true_by_formula.get(f.body, ()):
                     if _is_instantiation(cand, inst):
                         out.append(
-                            Violation(
+                            TarskiViolation(
                                 "quantifier",
                                 inst,
                                 f"denied but {print_instance(cand)} was affirmed",
@@ -311,7 +302,7 @@ class RefereeState:
         for wrap in self.not_wraps.get(inst, ()):
             if marks.get(wrap, 0) & bit:
                 out.append(
-                    Violation("negation", wrap, "agrees with its own negatum")
+                    TarskiViolation("negation", wrap, "agrees with its own negatum")
                 )
         for wrap in self.and_wraps.get(inst, ()):
             left, right = self.game.parts(wrap)
@@ -321,7 +312,7 @@ class RefereeState:
             for ex in self.exists_false_by_body.get(f, ()):
                 if _is_instantiation(inst, ex):
                     out.append(
-                        Violation(
+                        TarskiViolation(
                             "quantifier",
                             ex,
                             f"denied but {print_instance(inst)} was affirmed",
@@ -331,7 +322,7 @@ class RefereeState:
         else:
             if self.witness_bodies.get(inst):
                 out.append(
-                    Violation(
+                    TarskiViolation(
                         "quantifier", inst, "named witness body later denied"
                     )
                 )
@@ -345,27 +336,27 @@ class RefereeState:
                 x_val = a.get(ob.rule.x_var)
                 if i_val in ob.relation.carrier and x_val in ob.value_domain:
                     out.append(
-                        Violation(
+                        TarskiViolation(
                             "recursion-rule", inst, "recursion obligation denied"
                         )
                     )
         return out
 
-    def _check_conjunction(self, wrap, left, right) -> list[Violation]:
+    def _check_conjunction(self, wrap, left, right) -> list[TarskiViolation]:
         bits = self.marks.get(wrap, 0)
         marks = self.marks
         out = []
         if bits & _TRUE and (marks.get(left, 0) & _FALSE or marks.get(right, 0) & _FALSE):
             out.append(
-                Violation("conjunction", wrap, "affirmed with a denied conjunct")
+                TarskiViolation("conjunction", wrap, "affirmed with a denied conjunct")
             )
         if bits & _FALSE and marks.get(left, 0) & _TRUE and marks.get(right, 0) & _TRUE:
             out.append(
-                Violation("conjunction", wrap, "denied with both conjuncts affirmed")
+                TarskiViolation("conjunction", wrap, "denied with both conjuncts affirmed")
             )
         return out
 
-    def ask(self, teller, clock, inquiry: FormulaInstance) -> list[Violation]:
+    def ask(self, teller, clock, inquiry: FormulaInstance) -> list[TarskiViolation]:
         """Put one inquiry to the teller, record the round and judge it.
 
         The teller sees the rounds so far as ``history``: the live list,
@@ -373,7 +364,7 @@ class RefereeState:
         pron = teller.answer(self.game, inquiry, clock, self.rounds)
         return self.process_round(Round(clock, inquiry, pron))
 
-    def process_round(self, rnd: Round) -> list[Violation]:
+    def process_round(self, rnd: Round) -> list[TarskiViolation]:
         """Check the round's clock, record the round and judge it; returns
         any violations.  A round without an inquiry closes play; it, and
         every round after the teller has lost, is recorded unjudged."""
@@ -390,18 +381,18 @@ class RefereeState:
         if not (pron.verdict and isinstance(inq.formula, Exists)):
             out = self.add(inq, pron.verdict)
         elif pron.witness is None:
-            out = [Violation("quantifier", inq, "affirmed existential without witness")]
+            out = [TarskiViolation("quantifier", inq, "affirmed existential without witness")]
             out += self.add(inq, True)
         elif pron.witness not in self.game.structure.universe:
-            out = [Violation("quantifier", inq, f"witness {pron.witness} not in universe")]
+            out = [TarskiViolation("quantifier", inq, f"witness {pron.witness} not in universe")]
         else:
             body = self.game.witness_body(inq, pron.witness)
             if pron.witness_instance is not None and pron.witness_instance != body:
-                out = [Violation("quantifier", inq, "witness instance mismatches the body")]
+                out = [TarskiViolation("quantifier", inq, "witness instance mismatches the body")]
             else:
                 out = self.add(inq, True)
                 if self.marks.get(body, 0) & _FALSE:
-                    out.append(Violation("quantifier", inq, "witness body already denied"))
+                    out.append(TarskiViolation("quantifier", inq, "witness body already denied"))
                 self._register(self.witness_bodies, body, inq)
                 out += self.add(body, True)
         if out:
@@ -724,6 +715,8 @@ def extract_satisfaction(
     verdicts: dict[FormulaInstance, bool] = {}
     for target in targets:
         budget = clock_budget(target, clock_factor) + extra_clock
+        if budget < 1:
+            raise InvariantError(f"clock budget {budget} below 1 for {print_instance(target)}")
         for lifo in (False, True):
             state = _probe(game, teller, [target], budget, lifo=lifo)
             clash = _merge_marks(merged, state)
@@ -853,7 +846,6 @@ def interrogator_search(
     depth: int,
     budget: Optional[int] = None,
     pool: Optional[Sequence[FormulaInstance]] = None,
-    pool_max_size: int = 4,
     initial_clock: Optional[int] = None,
 ) -> SearchResult:
     """Search adaptive interrogator play to the given depth.
@@ -878,7 +870,7 @@ def interrogator_search(
     the certificate finds a violation or raises, the walk runs as usual.
     """
     if pool is None:
-        pool = default_inquiry_pool(game, pool_max_size)
+        pool = default_inquiry_pool(game)
     pool = list(pool)
     start = initial_clock if initial_clock is not None else depth
     limit = min(depth, start)

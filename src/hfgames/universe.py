@@ -270,10 +270,14 @@ def ordinal_compare(x: Ordinal, y: Ordinal) -> int:
     return x._cmp(y)
 
 
+# A term's parenthesized exponent runs to the term's last ")"; the recursive
+# parse of what lies between rejects it unless it is balanced.
 _ORD_TERM = re.compile(
-    r"w(?:\^(?P<paren>\((?P<inner>[^()]*(?:\([^()]*\)[^()]*)*)\))|\^(?P<nat>\d+))?"
-    r"(?:\*(?P<coeff>\d+))?|(?P<const>\d+)"
+    r"w(?:\^\((?P<inner>.*)\)|\^(?P<nat>\d+))?(?:\*(?P<coeff>\d+))?|(?P<const>\d+)"
 )
+# Exponent towers deeper than this are refused, so that parsing, printing and
+# comparing an ordinal stay within Python's default recursion limit.
+MAX_ORDINAL_NESTING = 100
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -289,6 +293,8 @@ def parse_ordinal(text: str) -> Ordinal:
     for k, ch in enumerate(text):
         if ch == "(":
             depth += 1
+            if depth > MAX_ORDINAL_NESTING:
+                raise ParseError(f"ordinal nested deeper than {MAX_ORDINAL_NESTING} levels", k)
         elif ch == ")":
             depth -= 1
         elif ch == "+" and depth == 0:
@@ -364,41 +370,47 @@ class WellFoundedRelation:
         )
 
 
+def _depth_first(rel: WellFoundedRelation) -> tuple[list, Optional[list]]:
+    """The one walk of a relation: its depth-first post-order and first cycle.
+
+    Roots are taken in ``rel.nodes()`` order and each node's targets in
+    sorted order.  The walk stops at the first edge back into the search
+    path and returns that cycle, from the edge's target to its source, with
+    the post-order so far; on an acyclic relation the cycle is None and
+    every node follows all of its targets in the post-order.
+    """
+    succs: dict = {n: [] for n in rel.carrier}
+    for a, b in rel.edges:
+        succs[a].append(b)
+    for targets in succs.values():
+        targets.sort(key=_node_key)
+    post: list = []
+    # A node on the search path maps to its depth there, a finished one to None.
+    depth: dict = {}
+    for root in rel.nodes():
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [(root, iter(succs[root]))]
+        while stack:
+            node, targets = stack[-1]
+            for b in targets:
+                if b not in depth:
+                    depth[b] = len(stack)
+                    stack.append((b, iter(succs[b])))
+                    break
+                if depth[b] is not None:
+                    return post, [n for n, _ in stack[depth[b]:]]
+            else:
+                stack.pop()
+                depth[node] = None
+                post.append(node)
+    return post, None
+
+
 def find_cycle(rel: WellFoundedRelation) -> Optional[list]:
     """A directed cycle as a node list, or None if the relation is acyclic."""
-    succs: dict = {n: [] for n in rel.carrier}
-    for a, b in sorted(rel.edges, key=lambda e: (_node_key(e[0]), _node_key(e[1]))):
-        succs[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in rel.carrier}
-    parent: dict = {}
-    for start in rel.nodes():
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(succs[start]))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle[:-1]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
+    return _depth_first(rel)[1]
 
 
 def check_wellfounded(rel: WellFoundedRelation) -> bool:
@@ -407,29 +419,13 @@ def check_wellfounded(rel: WellFoundedRelation) -> bool:
 
 
 def topological_order(rel: WellFoundedRelation) -> list:
-    """Nodes with every edge source before its target; deterministic."""
-    cycle = find_cycle(rel)
+    """Nodes with every edge source before its target: the reversed
+    depth-first post-order.  Raises InvariantError on a cycle."""
+    post, cycle = _depth_first(rel)
     if cycle is not None:
-        raise InvariantError(f"relation has a cycle: {cycle}")
-    preds = rel.predecessor_map()
-    remaining = {n: len(ps) for n, ps in preds.items()}
-    succs: dict = {n: [] for n in rel.carrier}
-    for a, b in rel.edges:
-        succs[a].append(b)
-    ready = sorted((n for n, k in remaining.items() if k == 0), key=_node_key)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for b in succs[node]:
-            remaining[b] -= 1
-            if remaining[b] == 0:
-                ready.append(b)
-                changed = True
-        if changed:
-            ready.sort(key=_node_key)
-    return order
+        raise InvariantError(f"relation is not well-founded (cycle {cycle})")
+    post.reverse()
+    return post
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hfgames import suites
 from hfgames.cli import main
 from hfgames.logic import MAX_NESTING
 
@@ -298,3 +299,79 @@ class TestEnvOverrides:
         code, _, err = run(capsys, "verify", "games")
         assert code == 2
         assert "play cap" in err
+
+
+class TestRankBounds:
+    """A rank the command cannot run on is a usage error that names the
+    least rank it can."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "Ax. (x = x)"),
+            ("solve", "choice"),
+            ("solve", "random-clopen"),
+            ("solve", "recursion"),
+            ("play", "--interactive"),
+            ("verify", "games"),
+            ("verify", "all"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_negative_rank_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--rank", "-1")
+        assert code == 2 and out == ""
+        assert "--rank must be at least" in err and "got -1" in err
+
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (("solve", "choice", "--rank", "0"), 1),
+            (("solve", "truthtelling", "--rank", "0"), 1),
+            (("verify", "logic", "--rank", "0"), 1),
+            (("verify", "truthgames", "--rank", "1"), 2),
+            (("verify", "etr", "--rank", "1"), 2),
+            (("verify", "all", "--rank", "0"), 2),
+            (("verify", "all", "--rank", "1"), 2),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_rank_below_least_usage_error(self, capsys, argv, least):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"--rank must be at least {least}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--rank", "0", "Ax. (x = x)"),
+            ("solve", "recursion", "--rank", "0"),
+            ("solve", "truthtelling", "--rank", "1", "--random-interrogators", "2"),
+            ("verify", "logic", "--rank", "1"),
+            ("verify", "games", "--rank", "0"),
+            ("verify", "all", "--rank", "2", "--random-rank", "2"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_least_rank_runs(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+
+class TestClockFactorBound:
+    @pytest.mark.parametrize("factor", ["-5", "0"])
+    def test_clock_factor_below_one_usage_error(self, capsys, monkeypatch, factor):
+        monkeypatch.setenv("HFGAMES_CLOCK_FACTOR", factor)
+        code, out, err = run(capsys, "verify", "truthgames", "--rank", "2")
+        assert code == 2 and out == ""
+        assert f"HFGAMES_CLOCK_FACTOR must be at least 1, got {factor}" in err
+
+    def test_suite_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Unknown suite names stop at argparse; a KeyError from inside a
+        # suite is a fault, not bad input.
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(suites, "run_suite", broken)
+        with pytest.raises(KeyError):
+            main(["verify", "logic"])

@@ -4,7 +4,10 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hfgames import universe
 from hfgames.errors import InvariantError, ResourceBoundError, SignatureError
 from hfgames import suites
 from hfgames.etr import (
@@ -43,6 +46,7 @@ from hfgames.universe import (
     WellOrder,
     build_universe,
     check_wellfounded,
+    find_cycle,
     hf_elements,
     topological_order,
 )
@@ -321,6 +325,57 @@ class TestDescendingTree:
         po = transitive_closure(chain)
         with pytest.raises(ResourceBoundError):
             descending_tree(po, node_budget=10)
+
+
+@st.composite
+def relations(draw):
+    """A relation over int codes or over sequences, with or without cycles."""
+    node = st.integers(0, 30) if draw(st.booleans()) else st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    carrier = draw(st.lists(node, max_size=8, unique=True))
+    if not carrier:
+        return WellFoundedRelation(frozenset(), frozenset())
+    edges = draw(st.sets(st.tuples(st.sampled_from(carrier), st.sampled_from(carrier)), max_size=14))
+    if draw(st.booleans()):
+        # Acyclic: keep only the edges that run forward in the drawn order.
+        index = {n: k for k, n in enumerate(carrier)}
+        edges = {(a, b) for a, b in edges if index[a] < index[b]}
+    return WellFoundedRelation(frozenset(carrier), frozenset(edges))
+
+
+class TestOneWalk:
+    """The cycle check, the topological order, the transitive closure and
+    the descending tree, held to the brute-force oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations())
+    def test_walks_match_oracles(self, rel):
+        reach = reachability_closure(rel)
+        cycle = find_cycle(rel)
+        assert (cycle is None) == all((n, n) not in reach for n in rel.carrier)
+        if cycle is not None:
+            closing = cycle + cycle[:1]
+            assert len(set(cycle)) == len(cycle)
+            assert all(edge in rel.edges for edge in zip(closing, closing[1:]))
+            # etr_solve rejects the cycle before it looks at the carrier.
+            for walk in (topological_order, transitive_closure, lambda r: etr_solve(V3, r, ACCUMULATE)):
+                with pytest.raises(InvariantError, match="not well-founded"):
+                    walk(rel)
+            return
+        order = topological_order(rel)
+        pos = {n: k for k, n in enumerate(order)}
+        assert len(order) == len(pos) == len(rel.carrier) and set(order) == rel.carrier
+        assert all(pos[a] < pos[b] for a, b in rel.edges)
+        po = transitive_closure(rel)
+        assert po.edges == reach
+        assert set(descending_tree(po).carrier) == descending_sequences(po)
+
+    def test_etr_solve_walks_its_relation_once(self, monkeypatch):
+        walked = []
+        walk = universe._depth_first
+        monkeypatch.setattr(universe, "_depth_first", lambda rel: walked.append(rel) or walk(rel))
+        etr_solve(V3, CHAIN, ACCUMULATE)
+        etr_solve(V3, CHAIN, ACCUMULATE, order=[0, 1, 2])
+        assert walked == [CHAIN, CHAIN]
 
 
 class TestKleeneBrouwer:

@@ -56,7 +56,8 @@ ITERATIVE = [
     "_pred_mask",
     "_formula_eq",
 ]
-ITERATIVE_ETR = ["_relativize", "transitive_closure"]
+ITERATIVE_UNIVERSE = ["_depth_first", "find_cycle", "check_wellfounded", "topological_order"]
+ITERATIVE_ETR = ["_relativize", "transitive_closure", "descending_tree"]
 ITERATIVE_TRUTHGAMES = ["interrogator_search", "_futility_certificate", "_line_count"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -101,6 +102,11 @@ def recursive_functions(source: str) -> set[str]:
 def test_formula_functions_do_not_recurse():
     recursive = recursive_functions((PACKAGE / "logic.py").read_text())
     assert recursive.isdisjoint(ITERATIVE), sorted(recursive & set(ITERATIVE))
+
+
+def test_universe_walks_do_not_recurse():
+    recursive = recursive_functions((PACKAGE / "universe.py").read_text())
+    assert recursive.isdisjoint(ITERATIVE_UNIVERSE), sorted(recursive & set(ITERATIVE_UNIVERSE))
 
 
 def test_etr_walks_do_not_recurse():

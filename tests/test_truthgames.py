@@ -12,6 +12,7 @@ from hfgames import truthgames
 from hfgames.errors import (
     CoverageError,
     HFGamesError,
+    InvariantError,
     MalformedTranscriptError,
     NotWinningStrategyError,
     SignatureError,
@@ -285,6 +286,16 @@ class TestExtraction:
         truth = build_truth_predicate(V3, targets)
         assert S.entries == truth.entries
 
+    @pytest.mark.parametrize("factor, extra", [(-5, 0), (2, -10)])
+    def test_clock_budget_below_one_is_typed(self, factor, extra):
+        # A budget below 1 leaves no round for the target itself.
+        game = truth_game(V2)
+        teller = honest_teller(game, V2)
+        with pytest.raises(InvariantError, match="clock budget -?\\d+ below 1"):
+            extract_satisfaction(
+                teller, game, [parse_instance("#0 in #1")], clock_factor=factor, extra_clock=extra
+            )
+
     def test_atomic_liar_aborts(self):
         game = truth_game(V3)
         lie = parse_instance("#0 in #1")
@@ -362,7 +373,7 @@ class TestInterrogatorSearch:
         game = truth_game(V2)
         target = parse_instance("Ex. (x in #1)")
         teller = BadWitnessTeller(honest_teller(game, V2), target)
-        res = interrogator_search(game, teller, depth=2, pool_max_size=4)
+        res = interrogator_search(game, teller, depth=2)
         assert res.plan is not None and len(res.plan.inquiries) <= 2
 
     def test_budget_vs_proven(self):

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgames.errors import InvariantError, ParseError, ResourceBoundError
+from hfgames.logic import Structure
+from hfgames.truthgames import ORDINAL, Round, Transcript, transcript_from_json, transcript_to_json, truth_game
 from hfgames.universe import (
     HFSet,
     Ordinal,
@@ -81,6 +85,32 @@ class TestMember:
         assert HFSet(0) in HFSet(1)
 
 
+def cnf(terms) -> Ordinal:
+    """The ordinal sum of w^e * c over the pairs, merged into normal form."""
+    merged: dict = {}
+    for e, c in terms:
+        merged[e] = merged.get(e, 0) + c
+    return Ordinal(tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True)))
+
+
+ORDINAL_GAME = truth_game(Structure(build_universe(1)), ORDINAL)
+
+
+def transcript_clock_round_trip(clock: Ordinal) -> Ordinal:
+    """The clock of a one-round ordinal-mode transcript after writing and
+    reading it back."""
+    text = transcript_to_json(ORDINAL_GAME, Transcript([Round(clock, None, None)]))
+    return transcript_from_json(ORDINAL_GAME, text).rounds[0].clock
+
+
+# Random ordinals below epsilon_0, exponents nested up to a few levels.
+ORDINALS = st.recursive(
+    st.integers(0, 5).map(Ordinal.from_nat),
+    lambda exps: st.lists(st.tuples(exps, st.integers(1, 4)), min_size=1, max_size=3).map(cnf),
+    max_leaves=12,
+)
+
+
 class TestOrdinals:
     def test_equal_zero(self):
         assert ordinal_compare(Ordinal.zero(), Ordinal.from_nat(0)) == 0
@@ -98,6 +128,22 @@ class TestOrdinals:
     def test_parse_round_trip(self):
         for text in ["0", "5", "w", "w*3", "w+1", "w^2*3+w*2+5", "w^(w+1)+4"]:
             assert str(parse_ordinal(text)) == text
+
+    @pytest.mark.parametrize("height", range(1, 7))
+    def test_exponent_towers_round_trip(self, height):
+        # Height 4, w^(w^(w^(w))), is the first with two parentheses inside
+        # an exponent.
+        tower = Ordinal.omega()
+        for _ in range(height - 1):
+            tower = Ordinal(((tower, 1),))
+        assert parse_ordinal(str(tower)) == tower
+        assert transcript_clock_round_trip(tower) == tower
+
+    @settings(max_examples=100, deadline=None)
+    @given(ORDINALS)
+    def test_random_cnf_round_trips(self, x):
+        assert parse_ordinal(str(x)) == x
+        assert transcript_clock_round_trip(x) == x
 
     def test_malformed_cnf_rejected(self):
         with pytest.raises(InvariantError):
@@ -183,6 +229,14 @@ class TestWellFounded:
         for _ in range(1000):
             subset = rng.sample(nodes, rng.randint(1, len(nodes)))
             assert rel.minimal_elements(subset), subset
+
+    def test_long_chain_walks_without_recursion(self):
+        n = 5000
+        chain = WellFoundedRelation(frozenset(range(n)), frozenset((k, k + 1) for k in range(n - 1)))
+        assert topological_order(chain) == list(range(n))
+        assert find_cycle(chain) is None
+        looped = WellFoundedRelation(chain.carrier, chain.edges | {(n - 1, 0)})
+        assert find_cycle(looped) == list(range(n))
 
     def test_edge_outside_carrier(self):
         with pytest.raises(InvariantError):
