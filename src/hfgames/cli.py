@@ -16,7 +16,13 @@ import sys
 from typing import Optional
 
 from . import etr, games, logic, suites, truthgames
-from .errors import HFGamesError, MalformedTranscriptError, ParseError, ResourceBoundError
+from .errors import (
+    HFGamesError,
+    MalformedTranscriptError,
+    ParseError,
+    ResourceBoundError,
+    SignatureError,
+)
 from .universe import MAX_RANK, WellFoundedRelation, build_universe
 
 EXIT_OK = 0
@@ -52,7 +58,7 @@ _LEAST_RANK = {"choice": 1, "truthtelling": 1, "logic": 1, "truthgames": 2, "etr
 
 
 def _max_rank() -> int:
-    return _env_int("HFGAMES_MAX_RANK", MAX_RANK)
+    return _at_least("HFGAMES_MAX_RANK", _env_int("HFGAMES_MAX_RANK", MAX_RANK), 0)
 
 
 def _parse_pred(spec: str) -> tuple[str, frozenset]:
@@ -74,7 +80,20 @@ def _parse_pred(spec: str) -> tuple[str, frozenset]:
 def _structure(args) -> logic.Structure:
     U = build_universe(args.rank, _max_rank())
     preds = dict(_parse_pred(spec) for spec in (args.pred or []))
-    return logic.Structure(U, preds)
+    try:
+        return logic.Structure(U, preds)
+    except SignatureError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _read_closed(text: str, M: logic.Structure) -> logic.FormulaInstance:
+    """The closed formula the user typed, over M's signature and universe."""
+    f = logic.parse_formula(text, M.signature() or None)
+    free = logic.free_vars(f)
+    if free:
+        raise ParseError(f"formula has free variables {sorted(free)}; bind or substitute them")
+    logic.check_constants(f, M.universe)
+    return logic.instance(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +102,8 @@ def _structure(args) -> logic.Structure:
 
 def cmd_eval(args) -> int:
     M = _structure(args)
-    f = logic.parse_formula(args.formula, M.signature() or None)
-    free = logic.free_vars(f)
-    if free:
-        raise ParseError(f"formula has free variables {sorted(free)}; bind or substitute them")
-    inst = logic.instance(f, {})
+    inst = _read_closed(args.formula, M)
+    f = inst.formula
     verdict = logic.eval_instance(M, inst)
     witness: Optional[int] = None
     if verdict and isinstance(f, logic.Exists):
@@ -257,7 +273,6 @@ def cmd_play(args) -> int:
 
 def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
     err = sys.stderr
-    sig = game.structure.signature() or None
     state = truthgames.RefereeState(game)
     print(f"You are the interrogator; the clock starts at {clock}.", file=err)
     print("Type a closed formula per turn (empty line or 'quit' to stop).", file=err)
@@ -270,7 +285,7 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
         if not line or line == "quit":
             break
         try:
-            inquiry = logic.parse_instance(line, sig)
+            inquiry = _read_closed(line, game.structure)
         except HFGamesError as exc:
             print(f"  ! {exc}", file=err)
             continue
@@ -295,9 +310,11 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
 
 
 def cmd_verify(args) -> int:
+    random_rank = max(args.rank, args.random_rank)
+    build_universe(random_rank, _max_rank())  # both ranks within HFGAMES_MAX_RANK
     cfg = suites.RunConfig(
         universe_rank=args.rank,
-        random_rank=max(args.rank, args.random_rank),
+        random_rank=random_rank,
         play_cap=_play_cap(_env_int("HFGAMES_PLAY_CAP", args.cap)),
         clock_budget_factor=_at_least("HFGAMES_CLOCK_FACTOR", _env_int("HFGAMES_CLOCK_FACTOR", 2), 1),
         seed=args.seed,

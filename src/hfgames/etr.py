@@ -74,8 +74,8 @@ class RecursionRule:
                 )
 
     @staticmethod
-    def parse(text: str, x_var: str = "x", i_var: str = "i") -> "RecursionRule":
-        return RecursionRule(parse_formula(text), x_var, i_var)
+    def parse(text: str) -> "RecursionRule":
+        return RecursionRule(parse_formula(text))
 
     def relativized(self) -> Formula:
         """F(j, y) becomes (F(j, y) & (j <| i)): the slice-i restriction."""
@@ -137,8 +137,19 @@ class Solution:
         lines = sorted(f"{i} {x}" for i, x in self.pairs)
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def __len__(self):
-        return len(self.pairs)
+
+def recursion_domain(
+    M: Structure, rel: WellFoundedRelation, value_domain: Optional[Sequence[int]]
+) -> list[int]:
+    """The values a recursion ranges over (default: the whole universe),
+    after checking that they and the relation's carrier are universe codes."""
+    domain = list(M.universe.elements if value_domain is None else value_domain)
+    checked = () if value_domain is None else domain
+    for what, codes in (("carrier element", rel.carrier), ("value", checked)):
+        for c in codes:
+            if not isinstance(c, int) or c not in M.universe:
+                raise SignatureError(f"{what} {c!r} is not a universe element")
+    return domain
 
 
 def _recursion_structure(M: Structure, rel: WellFoundedRelation) -> Structure:
@@ -173,10 +184,7 @@ def etr_solve(
     (defaults to the whole universe).
     """
     topo = topological_order(rel)
-    for i in rel.carrier:
-        if not isinstance(i, int) or i not in M.universe:
-            raise SignatureError(f"carrier element {i!r} is not a universe element")
-    domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
+    domain = recursion_domain(M, rel, value_domain)
     Mr = _recursion_structure(M, rel)
     preds = rel.predecessor_map()
     if order is None:
@@ -201,7 +209,7 @@ def check_solution(
     value_domain: Optional[Sequence[int]] = None,
 ) -> bool:
     """True iff every slice equation F_b = {x : phi(x, b, F|b)} holds exactly."""
-    domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
+    domain = recursion_domain(M, rel, value_domain)
     Mr = _recursion_structure(M, rel)
     preds = rel.predecessor_map()
     for b in rel.carrier:
@@ -240,17 +248,13 @@ def descending_tree(
     Nodes are tuples (the empty sequence is the root); (s, t) is an edge
     when s properly extends t, so longer sequences come earlier.
     """
-    below: dict = {n: [] for n in po.carrier}
-    for a, b in po.edges:
-        below[b].append(a)
-    for n in below:
-        below[n].sort()
+    below = po.predecessor_map()
     nodes: list[tuple] = [()]
     # The loop reads the nodes it appends: breadth-first order.
     for s in nodes:
         if len(nodes) > node_budget:
             raise ResourceBoundError(f"descending tree exceeds node budget {node_budget}")
-        nodes.extend([s + (a,) for a in (below[s[-1]] if s else sorted(po.carrier))])
+        nodes.extend([s + (a,) for a in (below[s[-1]] if s else po.nodes())])
     edges = set()
     for s in nodes:
         for k in range(len(s)):
@@ -327,7 +331,7 @@ def _sequence_solve(
     a node before the node itself, so each node's collapsed pairs are
     complete, accumulated from its children, when its turn comes.
     """
-    domain = list(value_domain) if value_domain is not None else list(M.universe.elements)
+    domain = recursion_domain(M, rel, value_domain)
     M2 = _recursion_structure(M.with_predicate(DIRECT_SYMBOL, rel.edges), rel)
     rule2 = guarded_rule(rule, DIRECT_SYMBOL)
     below: dict = {}
@@ -386,6 +390,8 @@ def _project_singletons(slices: dict, rel: WellFoundedRelation) -> Solution:
 # ---------------------------------------------------------------------------
 # Iterated truth predicates along a finite well-order.
 
+TRUTH_SYMBOL = "T"
+
 
 @dataclass(frozen=True)
 class IteratedTruthPredicate:
@@ -396,13 +402,6 @@ class IteratedTruthPredicate:
     slices: Mapping
     closure: tuple
     coding: Mapping[int, FormulaInstance]
-    truth_symbol: str = "T"
-
-    @property
-    def pairs(self) -> frozenset:
-        return frozenset(
-            (i, inst) for i in self.order for inst in self.slices[i].entries
-        )
 
     def slice(self, i) -> SatisfactionClass:
         return self.slices[i]
@@ -420,7 +419,7 @@ class IteratedTruthPredicate:
 
     def structure_at(self, base: Structure, i) -> Structure:
         """The stage-i structure: base extended by the earlier slices."""
-        return base.with_predicate(self.truth_symbol, self.truth_relation_before(i))
+        return base.with_predicate(TRUTH_SYMBOL, self.truth_relation_before(i))
 
 
 def iterated_truth(
@@ -429,12 +428,11 @@ def iterated_truth(
     Z: Optional[Mapping[str, Iterable]] = None,
     closure: Sequence[FormulaInstance] = (),
     coding: Optional[Mapping[int, FormulaInstance]] = None,
-    truth_symbol: str = "T",
 ) -> IteratedTruthPredicate:
     """Build truth slices stage by stage along the well-order.
 
     The object language sees the earlier stages through the binary symbol
-    ``truth_symbol``: T(j, c) holds when stage j marked true the instance
+    ``T``: T(j, c) holds when stage j marked true the instance
     that the (declared, finite) coding assigns to universe element c.  The
     evaluator decides each instance outright, so the inner omega of the
     recursion (formula size) needs no pass of its own.
@@ -452,14 +450,14 @@ def iterated_truth(
             raise SignatureError(f"stage index {i!r} is not a universe element")
     carrier = set(order.elements)
     for inst in closure:
-        for atom in _pred_atoms(inst.formula, truth_symbol):
+        for atom in _pred_atoms(inst.formula, TRUTH_SYMBOL):
             first = atom.args[0]
             if hasattr(first, "code") and first.code not in carrier:
                 raise SignatureError(
                     f"closure references stage {first.code} outside the well-order"
                 )
     slices: dict = {}
-    it = IteratedTruthPredicate(order, slices, tuple(closure), coding, truth_symbol)
+    it = IteratedTruthPredicate(order, slices, tuple(closure), coding)
     for i in order:
         slices[i] = build_truth_predicate(it.structure_at(base, i), closure)
     return it

@@ -192,7 +192,6 @@ class Exists(_FormulaNode):
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
 
 ATOMIC_KINDS = (Member, Eq, Pred)
-_FORMULA_KINDS = frozenset((Member, Eq, Pred, Not, And, Exists))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -211,24 +210,19 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.append(g.left)
 
 
+def _terms(g: Formula) -> tuple[Term, ...]:
+    """The terms of an atom, left to right."""
+    return g.args if type(g) is Pred else (g.left, g.right)
+
+
 def size(f: Formula) -> int:
     """Node count over the whole AST, term nodes included."""
     n = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is Not or t is Exists:
+    for g in subformulas(f):
+        if type(g) in (Not, And, Exists):
             n += 1
-            stack.append(g.body)
-        elif t is And:
-            n += 1
-            stack.append(g.left)
-            stack.append(g.right)
-        elif t is Member or t is Eq:
-            n += 3
-        elif t is Pred:
-            n += 1 + len(g.args)
+        elif type(g) in ATOMIC_KINDS:
+            n += 1 + len(_terms(g))
         else:
             raise TypeError(f"not a formula: {g!r}")
     return n
@@ -249,10 +243,15 @@ def _ends_in_quantifier(f: Formula) -> bool:
     return isinstance(f, Exists)
 
 
-def to_text(f: Formula) -> str:
-    """Canonical core-connective rendering; parse(to_text(f)) == f."""
+class _Rebind(tuple):
+    """(var, code): a binding an Exists hid, to give back after its body."""
+
+
+def _render(f: Formula, env: dict) -> str:
+    """Text of f with each free variable that env binds shown as its constant;
+    an Exists hides its variable from env in its body."""
     out = []
-    stack: list = [f]  # formulas still to render, and text to follow them
+    stack: list = [f]  # formulas, text to follow them, and _Rebinds
     while stack:
         g = stack.pop()
         t = type(g)
@@ -270,56 +269,37 @@ def to_text(f: Formula) -> str:
                 stack += [")", g.right, " & ", g.left]
         elif t is Exists:
             out.append(f"E{g.var}. ")
+            if g.var in env:
+                stack.append(_Rebind((g.var, env.pop(g.var))))
             stack.append(g.body)
-        elif t is Member:
-            out.append(f"({g.left} in {g.right})")
-        elif t is Eq:
-            out.append(f"({g.left} = {g.right})")
-        elif t is Pred:
-            if g.name == EDGE_SYMBOL:
-                out.append(f"({g.args[0]} <| {g.args[1]})")
-            else:
-                out.append(f"{g.name}({', '.join(str(a) for a in g.args)})")
+        elif t is _Rebind:
+            env[g[0]] = g[1]
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            if env and t in ATOMIC_KINDS and not g._fv.isdisjoint(env):
+                g = _ground(g, env)
+            if t is Member:
+                out.append(f"({g.left} in {g.right})")
+            elif t is Eq:
+                out.append(f"({g.left} = {g.right})")
+            elif t is Pred:
+                if g.name == EDGE_SYMBOL:
+                    out.append(f"({g.args[0]} <| {g.args[1]})")
+                else:
+                    out.append(f"{g.name}({', '.join(str(a) for a in g.args)})")
+            else:
+                raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
 
 
-def subst_closed(f: Formula, assignment: Mapping[str, int]) -> Formula:
-    """Replace free variables by constants per the assignment."""
-    def sub_term(t: Term) -> Term:
-        return Const(a[t.name]) if type(t) is Var and t.name in a else t
+def _ground(g: Formula, env: Mapping[str, int]) -> Formula:
+    """The atom g with each variable that env binds replaced by its constant."""
+    terms = [Const(env[a.name]) if type(a) is Var and a.name in env else a for a in _terms(g)]
+    return Pred(g.name, tuple(terms)) if type(g) is Pred else type(g)(*terms)
 
-    done: list[Formula] = []
-    # (g, a): substitute a into g; (g, None): rebuild g from its parts in done.
-    stack: list = [(f, assignment)]
-    while stack:
-        g, a = stack.pop()
-        t = type(g)
-        if a is None:
-            if t is And:
-                right = done.pop()
-                done.append(And(done.pop(), right))
-            elif t is Not:
-                done.append(Not(done.pop()))
-            else:
-                done.append(Exists(g.var, done.pop()))
-        elif t not in _FORMULA_KINDS:
-            raise TypeError(f"not a formula: {g!r}")
-        elif g._fv.isdisjoint(a):
-            done.append(g)
-        elif t is Member or t is Eq:
-            done.append(t(sub_term(g.left), sub_term(g.right)))
-        elif t is Pred:
-            done.append(Pred(g.name, tuple(sub_term(x) for x in g.args)))
-        elif t is And:
-            stack += [(g, None), (g.right, a), (g.left, a)]
-        else:
-            stack.append((g, None))
-            if t is Exists and g.var in a:
-                a = {k: v for k, v in a.items() if k != g.var}
-            stack.append((g.body, a))
-    return done[0]
+
+def to_text(f: Formula) -> str:
+    """Canonical core-connective rendering; parse(to_text(f)) == f."""
+    return _render(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +520,14 @@ def parse_formula(text: str, signature: Optional[Mapping[str, int]] = None) -> F
     return _Parser(text, signature).parse()
 
 
+def check_constants(f: Formula, universe: Universe) -> None:
+    """Refuse, as a ParseError, a formula naming a code outside the universe."""
+    for g in subformulas(f):
+        for t in _terms(g) if isinstance(g, ATOMIC_KINDS) else ():
+            if type(t) is Const and t.code not in universe:
+                raise ParseError(f"constant #{t.code} outside the universe")
+
+
 # ---------------------------------------------------------------------------
 # Instances, structures, evaluation.
 
@@ -585,8 +573,8 @@ def parse_instance(text: str, signature: Optional[Mapping[str, int]] = None) -> 
 
 
 def print_instance(inst: FormulaInstance) -> str:
-    """Closed rendering with the assignment substituted as constants."""
-    return to_text(subst_closed(inst.formula, inst.assignment))
+    """The formula's text with each free variable shown as its constant."""
+    return _render(inst.formula, inst.assignment)
 
 
 def sub_instance(inst: FormulaInstance, sub: Formula) -> FormulaInstance:
@@ -817,22 +805,12 @@ def skolem_witness(M: Structure, inst: FormulaInstance) -> int:
 def satisfiers(
     M: Structure, f: Formula, var: str, env: Mapping[str, int], codes: Iterable[int]
 ) -> frozenset[int]:
-    """The codes c among ``codes`` for which f holds under env with var = c.
-
-    Codes of the universe are decided together, as one mask over var.
-    """
-    size = M.universe.size
-    inside = bytearray((size + 7) // 8)
-    outside = []
+    """The codes c among ``codes``, all of them universe codes, for which f
+    holds under env with var = c, decided together as one mask over var."""
+    care = bytearray((M.universe.size + 7) // 8)
     for c in codes:
-        if 0 <= c < size:
-            inside[c >> 3] |= 1 << (c & 7)
-        else:
-            outside.append(c)
-    care = int.from_bytes(inside, "little")
-    found = set(_bits(_mask(M, f, var, dict(env), care)))
-    found.update(c for c in outside if _mask(M, f, None, {**env, var: c}, 1))
-    return frozenset(found)
+        care[c >> 3] |= 1 << (c & 7)
+    return frozenset(_bits(_mask(M, f, var, dict(env), int.from_bytes(care, "little"))))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,14 +981,11 @@ def enumerate_formulas(
     return out
 
 
-def enumerate_instances(
-    M: Structure,
-    max_size: int,
-    var_pool: Sequence[str] = ("x", "y"),
-) -> list[FormulaInstance]:
-    """Every size-bounded formula with every assignment of its free variables."""
+def enumerate_instances(M: Structure, max_size: int) -> list[FormulaInstance]:
+    """Every size-bounded formula over x and y with every assignment of its
+    free variables."""
     out = []
-    for f in enumerate_formulas(M.universe, max_size, var_pool, M.signature() or None):
+    for f in enumerate_formulas(M.universe, max_size, signature=M.signature() or None):
         fv = sorted(free_vars(f))
         if not fv:
             out.append(instance(f, {}))
@@ -1028,10 +1003,10 @@ def random_formula(
     rng,
     universe: Universe,
     max_size: int,
-    var_pool: Sequence[str] = ("x", "y", "z"),
     signature: Optional[Mapping[str, int]] = None,
 ) -> Formula:
-    """Seeded random formula of size <= max_size."""
+    """Seeded random formula of size <= max_size over x, y and z."""
+    variables = ("x", "y", "z")
 
     def gen(budget: int, scope: tuple[str, ...]) -> Formula:
         choices = ["atom"]
@@ -1041,44 +1016,38 @@ def random_formula(
             choices += ["and", "and"]
         kind = rng.choice(choices)
         if kind == "atom":
-            return gen_atom(scope)
+            return gen_atom()
         if kind == "not":
             return Not(gen(budget - 1, scope))
         if kind == "exists":
-            unused = [v for v in var_pool if v not in scope]
+            unused = [v for v in variables if v not in scope]
             if not unused:
-                return gen_atom(scope)
+                return gen_atom()
             v = rng.choice(unused)
             return Exists(v, gen(budget - 1, scope + (v,)))
         left_budget = rng.randint(3, budget - 4)
         return And(gen(left_budget, scope), gen(budget - 1 - left_budget, scope))
 
-    def gen_term(scope: tuple[str, ...]) -> Term:
-        vs = tuple(dict.fromkeys(tuple(var_pool) + scope))
-        if vs and rng.random() < 0.5:
-            return Var(rng.choice(vs))
+    def gen_term() -> Term:
+        if rng.random() < 0.5:
+            return Var(rng.choice(variables))
         return Const(rng.randrange(universe.size))
 
-    def gen_atom(scope: tuple[str, ...]) -> Formula:
+    def gen_atom() -> Formula:
         names = sorted(signature) if signature else []
         kinds = ["in", "eq"] + (["pred"] if names else [])
         k = rng.choice(kinds)
         if k == "pred":
             name = rng.choice(names)
             arity = signature[name]
-            return Pred(name, tuple(gen_term(scope) for _ in range(arity)))
-        t1, t2 = gen_term(scope), gen_term(scope)
+            return Pred(name, tuple(gen_term() for _ in range(arity)))
+        t1, t2 = gen_term(), gen_term()
         return Member(t1, t2) if k == "in" else Eq(t1, t2)
 
     return gen(max(3, max_size), ())
 
 
-def random_instance(
-    rng,
-    M: Structure,
-    max_size: int,
-    var_pool: Sequence[str] = ("x", "y", "z"),
-) -> FormulaInstance:
-    f = random_formula(rng, M.universe, max_size, var_pool, M.signature() or None)
+def random_instance(rng, M: Structure, max_size: int) -> FormulaInstance:
+    f = random_formula(rng, M.universe, max_size, M.signature() or None)
     assignment = {v: rng.randrange(M.universe.size) for v in sorted(free_vars(f))}
     return instance(f, assignment)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from . import etr, games, logic, oracles, truthgames
@@ -43,16 +43,6 @@ class RunConfig:
     def rng(self, label: str) -> random.Random:
         # Seeding from a string is deterministic across processes.
         return random.Random(f"{self.seed}:{label}")
-
-    def as_dict(self) -> dict:
-        return {
-            "universe_rank": self.universe_rank,
-            "random_rank": self.random_rank,
-            "play_cap": self.play_cap,
-            "clock_budget_factor": self.clock_budget_factor,
-            "seed": self.seed,
-            "node_budget": self.node_budget,
-        }
 
 
 @dataclass
@@ -96,16 +86,7 @@ class Report:
             "run": self.run,
             "passed": self.passed,
             "failed": self.failed,
-            "cases": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                    "witness": c.witness,
-                    "resource_bound": c.resource_bound,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -141,7 +122,7 @@ def _case(report: Report, name: str, fn: Callable[[], tuple[bool, str, Optional[
 
 def suite_logic(cfg: RunConfig) -> Report:
     started = time.monotonic()
-    report = Report("logic", cfg.as_dict())
+    report = Report("logic", asdict(cfg))
     U = build_universe(cfg.universe_rank)
     M = logic.Structure(U)
 
@@ -242,7 +223,7 @@ def _buggy_label_clopen(G: games.Game):
 
 def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
     started = time.monotonic()
-    report = Report("games", cfg.as_dict())
+    report = Report("games", asdict(cfg))
 
     def solver_agreement():
         rng = cfg.rng("games.agreement")
@@ -277,13 +258,13 @@ def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
             root = games.game_value(g)
             if root is None:
                 continue
+            _, s = games.value_strategy(g)
             p: tuple = ()
             current = root
             guard = 0
             while g.decide(p) is None and len(p) < g.play_cap and guard < 64:
                 guard += 1
                 if games.turn(p) == g.open_player:
-                    _, s = games.value_strategy(g)
                     if p not in s.table:
                         break
                     p = p + (s.table[p],)
@@ -352,7 +333,7 @@ def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
 
 def suite_truthgames(cfg: RunConfig) -> Report:
     started = time.monotonic()
-    report = Report("truthgames", cfg.as_dict())
+    report = Report("truthgames", asdict(cfg))
     U = build_universe(cfg.universe_rank)
     M = logic.Structure(U)
     game = truthgames.truth_game(M)
@@ -456,7 +437,7 @@ def _random_recursion_instance(rng: random.Random, U: Universe):
 
 def suite_etr(cfg: RunConfig) -> Report:
     started = time.monotonic()
-    report = Report("etr", cfg.as_dict())
+    report = Report("etr", asdict(cfg))
     U = build_universe(cfg.universe_rank)
     M = logic.Structure(U)
 

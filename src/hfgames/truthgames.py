@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     SignatureError,
 )
-from .etr import RecursionRule, Solution, check_solution
+from .etr import RecursionRule, Solution, check_solution, recursion_domain
 from .logic import (
     ATOMIC_KINDS,
     And,
@@ -41,6 +41,7 @@ from .logic import (
     SatisfactionClass,
     Structure,
     TarskiViolation,
+    check_constants,
     enumerate_formulas,
     eval_instance,
     free_vars,
@@ -163,24 +164,17 @@ def truth_game(M: Structure, clock_mode: str = NATURAL) -> TruthGame:
 def recursion_game(
     M: Structure,
     rel: WellFoundedRelation,
-    rule: Union[RecursionRule, Formula, str],
+    rule: RecursionRule,
     clock_mode: str = NATURAL,
     value_domain: Optional[Sequence[int]] = None,
 ) -> TruthGame:
     """Truth game whose referee additionally enforces the recursion rule
     F(i,x) <-> phi(x,i,F|i) on carrier indices."""
-    if isinstance(rule, str):
-        rule = RecursionRule.parse(rule)
-    elif not isinstance(rule, RecursionRule):
-        rule = RecursionRule(rule)
-    for i in rel.carrier:
-        if not isinstance(i, int) or i not in M.universe:
-            raise SignatureError(f"carrier element {i!r} is not a universe element")
+    domain = tuple(recursion_domain(M, rel, value_domain))
     if rule.f_symbol in M.predicates:
         raise SignatureError(
             f"{rule.f_symbol} is the teller's predicate; the structure may not fix it"
         )
-    domain = tuple(value_domain) if value_domain is not None else tuple(M.universe.elements)
     M2 = M.with_predicate(EDGE_SYMBOL, rel.edges)
     return TruthGame(M2, clock_mode, RecursionObligation(rel, rule, domain))
 
@@ -505,11 +499,11 @@ class HonestTeller:
         cached = self._cache.get(inquiry)
         if cached is not None:
             return cached
-        pron = self._answer(inquiry)
+        pron = self._answer(game, inquiry)
         self._cache[inquiry] = pron
         return pron
 
-    def _answer(self, inquiry: FormulaInstance) -> Pronouncement:
+    def _answer(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
         if isinstance(self.source, Structure):
             if not isinstance(inquiry.formula, Exists):
                 return Pronouncement(eval_instance(self.source, inquiry))
@@ -517,7 +511,7 @@ class HonestTeller:
                 w = skolem_witness(self.source, inquiry)
             except NoWitnessError:
                 return Pronouncement(False)
-            return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
+            return Pronouncement(True, w, game.witness_body(inquiry, w))
         verdict = self.source.verdict(inquiry)
         if verdict is None:
             raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
@@ -531,9 +525,9 @@ class HonestTeller:
                 ]
                 if candidates:
                     w = min(candidates)
-                    return Pronouncement(True, w, instantiate(inquiry, f.var, w))
+                    return Pronouncement(True, w, game.witness_body(inquiry, w))
             else:
-                body = sub_instance(inquiry, f.body)
+                body = game.witness_body(inquiry, 0)
                 if self.source.holds(body):
                     # Vacuous binder: any element witnesses; take the least.
                     return Pronouncement(True, 0, body)
@@ -596,7 +590,7 @@ class RandomInterrogator:
         for rnd in transcript.rounds:
             if rnd.inquiry is None:
                 continue
-            derived.extend(_unfold(rnd.inquiry, rnd.pronouncement))
+            derived.extend(_unfold(game, rnd.inquiry, rnd.pronouncement))
             derived.append(instance(Not(rnd.inquiry.formula), rnd.inquiry.assignment))
         if derived and self.rng.random() < 0.6:
             return clock, self.rng.choice(derived)
@@ -621,19 +615,19 @@ def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
     return transcript
 
 
-def _unfold(inquiry: FormulaInstance, pron: Pronouncement) -> list[FormulaInstance]:
+def _unfold(
+    game: TruthGame, inquiry: FormulaInstance, pron: Optional[Pronouncement]
+) -> tuple[FormulaInstance, ...]:
     """Immediate follow-up inquiries exposing the pronouncement's commitments."""
     f = inquiry.formula
-    if isinstance(f, Not):
-        return [sub_instance(inquiry, f.body)]
-    if isinstance(f, And):
-        return [sub_instance(inquiry, f.left), sub_instance(inquiry, f.right)]
+    if isinstance(f, (Not, And)):
+        return game.parts(inquiry)
     if isinstance(f, Exists) and pron is not None and pron.verdict:
         if pron.witness_instance is not None:
-            return [pron.witness_instance]
+            return (pron.witness_instance,)
         if pron.witness is not None:
-            return [instantiate(inquiry, f.var, pron.witness)]
-    return []
+            return (game.witness_body(inquiry, pron.witness),)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +657,7 @@ def _probe(
             raise NotWinningStrategyError(
                 f"teller lost a probe at {print_instance(inquiry)}: {violations[0]}"
             )
-        queue.extend(_unfold(inquiry, state.rounds[-1].pronouncement))
+        queue.extend(_unfold(game, inquiry, state.rounds[-1].pronouncement))
     return state
 
 
@@ -704,7 +698,7 @@ def extract_satisfaction(
             teller,
             depth=2,
             budget=presearch_budget,
-            pool=_presearch_pool(targets),
+            pool=_presearch_pool(game, targets),
         )
         if found.plan is not None:
             raise NotWinningStrategyError(
@@ -736,12 +730,12 @@ def extract_satisfaction(
     return result
 
 
-def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:
+def _presearch_pool(game: TruthGame, targets: Sequence[FormulaInstance]) -> list:
     cap = 120
     pool: list[FormulaInstance] = []
     seen = set()
     for t in targets:
-        for cand in (t, *_unfold(t, Pronouncement(False))):
+        for cand in (t, *_unfold(game, t, Pronouncement(False))):
             if cand not in seen:
                 seen.add(cand)
                 pool.append(cand)
@@ -1079,9 +1073,10 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
         f = parse_formula(text, sig)
         if free_vars(f):
             raise ParseError(f"round {k} asks about a formula with free variables")
+        check_constants(f, game.structure.universe)
         inquiry = instance(f, {})
         witness_inst = None
         if witness is not None and isinstance(f, Exists):
-            witness_inst = instantiate(inquiry, f.var, witness)
+            witness_inst = game.witness_body(inquiry, witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

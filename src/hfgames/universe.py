@@ -442,10 +442,6 @@ class WellOrder:
             self, "_index", {e: i for i, e in enumerate(self.elements)}
         )
 
-    @property
-    def carrier(self) -> frozenset:
-        return frozenset(self.elements)
-
     def index(self, a) -> int:
         return self._index[a]
 

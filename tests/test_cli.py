@@ -375,3 +375,59 @@ class TestClockFactorBound:
         monkeypatch.setattr(suites, "run_suite", broken)
         with pytest.raises(KeyError):
             main(["verify", "logic"])
+
+
+class TestOutsideTheUniverse:
+    """Codes outside V_rank in the input, and a maximum rank below 0 or below
+    the ranks asked for, are refused before anything is evaluated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--rank", "1", "#9 = #9"),
+            ("eval", "--rank", "1", "--pred", "Z=99", "#0 = #0"),
+            ("eval", "--rank", "2", "--pred", "Z=0;0,1", "#0 = #0"),
+        ],
+        ids=["constant", "pred-tuple", "pred-arities"],
+    )
+    def test_input_outside_the_universe_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "universe" in err or "arities" in err
+        assert "Traceback" not in err
+
+    def test_replay_asking_outside_the_universe_usage_error(self, capsys, tmp_path):
+        doc = {"rounds": [{"clock": 1, "inquiry": "(#7 in #9)", "verdict": False}, {"clock": 0}]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "play", "--replay", str(path), "--rank", "2")
+        assert code == 2 and out == ""
+        assert "constant #7 outside the universe" in err
+
+    def test_interactive_line_outside_the_universe_reprompts(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("#7 in #9\n(#0 in #1)\n"))
+        code, out, err = run(capsys, "play", "--interactive", "--rank", "2", "--clock", "1")
+        assert code == 0
+        assert "  ! constant #7 outside the universe" in err
+        doc = json.loads(out)
+        assert doc["status"] == "teller_wins"
+        assert [r.get("inquiry") for r in doc["rounds"]] == ["(#0 in #1)", None]
+
+    def test_negative_max_rank_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HFGAMES_MAX_RANK", "-5")
+        code, out, err = run(capsys, "eval", "--rank", "1", "#0 = #0")
+        assert code == 2 and out == ""
+        assert "HFGAMES_MAX_RANK must be at least 0, got -5" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--rank", "2", "--random-rank", "3"), ("--rank", "1", "--random-rank", "1")],
+        ids=["random-rank", "rank"],
+    )
+    def test_verify_heeds_max_rank(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("HFGAMES_MAX_RANK", "0")
+        code, out, err = run(capsys, "verify", "logic", *argv)
+        assert code == 3 and out == ""
+        assert "exceeds configured maximum 0" in err

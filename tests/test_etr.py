@@ -51,6 +51,7 @@ from hfgames.universe import (
     topological_order,
 )
 
+from hfgames.truthgames import recursion_game
 from hfgames.oracles import (
     descending_sequences,
     kb_less,
@@ -216,6 +217,31 @@ def reversed_topo(rel):
         ready.sort(reverse=True)
 
 
+class TestUniverseCodes:
+    """Carrier elements and values are codes of the universe, checked before
+    any slice is computed."""
+
+    V2 = Structure(build_universe(2))
+    RULE = RecursionRule.parse("x = x")
+    ANTICHAIN = WellFoundedRelation(frozenset({0, 1}), frozenset())
+    EDGE = WellFoundedRelation(frozenset({0, 1}), frozenset({(0, 1)}))
+
+    @pytest.mark.parametrize("rel", [ANTICHAIN, EDGE], ids=["antichain", "edge"])
+    def test_value_outside_the_universe(self, rel):
+        domain = [0, 1, 7]
+        with pytest.raises(SignatureError, match="value 7 is not a universe element"):
+            etr_solve(self.V2, rel, self.RULE, value_domain=domain)
+        with pytest.raises(SignatureError, match="value 7 is not a universe element"):
+            check_solution(self.V2, rel, self.RULE, Solution(frozenset()), value_domain=domain)
+        with pytest.raises(SignatureError, match="value 7 is not a universe element"):
+            recursion_game(self.V2, rel, self.RULE, value_domain=domain)
+
+    def test_carrier_outside_the_universe(self):
+        rel = WellFoundedRelation(frozenset({0, 9}), frozenset())
+        with pytest.raises(SignatureError, match="carrier element 9"):
+            check_solution(self.V2, rel, self.RULE, Solution(frozenset()))
+
+
 class TestCheckSolution:
     def test_rejects_missing_pair(self):
         sol = etr_solve(V3, CHAIN, ACCUMULATE)
@@ -316,6 +342,21 @@ class TestDescendingTree:
             po = transitive_closure(rel)
             tree = descending_tree(po)
             assert set(tree.carrier) == descending_sequences(po)
+
+    def test_mixed_carrier(self):
+        po = WellFoundedRelation(frozenset({1, (2,)}), frozenset())
+        assert set(descending_tree(po).carrier) == {(), (1,), ((2,),)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mixed_carriers_match_definition(self, data):
+        node = st.one_of(st.integers(0, 9), st.lists(st.integers(0, 3), max_size=2).map(tuple))
+        carrier = data.draw(st.lists(node, min_size=1, max_size=6, unique=True))
+        pairs = st.tuples(st.integers(0, len(carrier) - 1), st.integers(0, len(carrier) - 1))
+        # Edges run forward in the drawn order, so the relation is acyclic.
+        edges = {(carrier[a], carrier[b]) for a, b in data.draw(st.sets(pairs, max_size=10)) if a < b}
+        po = WellFoundedRelation(frozenset(carrier), frozenset(edges))
+        assert set(descending_tree(po).carrier) == descending_sequences(po)
 
     def test_node_budget(self):
         nodes = frozenset(range(12))

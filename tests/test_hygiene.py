@@ -47,7 +47,7 @@ ITERATIVE = [
     "size",
     "free_vars",
     "to_text",
-    "subst_closed",
+    "_render",
     "eval_formula",
     "eval_instance",
     "skolem_witness",
@@ -130,6 +130,17 @@ def test_referee_clock_reads_no_history():
     methods = {n.name: n for n in referee.body if isinstance(n, FUNCTIONS)}
     for name in ("status", "_check_clock"):
         assert [type(n).__name__ for n in ast.walk(methods[name]) if isinstance(n, LOOPS)] == [], name
+
+
+def test_truthgames_derives_follow_ups_only_in_the_game():
+    """TruthGame.parts and TruthGame.witness_body are the only places that
+    build a sub-instance or a witness body; drivers and tellers ask them."""
+    tree = ast.parse((PACKAGE / "truthgames.py").read_text())
+    (game,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TruthGame"]
+    inside = {id(n) for n in ast.walk(game)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and id(n) not in inside]
+    names = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n.lineno) for n in calls]
+    assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate")] == []
 
 
 def test_games_module_does_not_recurse():

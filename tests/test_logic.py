@@ -44,7 +44,6 @@ from hfgames.logic import (
     skolem_witness,
     sub_instance,
     subformulas,
-    subst_closed,
     tarski_check,
     to_text,
 )
@@ -182,8 +181,8 @@ class TestSizeAndVars:
         assert to_text(f) == "Ex. " + "!" * 3000 + "(x in #1)"
         assert size(f) == 1 + 3000 + 3
         assert free_vars(f) == set() and free_vars(body) == {"x"}
-        assert to_text(subst_closed(body, {"x": 0})) == "!" * 3000 + "(#0 in #1)"
-        assert subst_closed(f, {"x": 0}) is f
+        assert print_instance(instance(body, {"x": 0})) == "!" * 3000 + "(#0 in #1)"
+        assert print_instance(instance(f, {})) == to_text(f)
         assert eval_formula(V2, f, {})
         assert eval_formula(V2, body, {"x": 0}) and not eval_formula(V2, body, {"x": 1})
         inst = instance(f, {})
@@ -508,6 +507,24 @@ class TestSerialization:
     def test_print_instance_substitutes(self):
         inst = instance(parse_formula("(x in #1)"), {"x": 0})
         assert print_instance(inst) == "(#0 in #1)"
+
+    def test_print_instance_keeps_a_shadowed_variable(self):
+        inst = instance(parse_formula("(x in #1) & Ex. (x in #2)"), {"x": 0})
+        text = print_instance(inst)
+        assert text == "((#0 in #1) & Ex. (x in #2))"
+        closed = parse_formula(text)
+        assert free_vars(closed) == set()
+        assert tarski_eval(V3, closed, {}) is tarski_eval(V3, inst.formula, {"x": 0}) is True
+
+    def test_printed_instance_is_closed_with_the_same_verdict(self):
+        # Binders in random_case may shadow a variable the assignment binds.
+        rng = random.Random(1031)
+        for _ in range(400):
+            M, f, env = random_case(rng, rng.randint(1, 3))
+            inst = instance(f, env)
+            closed = parse_formula(print_instance(inst))
+            assert free_vars(closed) == set(), print_instance(inst)
+            assert tarski_eval(M, closed, {}) == tarski_eval(M, f, env), print_instance(inst)
 
 
 class TestClosureSemantics:

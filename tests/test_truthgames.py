@@ -37,6 +37,7 @@ from hfgames.truthgames import (
     ORDINAL,
     TELLER_WINS,
     HonestTeller,
+    _unfold,
     Pronouncement,
     RandomInterrogator,
     RefereeState,
@@ -533,6 +534,37 @@ class TestPerGameCaches:
         play_truth_game(other, ScriptedInterrogator(inquiries), honest_teller(other, V3))
         gc.collect()
         assert ref() is None
+
+
+class TestFollowUpsFromTheGame:
+    """Sub-instances and witness bodies are derived once, by the game, and
+    every driver and teller hands on the game's own objects."""
+
+    def test_unfold_returns_the_games_parts(self):
+        game = truth_game(V2)
+        for text in ("!(#0 in #1)", "(#0 in #1) & !(#1 in #0)"):
+            inquiry = parse_instance(text)
+            assert all(a is b for a, b in zip(_unfold(game, inquiry, None), game.parts(inquiry)))
+        ex = parse_instance("Ex. (x in #1)")
+        (body,) = _unfold(game, ex, Pronouncement(True, 0))
+        assert body is game.witness_body(ex, 0)
+
+    def test_honest_witness_instances_are_the_games_bodies(self):
+        game = truth_game(V2)
+        ex, vacuous = parse_instance("Ex. (x in #1)"), parse_instance("Ex. (#0 in #1)")
+        structure_backed = honest_teller(game, V2)
+        bodies = [game.witness_body(vacuous, 0), *(game.witness_body(ex, b) for b in range(4))]
+        S = build_truth_predicate(V2, [ex, vacuous, *bodies])
+        for teller in (structure_backed, HonestTeller(S)):
+            for inquiry in (ex, vacuous):
+                pron = teller.answer(game, inquiry, 5, ())
+                assert pron.witness_instance is game.witness_body(inquiry, pron.witness)
+
+    def test_replayed_witness_instances_are_the_games_bodies(self):
+        game = truth_game(V2)
+        doc = {"rounds": [{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": 0}]}
+        (rnd,) = transcript_from_json(game, json.dumps(doc)).rounds
+        assert rnd.pronouncement.witness_instance is game.witness_body(rnd.inquiry, 0)
 
 
 class TestLargeCarrierRecursion:
