@@ -250,6 +250,8 @@ class _Rebind(tuple):
 def _render(f: Formula, env: dict) -> str:
     """Text of f with each free variable that env binds shown as its constant;
     an Exists hides its variable from env in its body."""
+    if not isinstance(f, _FormulaNode):
+        raise TypeError(f"not a formula: {f!r}")
     out = []
     stack: list = [f]  # formulas, text to follow them, and _Rebinds
     while stack:
@@ -274,27 +276,22 @@ def _render(f: Formula, env: dict) -> str:
             stack.append(g.body)
         elif t is _Rebind:
             env[g[0]] = g[1]
-        else:
-            if env and t in ATOMIC_KINDS and not g._fv.isdisjoint(env):
-                g = _ground(g, env)
+        elif t in ATOMIC_KINDS:
+            terms = _terms(g)
+            if env and not g._fv.isdisjoint(env):
+                terms = [f"#{env[a.name]}" if type(a) is Var and a.name in env else a
+                         for a in terms]
             if t is Member:
-                out.append(f"({g.left} in {g.right})")
+                out.append(f"({terms[0]} in {terms[1]})")
             elif t is Eq:
-                out.append(f"({g.left} = {g.right})")
-            elif t is Pred:
-                if g.name == EDGE_SYMBOL:
-                    out.append(f"({g.args[0]} <| {g.args[1]})")
-                else:
-                    out.append(f"{g.name}({', '.join(str(a) for a in g.args)})")
+                out.append(f"({terms[0]} = {terms[1]})")
+            elif g.name == EDGE_SYMBOL:
+                out.append(f"({terms[0]} <| {terms[1]})")
             else:
-                raise TypeError(f"not a formula: {g!r}")
+                out.append(f"{g.name}({', '.join(str(a) for a in terms)})")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
-
-
-def _ground(g: Formula, env: Mapping[str, int]) -> Formula:
-    """The atom g with each variable that env binds replaced by its constant."""
-    terms = [Const(env[a.name]) if type(a) is Var and a.name in env else a for a in _terms(g)]
-    return Pred(g.name, tuple(terms)) if type(g) is Pred else type(g)(*terms)
 
 
 def to_text(f: Formula) -> str:

@@ -8,7 +8,18 @@ dynamic programs.
 from __future__ import annotations
 
 from hfgames.games import Game, other_player, turn
-from hfgames.logic import EDGE_SYMBOL, And, Eq, Exists, Member, Not, Pred, Structure
+from hfgames.logic import (
+    EDGE_SYMBOL,
+    And,
+    Eq,
+    Exists,
+    Member,
+    Not,
+    Pred,
+    Structure,
+    instantiate,
+    sub_instance,
+)
 from hfgames.truthgames import INTERROGATOR_WINS, NATURAL, Round, Transcript, referee
 from hfgames.universe import Ordinal, WellFoundedRelation
 
@@ -223,3 +234,67 @@ def line_search(game, teller, depth: int, budget=None, pool=(), initial_clock=No
             derived = [w for w in named if w is not None and w not in pool]
             todo.extend(line + (q,) for q in reversed(pool + derived))
     return None, True, nodes
+
+
+def referee_lost(game, rounds) -> bool:
+    """The referee's rules over the whole set of answered rounds, without
+    regard to their order: has the teller lost?
+
+    A round loses outright if it affirms an existential without a witness,
+    with one outside the universe, or with a witness instance other than
+    the body at the witness.  Every other round marks its inquiry with its
+    verdict, and an affirmed existential marks the body at its witness true
+    too.  The marks lose if an atom (not the teller's F) is marked against
+    the structure, a negation shares a mark with its negatum, a conjunction
+    is marked true with a conjunct marked false or false with both marked
+    true, a denied existential has an instantiation at some element marked
+    true, a body named as a witness is marked false, or a recursion-rule
+    instance over the carrier and the value domain is marked false.
+    """
+    M = game.structure
+    ob = game.obligation
+    true, false, named = set(), set(), set()
+    for r in rounds:
+        q, p = r.inquiry, r.pronouncement
+        if q is None:
+            continue
+        if p.verdict and isinstance(q.formula, Exists):
+            if p.witness is None:
+                return True
+            if not 0 <= p.witness < M.universe.size:
+                return True
+            body = instantiate(q, q.formula.var, p.witness)
+            if p.witness_instance is not None and p.witness_instance != body:
+                return True
+            named.add(body)
+            true.add(body)
+        (true if p.verdict else false).add(q)
+    if named & false:
+        return True
+    f_symbol = ob.rule.f_symbol if ob is not None else None
+    rule_formula = ob.rule.instance_formula() if ob is not None else None
+    for inst in true | false:
+        f, a = inst.formula, inst.assignment
+        if isinstance(f, (Member, Eq, Pred)):
+            if not (isinstance(f, Pred) and f.name == f_symbol):
+                actual = tarski_eval(M, f, a)
+                if (inst in true and not actual) or (inst in false and actual):
+                    return True
+        elif isinstance(f, Not):
+            body = sub_instance(inst, f.body)
+            if (inst in true and body in true) or (inst in false and body in false):
+                return True
+        elif isinstance(f, And):
+            left, right = sub_instance(inst, f.left), sub_instance(inst, f.right)
+            if inst in true and (left in false or right in false):
+                return True
+            if inst in false and left in true and right in true:
+                return True
+        elif inst in false:
+            if any(instantiate(inst, f.var, b) in true for b in M.universe.elements):
+                return True
+        if inst in false and f == rule_formula:
+            i, x = a.get(ob.rule.i_var), a.get(ob.rule.x_var)
+            if i in ob.relation.carrier and x in ob.value_domain:
+                return True
+    return False

@@ -28,10 +28,10 @@ from .errors import (
     ParseError,
     SignatureError,
 )
-from .etr import RecursionRule, Solution, check_solution, recursion_domain
+from .etr import RecursionRule, Solution, _recursion_structure, check_solution, recursion_domain
 from .logic import (
-    ATOMIC_KINDS,
     And,
+    Const,
     EDGE_SYMBOL,
     Exists,
     Formula,
@@ -153,6 +153,24 @@ class TruthGame:
     def teller_symbol(self) -> Optional[str]:
         return self.obligation.rule.f_symbol if self.obligation else None
 
+    def signature(self) -> dict[str, int]:
+        """The structure's predicates, plus the teller's F/2 in recursion mode."""
+        sig = dict(self.structure.signature())
+        if self.obligation is not None:
+            sig[self.obligation.rule.f_symbol] = 2
+        return sig
+
+    def rule_instances(self) -> dict[tuple, FormulaInstance]:
+        """The recursion-rule instance at every (i, x) of carrier x value
+        domain, carrier in sorted order."""
+        ob = self.obligation
+        rf = self.rule_instance_formula
+        return {
+            (i, x): instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x})
+            for i in sorted(ob.relation.carrier)
+            for x in ob.value_domain
+        }
+
     def clock(self, n: int) -> Union[int, Ordinal]:
         return Ordinal.from_nat(n) if self.clock_mode == ORDINAL else n
 
@@ -201,8 +219,10 @@ class RefereeState:
         self.rounds: list[Round] = []
         self.lost = False
         self.marks: dict[FormulaInstance, int] = {}
-        self.not_wraps: dict[FormulaInstance, list] = {}
-        self.and_wraps: dict[FormulaInstance, list] = {}
+        # Part -> the marked Not and And instances around it.  Nots go in
+        # front, so a mark's negation violations come before its conjunction
+        # ones.
+        self.wraps: dict[FormulaInstance, list] = {}
         self.exists_false_by_body: dict[Formula, list] = {}
         self.true_by_formula: dict[Formula, list] = {}
         self.witness_bodies: dict[FormulaInstance, list] = {}
@@ -220,33 +240,36 @@ class RefereeState:
     def pop_frame(self):
         n, self.lost = self._frame_starts.pop()
         del self.rounds[n:]
-        for op in reversed(self._frames.pop()):
-            tag = op[0]
-            if tag == "mark":
-                _, inst, prev = op
-                if prev == 0:
-                    del self.marks[inst]
-                else:
-                    self.marks[inst] = prev
+        for tag, a, b in reversed(self._frames.pop()):
+            if tag == "lst":
+                a.pop(b)
+            elif b == 0:
+                del self.marks[a]
             else:
-                _, lst = op
-                lst.pop()
+                self.marks[a] = b
 
     def _set_mark(self, inst: FormulaInstance, bit: int) -> None:
         prev = self.marks.get(inst, 0)
         self._frames[-1].append(("mark", inst, prev))
         self.marks[inst] = prev | bit
 
-    def _register(self, index: dict, key, value) -> None:
+    def _register(self, index: dict, key, value, front: bool = False) -> None:
         lst = index.get(key)
         if lst is None:
             lst = index[key] = []
-        lst.append(value)
-        self._frames[-1].append(("lst", lst))
+        if front:
+            lst.insert(0, value)
+        else:
+            lst.append(value)
+        self._frames[-1].append(("lst", lst, 0 if front else -1))
 
     # -- the checks
 
     def add(self, inst: FormulaInstance, verdict: bool) -> list[TarskiViolation]:
+        """Mark inst with the verdict and return the violations it brings
+        about: first the clause inst is the subject of, then the clauses of
+        the marked instances it is a part of, then the witness and recursion
+        clauses on a denial."""
         bit = _TRUE if verdict else _FALSE
         prev = self.marks.get(inst, 0)
         if prev & bit:
@@ -254,101 +277,65 @@ class RefereeState:
         self._set_mark(inst, bit)
         out: list[TarskiViolation] = []
         f = inst.formula
-        marks = self.marks
-
-        if isinstance(f, ATOMIC_KINDS):
-            if not (isinstance(f, Pred) and f.name == self._f_symbol):
-                actual = self.game.eval_atomic(inst)
-                if verdict != actual:
-                    out.append(
-                        TarskiViolation(
-                            "atomic", inst, f"pronounced {verdict}, structure says {actual}"
-                        )
-                    )
-        elif isinstance(f, Not):
-            (body,) = self.game.parts(inst)
-            self._register(self.not_wraps, body, inst)
-            if marks.get(body, 0) & bit:
-                out.append(
-                    TarskiViolation("negation", inst, "agrees with its own negatum")
-                )
-        elif isinstance(f, And):
-            left, right = self.game.parts(inst)
-            self._register(self.and_wraps, left, inst)
-            if right != left:
-                self._register(self.and_wraps, right, inst)
-            out.extend(self._check_conjunction(inst, left, right))
-        elif isinstance(f, Exists):
-            if not verdict:
-                self._register(self.exists_false_by_body, f.body, inst)
-                for cand in self.true_by_formula.get(f.body, ()):
-                    if _is_instantiation(cand, inst):
-                        out.append(
-                            TarskiViolation(
-                                "quantifier",
-                                inst,
-                                f"denied but {print_instance(cand)} was affirmed",
-                            )
-                        )
-                        break
-
-        # cross-checks triggered by the new mark regardless of its shape
-        for wrap in self.not_wraps.get(inst, ()):
-            if marks.get(wrap, 0) & bit:
-                out.append(
-                    TarskiViolation("negation", wrap, "agrees with its own negatum")
-                )
-        for wrap in self.and_wraps.get(inst, ()):
-            left, right = self.game.parts(wrap)
-            out.extend(self._check_conjunction(wrap, left, right))
+        t = type(f)
+        if t is Not or t is And:
+            parts = self.game.parts(inst)
+            self._register(self.wraps, parts[0], inst, t is Not)
+            if t is And and parts[1] != parts[0]:
+                self._register(self.wraps, parts[1], inst)
+            self._check_connective(inst, out)
+        elif t is not Exists and not (t is Pred and f.name == self._f_symbol):
+            actual = self.game.eval_atomic(inst)
+            if verdict != actual:
+                detail = f"pronounced {verdict}, structure says {actual}"
+                out.append(TarskiViolation("atomic", inst, detail))
+        for wrap in self.wraps.get(inst, ()):
+            self._check_connective(wrap, out)
+        others = ()
         if verdict:
             self._register(self.true_by_formula, f, inst)
-            for ex in self.exists_false_by_body.get(f, ()):
-                if _is_instantiation(inst, ex):
-                    out.append(
-                        TarskiViolation(
-                            "quantifier",
-                            ex,
-                            f"denied but {print_instance(inst)} was affirmed",
-                        )
-                    )
-                    break
+            others = self.exists_false_by_body.get(f, ())
         else:
             if self.witness_bodies.get(inst):
-                out.append(
-                    TarskiViolation(
-                        "quantifier", inst, "named witness body later denied"
-                    )
-                )
-            if (
-                self.game.rule_instance_formula is not None
-                and f == self.game.rule_instance_formula
-            ):
+                out.append(TarskiViolation("quantifier", inst, "named witness body later denied"))
+            rf = self.game.rule_instance_formula
+            if rf is not None and f == rf:
                 ob = self.game.obligation
                 a = inst.assignment
-                i_val = a.get(ob.rule.i_var)
-                x_val = a.get(ob.rule.x_var)
+                i_val, x_val = a.get(ob.rule.i_var), a.get(ob.rule.x_var)
                 if i_val in ob.relation.carrier and x_val in ob.value_domain:
-                    out.append(
-                        TarskiViolation(
-                            "recursion-rule", inst, "recursion obligation denied"
-                        )
-                    )
+                    detail = "recursion obligation denied"
+                    out.append(TarskiViolation("recursion-rule", inst, detail))
+            if t is Exists:
+                self._register(self.exists_false_by_body, f.body, inst)
+                others = self.true_by_formula.get(f.body, ())
+        # The quantifier clause, whichever side inst is on: a denied
+        # existential has no affirmed instance.  A denied inst is the
+        # subject of this clause, so its violation leads the list.
+        for other in others:
+            ex, cand = (other, inst) if verdict else (inst, other)
+            if _is_instantiation(cand, ex):
+                detail = f"denied but {print_instance(cand)} was affirmed"
+                out.insert(len(out) if verdict else 0, TarskiViolation("quantifier", ex, detail))
+                break
         return out
 
-    def _check_conjunction(self, wrap, left, right) -> list[TarskiViolation]:
-        bits = self.marks.get(wrap, 0)
+    def _check_connective(self, wrap: FormulaInstance, out: list[TarskiViolation]) -> None:
+        """Judge a marked Not or And instance against its parts' marks: a
+        negation differs from its negatum, a conjunction agrees with its
+        conjuncts."""
         marks = self.marks
-        out = []
-        if bits & _TRUE and (marks.get(left, 0) & _FALSE or marks.get(right, 0) & _FALSE):
-            out.append(
-                TarskiViolation("conjunction", wrap, "affirmed with a denied conjunct")
-            )
-        if bits & _FALSE and marks.get(left, 0) & _TRUE and marks.get(right, 0) & _TRUE:
-            out.append(
-                TarskiViolation("conjunction", wrap, "denied with both conjuncts affirmed")
-            )
-        return out
+        bits = marks[wrap]
+        parts = self.game.parts(wrap)
+        if len(parts) == 1:
+            if bits & marks.get(parts[0], 0):
+                out.append(TarskiViolation("negation", wrap, "agrees with its own negatum"))
+            return
+        left, right = marks.get(parts[0], 0), marks.get(parts[1], 0)
+        if bits & _TRUE and (left | right) & _FALSE:
+            out.append(TarskiViolation("conjunction", wrap, "affirmed with a denied conjunct"))
+        if bits & _FALSE and left & right & _TRUE:
+            out.append(TarskiViolation("conjunction", wrap, "denied with both conjuncts affirmed"))
 
     def ask(self, teller, clock, inquiry: FormulaInstance) -> list[TarskiViolation]:
         """Put one inquiry to the teller, record the round and judge it.
@@ -544,9 +531,7 @@ def honest_teller(
     in recursion mode, F-queries are answered from the supplied solution."""
     if game.obligation is not None:
         if isinstance(source, Structure):
-            M = source
-            if EDGE_SYMBOL not in M.predicates:
-                M = M.with_predicate(EDGE_SYMBOL, game.obligation.relation.edges)
+            M = _recursion_structure(source, game.obligation.relation)
             pairs = solution.pairs if solution is not None else frozenset()
             M = M.with_predicate(game.obligation.rule.f_symbol, pairs)
             return HonestTeller(M)
@@ -640,10 +625,12 @@ def _probe(
     opening: Sequence[FormulaInstance],
     budget: int,
     lifo: bool = False,
+    follow=_unfold,
 ) -> RefereeState:
     """One canonical probe play: announce the budget, ask the opening
-    inquiries, then unfold follow-ups until the queue or the clock is spent.
-    Raises NotWinningStrategyError if the teller loses the play."""
+    inquiries, each distinct one once, then the follow-ups ``follow`` reads
+    off each answer until the queue or the clock is spent.  Raises
+    NotWinningStrategyError if the teller loses the play."""
     state = RefereeState(game)
     queue = deque(opening)
     asked: set[FormulaInstance] = set()
@@ -657,7 +644,7 @@ def _probe(
             raise NotWinningStrategyError(
                 f"teller lost a probe at {print_instance(inquiry)}: {violations[0]}"
             )
-        queue.extend(_unfold(game, inquiry, state.rounds[-1].pronouncement))
+        queue.extend(follow(game, inquiry, state.rounds[-1].pronouncement))
     return state
 
 
@@ -763,19 +750,16 @@ def extract_solution(teller, game: TruthGame) -> Solution:
     budget = clock_budget(instance(rf, {ob.rule.i_var: 0, ob.rule.x_var: 0}))
     merged: dict[FormulaInstance, int] = {}
     pairs = set()
-    nodes = sorted(ob.relation.carrier)
-    for i in nodes:
-        for x in ob.value_domain:
-            f_atom = instance(_f_atom(ob.rule, i, x), {})
-            rule_inst = instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x})
-            state = _probe(game, teller, [f_atom, rule_inst], budget)
-            clash = _merge_marks(merged, state)
-            if clash is not None:
-                raise NotWinningStrategyError(
-                    f"incoherent slices across probes on {print_instance(clash)}"
-                )
-            if merged[f_atom] == _TRUE:
-                pairs.add((i, x))
+    for (i, x), rule_inst in game.rule_instances().items():
+        f_atom = instance(_f_atom(ob.rule, i, x), {})
+        state = _probe(game, teller, [f_atom, rule_inst], budget)
+        clash = _merge_marks(merged, state)
+        if clash is not None:
+            raise NotWinningStrategyError(
+                f"incoherent slices across probes on {print_instance(clash)}"
+            )
+        if merged[f_atom] == _TRUE:
+            pairs.add((i, x))
     solution = Solution(frozenset(pairs))
     base = game.structure
     if not check_solution(base, ob.relation, ob.rule, solution, ob.value_domain):
@@ -786,8 +770,6 @@ def extract_solution(teller, game: TruthGame) -> Solution:
 
 
 def _f_atom(rule: RecursionRule, i: int, x: int) -> Formula:
-    from .logic import Const
-
     return Pred(rule.f_symbol, (Const(i), Const(x)))
 
 
@@ -817,20 +799,14 @@ class SearchResult:
 def default_inquiry_pool(game: TruthGame, max_size: int = 4) -> list[FormulaInstance]:
     """Closed instances of bounded size over the game's signature; in
     recursion mode the teller's F-atoms and the rule instances join in."""
-    sig = dict(game.structure.signature())
-    ob = game.obligation
-    if ob is not None:
-        sig[ob.rule.f_symbol] = 2
+    sig = game.signature()
     pool = [
         instance(f, {})
         for f in enumerate_formulas(game.structure.universe, max_size, ("x",), sig or None)
         if not free_vars(f)
     ]
-    if ob is not None:
-        rf = game.rule_instance_formula
-        for i in sorted(ob.relation.carrier):
-            for x in ob.value_domain:
-                pool.append(instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x}))
+    if game.obligation is not None:
+        pool += game.rule_instances().values()
     return pool
 
 
@@ -896,8 +872,6 @@ def interrogator_search(
         state.push_frame()
         if state.ask(teller, clock, inquiry):
             line = tuple(r.inquiry for r in state.rounds)
-            for _ in stack:
-                state.pop_frame()
             return SearchResult(InterrogatorPlan(line, start), False, nodes)
         if len(stack) == limit:
             state.pop_frame()
@@ -911,52 +885,43 @@ def interrogator_search(
             and r.pronouncement.witness_instance not in pool_set
         ]
         stack.append((game.clock(start - len(stack)), iter(pool + derived if derived else pool)))
-    for _ in stack[1:]:
-        state.pop_frame()
     return SearchResult(None, not stack, nodes)
 
 
 def _futility_certificate(
     game: TruthGame, teller, pool: list[FormulaInstance]
 ) -> Optional[dict[FormulaInstance, Optional[FormulaInstance]]]:
-    """Ask each distinct pool instance once, then each out-of-pool witness
-    instance the answers name until no new one appears, all in one referee
-    state.  Returns, for every inquiry asked, the out-of-pool witness
-    instance its answer names (or None); returns None instead if the teller
-    lost, raised a typed error, or named a witness instance anywhere but on
-    an affirmed existential.
+    """One probe over the pool whose follow-up is the witness instance each
+    answer names: it asks each distinct pool instance once, then each named
+    witness instance until no new one appears.  Returns, for every inquiry
+    asked, the out-of-pool witness instance its answer names (or None);
+    returns None instead if the teller lost, raised a typed error, or named
+    a witness instance anywhere but on an affirmed existential.
 
     The referee holds a named witness instance to the existential's body,
     so it is smaller than the inquiry that named it: there are at most as
     many asks as the pool's sizes add up to, and a countdown from that sum
     plus one per pool entry never reaches zero."""
-    pool_set = set(pool)
-    named: dict = dict.fromkeys(pool)
-    todo = list(named)
-    clock = sum(1 + size(inst.formula) for inst in pool)
-    state = RefereeState(game)
-    state.push_frame()
+    budget = sum(1 + size(inst.formula) for inst in pool)
     try:
-        for inquiry in todo:  # grows as witness instances are named
-            if state.ask(teller, game.clock(clock), inquiry):
-                return None
-            clock -= 1
-            pron = state.rounds[-1].pronouncement
-            wi = pron.witness_instance
-            if wi is None:
-                continue
-            if not (pron.verdict and isinstance(inquiry.formula, Exists)):
-                return None
-            if wi not in pool_set:
-                named[inquiry] = wi
-                if wi not in named:
-                    named[wi] = None
-                    todo.append(wi)
+        state = _probe(game, teller, pool, budget, follow=_named_witness)
     except HFGamesError:
         return None
-    finally:
-        state.pop_frame()
+    pool_set = set(pool)
+    named: dict = {}
+    for rnd in state.rounds:
+        pron = rnd.pronouncement
+        wi = pron.witness_instance
+        if wi is not None and not (pron.verdict and isinstance(rnd.inquiry.formula, Exists)):
+            return None
+        named[rnd.inquiry] = None if wi in pool_set else wi
     return named
+
+
+def _named_witness(
+    game: TruthGame, inquiry: FormulaInstance, pron: Pronouncement
+) -> tuple[FormulaInstance, ...]:
+    return () if pron.witness_instance is None else (pron.witness_instance,)
 
 
 def _line_count(
@@ -1051,9 +1016,7 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
     rdocs = doc.get("rounds") if isinstance(doc, dict) else None
     if not isinstance(rdocs, list):
         raise ParseError("transcript needs a list of rounds")
-    sig = dict(game.structure.signature())
-    if game.obligation is not None:
-        sig[game.obligation.rule.f_symbol] = 2
+    sig = game.signature()
     rounds = []
     for k, rdoc in enumerate(rdocs):
         clock = rdoc.get("clock") if isinstance(rdoc, dict) else None

@@ -4,11 +4,13 @@ answers from one referee pass, with the result the walk would return.
 Three paths are held to each other: the certificate, the explicit-stack
 walk (forced by hiding the teller's ``memoryless`` declaration) and the
 brute-force ``oracles.line_search``, which replays every line from scratch
-through ``referee``.
+through ``referee``.  The referee itself is held to ``oracles.referee_lost``,
+its rules restated over the set of rounds.
 """
 
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -28,7 +30,8 @@ from hfgames.logic import (
     print_instance,
     sub_instance,
 )
-from hfgames.oracles import line_search
+from hfgames.etr import RecursionRule, Solution, etr_solve
+from hfgames.oracles import line_search, referee_lost
 from hfgames.truthgames import (
     HonestTeller,
     Pronouncement,
@@ -38,9 +41,10 @@ from hfgames.truthgames import (
     default_inquiry_pool,
     honest_teller,
     interrogator_search,
+    recursion_game,
     truth_game,
 )
-from hfgames.universe import build_universe
+from hfgames.universe import WellFoundedRelation, build_universe
 
 STRUCTURES = {rank: Structure(build_universe(rank)) for rank in (1, 2, 3, 4)}
 
@@ -263,35 +267,72 @@ class TestAgreement:
         assert res.proven_none and res.nodes >= n + n**2 + n**3
 
 
-@st.composite
-def memoryless_rounds(draw):
-    """A game over V_2 or V_3 and up to six rounds answered by a seeded
-    memoryless faulty teller: pool inquiries, some with their parts, their
-    negation or their named witness instance, so that pair and triple
-    conditions come up."""
-    M = STRUCTURES[draw(st.sampled_from([2, 3]))]
-    game = truth_game(M)
-    pool = default_inquiry_pool(game)
-    honest = honest_teller(game, M)
-    salt = draw(st.integers(0, 10**6))
-    if draw(st.booleans()):
-        teller = HashLiar(honest, salt, rate=draw(st.sampled_from([2, 4, 8])))
+CHAIN = WellFoundedRelation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
+RULE = RecursionRule.parse("x = #0 | Ej. ((j <| i) & F(j, x))")
+LEAST = etr_solve(STRUCTURES[3], CHAIN, RULE)
+# Off the least solution at two pairs, so the honest teller for it loses.
+WRONG = Solution(LEAST.pairs ^ {(2, 3), (1, 0)})
+# The games ``faulty_rounds`` draws from, with their pools.  The recursion
+# game's pool holds the inquiries about F, and rule instances at i = 3,
+# outside the carrier, which bind nothing.
+RECURSION = recursion_game(STRUCTURES[3], CHAIN, RULE)
+GAMES = {rank: truth_game(STRUCTURES[rank]) for rank in (2, 3)}
+POOLS = {game: default_inquiry_pool(game) for game in GAMES.values()}
+POOLS[RECURSION] = [q for q in default_inquiry_pool(RECURSION) if "F" in print_instance(q)] + [
+    instance(RECURSION.rule_instance_formula, {"i": 3, "x": x}) for x in range(4)
+]
+
+
+def faulty_rounds(pick, most):
+    """A truth game over V_2 or V_3, or a recursion game over V_3 with the
+    teller's F right or wrong, and up to ``most`` rounds answered by a seeded
+    memoryless faulty teller: pool inquiries and inquiries picked before,
+    some with their parts, their negation, a conjunction with another pool
+    inquiry, their named witness instance or an instantiation, so that pair
+    and triple conditions come up.  ``pick`` chooses one item of a sequence."""
+    game = GAMES[pick([2, 3])]
+    M = game.structure
+    if M is STRUCTURES[3] and pick([False, True]):
+        game = RECURSION
+        honest = honest_teller(game, M, solution=pick([LEAST, WRONG]))
+    else:
+        honest = honest_teller(game, M)
+    pool = POOLS[game]
+    salt = pick(range(10**6))
+    if pick([False, True]):
+        teller = HashLiar(honest, salt, rate=pick([2, 4, 8]))
     else:
         teller = HashWitness(honest, salt)
     inquiries: list = []
-    while len(inquiries) < draw(st.integers(1, 6)):
-        q = draw(st.sampled_from(pool))
+    count = pick(range(1, most + 1))
+    while len(inquiries) < count:
+        # A pool inquiry, or one picked before, so that families chain.
+        q = pick(inquiries if inquiries and pick([False, True]) else pool)
         family = [q]
-        extra = draw(st.sampled_from(["none", "parts", "negation", "witness"]))
+        extra = pick(["none", "parts", "negation", "conjunction", "witness", "instance"])
         if extra == "parts" and isinstance(q.formula, (Not, And)):
             family += game.parts(q)
         elif extra == "negation":
-            family.append(instance(Not(q.formula), {}))
+            family.append(instance(Not(q.formula), q.assignment))
+        elif extra == "conjunction" and not q.bindings:
+            other = pick(pool)
+            if not other.bindings:
+                family += [other, instance(And(q.formula, other.formula), {})]
         elif extra == "witness":
             family.append(teller.answer(game, q, 1, ()).witness_instance)
-        inquiries += [i for i in family if i is not None and i not in inquiries]
-    inquiries = inquiries[:6]
+        elif extra == "instance" and isinstance(q.formula, Exists):
+            family.append(game.witness_body(q, pick(range(M.universe.size))))
+        for i in family:
+            if i is not None and i not in inquiries:
+                inquiries.append(i)
+    inquiries = inquiries[:most]
     return game, [(q, teller.answer(game, q, 1, ())) for q in inquiries]
+
+
+@st.composite
+def memoryless_rounds(draw, most=6):
+    """``faulty_rounds`` with hypothesis doing the picking."""
+    return faulty_rounds(lambda items: draw(st.sampled_from(items)), most)
 
 
 def lost_after(game, rounds) -> bool:
@@ -312,3 +353,61 @@ class TestOrderLemma:
             for k in range(1, len(rounds)):
                 for subset in itertools.combinations(rounds, k):
                     assert not lost_after(game, list(subset))
+
+
+FAULTS = [None, None, None, "bare", "outside", "mismatch"]
+
+
+def agree_step_by_step(game, rounds, steps):
+    """Feed the rounds in turn, over and over, to one referee state as the
+    steps say, pushing and popping frames in between, and hold ``lost`` to
+    ``referee_lost`` over the state's rounds after every step.  A fault step
+    plays the next round, its answer perhaps swapped for an affirmation with
+    no witness, one outside the universe, or a witness instance that is not
+    the body."""
+    state = RefereeState(game)
+    start = len(steps) + 1
+    frames = 0
+    played = 0
+    for step in steps:
+        if step == "push":
+            state.push_frame()
+            frames += 1
+        elif step == "pop":
+            if frames:
+                state.pop_frame()
+                frames -= 1
+        else:
+            q, pron = rounds[played % len(rounds)]
+            played += 1
+            if step == "bare":
+                pron = Pronouncement(True)
+            elif step == "outside":
+                pron = Pronouncement(True, game.structure.universe.size)
+            elif step == "mismatch":
+                pron = Pronouncement(True, 0, q)
+            state.process_round(Round(game.clock(start - len(state.rounds)), q, pron))
+        assert state.lost == referee_lost(game, state.rounds), step
+
+
+STEPS = st.lists(st.sampled_from(FAULTS + ["push", "pop"]), min_size=1, max_size=24)
+
+
+class TestRefereeOracle:
+    """``oracles.referee_lost`` states the referee's rules over the set of
+    rounds, apart from ``RefereeState.add`` and its indexes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(memoryless_rounds(12), st.data())
+    def test_lost_agrees_with_oracle(self, case, data):
+        game, rounds = case
+        agree_step_by_step(game, data.draw(st.permutations(rounds)), data.draw(STEPS))
+
+    def test_seeded_corpus_agrees_with_oracle(self):
+        for seed in range(1000):
+            rng = random.Random(seed)
+            game, rounds = faulty_rounds(rng.choice, 12)
+            if seed % 2:
+                rng.shuffle(rounds)
+            steps = [rng.choice(FAULTS + ["push", "pop"]) for _ in range(24)]
+            agree_step_by_step(game, rounds, steps)

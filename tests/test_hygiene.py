@@ -58,7 +58,7 @@ ITERATIVE = [
 ]
 ITERATIVE_UNIVERSE = ["_depth_first", "find_cycle", "check_wellfounded", "topological_order"]
 ITERATIVE_ETR = ["_relativize", "transitive_closure", "descending_tree"]
-ITERATIVE_TRUTHGAMES = ["interrogator_search", "_futility_certificate", "_line_count"]
+ITERATIVE_TRUTHGAMES = ["interrogator_search", "_futility_certificate", "_line_count", "_probe"]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -141,6 +141,31 @@ def test_truthgames_derives_follow_ups_only_in_the_game():
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and id(n) not in inside]
     names = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n.lineno) for n in calls]
     assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate")] == []
+
+
+def _violation_kinds(node) -> list[str]:
+    """The kinds, as written, of the TarskiViolation calls under node."""
+    return [
+        ast.literal_eval(n.args[0])
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "TarskiViolation"
+    ]
+
+
+def test_connective_clauses_judged_in_one_place():
+    """The referee builds negation and conjunction violations only in
+    RefereeState._check_connective, which judges both the new mark and
+    every marked instance around it."""
+    tree = ast.parse((PACKAGE / "truthgames.py").read_text())
+    (referee,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RefereeState"]
+    methods = {n.name: n for n in referee.body if isinstance(n, FUNCTIONS)}
+    check = methods["_check_connective"]
+
+    def connective(node) -> list[str]:
+        return sorted(k for k in _violation_kinds(node) if k in ("negation", "conjunction"))
+
+    assert set(connective(check)) == {"negation", "conjunction"}
+    assert connective(tree) == connective(check)
 
 
 def test_games_module_does_not_recurse():

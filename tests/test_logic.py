@@ -189,6 +189,12 @@ class TestSizeAndVars:
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
 
+    @pytest.mark.parametrize("thing", ["abc", "(#0 in #1)", None, 3])
+    def test_non_formula_arguments_raise(self, thing):
+        for fn in (to_text, size, free_vars):
+            with pytest.raises(TypeError, match="not a formula"):
+                fn(thing)
+
     def test_deep_formulas_compare_and_print(self):
         def chain(code):
             f = And(Member(Const(0), Const(code)), Exists("x", Pred("P", (Var("x"),))))
@@ -507,6 +513,10 @@ class TestSerialization:
     def test_print_instance_substitutes(self):
         inst = instance(parse_formula("(x in #1)"), {"x": 0})
         assert print_instance(inst) == "(#0 in #1)"
+        f = parse_formula("(y = x) & ((x <| #2) & P(x, #0, y))", {"P": 3, "<|": 2})
+        assert print_instance(instance(f, {"x": 1, "y": 3})) == (
+            "((#3 = #1) & ((#1 <| #2) & P(#1, #0, #3)))"
+        )
 
     def test_print_instance_keeps_a_shadowed_variable(self):
         inst = instance(parse_formula("(x in #1) & Ex. (x in #2)"), {"x": 0})

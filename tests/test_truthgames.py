@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfgames import truthgames
 from hfgames.errors import (
     CoverageError,
     HFGamesError,
@@ -19,6 +18,7 @@ from hfgames.errors import (
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
 from hfgames.logic import (
+    And,
     Exists,
     Not,
     Structure,
@@ -29,6 +29,7 @@ from hfgames.logic import (
     parse_formula,
     parse_instance,
     print_instance,
+    random_instance,
 )
 from hfgames.truthgames import (
     INTERROGATOR_WINS,
@@ -670,6 +671,106 @@ def _play_statuses() -> list[str]:
     return lines
 
 
+class SloppyWitness:
+    """Seeded and faulty on affirmed existentials: names no witness, one
+    outside the universe, a witness instance that is not the body, or a
+    witness picked at random."""
+
+    def __init__(self, base, seed):
+        self.base = base
+        self.rng = random.Random(seed)
+
+    def answer(self, game, inquiry, clock, history):
+        pron = self.base.answer(game, inquiry, clock, history)
+        if pron.witness is None:
+            return pron
+        fault = self.rng.randrange(5)
+        if fault == 0:
+            return Pronouncement(True)
+        if fault == 1:
+            return Pronouncement(True, game.structure.universe.size)
+        if fault == 2:
+            other = instance(Not(inquiry.formula), inquiry.assignment)
+            return Pronouncement(True, pron.witness, other)
+        if fault == 3:
+            w = self.rng.randrange(game.structure.universe.size)
+            return Pronouncement(True, w, game.witness_body(inquiry, w))
+        return pron
+
+
+def _framed_probes(game, teller, rng, rounds: int) -> None:
+    """One referee state asks random inquiries mixed with the parts,
+    negations, conjunctions and instantiations of those asked before, each
+    in a frame that is popped if the teller lost it, so the marks pile up."""
+    state = RefereeState(game)
+    size = game.structure.universe.size
+    asked = [random_instance(rng, game.structure, 5)]
+    for _ in range(rounds):
+        q = rng.choice(asked)
+        pick = rng.randrange(5)
+        if pick == 0:
+            q = random_instance(rng, game.structure, 5)
+        elif pick == 1 and isinstance(q.formula, (Not, And)):
+            q = rng.choice(game.parts(q))
+        elif pick == 2:
+            q = instance(Not(q.formula), q.assignment)
+        elif pick == 3:
+            other = rng.choice(asked)
+            if not q.bindings and not other.bindings:
+                q = instance(And(q.formula, other.formula), {})
+        elif isinstance(q.formula, Exists):
+            q = game.witness_body(q, rng.randrange(size))
+        state.push_frame()
+        if state.ask(teller, game.clock(rounds + 1 - len(state.rounds)), q):
+            state.pop_frame()
+        asked.append(q)
+
+
+def _violation_lines(monkeypatch) -> list[str]:
+    """Every judged round of seeded faulty plays, probes and searches: its
+    violations in order, or "-" for none."""
+    lines = []
+    process_round = RefereeState.process_round
+
+    def recording(state, rnd):
+        out = process_round(state, rnd)
+        lines.append("; ".join(str(v) for v in out) or "-")
+        return out
+
+    monkeypatch.setattr(RefereeState, "process_round", recording)
+    rel = WellFoundedRelation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
+    rule = RecursionRule.parse("x = #0 | Ej. ((j <| i) & F(j, x))")
+    solution = etr_solve(V3, rel, rule)
+    for mode in (NATURAL, ORDINAL):
+        rng = random.Random(f"violations:{mode}")
+        game = truth_game(V3, mode)
+        honest = honest_teller(game, V3)
+        recursion = recursion_game(V3, rel, rule, mode)
+        tellers = [
+            (game, CoinFlipLiar(honest, 17)),
+            (game, BadWitnessTeller(honest, parse_instance("Ex. (x in #3)"))),
+            (game, SloppyWitness(honest, 19)),
+            (recursion, CoinFlipLiar(honest_teller(recursion, V3, solution=solution), 23)),
+            (recursion, honest_teller(recursion, V3, solution=Solution(solution.pairs ^ {(2, 3)}))),
+        ]
+        for g, teller in tellers:
+            for _ in range(60):
+                interrogator = RandomInterrogator(rng, depth=rng.randint(1, 8), max_size=5)
+                play_truth_game(g, interrogator, teller)
+        targets = enumerate_instances(V3, 4)
+        for g, teller in tellers:
+            try:
+                if g.obligation is None:
+                    extract_satisfaction(teller, g, targets[::7])
+                else:
+                    extract_solution(teller, g)
+            except NotWinningStrategyError:
+                pass
+            interrogator_search(g, teller, depth=2, pool=default_inquiry_pool(g, 3)[:40])
+            _framed_probes(g, teller, rng, 300)
+    return lines
+
+
 class TestOnePlayLoop:
     def test_statuses_pinned(self):
         # Computed before plays, probes, search and the CLI shared one
@@ -678,6 +779,20 @@ class TestOnePlayLoop:
         assert len(lines) == 218
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "f933cd1614dcce196010b5f2e6132ddaba5cc7acead78999beeade36032eb8db"
+        )
+
+    def test_violations_pinned(self, monkeypatch):
+        # Computed before the referee checked each clause in one place;
+        # the first digest holds each round's first violation, the second
+        # its whole list, in order.
+        lines = _violation_lines(monkeypatch)
+        assert (len(lines), sum(line != "-" for line in lines)) == (19156, 339)
+        first = "\n".join(line.split("; [")[0] for line in lines)
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "d619d02569c3f0b5e61cc071d402b9e9b647d483af2473bac9c2cd8760b38482"
+        )
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "06b2420c6fa2d764cb043df5da27d9df299ccbae4b7563f14c1c77fd4cc0bcb8"
         )
 
     def test_each_answered_round_judged_once(self, monkeypatch):
@@ -715,24 +830,6 @@ class TestOnePlayLoop:
         t = natural_transcript(game, Watcher(honest_teller(game, V2)), inquiries)
         assert [n for _, n in seen] == [0, 1, 2]
         assert all(history is t.rounds for history, _ in seen)
-
-    def test_search_leaves_no_rounds(self, monkeypatch):
-        states = []
-
-        class Recording(RefereeState):
-            def __init__(self, game):
-                super().__init__(game)
-                states.append(self)
-
-        monkeypatch.setattr(truthgames, "RefereeState", Recording)
-        game = truth_game(V2)
-        honest = honest_teller(game, V2)
-        liar = LyingTeller(honest, parse_instance("#0 in #1"))
-        for teller, budget in ((honest, None), (honest, 40), (liar, None)):
-            res = interrogator_search(game, teller, depth=2, budget=budget)
-            state = states[-1]
-            assert (state.rounds, state.lost, state.marks) == ([], False, {}), res
-        assert res.plan is not None
 
 
 ORDINAL_CLOCKS = [
