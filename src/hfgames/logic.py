@@ -230,10 +230,9 @@ def size(f: Formula) -> int:
 
 def free_vars(f: Formula) -> frozenset[str]:
     """The variables free in f, as cached on the node at construction."""
-    try:
-        return f._fv
-    except AttributeError:
-        raise TypeError(f"not a formula: {f!r}") from None
+    if not isinstance(f, _FormulaNode):
+        raise TypeError(f"not a formula: {f!r}")
+    return f._fv
 
 
 def _ends_in_quantifier(f: Formula) -> bool:

@@ -187,13 +187,20 @@ def recursion_game(
     value_domain: Optional[Sequence[int]] = None,
 ) -> TruthGame:
     """Truth game whose referee additionally enforces the recursion rule
-    F(i,x) <-> phi(x,i,F|i) on carrier indices."""
+    F(i,x) <-> phi(x,i,F|i) on carrier indices.  The obligation writes F|i
+    as F(j,y) & (j <| i), so <| must be the relation's edges: the structure
+    gets them as ETR's does, and may only fix <| to those same edges."""
     domain = tuple(recursion_domain(M, rel, value_domain))
     if rule.f_symbol in M.predicates:
         raise SignatureError(
             f"{rule.f_symbol} is the teller's predicate; the structure may not fix it"
         )
-    M2 = M.with_predicate(EDGE_SYMBOL, rel.edges)
+    M2 = _recursion_structure(M, rel)
+    if M2.predicates[EDGE_SYMBOL] != rel.edges:
+        raise SignatureError(
+            f"{EDGE_SYMBOL} guards the reads of {rule.f_symbol}; the structure may not"
+            " fix it to other than the relation's edges"
+        )
     return TruthGame(M2, clock_mode, RecursionObligation(rel, rule, domain))
 
 
@@ -465,9 +472,10 @@ def referee(game: TruthGame, transcript: Transcript) -> str:
 class HonestTeller:
     """Answers every inquiry from a fixed source of truth.
 
-    Structure-backed tellers evaluate; class-backed tellers read the marks
-    and raise CoverageError outside the closure.  Answers do not depend on
-    the play, so the teller is memoryless (see ``interrogator_search``).
+    Structure-backed tellers follow Tarski's clauses; class-backed tellers
+    read the marks and raise CoverageError outside the closure.  Answers do
+    not depend on the play, so the teller is memoryless (see
+    ``interrogator_search``).
     """
 
     memoryless = True
@@ -492,13 +500,7 @@ class HonestTeller:
 
     def _answer(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
         if isinstance(self.source, Structure):
-            if not isinstance(inquiry.formula, Exists):
-                return Pronouncement(eval_instance(self.source, inquiry))
-            try:
-                w = skolem_witness(self.source, inquiry)
-            except NoWitnessError:
-                return Pronouncement(False)
-            return Pronouncement(True, w, game.witness_body(inquiry, w))
+            return self._by_clauses(game, inquiry)
         verdict = self.source.verdict(inquiry)
         if verdict is None:
             raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
@@ -520,6 +522,45 @@ class HonestTeller:
                     return Pronouncement(True, 0, body)
             raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
         return Pronouncement(verdict)
+
+    def _by_clauses(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
+        """Tarski's clauses over the teller's own answers: a Not is true iff
+        its part is false, an And iff both parts are, and the right part is
+        answered only when the left one is true.  Parts not yet answered go
+        first, in post-order off an explicit stack.  Only atoms are
+        evaluated, and only existentials look for their least witness."""
+        M, cache = self.source, self._cache
+        stack = [inquiry]
+        while stack:
+            inst = stack[-1]
+            if inst in cache:
+                stack.pop()
+                continue
+            t = type(inst.formula)
+            if t is Not or t is And:
+                parts = game.parts(inst)
+                got = cache.get(parts[0])
+                if got is None:
+                    stack.append(parts[0])
+                    continue
+                if t is And and got.verdict:
+                    got = cache.get(parts[1])
+                    if got is None:
+                        stack.append(parts[1])
+                        continue
+                pron = Pronouncement(not got.verdict if t is Not else got.verdict)
+            elif t is Exists:
+                try:
+                    w = skolem_witness(M, inst)
+                except NoWitnessError:
+                    pron = Pronouncement(False)
+                else:
+                    pron = Pronouncement(True, w, game.witness_body(inst, w))
+            else:
+                pron = Pronouncement(eval_instance(M, inst))
+            cache[inst] = pron
+            stack.pop()
+        return cache[inquiry]
 
 
 def honest_teller(

@@ -58,32 +58,59 @@ ITERATIVE = [
 ]
 ITERATIVE_UNIVERSE = ["_depth_first", "find_cycle", "check_wellfounded", "topological_order"]
 ITERATIVE_ETR = ["_relativize", "transitive_closure", "descending_tree"]
-ITERATIVE_TRUTHGAMES = ["interrogator_search", "_futility_certificate", "_line_count", "_probe"]
+ITERATIVE_TRUTHGAMES = [
+    "interrogator_search",
+    "_futility_certificate",
+    "_line_count",
+    "_probe",
+    "HonestTeller._by_clauses",
+]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _called_names(node) -> set[str]:
-    return {
-        n.func.id
-        for n in ast.walk(node)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-    }
+def _called_names(node, cls=None) -> set[str]:
+    """The names node calls; inside class cls, self.m(...) calls "cls.m"."""
+    out = set()
+    for n in ast.walk(node):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Name):
+            out.add(n.func.id)
+        elif cls and isinstance(n.func, ast.Attribute):
+            if getattr(n.func.value, "id", None) == "self":
+                out.add(f"{cls}.{n.func.attr}")
+    return out
+
+
+def _definitions(tree) -> tuple[dict, dict]:
+    """Module-level functions by name and methods by "Class.method", and
+    the class of each method."""
+    defs, classes = {}, {}
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, FUNCTIONS):
+                    key = f"{node.name}.{method.name}"
+                    defs[key], classes[key] = method, node.name
+    return defs, classes
 
 
 def recursive_functions(source: str) -> set[str]:
-    """Module-level functions that can reach themselves through calls by
-    name, or that hold a nested function that can reach itself.  A nested
-    function's calls count as its owner's too."""
-    tree = ast.parse(source)
-    defs = {node.name: node for node in tree.body if isinstance(node, FUNCTIONS)}
-    # Graph keys: a module-level name, or (owner, name) for a nested function.
+    """Module-level functions and methods that can reach themselves through
+    calls by name or through ``self``, or that hold a nested function that
+    can reach itself.  A nested function's calls count as its owner's too."""
+    defs, classes = _definitions(ast.parse(source))
+    # Graph keys: a function or "Class.method", or (owner, name) for a
+    # nested function.
     calls: dict = {}
     for name, node in defs.items():
         inner = {n.name: n for n in ast.walk(node) if isinstance(n, FUNCTIONS) and n is not node}
         for key, fn in [(name, node), *(((name, k), n) for k, n in inner.items())]:
             calls[key] = {
                 (name, c) if c in inner else c
-                for c in _called_names(fn)
+                for c in _called_names(fn, classes.get(name))
                 if c in inner or c in defs
             }
     out = set()
@@ -117,6 +144,21 @@ def test_etr_walks_do_not_recurse():
 def test_truthgames_search_does_not_recurse():
     recursive = recursive_functions((PACKAGE / "truthgames.py").read_text())
     assert recursive.isdisjoint(ITERATIVE_TRUTHGAMES), sorted(recursive & set(ITERATIVE_TRUTHGAMES))
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        ("logic", ITERATIVE),
+        ("universe", ITERATIVE_UNIVERSE),
+        ("etr", ITERATIVE_ETR),
+        ("truthgames", ITERATIVE_TRUTHGAMES),
+    ],
+)
+def test_iterative_lists_name_real_functions(module, names):
+    """A renamed function must not drop out of the recursion scan unseen."""
+    defs, _ = _definitions(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    assert [name for name in names if name not in defs] == []
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -183,6 +225,19 @@ def test_recursion_scan_flags_self_and_mutual_calls():
         "    return g(n)\n"
     )
     assert recursive_functions(source) == {"a", "b", "c", "e"}
+
+
+def test_recursion_scan_follows_methods():
+    source = (
+        "class K:\n"
+        "    def m(self, n):\n        return self.m(n - 1)\n\n"
+        "    def p(self, n):\n        return self.q(n)\n\n"
+        "    def q(self, n):\n        return top(n)\n\n"
+        "    def r(self, n):\n        return len(n)\n\n"
+        "def top(n):\n    return K().p(n)\n"
+    )
+    # top reaches K.p only through an instance, which the scan does not follow.
+    assert recursive_functions(source) == {"K.m"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

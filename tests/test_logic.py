@@ -189,7 +189,7 @@ class TestSizeAndVars:
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
 
-    @pytest.mark.parametrize("thing", ["abc", "(#0 in #1)", None, 3])
+    @pytest.mark.parametrize("thing", ["abc", "(#0 in #1)", None, 3, Var("x"), Const(1)])
     def test_non_formula_arguments_raise(self, thing):
         for fn in (to_text, size, free_vars):
             with pytest.raises(TypeError, match="not a formula"):

@@ -17,11 +17,18 @@ from hfgames.errors import (
     SignatureError,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
+from hfgames import truthgames
 from hfgames.logic import (
+    ATOMIC_KINDS,
     And,
+    Const,
+    Eq,
     Exists,
+    Member,
     Not,
+    Pred,
     Structure,
+    Var,
     build_truth_predicate,
     enumerate_instances,
     eval_instance,
@@ -29,7 +36,10 @@ from hfgames.logic import (
     parse_formula,
     parse_instance,
     print_instance,
+    random_formula,
     random_instance,
+    skolem_witness,
+    subformulas,
 )
 from hfgames.truthgames import (
     INTERROGATOR_WINS,
@@ -58,7 +68,7 @@ from hfgames.truthgames import (
     transcript_to_json,
     truth_game,
 )
-from hfgames.oracles import clock_outcome
+from hfgames.oracles import clock_outcome, tarski_eval
 from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
 
 V2 = Structure(build_universe(2))
@@ -239,6 +249,19 @@ class TestReferee:
             assert referee(game, Transcript(rounds[:2])) == ONGOING
 
 
+def edge_rule(edges) -> RecursionRule:
+    """Reachability from node 0 as one disjunct per edge, nested as
+    !(!(...) & !clause), so no quantifier ever scans the universe."""
+    formula = Eq(Var("x"), Const(0))
+    for a, b in sorted(edges):
+        clause = And(
+            And(Eq(Var("i"), Const(b)), Pred("F", (Const(a), Var("x")))),
+            Pred("<|", (Const(a), Var("i"))),
+        )
+        formula = Not(And(Not(formula), Not(clause)))
+    return RecursionRule(formula)
+
+
 class TestHonestTeller:
     def test_atomic_pronouncement(self):
         game = truth_game(V2)
@@ -277,6 +300,109 @@ class TestHonestTeller:
         outside = parse_instance("(#0 = #0) & (#0 = #0) & (#0 = #0)")
         with pytest.raises(CoverageError):
             teller.answer(game, outside, 9, ())
+
+
+@st.composite
+def wrapped_instances(draw):
+    """A structure over V_1-V_3 with unary P and binary R, and an instance
+    built from logic's random formulas, an existential over one of them,
+    and a few Not and And layers around them."""
+    rank = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    U = build_universe(rank)
+    codes = range(U.size)
+    M = Structure(U, {
+        "P": {(c,) for c in codes if rng.random() < 0.4},
+        "R": {(a, b) for a in codes for b in codes if rng.random() < 0.3},
+    })
+    pool = [random_formula(rng, U, rng.randint(3, 9), M.signature()) for _ in range(3)]
+    pool.append(Exists(rng.choice("xyz"), rng.choice(pool)))
+    f = draw(st.sampled_from(pool))
+    for op in draw(st.lists(st.sampled_from(["not", "left", "right", "exists"]), max_size=5)):
+        g = rng.choice(pool)
+        if op == "not":
+            f = Not(f)
+        elif op == "exists":
+            f = Exists(rng.choice("xyz"), f)
+        else:
+            f = And(f, g) if op == "left" else And(g, f)
+    assignment = {v: rng.randrange(U.size) for v in "xyz"}
+    return M, instance(f, assignment)
+
+
+class TestTellerByClauses:
+    """The structure-backed honest teller answers Not and And from its own
+    answers to the parts; only atoms and existentials reach the evaluator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wrapped_instances())
+    def test_verdicts_and_least_witnesses_agree_with_tarski(self, case):
+        M, inquiry = case
+        game = truth_game(M)
+        teller = honest_teller(game, M)
+        # The inquiry first, then its parts, which the teller answered on
+        # the way or, behind a false left conjunct, not at all.
+        todo, seen = [inquiry], set()
+        while todo:
+            inst = todo.pop()
+            if inst in seen:
+                continue
+            seen.add(inst)
+            pron = teller.answer(game, inst, 9, ())
+            f, env = inst.formula, inst.assignment
+            assert pron.verdict == tarski_eval(M, f, env)
+            if isinstance(f, Exists) and pron.verdict:
+                holds = [tarski_eval(M, f.body, {**env, f.var: b}) for b in M.universe.elements]
+                least = holds.index(True)
+                assert pron.witness == least == skolem_witness(M, inst)
+                assert pron.witness_instance is game.witness_body(inst, least)
+            else:
+                assert pron.witness is None and pron.witness_instance is None
+            if isinstance(f, (Not, And)):
+                todo.extend(game.parts(inst))
+
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    def test_each_atom_evaluated_once(self, monkeypatch, k):
+        rng = random.Random(k)
+        U5 = Structure(build_universe(5))
+        nodes = list(range(k + 1))
+        edges = {(rng.randrange(b), b) for b in nodes[1:]}
+        rel = WellFoundedRelation(frozenset(nodes), frozenset(edges))
+        rule = edge_rule(edges)
+        solution = etr_solve(U5, rel, rule, value_domain=(0, 1))
+        game = recursion_game(U5, rel, rule, value_domain=(0, 1))
+        teller = honest_teller(game, U5, solution=solution)
+        calls = []
+        real = truthgames.eval_instance
+        monkeypatch.setattr(
+            truthgames, "eval_instance", lambda M, inst: calls.append(inst) or real(M, inst)
+        )
+        atoms = set()
+        for x in (0, 1):
+            inquiry = game.rule_instances()[(k, x)]
+            assert teller.answer(game, inquiry, 9, ()).verdict is True
+            atoms |= {
+                instance(g, inquiry.assignment)
+                for g in subformulas(inquiry.formula)
+                if isinstance(g, ATOMIC_KINDS)
+            }
+        assert len(calls) == len(set(calls)) and set(calls) <= atoms
+        assert len(calls) > k  # at x = 1 no disjunct holds, so every one is read
+
+    def test_deep_chain_answered_without_recursion(self):
+        game = truth_game(V2)
+        teller = honest_teller(game, V2)
+        some = Exists("x", Member(Var("x"), Const(1)))
+        f, negations = Member(Const(0), Const(1)), 0
+        for k in range(3000):
+            if k % 3 == 0:
+                f, negations = Not(f), negations + 1
+            else:
+                f = And(f, some) if k % 3 == 1 else And(some, f)
+        inquiry = instance(f, {})
+        assert teller.answer(game, inquiry, 9, ()).verdict is (negations % 2 == 0)
+        assert teller.answer(game, inquiry, 9, ()).verdict == eval_instance(V2, inquiry)
+        assert RefereeState(game).ask(teller, 9, inquiry) == []
 
 
 class TestExtraction:
@@ -466,6 +592,24 @@ class TestRecursionGame:
         with pytest.raises(SignatureError):
             recursion_game(M, self.rel, self.rule)
 
+    def test_structure_may_fix_the_relations_own_edges(self):
+        M = V3.with_predicate("<|", self.rel.edges)
+        game = recursion_game(M, self.rel, self.rule)
+        assert game.structure is M
+        solution = etr_solve(M, self.rel, self.rule)
+        assert extract_solution(honest_teller(game, M, solution=solution), game) == solution
+
+    def test_structure_may_not_fix_other_edges(self):
+        # The obligation reads F|i as F(j, y) & (j <| i): under <| = {(0, 2)}
+        # that is F at 0, while ETR restricts F to the relation's predecessor
+        # 1, so no teller for etr_solve's solution could survive the game.
+        M = V3.with_predicate("<|", {(0, 2)})
+        rule = RecursionRule.parse("x = i | Ej. ((j <| i) & F(j, x))")
+        solution = etr_solve(M, self.rel, rule)
+        assert solution.pairs == {(0, 0), (1, 1), (2, 2)}
+        with pytest.raises(SignatureError, match=r"<\| guards the reads of F"):
+            recursion_game(M, self.rel, rule)
+
     def test_search_pool_contains_rule_instances(self):
         pool = default_inquiry_pool(self.game, max_size=2)
         rf = self.game.rule_instance_formula
@@ -570,10 +714,8 @@ class TestFollowUpsFromTheGame:
 
 class TestLargeCarrierRecursion:
     def test_thirty_node_dag_extraction(self):
-        # Carrier codes live in V_5; the reachability-style rule is an
-        # explicit edge-disjunction so nothing ever scans the universe.
-        from hfgames.logic import And as LAnd, Const, Eq, Not as LNot, Pred, Var
-
+        # Carrier codes live in V_5; the edge-disjunction rule never scans
+        # the universe.
         rng = random.Random(127)
         U5 = Structure(build_universe(5))
         nodes = list(range(30))
@@ -582,14 +724,7 @@ class TestLargeCarrierRecursion:
             for a in rng.sample(range(b), min(b, rng.randint(1, 2))):
                 edges.add((a, b))
         rel = WellFoundedRelation(frozenset(nodes), frozenset(edges))
-        formula = Eq(Var("x"), Const(0))
-        for a, b in sorted(edges):
-            clause = LAnd(
-                LAnd(Eq(Var("i"), Const(b)), Pred("F", (Const(a), Var("x")))),
-                Pred("<|", (Const(a), Var("i"))),
-            )
-            formula = LNot(LAnd(LNot(formula), LNot(clause)))
-        rule = RecursionRule(formula)
+        rule = edge_rule(edges)
         domain = (0, 1)
         solution = etr_solve(U5, rel, rule, value_domain=domain)
         game = recursion_game(U5, rel, rule, value_domain=domain)
