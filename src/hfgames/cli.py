@@ -206,8 +206,11 @@ def _solve_recursion(args) -> dict:
     edges = frozenset((nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
     rel = WellFoundedRelation(frozenset(nodes), edges)
     rule = etr.RecursionRule.parse("x = #0 | Ej. ((j <| i) & F(j, x))")
+    try:
+        game = truthgames.recursion_game(M, rel, rule)
+    except SignatureError as exc:
+        raise ParseError(str(exc)) from None
     solution = etr.etr_solve(M, rel, rule)
-    game = truthgames.recursion_game(M, rel, rule)
     teller = truthgames.honest_teller(game, M, solution=solution)
     extracted = truthgames.extract_solution(teller, game)
     return {

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SignatureError,
 )
-from .universe import Universe
+from .universe import Universe, hf_elements
 
 EDGE_SYMBOL = "<|"
 
@@ -652,11 +652,6 @@ _NOT, _AND, _SOME, _EACH = range(4)
 _UNSET = object()
 
 
-def _bits(m: int) -> list[int]:
-    """Positions of the set bits of m, lowest first."""
-    return [i for i, d in enumerate(bin(m)[:1:-1]) if d == "1"]
-
-
 def _pred_mask(M: Structure, g: Pred, v: str, val: Callable[[Term], int]) -> int:
     """Codes c whose tuple of g's arguments, with c for v, is in the relation."""
     at = tuple(isinstance(t, Var) and t.name == v for t in g.args)
@@ -765,7 +760,7 @@ def _mask(
             if v not in g._fv:
                 stack.append((_SOME, care))
             else:
-                bits = _bits(care)
+                bits = hf_elements(care)
                 if not bits:
                     m = 0
                     continue
@@ -806,7 +801,7 @@ def satisfiers(
     care = bytearray((M.universe.size + 7) // 8)
     for c in codes:
         care[c >> 3] |= 1 << (c & 7)
-    return frozenset(_bits(_mask(M, f, var, dict(env), int.from_bytes(care, "little"))))
+    return frozenset(hf_elements(_mask(M, f, var, dict(env), int.from_bytes(care, "little"))))
 
 
 # ---------------------------------------------------------------------------

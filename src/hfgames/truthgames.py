@@ -506,21 +506,17 @@ class HonestTeller:
             raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
         if verdict and isinstance(inquiry.formula, Exists):
             f = inquiry.formula
-            if f.var in free_vars(f.body):
-                candidates = [
-                    entry.assignment[f.var]
-                    for entry in self.source.entries
-                    if entry.formula == f.body and _is_instantiation(entry, inquiry)
-                ]
-                if candidates:
-                    w = min(candidates)
-                    return Pronouncement(True, w, game.witness_body(inquiry, w))
-            else:
-                body = game.witness_body(inquiry, 0)
-                if self.source.holds(body):
-                    # Vacuous binder: any element witnesses; take the least.
-                    return Pronouncement(True, 0, body)
-            raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
+            # A vacuous binder's body is the same instance at every element,
+            # so any witnesses; take the least.
+            candidates = [
+                entry.assignment.get(f.var, 0)
+                for entry in self.source.entries
+                if entry.formula == f.body and _is_instantiation(entry, inquiry)
+            ]
+            if not candidates:
+                raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
+            w = min(candidates)
+            return Pronouncement(True, w, game.witness_body(inquiry, w))
         return Pronouncement(verdict)
 
     def _by_clauses(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
@@ -689,18 +685,22 @@ def _probe(
     return state
 
 
-def _merge_marks(
-    merged: dict[FormulaInstance, int], state: RefereeState
-) -> Optional[FormulaInstance]:
-    """Merge probe marks; returns an instance whose verdicts conflict across
-    probes, if any."""
-    clash = None
-    for inst, bits in state.marks.items():
-        prev = merged.get(inst, 0)
-        if (prev | bits) == 3 and prev != 3:
-            clash = inst
-        merged[inst] = prev | bits
-    return clash
+def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[FormulaInstance, int]:
+    """Play each ``(opening, budget, lifo)`` probe in turn and merge their
+    marks.  Raises NotWinningStrategyError, naming ``what``, at the first
+    probe that marks an instance against an earlier probe's verdict, so
+    each instance in the result carries one verdict."""
+    merged: dict[FormulaInstance, int] = {}
+    for opening, budget, lifo in probes:
+        clash = None
+        for inst, bits in _probe(game, teller, opening, budget, lifo).marks.items():
+            prev = merged.get(inst, 0)
+            if (prev | bits) == 3 and prev != 3:
+                clash = inst
+            merged[inst] = prev | bits
+        if clash is not None:
+            raise NotWinningStrategyError(f"{what} across probes on {print_instance(clash)}")
+    return merged
 
 
 def extract_satisfaction(
@@ -733,21 +733,19 @@ def extract_satisfaction(
                 "bounded search found a winning interrogator: "
                 + ", ".join(print_instance(i) for i in found.plan.inquiries)
             )
-    merged: dict[FormulaInstance, int] = {}
-    verdicts: dict[FormulaInstance, bool] = {}
-    for target in targets:
-        budget = clock_budget(target, clock_factor) + extra_clock
-        if budget < 1:
-            raise InvariantError(f"clock budget {budget} below 1 for {print_instance(target)}")
-        for lifo in (False, True):
-            state = _probe(game, teller, [target], budget, lifo=lifo)
-            clash = _merge_marks(merged, state)
-            if clash is not None:
-                raise NotWinningStrategyError(
-                    f"pronouncement instability across probes on {print_instance(clash)}"
+
+    def probes():
+        for target in targets:
+            budget = clock_budget(target, clock_factor) + extra_clock
+            if budget < 1:
+                raise InvariantError(
+                    f"clock budget {budget} below 1 for {print_instance(target)}"
                 )
-        verdicts[target] = merged[target] == _TRUE
-    entries = frozenset(t for t in targets if verdicts[t])
+            yield (target,), budget, False
+            yield (target,), budget, True
+
+    merged = _read_marks(game, teller, probes(), "pronouncement instability")
+    entries = frozenset(t for t in targets if merged[t] == _TRUE)
     result = SatisfactionClass(entries, frozenset(targets))
     if game.obligation is None:
         violations = tarski_check(game.structure, result, targets)
@@ -763,7 +761,8 @@ def _presearch_pool(game: TruthGame, targets: Sequence[FormulaInstance]) -> list
     pool: list[FormulaInstance] = []
     seen = set()
     for t in targets:
-        for cand in (t, *_unfold(game, t, Pronouncement(False))):
+        parts = game.parts(t) if isinstance(t.formula, (Not, And)) else ()
+        for cand in (t, *parts):
             if cand not in seen:
                 seen.add(cand)
                 pool.append(cand)
@@ -789,29 +788,16 @@ def extract_solution(teller, game: TruthGame) -> Solution:
     rf = game.rule_instance_formula
     # Every rule instance has the same formula, so one budget serves all.
     budget = clock_budget(instance(rf, {ob.rule.i_var: 0, ob.rule.x_var: 0}))
-    merged: dict[FormulaInstance, int] = {}
-    pairs = set()
-    for (i, x), rule_inst in game.rule_instances().items():
-        f_atom = instance(_f_atom(ob.rule, i, x), {})
-        state = _probe(game, teller, [f_atom, rule_inst], budget)
-        clash = _merge_marks(merged, state)
-        if clash is not None:
-            raise NotWinningStrategyError(
-                f"incoherent slices across probes on {print_instance(clash)}"
-            )
-        if merged[f_atom] == _TRUE:
-            pairs.add((i, x))
-    solution = Solution(frozenset(pairs))
-    base = game.structure
-    if not check_solution(base, ob.relation, ob.rule, solution, ob.value_domain):
+    rules = game.rule_instances()
+    f_atoms = {(i, x): instance(Pred(ob.rule.f_symbol, (Const(i), Const(x)))) for i, x in rules}
+    probes = (((f_atoms[key], inst), budget, False) for key, inst in rules.items())
+    merged = _read_marks(game, teller, probes, "incoherent slices")
+    solution = Solution(frozenset(key for key, atom in f_atoms.items() if merged[atom] == _TRUE))
+    if not check_solution(game.structure, ob.relation, ob.rule, solution, ob.value_domain):
         raise NotWinningStrategyError(
             "extracted predicate violates the recursion slice equations"
         )
     return solution
-
-
-def _f_atom(rule: RecursionRule, i: int, x: int) -> Formula:
-    return Pred(rule.f_symbol, (Const(i), Const(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,12 @@ def member(a, b) -> bool:
 
 
 def hf_elements(code: int) -> list[int]:
-    """Codes of the elements of the set coded by ``code``, ascending."""
-    out = []
-    bit = 0
-    c = int(code)
-    while c:
-        if c & 1:
-            out.append(bit)
-        c >>= 1
-        bit += 1
-    return out
+    """Codes of the elements of the set coded by ``code``, ascending: the
+    positions of its set bits, lowest first."""
+    code = int(code)
+    if code < 0:
+        raise InvariantError(f"negative code {code}")
+    return [i for i, d in enumerate(bin(code)[:1:-1]) if d == "1"]
 
 
 @dataclass(frozen=True, order=True)

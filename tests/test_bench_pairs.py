@@ -1,0 +1,61 @@
+"""scripts/bench_pairs.py's summary of paired runs, on fixture summaries."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"batch_norm_s": "lower", "passed_frac": "higher"}
+
+
+def summary(out, side, workload, pair, batch, passed):
+    doc = {
+        "workload": workload,
+        "seed": 1,
+        "correct": True,
+        "metrics": {
+            "batch_norm_s": {"value": batch, "unit": "s"},
+            "passed_frac": {"value": passed, "unit": "fraction"},
+        },
+    }
+    path = out / side / f"summary-{workload}-seed1-pair{pair}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc))
+
+
+def test_bench_document(tmp_path):
+    # ((parent), (change)) batch_norm_s and passed_frac per pair: the change
+    # wins pairs 0 and 1 on time, loses pair 2 and ties pair 3; it wins
+    # passed_frac only in pair 2, by being higher, and ties the rest.
+    pairs = [
+        ((1.0, 1.0), (0.9, 1.0)),
+        ((1.0, 1.0), (0.8, 1.0)),
+        ((1.0, 0.9), (1.1, 1.0)),
+        ((1.0, 1.0), (1.0, 1.0)),
+    ]
+    for k, ((p_batch, p_passed), (c_batch, c_passed)) in enumerate(pairs):
+        summary(tmp_path, "parent", "recursion", k, p_batch, p_passed)
+        summary(tmp_path, "change", "recursion", k, c_batch, c_passed)
+    # A parent run whose change run is missing does not count.
+    summary(tmp_path, "parent", "recursion", 4, 50.0, 0.0)
+    summary(tmp_path, "parent", "evaluate", 0, 0.25, 1.0)
+    summary(tmp_path, "change", "evaluate", 0, 0.5, 1.0)
+
+    evaluate, recursion = bench_pairs.bench_document(tmp_path, BETTER)
+
+    assert recursion["workload"] == "recursion" and recursion["pairs"] == 4
+    batch, passed = recursion["metrics"]["batch_norm_s"], recursion["metrics"]["passed_frac"]
+    assert batch["change_wins"] == 2 and batch["better"] == "lower"
+    assert passed["change_wins"] == 1 and passed["better"] == "higher"
+    assert batch["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert passed["parent"]["median"] == 1.0
+    assert recursion["all_correct"] is True
+
+    assert evaluate["pairs"] == 1
+    assert evaluate["metrics"]["batch_norm_s"]["parent"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
+    assert evaluate["metrics"]["batch_norm_s"]["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert evaluate["metrics"]["batch_norm_s"]["change_wins"] == 0

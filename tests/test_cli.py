@@ -129,6 +129,14 @@ class TestSolve:
         assert doc["round_trip_exact"] is True
         assert doc["check_solution"] is True
 
+    @pytest.mark.parametrize(
+        "pred, says", [("F=0,1", "F is the teller's predicate"), ("<|=0,1", "<| guards the reads")]
+    )
+    def test_recursion_structure_fixing_its_predicates_usage_error(self, capsys, pred, says):
+        code, out, err = run(capsys, "solve", "recursion", "--rank", "3", "--pred", pred)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {says}") and "Traceback" not in err
+
 
 class TestPlay:
     def test_replay_reproduces_status(self, capsys, tmp_path, monkeypatch):

@@ -63,6 +63,7 @@ ITERATIVE_TRUTHGAMES = [
     "_futility_certificate",
     "_line_count",
     "_probe",
+    "_read_marks",
     "HonestTeller._by_clauses",
 ]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -94,6 +94,24 @@ class LyingTeller:
         return self.base.answer(game, inquiry, clock, history)
 
 
+class Flipper:
+    """Answers one fixed instance with the opposite of its honest verdict,
+    and no witness, at its first, third, ... ask; honest elsewhere."""
+
+    def __init__(self, base, flip):
+        self.base = base
+        self.flip = flip
+        self.count = 0
+
+    def answer(self, game, inquiry, clock, history):
+        honest = self.base.answer(game, inquiry, clock, history)
+        if inquiry == self.flip:
+            self.count += 1
+            if self.count % 2 == 1:
+                return Pronouncement(not honest.verdict)
+        return honest
+
+
 class LowClockScrambler:
     """Honest at comfortable clocks, random at clock <= 1; the teller can
     relax as the time is about to expire."""
@@ -472,20 +490,83 @@ class TestExtraction:
     def test_instability_detected(self):
         game = truth_game(V3)
         flip = parse_instance("!!(#0 in #1)")
-
-        class Flipper:
-            def __init__(self):
-                self.base = honest_teller(game, V3)
-                self.count = 0
-
-            def answer(self, g, inquiry, clock, history):
-                if inquiry == flip:
-                    self.count += 1
-                    return Pronouncement(self.count % 2 == 1)
-                return self.base.answer(g, inquiry, clock, history)
-
+        teller = Flipper(honest_teller(game, V3), flip)
         with pytest.raises(NotWinningStrategyError, match="instability|probe"):
-            extract_satisfaction(Flipper(), game, [flip], presearch_budget=None)
+            extract_satisfaction(teller, game, [flip], presearch_budget=None)
+
+
+def refusal(call) -> str:
+    """The message of the NotWinningStrategyError, exactly that type, call raises."""
+    with pytest.raises(NotWinningStrategyError) as info:
+        call()
+    assert type(info.value) is NotWinningStrategyError
+    return str(info.value)
+
+
+class TestExtractionRefusals:
+    """Each way extraction refuses a strategy, with its exact message."""
+
+    def setup_method(self):
+        self.game = truth_game(V3)
+        self.honest = honest_teller(self.game, V3)
+        self.rel = WellFoundedRelation(frozenset({0, 1}), frozenset({(0, 1)}))
+        self.rule = RecursionRule.parse("x = i | F(#0, x)")
+        self.rgame = recursion_game(V2, self.rel, self.rule)
+        solution = etr_solve(V2, self.rel, self.rule)
+        self.rhonest = honest_teller(self.rgame, V2, solution=solution)
+
+    def test_presearch_finds_a_liar(self):
+        # The search's pool holds the target's parts, so it finds a lie there.
+        target = parse_instance("!(#0 in #1)")
+        teller = LyingTeller(self.honest, parse_instance("#0 in #1"))
+        assert refusal(lambda: extract_satisfaction(teller, self.game, [target])) == (
+            "bounded search found a winning interrogator: !(#0 in #1), (#0 in #1)"
+        )
+
+    def test_a_liar_loses_a_probe(self):
+        lie = parse_instance("#0 in #1")
+        teller = LyingTeller(self.honest, lie)
+        call = lambda: extract_satisfaction(teller, self.game, [lie], presearch_budget=None)
+        assert refusal(call) == (
+            "teller lost a probe at (#0 in #1):"
+            " [atomic] (#0 in #1): pronounced False, structure says True"
+        )
+
+    def test_verdicts_clash_across_probes(self):
+        # A denied existential has no follow-up, so each probe alone is won.
+        ex = parse_instance("Ex. (x in #1)")
+        teller = Flipper(self.honest, ex)
+        call = lambda: extract_satisfaction(teller, self.game, [ex], presearch_budget=None)
+        assert refusal(call) == "pronouncement instability across probes on Ex. (x in #1)"
+
+    def test_class_without_witness_bodies_fails_the_audit(self):
+        ex = parse_instance("Ex. (x in #1)")
+        assert refusal(lambda: extract_satisfaction(self.honest, self.game, [ex])) == (
+            "extracted class fails the Tarskian audit:"
+            " [quantifier] Ex. (x in #1): marked True, instantiations give False"
+        )
+
+    def test_slices_clash_across_probes(self):
+        # F(#0, x) at {x: 1}, false in the solution, is read by the rule
+        # instances at x = 1 of both nodes.  The teller affirms it only in the
+        # first probe; the referee never judges F, so each probe alone is won.
+        read = instance(Pred("F", (Const(0), Var("x"))), {"x": 1})
+        teller = Flipper(self.rhonest, read)
+        assert refusal(lambda: extract_solution(teller, self.rgame)) == (
+            "incoherent slices across probes on F(#0, #1)"
+        )
+        assert teller.count == 2
+
+    def test_extracted_predicate_fails_the_slice_equations(self):
+        lie = instance(Pred("F", (Const(1), Const(0))), {})
+
+        class MemorylessLiar(LyingTeller):
+            memoryless = True
+
+        teller = MemorylessLiar(self.rhonest, lie)
+        assert refusal(lambda: extract_solution(teller, self.rgame)) == (
+            "extracted predicate violates the recursion slice equations"
+        )
 
 
 class TestInterrogatorSearch:

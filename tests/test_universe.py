@@ -78,6 +78,28 @@ class TestMember:
             for e in hf_elements(code):
                 assert e < code
 
+    def test_elements_agree_with_a_bit_by_bit_loop(self):
+        def by_bits(c):
+            out, bit = [], 0
+            while c:
+                if c & 1:
+                    out.append(bit)
+                c >>= 1
+                bit += 1
+            return out
+
+        rng = random.Random(5)
+        codes = [0, 1, 2**65536 - 1] + [
+            rng.getrandbits(rng.choice((rng.randrange(1, 65), rng.randrange(1, 65537))))
+            for _ in range(24)
+        ]
+        for code in codes:
+            assert hf_elements(code) == by_bits(code)
+
+    def test_negative_code_refused(self):
+        with pytest.raises(InvariantError, match="negative code -1"):
+            hf_elements(-1)
+
     def test_hfset_pretty(self):
         assert HFSet(0).pretty() == "{}"
         assert HFSet(3).pretty() == "{{},{{}}}"
