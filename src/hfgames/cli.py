@@ -88,7 +88,7 @@ def _structure(args) -> logic.Structure:
 
 def _read_closed(text: str, M: logic.Structure) -> logic.FormulaInstance:
     """The closed formula the user typed, over M's signature and universe."""
-    f = logic.parse_formula(text, M.signature() or None)
+    f = logic.parse_formula(text, M.signature())
     free = logic.free_vars(f)
     if free:
         raise ParseError(f"formula has free variables {sorted(free)}; bind or substitute them")
@@ -146,7 +146,8 @@ def _solve_choice(args) -> dict:
 
 def _solve_random_clopen(args) -> dict:
     rng = random.Random(f"solve:{args.seed}")
-    G = games.random_clopen_game(rng, max_nodes=args.max_nodes, max_cap=_play_cap(args.cap))
+    max_nodes = _at_least("--max-nodes", args.max_nodes, 1)
+    G = games.random_clopen_game(rng, max_nodes=max_nodes, max_cap=_play_cap(args.cap))
     winner, strat = games.value_strategy(G)
     _, label_winner, label_strat = games.label_clopen(G)
     return {
@@ -165,6 +166,8 @@ def _solve_random_clopen(args) -> dict:
 
 
 def _solve_truthtelling(args) -> dict:
+    _at_least("--depth", args.depth, 0)
+    _at_least("--random-interrogators", args.random_interrogators, 0)
     M = _structure(args)
     game = truthgames.truth_game(M)
     if args.teller != "honest":

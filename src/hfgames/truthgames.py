@@ -718,9 +718,24 @@ def extract_satisfaction(
     with the target asked first and follow-ups unfolded breadth-first, then
     again in depth-first order; verdicts must agree across all probes.  The
     result must pass the Tarskian audit on the target closure.
+
+    A ``memoryless`` teller (see ``interrogator_search``) is read in one
+    pass instead: one referee state asks the search's pool, then the
+    targets, then every follow-up, each distinct inquiry once.  Every play
+    above asks a subset of those rounds and the teller answers each inquiry
+    alike wherever it is asked, so if the pass is won no search line wins,
+    no probe is lost and no verdicts clash, and the pass's marks are the
+    probes' verdicts.  If the pass is lost, raises or cannot be had, the
+    search and probes run as described, so a refusal is the same either way.
     """
     targets = list(targets)
-    if presearch_budget:
+    state = None
+    if getattr(teller, "memoryless", False) and all(
+        clock_budget(t, clock_factor) + extra_clock >= 1 for t in targets
+    ):
+        pool = _presearch_pool(game, targets) if presearch_budget else []
+        state = _single_pass(game, teller, pool + targets, _unfold)
+    if state is None and presearch_budget:
         found = interrogator_search(
             game,
             teller,
@@ -744,8 +759,11 @@ def extract_satisfaction(
             yield (target,), budget, False
             yield (target,), budget, True
 
-    merged = _read_marks(game, teller, probes(), "pronouncement instability")
-    entries = frozenset(t for t in targets if merged[t] == _TRUE)
+    if state is not None:
+        marks = state.marks
+    else:
+        marks = _read_marks(game, teller, probes(), "pronouncement instability")
+    entries = frozenset(t for t in targets if marks[t] == _TRUE)
     result = SatisfactionClass(entries, frozenset(targets))
     if game.obligation is None:
         violations = tarski_check(game.structure, result, targets)
@@ -915,32 +933,47 @@ def interrogator_search(
     return SearchResult(None, not stack, nodes)
 
 
+def _single_pass(
+    game: TruthGame, teller, openings: list[FormulaInstance], follow
+) -> Optional[RefereeState]:
+    """One clean pass over the openings: a probe that asks each distinct
+    opening once, then the follow-ups ``follow`` reads off each answer until
+    no new one appears.  Returns None if the teller lost, raised a typed
+    error, or named a witness instance anywhere but on an affirmed
+    existential.
+
+    Each follow-up is smaller than the inquiry it follows (the referee holds
+    a named witness instance to the existential's body), so there are at
+    most as many asks as the openings' sizes add up to, and a countdown from
+    that sum plus one per opening never reaches zero."""
+    budget = sum(1 + size(inst.formula) for inst in openings)
+    try:
+        state = _probe(game, teller, openings, budget, follow=follow)
+    except HFGamesError:
+        return None
+    for rnd in state.rounds:
+        pron = rnd.pronouncement
+        if pron.witness_instance is not None and not (
+            pron.verdict and isinstance(rnd.inquiry.formula, Exists)
+        ):
+            return None
+    return state
+
+
 def _futility_certificate(
     game: TruthGame, teller, pool: list[FormulaInstance]
 ) -> Optional[dict[FormulaInstance, Optional[FormulaInstance]]]:
-    """One probe over the pool whose follow-up is the witness instance each
-    answer names: it asks each distinct pool instance once, then each named
-    witness instance until no new one appears.  Returns, for every inquiry
-    asked, the out-of-pool witness instance its answer names (or None);
-    returns None instead if the teller lost, raised a typed error, or named
-    a witness instance anywhere but on an affirmed existential.
-
-    The referee holds a named witness instance to the existential's body,
-    so it is smaller than the inquiry that named it: there are at most as
-    many asks as the pool's sizes add up to, and a countdown from that sum
-    plus one per pool entry never reaches zero."""
-    budget = sum(1 + size(inst.formula) for inst in pool)
-    try:
-        state = _probe(game, teller, pool, budget, follow=_named_witness)
-    except HFGamesError:
+    """One ``_single_pass`` over the pool whose follow-up is the witness
+    instance each answer names.  Returns, for every inquiry asked, the
+    out-of-pool witness instance its answer names (or None); returns None
+    instead if the pass does."""
+    state = _single_pass(game, teller, pool, _named_witness)
+    if state is None:
         return None
     pool_set = set(pool)
     named: dict = {}
     for rnd in state.rounds:
-        pron = rnd.pronouncement
-        wi = pron.witness_instance
-        if wi is not None and not (pron.verdict and isinstance(rnd.inquiry.formula, Exists)):
-            return None
+        wi = rnd.pronouncement.witness_instance
         named[rnd.inquiry] = None if wi in pool_set else wi
     return named
 

@@ -61,6 +61,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--rank", "2", "x in #1")
         assert code == 2
 
+    @pytest.mark.parametrize("pred", [(), ("--pred", "P=0")], ids=["no-pred", "pred"])
+    @pytest.mark.parametrize("formula, name", [("F(#0, #1)", "F"), ("#0 <| #1", "<|")])
+    def test_unknown_predicate_usage_error(self, capsys, pred, formula, name):
+        code, out, err = run(capsys, "eval", "--rank", "2", *pred, formula)
+        assert code == 2 and out == ""
+        assert f"unknown predicate symbol {name!r}" in err
+
     @pytest.mark.parametrize(
         "nested",
         [
@@ -128,6 +135,24 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["round_trip_exact"] is True
         assert doc["check_solution"] is True
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (("truthtelling", "--depth", "-1"), "--depth must be at least 0, got -1"),
+            (
+                ("truthtelling", "--random-interrogators", "-3"),
+                "--random-interrogators must be at least 0, got -3",
+            ),
+            (("random-clopen", "--max-nodes", "0"), "--max-nodes must be at least 1, got 0"),
+            (("random-clopen", "--max-nodes", "-5"), "--max-nodes must be at least 1, got -5"),
+        ],
+        ids=["depth", "random-interrogators", "max-nodes-0", "max-nodes-negative"],
+    )
+    def test_negative_search_size_usage_error(self, capsys, argv, says):
+        code, out, err = run(capsys, "solve", *argv, "--rank", "2", "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {says}\n"
 
     @pytest.mark.parametrize(
         "pred, says", [("F=0,1", "F is the teller's predicate"), ("<|=0,1", "<| guards the reads")]
@@ -419,6 +444,17 @@ class TestOutsideTheUniverse:
         code, out, err = run(capsys, "play", "--interactive", "--rank", "2", "--clock", "1")
         assert code == 0
         assert "  ! constant #7 outside the universe" in err
+        doc = json.loads(out)
+        assert doc["status"] == "teller_wins"
+        assert [r.get("inquiry") for r in doc["rounds"]] == ["(#0 in #1)", None]
+
+    def test_interactive_unknown_predicate_reprompts(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("F(#0, #1)\n(#0 in #1)\n"))
+        code, out, err = run(capsys, "play", "--interactive", "--rank", "2", "--clock", "1")
+        assert code == 0
+        assert "  ! unknown predicate symbol 'F'" in err
         doc = json.loads(out)
         assert doc["status"] == "teller_wins"
         assert [r.get("inquiry") for r in doc["rounds"]] == ["(#0 in #1)", None]

@@ -6,39 +6,52 @@ walk (forced by hiding the teller's ``memoryless`` declaration) and the
 brute-force ``oracles.line_search``, which replays every line from scratch
 through ``referee``.  The referee itself is held to ``oracles.referee_lost``,
 its rules restated over the set of rounds.
+
+``extract_satisfaction`` reads a memoryless teller's class off one referee
+pass in the same way; hidden behind ``Walked``, the same teller takes the
+presearch and the per-target probes, and both give the same class or the
+same refusal.
 """
 
 import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfgames import truthgames
+from hfgames.errors import CoverageError, HFGamesError, InvariantError, NotWinningStrategyError
 from hfgames.logic import (
     And,
     Exists,
     Not,
+    SatisfactionClass,
     Structure,
     build_truth_predicate,
+    enumerate_instances,
     instance,
     instantiate,
     parse_instance,
     print_instance,
+    random_instance,
     sub_instance,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
 from hfgames.oracles import line_search, referee_lost
 from hfgames.truthgames import (
+    NATURAL,
+    ORDINAL,
     HonestTeller,
     Pronouncement,
     RefereeState,
     Round,
     SearchResult,
     default_inquiry_pool,
+    extract_satisfaction,
     honest_teller,
     interrogator_search,
     recursion_game,
@@ -265,6 +278,194 @@ class TestAgreement:
         res = interrogator_search(game, teller, depth=3)
         assert time.process_time() - started < 1.0
         assert res.proven_none and res.nodes >= n + n**2 + n**3
+
+
+class Counting:
+    """The wrapped memoryless teller, counting how often each inquiry is asked."""
+
+    memoryless = True
+
+    def __init__(self, base):
+        self.base = base
+        self.asks = Counter()
+
+    def answer(self, game, inquiry, clock, history):
+        self.asks[inquiry] += 1
+        return self.base.answer(game, inquiry, clock, history)
+
+
+class OneLie:
+    """Memoryless and faulty: flips the honest verdict, naming no witness, on
+    one instance."""
+
+    memoryless = True
+
+    def __init__(self, base, lie):
+        self.base = base
+        self.lie = lie
+
+    def answer(self, game, inquiry, clock, history):
+        honest = self.base.answer(game, inquiry, clock, history)
+        return Pronouncement(not honest.verdict) if inquiry == self.lie else honest
+
+
+def extraction_outcome(teller, game, targets, **kwargs):
+    """The class ``extract_satisfaction`` reads, or the type and message of
+    the typed error it raises."""
+    try:
+        return extract_satisfaction(teller, game, targets, **kwargs)
+    except HFGamesError as exc:
+        return type(exc), str(exc)
+
+
+def both_extractions(make_teller, game, targets, **kwargs):
+    """The one-pass outcome and the per-probe one, each with a fresh teller."""
+    one = extraction_outcome(make_teller(), game, targets, **kwargs)
+    probed = extraction_outcome(Walked(make_teller()), game, targets, **kwargs)
+    return one, probed
+
+
+PRESEARCH = (2000, None)
+
+
+class TestSinglePassExtraction:
+    @pytest.mark.parametrize("presearch", PRESEARCH)
+    @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
+    @pytest.mark.parametrize("kind", ["structure", "class"])
+    @pytest.mark.parametrize("rank, max_size", [(1, 4), (2, 4), (3, 3)])
+    def test_seeded_targets_agree(self, rank, max_size, kind, mode, presearch):
+        M = STRUCTURES[rank]
+        game = truth_game(M, mode)
+        targets = enumerate_instances(M, max_size)
+        # The class covers the presearch's pool: the targets, their parts
+        # and their negations.
+        negations = [instance(Not(t.formula), t.assignment) for t in targets]
+        S = build_truth_predicate(M, tarski_closure(M, targets + negations))
+
+        def make():
+            return honest_teller(game, M) if kind == "structure" else HonestTeller(S)
+
+        one, probed = both_extractions(make, game, targets, presearch_budget=presearch)
+        assert one == probed == build_truth_predicate(M, targets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([NATURAL, ORDINAL]),
+        st.sampled_from(PRESEARCH),
+        st.integers(0, 2**32),
+        st.integers(1, 12),
+    )
+    def test_drawn_targets_agree(self, rank, mode, presearch, seed, count):
+        # Drawn targets need not hold their witness bodies, so some of these
+        # are refused by the Tarskian audit, alike on both paths.
+        M = STRUCTURES[rank]
+        game = truth_game(M, mode)
+        rng = random.Random(seed)
+        targets = [random_instance(rng, M, 6) for _ in range(count)]
+        one, probed = both_extractions(
+            lambda: honest_teller(game, M), game, targets, presearch_budget=presearch
+        )
+        assert one == probed
+
+    @pytest.mark.parametrize("liar", [HashLiar, HashWitness])
+    def test_memoryless_liars_refused_alike(self, liar):
+        refused = 0
+        for salt in range(30):
+            M = STRUCTURES[2 + salt % 2]
+            game = truth_game(M)
+            rng = random.Random(salt)
+            targets = [random_instance(rng, M, 5) for _ in range(6)]
+            one, probed = both_extractions(
+                lambda: liar(honest_teller(game, M), salt),
+                game,
+                targets,
+                clock_factor=salt % 3,
+                presearch_budget=PRESEARCH[salt % 2],
+            )
+            assert one == probed, salt
+            refused += isinstance(one, tuple) and one[0] is NotWinningStrategyError
+        assert refused >= 25
+
+    @pytest.mark.parametrize("presearch", PRESEARCH)
+    def test_class_backed_coverage_error_alike(self, presearch):
+        # The class holds the target alone, not its part.
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        targets = [parse_instance("!(#0 in #1)")]
+        S = build_truth_predicate(M, targets)
+        one, probed = both_extractions(
+            lambda: HonestTeller(S), game, targets, presearch_budget=presearch
+        )
+        assert one == probed
+        assert one[0] is CoverageError and "outside closure" in one[1]
+
+    def test_budget_below_one_alike(self):
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        targets = enumerate_instances(M, 3)
+        one, probed = both_extractions(
+            lambda: honest_teller(game, M), game, targets, clock_factor=-5
+        )
+        assert one == probed
+        assert one[0] is InvariantError and "below 1" in one[1]
+
+    def test_lost_pass_falls_back_to_the_probes(self):
+        """A lie on a part that no probe reaches at a one-round clock loses
+        the pass, but not the probes, which read the class."""
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        lie = parse_instance("#1 in #0")
+        targets = [parse_instance(t) for t in ("!!!(#1 in #0)", "!!(#1 in #0)", "!(#1 in #0)")]
+        make = lambda: OneLie(honest_teller(game, M), lie)
+        assert truthgames._single_pass(game, make(), targets, truthgames._unfold) is None
+        one, probed = both_extractions(
+            make, game, targets, clock_factor=0, extra_clock=-1, presearch_budget=None
+        )
+        assert one == probed == SatisfactionClass(frozenset(targets[::2]), frozenset(targets))
+
+    def test_lie_only_the_presearch_asks_about(self):
+        # The negation of the target is in the presearch's pool, and no
+        # probe of the target asks it.
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        target = parse_instance("#0 in #1")
+        make = lambda: OneLie(honest_teller(game, M), parse_instance("!(#0 in #1)"))
+        one, probed = both_extractions(make, game, [target])
+        assert one == probed == (
+            NotWinningStrategyError,
+            "bounded search found a winning interrogator: (#0 in #1), !(#0 in #1)",
+        )
+
+    def test_witness_instance_off_an_existential_takes_the_probes(self):
+        # The target's answer names the lie as its witness instance, so the
+        # presearch asks the lie; no probe does.
+        M = STRUCTURES[2]
+        game = truth_game(M)
+        target, lie = parse_instance("#0 in #1"), parse_instance("#1 in #0")
+
+        class Pointing(OneLie):
+            def answer(self, game, inquiry, clock, history):
+                pron = super().answer(game, inquiry, clock, history)
+                return Pronouncement(pron.verdict, None, lie) if inquiry == target else pron
+
+        one, probed = both_extractions(lambda: Pointing(honest_teller(game, M), lie), game, [target])
+        assert one == probed == (
+            NotWinningStrategyError,
+            "bounded search found a winning interrogator: (#0 in #1), (#1 in #0)",
+        )
+
+    def test_criterion_one_asks_each_inquiry_once(self):
+        # The per-probe path asks 7,008 probe rounds, after a 2,000-line
+        # presearch walk, over these same 1,692 inquiries.
+        M = STRUCTURES[3]
+        game = truth_game(M)
+        teller = Counting(honest_teller(game, M))
+        targets = enumerate_instances(M, 5)
+        S = extract_satisfaction(teller, game, targets)
+        assert S == build_truth_predicate(M, targets)
+        assert len(teller.asks) == 1692
+        assert set(teller.asks.values()) == {1}
 
 
 CHAIN = WellFoundedRelation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))

@@ -61,6 +61,7 @@ ITERATIVE_ETR = ["_relativize", "transitive_closure", "descending_tree"]
 ITERATIVE_TRUTHGAMES = [
     "interrogator_search",
     "_futility_certificate",
+    "_single_pass",
     "_line_count",
     "_probe",
     "_read_marks",
