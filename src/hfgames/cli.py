@@ -2,8 +2,10 @@
 truth-telling game, and run the verification suites.
 
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error, 3 resource
-bound exceeded.  Budgets honor the HFGAMES_MAX_RANK, HFGAMES_NODE_BUDGET,
-HFGAMES_PLAY_CAP, and HFGAMES_CLOCK_FACTOR environment variables.
+bound exceeded.  HFGAMES_MAX_RANK caps the rank of every universe a command
+builds.  Only verify reads HFGAMES_NODE_BUDGET, HFGAMES_PLAY_CAP and
+HFGAMES_CLOCK_FACTOR; there a variable that is set overrides --node-budget
+or --cap.
 """
 
 from __future__ import annotations
@@ -324,7 +326,7 @@ def cmd_verify(args) -> int:
         play_cap=_play_cap(_env_int("HFGAMES_PLAY_CAP", args.cap)),
         clock_budget_factor=_at_least("HFGAMES_CLOCK_FACTOR", _env_int("HFGAMES_CLOCK_FACTOR", 2), 1),
         seed=args.seed,
-        node_budget=_env_int("HFGAMES_NODE_BUDGET", args.node_budget),
+        node_budget=_at_least("node budget", _env_int("HFGAMES_NODE_BUDGET", args.node_budget), 1),
     )
     reports = suites.run_suite(args.suite, cfg, inject_bug=args.inject_bug)
     if args.json:

@@ -41,10 +41,15 @@ EDGE_SYMBOL = "<|"
 
 
 # Formula nodes sit in referee indexes and memo tables on every move of
-# every game, so each node caches its hash and its free variables at
-# construction, from the caches of its children.  Terms cache theirs too.
+# every game, and clock budgets read their size, so each node caches at
+# construction, from the caches of its children: its hash, its free
+# variables, its size (every AST node, terms included), its depth (formula
+# nodes on the longest path down to an atom, both ends included) and its
+# predicate symbols.  Membership and equality atoms share the last three as
+# class attributes.  Terms cache their hash and free variables.
 
-_NO_VARS: frozenset[str] = frozenset()
+_EMPTY: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
 def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -56,8 +61,8 @@ class Var:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("var", self.name)))
-        object.__setattr__(self, "_fv", frozenset((self.name,)))
+        _set(self, "_h", hash(("var", self.name)))
+        _set(self, "_fv", frozenset((self.name,)))
 
     def __hash__(self):
         return self._h
@@ -71,8 +76,8 @@ class Const:
     code: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("const", self.code)))
-        object.__setattr__(self, "_fv", _NO_VARS)
+        _set(self, "_h", hash(("const", self.code)))
+        _set(self, "_fv", _EMPTY)
 
     def __hash__(self):
         return self._h
@@ -113,9 +118,13 @@ def _formula_eq(a: "_FormulaNode", b) -> bool:
 
 
 class _FormulaNode:
-    """What the six formula classes share: the hash cached at construction,
+    """What the six formula classes share: the facts cached at construction,
     equality by an explicit stack and a repr in the text syntax, so formulas
     of any depth hash, compare and print."""
+
+    _size = 3
+    _depth = 1
+    _preds = _EMPTY
 
     def __hash__(self):
         return self._h
@@ -126,14 +135,21 @@ class _FormulaNode:
         return f"<{type(self).__name__} {to_text(self)}>"
 
 
+def _node(f) -> "_FormulaNode":
+    """f itself, if it is a formula node."""
+    if not isinstance(f, _FormulaNode):
+        raise TypeError(f"not a formula: {f!r}")
+    return f
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Member(_FormulaNode):
     left: Term
     right: Term
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("in", self.left, self.right)))
-        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
+        _set(self, "_h", hash(("in", self.left, self.right)))
+        _set(self, "_fv", _join(self.left._fv, self.right._fv))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -142,8 +158,8 @@ class Eq(_FormulaNode):
     right: Term
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("eq", self.left, self.right)))
-        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
+        _set(self, "_h", hash(("eq", self.left, self.right)))
+        _set(self, "_fv", _join(self.left._fv, self.right._fv))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -152,11 +168,13 @@ class Pred(_FormulaNode):
     args: tuple[Term, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("pred", self.name, self.args)))
-        fv = _NO_VARS
+        _set(self, "_h", hash(("pred", self.name, self.args)))
+        fv = _EMPTY
         for t in self.args:
             fv = _join(fv, t._fv)
-        object.__setattr__(self, "_fv", fv)
+        _set(self, "_fv", fv)
+        _set(self, "_size", 1 + len(self.args))
+        _set(self, "_preds", frozenset((self.name,)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -164,8 +182,12 @@ class Not(_FormulaNode):
     body: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("not", self.body)))
-        object.__setattr__(self, "_fv", self.body._fv)
+        b = _node(self.body)
+        _set(self, "_h", hash(("not", b)))
+        _set(self, "_fv", b._fv)
+        _set(self, "_size", b._size + 1)
+        _set(self, "_depth", b._depth + 1)
+        _set(self, "_preds", b._preds)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -174,8 +196,12 @@ class And(_FormulaNode):
     right: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("and", self.left, self.right)))
-        object.__setattr__(self, "_fv", _join(self.left._fv, self.right._fv))
+        a, b = _node(self.left), _node(self.right)
+        _set(self, "_h", hash(("and", a, b)))
+        _set(self, "_fv", _join(a._fv, b._fv))
+        _set(self, "_size", a._size + b._size + 1)
+        _set(self, "_depth", max(a._depth, b._depth) + 1)
+        _set(self, "_preds", _join(a._preds, b._preds))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -184,9 +210,12 @@ class Exists(_FormulaNode):
     body: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("exists", self.var, self.body)))
-        fv = self.body._fv
-        object.__setattr__(self, "_fv", fv - {self.var} if self.var in fv else fv)
+        b = _node(self.body)
+        _set(self, "_h", hash(("exists", self.var, b)))
+        _set(self, "_fv", b._fv - {self.var} if self.var in b._fv else b._fv)
+        _set(self, "_size", b._size + 1)
+        _set(self, "_depth", b._depth + 1)
+        _set(self, "_preds", b._preds)
 
 
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
@@ -216,16 +245,9 @@ def _terms(g: Formula) -> tuple[Term, ...]:
 
 
 def size(f: Formula) -> int:
-    """Node count over the whole AST, term nodes included."""
-    n = 0
-    for g in subformulas(f):
-        if type(g) in (Not, And, Exists):
-            n += 1
-        elif type(g) in ATOMIC_KINDS:
-            n += 1 + len(_terms(g))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return n
+    """Node count over the whole AST, term nodes included, as cached on the
+    node at construction."""
+    return _node(f)._size
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -249,10 +271,8 @@ class _Rebind(tuple):
 def _render(f: Formula, env: dict) -> str:
     """Text of f with each free variable that env binds shown as its constant;
     an Exists hides its variable from env in its body."""
-    if not isinstance(f, _FormulaNode):
-        raise TypeError(f"not a formula: {f!r}")
     out = []
-    stack: list = [f]  # formulas, text to follow them, and _Rebinds
+    stack: list = [_node(f)]  # formulas, text to follow them, and _Rebinds
     while stack:
         g = stack.pop()
         t = type(g)
@@ -333,22 +353,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 100
 
 
-def _depth(f: Formula) -> int:
-    """Formula nodes on the longest path from f down to an atom."""
-    deepest = 0
-    stack = [(f, 1)]
-    while stack:
-        g, d = stack.pop()
-        if isinstance(g, (Not, Exists)):
-            stack.append((g.body, d + 1))
-        elif isinstance(g, And):
-            stack.append((g.left, d + 1))
-            stack.append((g.right, d + 1))
-        elif d > deepest:
-            deepest = d
-    return deepest
-
-
 def _too_deep(at: Optional[int]) -> ParseError:
     return ParseError(f"formula nested deeper than {MAX_NESTING} levels", at)
 
@@ -378,7 +382,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        if _depth(f) > MAX_NESTING:
+        if f._depth > MAX_NESTING:
             raise _too_deep(None)
         return f
 

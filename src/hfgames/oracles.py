@@ -49,6 +49,24 @@ def tarski_eval(M: Structure, formula, env: dict) -> bool:
     raise AssertionError(f"unknown formula {formula!r}")
 
 
+def formula_facts(formula) -> tuple[int, int, frozenset]:
+    """(size, depth, predicate names) of a formula by plain recursion: size
+    counts every AST node, terms included, and depth the formula nodes on
+    the longest path down to an atom."""
+    if isinstance(formula, (Member, Eq)):
+        return 3, 1, frozenset()
+    if isinstance(formula, Pred):
+        return 1 + len(formula.args), 1, frozenset((formula.name,))
+    if isinstance(formula, (Not, Exists)):
+        n, d, names = formula_facts(formula.body)
+        return n + 1, d + 1, names
+    if isinstance(formula, And):
+        ln, ld, lnames = formula_facts(formula.left)
+        rn, rd, rnames = formula_facts(formula.right)
+        return ln + rn + 1, max(ld, rd) + 1, lnames | rnames
+    raise AssertionError(f"unknown formula {formula!r}")
+
+
 def enumerate_positions(G: Game) -> list[tuple]:
     """Every position of the truncated game tree, root included."""
     out = []

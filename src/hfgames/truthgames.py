@@ -118,7 +118,6 @@ class TruthGame:
         if self.obligation is not None:
             self.rule_instance_formula = self.obligation.rule.instance_formula()
         self._eval_cache: dict = {}
-        self._sig_checked: set = set()
         # The referee's sub-instances, per game so they die with it.
         self._parts: dict = {}
         self._witness_bodies: dict = {}
@@ -237,6 +236,7 @@ class RefereeState:
         # Per pushed frame: the round count and the loss flag to restore.
         self._frame_starts: list[tuple[int, bool]] = []
         self._f_symbol = game.teller_symbol()
+        self._signature = frozenset(game.signature())
 
     # -- frames
 
@@ -363,8 +363,11 @@ class RefereeState:
             return []
         if pron is None:
             raise MalformedTranscriptError("inquiry round without a reply")
-        if inq.formula not in self.game._sig_checked:
-            self._check_inquiry_signature(inq)
+        if not inq.formula._preds <= self._signature:
+            # Name the first unknown predicate in pre-order.
+            name = next(g.name for g in subformulas(inq.formula)
+                        if isinstance(g, Pred) and g.name not in self._signature)
+            raise SignatureError(f"inquiry uses unknown predicate {name!r}")
         self.rounds.append(rnd)
         if not (pron.verdict and isinstance(inq.formula, Exists)):
             out = self.add(inq, pron.verdict)
@@ -427,14 +430,6 @@ class RefereeState:
         else:
             spent = _as_ordinal(last.clock).is_zero()
         return TELLER_WINS if spent else ONGOING
-
-    def _check_inquiry_signature(self, inst: FormulaInstance) -> None:
-        preds = self.game.structure.predicates
-        f_symbol = self._f_symbol
-        for g in subformulas(inst.formula):
-            if isinstance(g, Pred) and g.name not in preds and g.name != f_symbol:
-                raise SignatureError(f"inquiry uses unknown predicate {g.name!r}")
-        self.game._sig_checked.add(inst.formula)
 
 
 def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:
@@ -803,12 +798,9 @@ def extract_solution(teller, game: TruthGame) -> Solution:
     ob = game.obligation
     if ob is None:
         raise InvariantError("extract_solution needs a recursion game")
-    rf = game.rule_instance_formula
-    # Every rule instance has the same formula, so one budget serves all.
-    budget = clock_budget(instance(rf, {ob.rule.i_var: 0, ob.rule.x_var: 0}))
     rules = game.rule_instances()
     f_atoms = {(i, x): instance(Pred(ob.rule.f_symbol, (Const(i), Const(x)))) for i, x in rules}
-    probes = (((f_atoms[key], inst), budget, False) for key, inst in rules.items())
+    probes = (((f_atoms[key], inst), clock_budget(inst), False) for key, inst in rules.items())
     merged = _read_marks(game, teller, probes, "incoherent slices")
     solution = Solution(frozenset(key for key, atom in f_atoms.items() if merged[atom] == _TRUE))
     if not check_solution(game.structure, ob.relation, ob.rule, solution, ob.value_domain):

@@ -309,6 +309,22 @@ class TestVerify:
         assert code == 3
         assert "resource" in out
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (("etr", "--node-budget", "-1", "--json"), None),
+            (("etr", "--node-budget", "0"), None),
+            (("games",), "-1"),
+        ],
+        ids=["flag", "flag zero", "variable"],
+    )
+    def test_node_budget_below_one_usage_error(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("HFGAMES_NODE_BUDGET", env)
+        code, out, err = run(capsys, "verify", *argv, "--rank", "2")
+        assert code == 2 and out == ""
+        assert "node budget must be at least 1" in err
+
 
 class TestEnvOverrides:
     def test_node_budget_env(self, capsys, monkeypatch):

@@ -176,6 +176,22 @@ def test_referee_clock_reads_no_history():
         assert [type(n).__name__ for n in ast.walk(methods[name]) if isinstance(n, LOOPS)] == [], name
 
 
+def test_cached_formula_facts_are_reads():
+    """size and free_vars, and the logic functions they call, read what each
+    node caches at construction; a loop in any of them would turn a cached
+    fact back into a walk of the formula."""
+    defs, _ = _definitions(ast.parse((PACKAGE / "logic.py").read_text()))
+    todo, seen = ["size", "free_vars"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        assert [type(n).__name__ for n in ast.walk(defs[name]) if isinstance(n, LOOPS)] == [], name
+        todo.extend(_called_names(defs[name]))
+    assert seen >= {"size", "free_vars", "_node"}
+
+
 def test_truthgames_derives_follow_ups_only_in_the_game():
     """TruthGame.parts and TruthGame.witness_body are the only places that
     build a sub-instance or a witness body; drivers and tellers ask them."""

@@ -49,7 +49,7 @@ from hfgames.logic import (
 )
 from hfgames.universe import build_universe, universe_size
 
-from hfgames.oracles import tarski_eval
+from hfgames.oracles import formula_facts, tarski_eval
 
 V2 = Structure(build_universe(2))
 V3 = Structure(build_universe(3))
@@ -160,6 +160,7 @@ class TestSizeAndVars:
         f = parse_formula(text)
         assert parse_formula(to_text(f)) == f
         assert size(f) >= MAX_NESTING
+        assert formula_facts(f)[1] == MAX_NESTING
         assert free_vars(f) <= {"x"}
         env = {"x": 1} if free_vars(f) else {}
         assert eval_formula(V2, f, env) in (True, False)
@@ -189,11 +190,47 @@ class TestSizeAndVars:
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
 
-    @pytest.mark.parametrize("thing", ["abc", "(#0 in #1)", None, 3, Var("x"), Const(1)])
+    @pytest.mark.parametrize(
+        "thing",
+        [
+            "abc", "(#0 in #1)", None, 3, Var("x"), Const(1),
+            lambda: Not(Var("x")),
+            lambda: And(Const(1), Member(Const(0), Const(1))),
+        ],
+    )
     def test_non_formula_arguments_raise(self, thing):
+        # A node over a term is built inside pytest.raises: it must be
+        # refused when it is built or when it is read.
         for fn in (to_text, size, free_vars):
             with pytest.raises(TypeError, match="not a formula"):
-                fn(thing)
+                fn(thing() if callable(thing) else thing)
+
+    @staticmethod
+    def cached_facts(f):
+        return size(f), f._depth, f._preds
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_facts_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        f = random_formula(rng, build_universe(2), max_size=16, signature={"P": 1, "Q": 2})
+        assert self.cached_facts(f) == formula_facts(f)
+
+    @given(
+        st.recursive(
+            st.sampled_from(["P(x)", "Q(x, #1)", "(#0 in y)", "(x = y)", "R(y)"]),
+            lambda sub: st.one_of(
+                st.tuples(st.sampled_from(["(%s | %s)", "(%s -> %s)", "(%s <-> %s)", "(%s & %s)"]), sub, sub)
+                .map(lambda t: t[0] % t[1:]),
+                st.tuples(st.sampled_from(["Ax. %s", "Ey. %s", "!%s"]), sub).map(lambda t: t[0] % t[1]),
+            ),
+            max_leaves=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_facts_of_parsed_sugar_match_the_oracle(self, text):
+        f = parse_formula(text, {"P": 1, "Q": 2, "R": 1})
+        assert self.cached_facts(f) == formula_facts(f)
 
     def test_deep_formulas_compare_and_print(self):
         def chain(code):

@@ -249,6 +249,21 @@ class TestReferee:
         with pytest.raises(SignatureError):
             state.process_round(Round(1, bad, Pronouncement(True)))
 
+    @pytest.mark.parametrize("text, name", [("Q(#0) & P(#0)", "Q"), ("P(#0) & Q(#0)", "P")])
+    def test_unknown_predicate_named_first_in_pre_order(self, text, name):
+        state = RefereeState(truth_game(V2))
+        with pytest.raises(SignatureError) as exc:
+            state.process_round(Round(1, parse_instance(text), Pronouncement(True)))
+        assert str(exc.value) == f"inquiry uses unknown predicate {name!r}"
+        assert state.rounds == []
+
+    def test_refused_again_by_a_second_state(self):
+        game = truth_game(V2.with_predicate("Q", {(0,)}))
+        bad = parse_instance("Q(#0) & !Ex. (Q(x) & P(x))")
+        for _ in range(2):
+            with pytest.raises(SignatureError, match="unknown predicate 'P'"):
+                RefereeState(game).process_round(Round(1, bad, Pronouncement(False)))
+
     def test_empty_transcript_ongoing(self):
         game = truth_game(V2)
         assert referee(game, Transcript([])) == ONGOING
@@ -690,6 +705,14 @@ class TestRecursionGame:
         assert solution.pairs == {(0, 0), (1, 1), (2, 2)}
         with pytest.raises(SignatureError, match=r"<\| guards the reads of F"):
             recursion_game(M, self.rel, rule)
+
+    def test_referee_accepts_F_and_edge_refuses_others(self):
+        state = RefereeState(self.game)
+        inq = parse_instance("Ej. ((j <| #1) & F(j, #0))")
+        assert state.process_round(Round(3, inq, Pronouncement(False))) == []
+        with pytest.raises(SignatureError, match="unknown predicate 'G'"):
+            state.process_round(Round(2, parse_instance("F(#0, #0) & G(#0, #0)"), Pronouncement(False)))
+        assert [r.inquiry for r in state.rounds] == [inq]
 
     def test_search_pool_contains_rule_instances(self):
         pool = default_inquiry_pool(self.game, max_size=2)
