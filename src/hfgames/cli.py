@@ -130,6 +130,13 @@ def cmd_eval(args) -> int:
 def _solve_choice(args) -> dict:
     U = build_universe(args.rank, _max_rank())
     G = games.choice_game(U)
+    # Refuse before the arena is compiled: it may hold width ** cap plays.
+    width, bound = len(G.moves), etr.DEFAULT_NODE_BUDGET
+    if width ** G.play_cap > bound:
+        raise ResourceBoundError(
+            f"choice game over V_{args.rank} has {width}^{G.play_cap} plays,"
+            f" over the node budget {bound}"
+        )
     winner, strat = games.value_strategy(G)
     _, label_winner, _ = games.label_clopen(G)
     verified = games.verify_strategy(G, strat).ok

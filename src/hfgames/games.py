@@ -261,15 +261,11 @@ def game_value(G: Game, position: tuple = ()) -> Optional[Ordinal]:
     return None if v is None else Ordinal.from_nat(v)
 
 
-def value_strategy(G: Game) -> tuple[str, Strategy]:
-    """Winner and a winning strategy from the ordinal-value analysis.
-
-    The open player descends in value (least such move); the closed player
-    stays on unvalued positions (least such move).
-    """
-    A = _arena(G)
-    values, first, positions, width = A.values(), A.first, A.positions, A.width
-    winner = G.open_player if values[0] is not None else G.closed_player
+def _strategy_walk(A: _Arena, winner: str, pick: Callable[[int, int], Optional[int]]) -> Strategy:
+    """The winner's strategy on every node its plays reach: at the winner's
+    turn at node i, with children from f, ``pick(i, f)`` names the child to
+    move to; at the other player's turn every child is followed."""
+    first, positions, width, moves = A.first, A.positions, A.width, A.game.moves
     table: dict = {}
     frontier = [0]
     while frontier:
@@ -279,21 +275,36 @@ def value_strategy(G: Game) -> tuple[str, Strategy]:
             continue
         p = positions[i]
         if turn(p) == winner:
-            best = None
-            if winner == G.open_player:
-                for c in range(f, f + width):
-                    if values[c] is not None and values[c] < values[i]:
-                        best = c
-                        break
-            elif None in values[f:f + width]:
-                best = values.index(None, f, f + width)
+            best = pick(i, f)
             if best is None:
                 raise InvariantError(f"no admissible move at {p}; value analysis broken")
-            table[p] = G.moves[best - f]
+            table[p] = moves[best - f]
             frontier.append(best)
         else:
             frontier.extend(range(f, f + width))
-    return winner, Strategy(winner, table)
+    return Strategy(winner, table)
+
+
+def value_strategy(G: Game) -> tuple[str, Strategy]:
+    """Winner and a winning strategy from the ordinal-value analysis.
+
+    The open player descends in value (least such move); the closed player
+    stays on unvalued positions (least such move).
+    """
+    A = _arena(G)
+    values, width = A.values(), A.width
+    winner = G.open_player if values[0] is not None else G.closed_player
+
+    def descend(i: int, f: int) -> Optional[int]:
+        for c in range(f, f + width):
+            if values[c] is not None and values[c] < values[i]:
+                return c
+        return None
+
+    def stay_unvalued(i: int, f: int) -> Optional[int]:
+        return values.index(None, f, f + width) if None in values[f:f + width] else None
+
+    return winner, _strategy_walk(A, winner, descend if winner == G.open_player else stay_unvalued)
 
 
 def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
@@ -306,25 +317,12 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     if G.kind != "clopen":
         raise NotClopenError("labeling applies to clopen games")
     A = _arena(G)
-    wins, first, positions, width = A.wins(), A.first, A.positions, A.width
+    wins, positions, width = A.wins(), A.positions, A.width
     winner = wins[0]
     if type(winner) is int:
         raise _not_clopen(positions[winner])
     labels = {p: w for p, w in zip(positions, wins) if type(w) is str}
-    table: dict = {}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        f = first[i]
-        if f < 0:
-            continue
-        if turn(positions[i]) == winner:
-            best = wins.index(winner, f, f + width)
-            table[positions[i]] = G.moves[best - f]
-            frontier.append(best)
-        else:
-            frontier.extend(range(f, f + width))
-    return labels, winner, Strategy(winner, table)
+    return labels, winner, _strategy_walk(A, winner, lambda i, f: wins.index(winner, f, f + width))
 
 
 def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:

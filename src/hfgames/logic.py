@@ -21,7 +21,9 @@ are capitalized identifiers, ``#k`` is the universe element with code k.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -40,47 +42,80 @@ EDGE_SYMBOL = "<|"
 # Terms and formulas.
 
 
-# Formula nodes sit in referee indexes and memo tables on every move of
-# every game, and clock budgets read their size, so each node caches at
-# construction, from the caches of its children: its hash, its free
-# variables, its size (every AST node, terms included), its depth (formula
-# nodes on the longest path down to an atom, both ends included) and its
-# predicate symbols.  Membership and equality atoms share the last three as
-# class attributes.  Terms cache their hash and free variables.
+# Terms, formula nodes and instances are interned (hash-consing): each is
+# built once per distinct class and arguments, so equal means identical, and
+# they compare and hash by identity.  The one table maps (class, *arguments)
+# to a weak reference whose callback drops the entry when its object dies, so
+# the table holds only what the program still holds.  On a miss the
+# constructor sets the arguments, then the facts ``_facts`` computes once
+# from the children's: free variables, size (every AST node, terms
+# included), depth (formula nodes on the longest path down to an atom, both
+# ends included) and predicate symbols.  Atoms that have no slot for a fact
+# read the class default.
 
 _EMPTY: frozenset[str] = frozenset()
-_set = object.__setattr__
+_interned: dict = {}
+_setattr = object.__setattr__
 
 
 def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Interned:
+    """One object per class and arguments; ``__slots__`` lists the
+    arguments, then the private slots ``_facts`` fills from them."""
 
-    def __post_init__(self):
-        _set(self, "_h", hash(("var", self.name)))
-        _set(self, "_fv", frozenset((self.name,)))
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self):
-        return self._h
+    @staticmethod
+    def _facts(*args) -> tuple:
+        return ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _interned.get(key)
+        obj = None if ref is None else ref()
+        if obj is None:
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (*args, *cls._facts(*args))):
+                _setattr(obj, name, value)
+            # A C callback: no Python code runs inside a deallocation.
+            _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled objects are built again from the arguments,
+        # the slots not marked private, so they are the interned object.
+        return type(self), tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+
+class Var(_Interned):
+    __slots__ = ("name", "_fv")
+
+    @staticmethod
+    def _facts(name):
+        return (frozenset((name,)),)
+
+    def __repr__(self) -> str:
+        return f"Var({self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    code: int
+class Const(_Interned):
+    __slots__ = ("code",)
+    _fv = _EMPTY
 
-    def __post_init__(self):
-        _set(self, "_h", hash(("const", self.code)))
-        _set(self, "_fv", _EMPTY)
-
-    def __hash__(self):
-        return self._h
+    def __repr__(self) -> str:
+        return f"Const({self.code!r})"
 
     def __str__(self) -> str:
         return f"#{self.code}"
@@ -89,47 +124,21 @@ class Const:
 Term = Union[Var, Const]
 
 
-def _formula_eq(a: "_FormulaNode", b) -> bool:
-    if not isinstance(b, _FormulaNode):
-        return NotImplemented
-    stack = [a, b]  # pairs still to compare, flattened
-    while stack:
-        y = stack.pop()
-        x = stack.pop()
-        if x is y:
-            continue
-        t = type(x)
-        if t is not type(y) or x._h != y._h:
-            return False
-        if t is Not:
-            stack += (x.body, y.body)
-        elif t is And:
-            stack += (x.right, y.right, x.left, y.left)
-        elif t is Exists:
-            if x.var != y.var:
-                return False
-            stack += (x.body, y.body)
-        elif t is Pred:
-            if x.name != y.name or x.args != y.args:
-                return False
-        elif (x.left, x.right) != (y.left, y.right):
-            return False
-    return True
+def _term(t) -> Term:
+    """t itself, if it is a term."""
+    if type(t) is not Var and type(t) is not Const:
+        raise TypeError(f"not a term: {t!r}")
+    return t
 
 
-class _FormulaNode:
-    """What the six formula classes share: the facts cached at construction,
-    equality by an explicit stack and a repr in the text syntax, so formulas
-    of any depth hash, compare and print."""
+class _FormulaNode(_Interned):
+    """What the six formula classes share: the defaults of the cached facts
+    and a repr in the text syntax, so formulas of any depth print."""
 
+    __slots__ = ()
     _size = 3
     _depth = 1
     _preds = _EMPTY
-
-    def __hash__(self):
-        return self._h
-
-    __eq__ = _formula_eq
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {to_text(self)}>"
@@ -142,80 +151,57 @@ def _node(f) -> "_FormulaNode":
     return f
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Member(_FormulaNode):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right", "_fv")
 
-    def __post_init__(self):
-        _set(self, "_h", hash(("in", self.left, self.right)))
-        _set(self, "_fv", _join(self.left._fv, self.right._fv))
+    @staticmethod
+    def _facts(left, right):
+        return (_join(_term(left)._fv, _term(right)._fv),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Eq(_FormulaNode):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _set(self, "_h", hash(("eq", self.left, self.right)))
-        _set(self, "_fv", _join(self.left._fv, self.right._fv))
+    __slots__ = ("left", "right", "_fv")
+    _facts = Member._facts
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pred(_FormulaNode):
-    name: str
-    args: tuple[Term, ...]
+    __slots__ = ("name", "args", "_fv", "_size", "_preds")
 
-    def __post_init__(self):
-        _set(self, "_h", hash(("pred", self.name, self.args)))
+    @staticmethod
+    def _facts(name, args):
         fv = _EMPTY
-        for t in self.args:
-            fv = _join(fv, t._fv)
-        _set(self, "_fv", fv)
-        _set(self, "_size", 1 + len(self.args))
-        _set(self, "_preds", frozenset((self.name,)))
+        for t in args:
+            fv = _join(fv, _term(t)._fv)
+        return fv, 1 + len(args), frozenset((name,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(_FormulaNode):
-    body: "Formula"
+    __slots__ = ("body", "_fv", "_size", "_depth", "_preds")
 
-    def __post_init__(self):
-        b = _node(self.body)
-        _set(self, "_h", hash(("not", b)))
-        _set(self, "_fv", b._fv)
-        _set(self, "_size", b._size + 1)
-        _set(self, "_depth", b._depth + 1)
-        _set(self, "_preds", b._preds)
+    @staticmethod
+    def _facts(body):
+        b = _node(body)
+        return b._fv, b._size + 1, b._depth + 1, b._preds
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class And(_FormulaNode):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right", "_fv", "_size", "_depth", "_preds")
 
-    def __post_init__(self):
-        a, b = _node(self.left), _node(self.right)
-        _set(self, "_h", hash(("and", a, b)))
-        _set(self, "_fv", _join(a._fv, b._fv))
-        _set(self, "_size", a._size + b._size + 1)
-        _set(self, "_depth", max(a._depth, b._depth) + 1)
-        _set(self, "_preds", _join(a._preds, b._preds))
+    @staticmethod
+    def _facts(left, right):
+        a, b = _node(left), _node(right)
+        return (_join(a._fv, b._fv), a._size + b._size + 1,
+                max(a._depth, b._depth) + 1, _join(a._preds, b._preds))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Exists(_FormulaNode):
-    var: str
-    body: "Formula"
+    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds")
 
-    def __post_init__(self):
-        b = _node(self.body)
-        _set(self, "_h", hash(("exists", self.var, b)))
-        _set(self, "_fv", b._fv - {self.var} if self.var in b._fv else b._fv)
-        _set(self, "_size", b._size + 1)
-        _set(self, "_depth", b._depth + 1)
-        _set(self, "_preds", b._preds)
+    @staticmethod
+    def _facts(var, body):
+        b = _node(body)
+        fv = b._fv - {var} if var in b._fv else b._fv
+        return fv, b._size + 1, b._depth + 1, b._preds
 
 
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
@@ -532,22 +518,50 @@ def check_constants(f: Formula, universe: Universe) -> None:
 # Instances, structures, evaluation.
 
 
-@dataclass(frozen=True)
-class FormulaInstance:
-    """A formula together with an assignment of its free variables."""
+class FormulaInstance(_Interned):
+    """A formula together with an assignment of its free variables.
 
-    formula: Formula
-    bindings: tuple[tuple[str, int], ...]
+    It carries the instances the Tarskian clauses read off it, each built on
+    first use and kept while it lives: ``parts`` and ``witness_body``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.formula, self.bindings)))
+    __slots__ = ("formula", "bindings", "_parts", "_bodies")
 
-    def __hash__(self):
-        return self._hash
+    @staticmethod
+    def _facts(formula, bindings):
+        return None, None
 
     @property
     def assignment(self) -> dict[str, int]:
         return dict(self.bindings)
+
+    @property
+    def parts(self) -> tuple["FormulaInstance", ...]:
+        """The sub-instances of a Not or And instance; none for the others."""
+        got = self._parts
+        if got is None:
+            f = self.formula
+            if type(f) is Not:
+                got = (sub_instance(self, f.body),)
+            elif type(f) is And:
+                got = (sub_instance(self, f.left), sub_instance(self, f.right))
+            else:
+                got = ()
+            _setattr(self, "_parts", got)
+        return got
+
+    def witness_body(self, witness: int) -> "FormulaInstance":
+        """The body of an existential instance at the named witness."""
+        bodies = self._bodies
+        if bodies is None:
+            bodies = {}
+            _setattr(self, "_bodies", bodies)
+        got = bodies.get(witness)
+        if got is None:
+            got = bodies[witness] = instantiate(self, self.formula.var, witness)
+        return got
+
+    def __repr__(self) -> str:
+        return f"<FormulaInstance {print_instance(self)}>"
 
     def __str__(self) -> str:
         return print_instance(self)

@@ -46,13 +46,11 @@ from .logic import (
     eval_instance,
     free_vars,
     instance,
-    instantiate,
     parse_formula,
     print_instance,
     random_instance,
     size,
     skolem_witness,
-    sub_instance,
     subformulas,
     tarski_check,
 )
@@ -118,9 +116,6 @@ class TruthGame:
         if self.obligation is not None:
             self.rule_instance_formula = self.obligation.rule.instance_formula()
         self._eval_cache: dict = {}
-        # The referee's sub-instances, per game so they die with it.
-        self._parts: dict = {}
-        self._witness_bodies: dict = {}
 
     def eval_atomic(self, inst: FormulaInstance) -> bool:
         cached = self._eval_cache.get(inst)
@@ -128,26 +123,6 @@ class TruthGame:
             cached = eval_instance(self.structure, inst)
             self._eval_cache[inst] = cached
         return cached
-
-    def parts(self, inst: FormulaInstance) -> tuple[FormulaInstance, ...]:
-        """The sub-instances of a Not or And instance."""
-        got = self._parts.get(inst)
-        if got is None:
-            f = inst.formula
-            if isinstance(f, Not):
-                got = (sub_instance(inst, f.body),)
-            else:
-                got = (sub_instance(inst, f.left), sub_instance(inst, f.right))
-            self._parts[inst] = got
-        return got
-
-    def witness_body(self, inst: FormulaInstance, witness: int) -> FormulaInstance:
-        """The body of an existential instance at the named witness."""
-        key = (inst, witness)
-        got = self._witness_bodies.get(key)
-        if got is None:
-            got = self._witness_bodies[key] = instantiate(inst, inst.formula.var, witness)
-        return got
 
     def teller_symbol(self) -> Optional[str]:
         return self.obligation.rule.f_symbol if self.obligation else None
@@ -286,7 +261,7 @@ class RefereeState:
         f = inst.formula
         t = type(f)
         if t is Not or t is And:
-            parts = self.game.parts(inst)
+            parts = inst.parts
             self._register(self.wraps, parts[0], inst, t is Not)
             if t is And and parts[1] != parts[0]:
                 self._register(self.wraps, parts[1], inst)
@@ -333,7 +308,7 @@ class RefereeState:
         conjuncts."""
         marks = self.marks
         bits = marks[wrap]
-        parts = self.game.parts(wrap)
+        parts = wrap.parts
         if len(parts) == 1:
             if bits & marks.get(parts[0], 0):
                 out.append(TarskiViolation("negation", wrap, "agrees with its own negatum"))
@@ -377,7 +352,7 @@ class RefereeState:
         elif pron.witness not in self.game.structure.universe:
             out = [TarskiViolation("quantifier", inq, f"witness {pron.witness} not in universe")]
         else:
-            body = self.game.witness_body(inq, pron.witness)
+            body = inq.witness_body(pron.witness)
             if pron.witness_instance is not None and pron.witness_instance != body:
                 out = [TarskiViolation("quantifier", inq, "witness instance mismatches the body")]
             else:
@@ -511,7 +486,7 @@ class HonestTeller:
             if not candidates:
                 raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
             w = min(candidates)
-            return Pronouncement(True, w, game.witness_body(inquiry, w))
+            return Pronouncement(True, w, inquiry.witness_body(w))
         return Pronouncement(verdict)
 
     def _by_clauses(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
@@ -529,7 +504,7 @@ class HonestTeller:
                 continue
             t = type(inst.formula)
             if t is Not or t is And:
-                parts = game.parts(inst)
+                parts = inst.parts
                 got = cache.get(parts[0])
                 if got is None:
                     stack.append(parts[0])
@@ -546,7 +521,7 @@ class HonestTeller:
                 except NoWitnessError:
                     pron = Pronouncement(False)
                 else:
-                    pron = Pronouncement(True, w, game.witness_body(inst, w))
+                    pron = Pronouncement(True, w, inst.witness_body(w))
             else:
                 pron = Pronouncement(eval_instance(M, inst))
             cache[inst] = pron
@@ -597,18 +572,26 @@ class RandomInterrogator:
         self.rng = rng
         self.depth = depth
         self.max_size = max_size
+        # The follow-ups of the rounds read so far, extended as the one
+        # transcript being played grows.
+        self._transcript: Optional[Transcript] = None
+        self._derived: list[FormulaInstance] = []
+        self._read = 0
 
     def move(self, game: TruthGame, transcript: Transcript):
         k = len(transcript.rounds)
         if k >= self.depth:
             return None
         clock = game.clock(self.depth - k)
-        derived = []
-        for rnd in transcript.rounds:
+        if transcript is not self._transcript:
+            self._transcript, self._derived, self._read = transcript, [], 0
+        derived = self._derived
+        for rnd in transcript.rounds[self._read:]:
             if rnd.inquiry is None:
                 continue
             derived.extend(_unfold(game, rnd.inquiry, rnd.pronouncement))
-            derived.append(instance(Not(rnd.inquiry.formula), rnd.inquiry.assignment))
+            derived.append(FormulaInstance(Not(rnd.inquiry.formula), rnd.inquiry.bindings))
+        self._read = k
         if derived and self.rng.random() < 0.6:
             return clock, self.rng.choice(derived)
         return clock, random_instance(self.rng, game.structure, self.max_size)
@@ -636,15 +619,12 @@ def _unfold(
     game: TruthGame, inquiry: FormulaInstance, pron: Optional[Pronouncement]
 ) -> tuple[FormulaInstance, ...]:
     """Immediate follow-up inquiries exposing the pronouncement's commitments."""
-    f = inquiry.formula
-    if isinstance(f, (Not, And)):
-        return game.parts(inquiry)
-    if isinstance(f, Exists) and pron is not None and pron.verdict:
+    if isinstance(inquiry.formula, Exists) and pron is not None and pron.verdict:
         if pron.witness_instance is not None:
             return (pron.witness_instance,)
         if pron.witness is not None:
-            return (game.witness_body(inquiry, pron.witness),)
-    return ()
+            return (inquiry.witness_body(pron.witness),)
+    return inquiry.parts
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +708,7 @@ def extract_satisfaction(
     if getattr(teller, "memoryless", False) and all(
         clock_budget(t, clock_factor) + extra_clock >= 1 for t in targets
     ):
-        pool = _presearch_pool(game, targets) if presearch_budget else []
+        pool = _presearch_pool(targets) if presearch_budget else []
         state = _single_pass(game, teller, pool + targets, _unfold)
     if state is None and presearch_budget:
         found = interrogator_search(
@@ -736,7 +716,7 @@ def extract_satisfaction(
             teller,
             depth=2,
             budget=presearch_budget,
-            pool=_presearch_pool(game, targets),
+            pool=_presearch_pool(targets),
         )
         if found.plan is not None:
             raise NotWinningStrategyError(
@@ -769,13 +749,12 @@ def extract_satisfaction(
     return result
 
 
-def _presearch_pool(game: TruthGame, targets: Sequence[FormulaInstance]) -> list:
+def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:
     cap = 120
     pool: list[FormulaInstance] = []
     seen = set()
     for t in targets:
-        parts = game.parts(t) if isinstance(t.formula, (Not, And)) else ()
-        for cand in (t, *parts):
+        for cand in (t, *t.parts):
             if cand not in seen:
                 seen.add(cand)
                 pool.append(cand)
@@ -1092,6 +1071,6 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
         inquiry = instance(f, {})
         witness_inst = None
         if witness is not None and isinstance(f, Exists):
-            witness_inst = game.witness_body(inquiry, witness)
+            witness_inst = inquiry.witness_body(witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# sha256 of ``verify all --seed 1 --json``.
+JSON_DIGEST = "0f67fd2748fa87b60f4bbc049f3b01e8ba221283e46fb03652c1e462216a8077"
+
+
+def run_child(argv, env=(), address_limit=None, timeout=60):
+    """Run main(argv) in a fresh interpreter, which first caps its own
+    address space at ``address_limit`` bytes if given."""
+    code = "import sys\n"
+    if address_limit is not None:
+        code += (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
+        )
+    code += f"from hfgames.cli import main\nsys.exit(main({list(argv)!r}))\n"
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("HFGAMES_")}
+    environ["PYTHONPATH"] = str(SRC)
+    environ.update(env)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=timeout
+    )
 
 
 class TestEval:
@@ -104,6 +131,23 @@ class TestSolve:
         assert doc["winner"] == "II"
         assert doc["cross_check"]["agrees"] is True
         assert [[1], 0] in doc["strategy"]["table"]
+
+    def test_choice_rank_four_solves(self, capsys):
+        code, out, _ = run(capsys, "solve", "choice", "--rank", "4", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["winner"] == "II" and doc["cross_check"]["strategy_verified"] is True
+        assert len(doc["strategy"]["table"]) == 15
+
+    def test_choice_rank_five_refused_in_bounded_memory(self):
+        # The arena would hold 65536^2 plays; it is refused before it is
+        # compiled.  Never run this without the address-space limit.
+        start = time.monotonic()
+        proc = run_child(["solve", "choice", "--rank", "5"], address_limit=1 << 30, timeout=5)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "65536^2 plays, over the node budget 100000" in proc.stderr
 
     def test_random_clopen_deterministic(self, capsys):
         code, out1, _ = run(capsys, "solve", "random-clopen", "--seed", "7", "--json")
@@ -275,9 +319,15 @@ class TestVerify:
         # only together with a deliberate change to a suite's report.
         code, out, _ = run(capsys, "verify", "all", "--seed", "1", "--json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0f67fd2748fa87b60f4bbc049f3b01e8ba221283e46fb03652c1e462216a8077"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGEST
+
+    def test_json_bytes_pinned_in_a_fresh_process(self):
+        # Terms, formulas and instances hash by identity, so a set of them
+        # iterates in memory order; a fresh process with another string
+        # hash seed must print the same bytes.
+        proc = run_child(["verify", "all", "--seed", "1", "--json"], {"PYTHONHASHSEED": "7"})
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == JSON_DIGEST
 
     def test_cap_below_two_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "games", "--cap", "1")

@@ -512,7 +512,7 @@ def faulty_rounds(pick, most):
         family = [q]
         extra = pick(["none", "parts", "negation", "conjunction", "witness", "instance"])
         if extra == "parts" and isinstance(q.formula, (Not, And)):
-            family += game.parts(q)
+            family += q.parts
         elif extra == "negation":
             family.append(instance(Not(q.formula), q.assignment))
         elif extra == "conjunction" and not q.bindings:
@@ -522,7 +522,7 @@ def faulty_rounds(pick, most):
         elif extra == "witness":
             family.append(teller.answer(game, q, 1, ()).witness_instance)
         elif extra == "instance" and isinstance(q.formula, Exists):
-            family.append(game.witness_body(q, pick(range(M.universe.size))))
+            family.append(q.witness_body(pick(range(M.universe.size))))
         for i in family:
             if i is not None and i not in inquiries:
                 inquiries.append(i)

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfgames import logic
 from hfgames.errors import (
     CoverageError,
     MalformedInstanceError,
@@ -205,6 +208,26 @@ class TestSizeAndVars:
             with pytest.raises(TypeError, match="not a formula"):
                 fn(thing() if callable(thing) else thing)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Member(Not(Member(Const(0), Const(1))), Const(1)),
+            lambda: Member(Const(0), "x"),
+            lambda: Eq(Var("x"), Member(Const(0), Const(1))),
+            lambda: Eq(0, Const(1)),
+            lambda: Pred("P", (Var("x"), Member(Const(0), Const(1)))),
+            lambda: Pred("P", (None,)),
+        ],
+    )
+    def test_non_term_arguments_raise(self, build):
+        # An atom over anything but a Var or a Const is refused when built,
+        # and leaves nothing behind in the intern table.
+        before = len(logic._interned)
+        with pytest.raises(TypeError, match="not a term"):
+            build()
+        gc.collect()
+        assert len(logic._interned) == before
+
     @staticmethod
     def cached_facts(f):
         return size(f), f._depth, f._preds
@@ -240,7 +263,7 @@ class TestSizeAndVars:
             return f
 
         a, b, c = chain(1), chain(1), chain(2)
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert a != c and not a == c
         assert {a: 1}[b] == 1 and c not in {a: 1}
         assert (a == 3) is False and a != "a"
@@ -253,6 +276,58 @@ class TestSizeAndVars:
             instance(f, {"x": 0})
         inst = instance(f, {"x": 0, "y": 1, "z": 9})
         assert inst.assignment == {"x": 0, "y": 1}
+
+
+class TestInterning:
+    """Each term, formula node and instance is built once: equal means
+    identical, and the intern table holds only what is still in use."""
+
+    SIG = {"P": 1, "Q": 2}
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(3, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_same_object(self, s1, s2, most, data):
+        f = random_formula(random.Random(s1), V2.universe, most, self.SIG)
+        g = random_formula(random.Random(s2), V2.universe, most, self.SIG)
+        assert random_formula(random.Random(s1), V2.universe, most, self.SIG) is f
+        assert parse_formula(to_text(f), self.SIG) is f
+        assert (to_text(f) == to_text(g)) == (f is g)
+        codes = st.integers(0, V2.universe.size - 1)
+        a = {v: data.draw(codes) for v in sorted(free_vars(f))}
+        again = {v: a[v] for v in reversed(sorted(a))}
+        again["unused"] = 0
+        assert instance(f, a) is instance(parse_formula(to_text(f), self.SIG), again)
+        b = {v: data.draw(codes) for v in sorted(free_vars(f))}
+        assert (instance(f, a) is instance(f, b)) == (a == b)
+
+    def test_nodes_are_immutable(self):
+        f = Not(Member(Var("x"), Const(1)))
+        inst = instance(f, {"x": 0})
+        for obj, name in ((Var("x"), "name"), (Const(1), "code"), (f, "body"), (inst, "bindings")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, name)
+        assert f.body is Member(Var("x"), Const(1)) and inst.bindings == (("x", 0),)
+
+    def test_copies_are_the_interned_object(self):
+        f = parse_formula("Ex. (P(x) & !Q(x, #1))", self.SIG)
+        for obj in (Var("x"), Const(1), f, f.body, instance(f.body, {"x": 1})):
+            for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert copied is obj
+
+    def test_dropped_chain_leaves_the_table(self):
+        gc.collect()
+        before = len(logic._interned)
+        f = Member(Var("x"), Const(1))
+        for _ in range(3000):
+            f = Not(f)
+        inst = instance(f, {"x": 0})
+        assert inst.parts[0].parts[0] is instance(f.body.body, {"x": 0})
+        assert len(logic._interned) > before + 3000
+        del f, inst
+        gc.collect()
+        assert len(logic._interned) == before
 
 
 class TestEval:

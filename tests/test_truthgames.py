@@ -17,7 +17,7 @@ from hfgames.errors import (
     SignatureError,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
-from hfgames import truthgames
+from hfgames import logic, truthgames
 from hfgames.logic import (
     ATOMIC_KINDS,
     And,
@@ -388,11 +388,11 @@ class TestTellerByClauses:
                 holds = [tarski_eval(M, f.body, {**env, f.var: b}) for b in M.universe.elements]
                 least = holds.index(True)
                 assert pron.witness == least == skolem_witness(M, inst)
-                assert pron.witness_instance is game.witness_body(inst, least)
+                assert pron.witness_instance is inst.witness_body(least)
             else:
                 assert pron.witness is None and pron.witness_instance is None
             if isinstance(f, (Not, And)):
-                todo.extend(game.parts(inst))
+                todo.extend(inst.parts)
 
     @pytest.mark.parametrize("k", [1, 6, 24])
     def test_each_atom_evaluated_once(self, monkeypatch, k):
@@ -770,50 +770,71 @@ class TestWitnessDiscipline:
         assert referee(game, Transcript(rounds)) == INTERROGATOR_WINS
 
 
-class TestPerGameCaches:
-    def test_instances_die_with_their_game(self):
-        inquiries = [parse_instance("!(#0 in #1) & Ex. (x in #3)")]
+class TestDerivedInstanceLifetime:
+    def test_derived_instances_die_with_their_parent(self):
+        # Parts and witness bodies are cached on the instance they are read
+        # off, so they outlive the game that asked for them and die with
+        # that instance.
+        inquiry = parse_instance("!(#3 in #2) & Ex. ((x in #3) & !(x = #2))")
         game = truth_game(V3)
-        play_truth_game(game, ScriptedInterrogator(inquiries), honest_teller(game, V3))
-        conjunct = game.parts(inquiries[0])[1]
-        assert print_instance(conjunct) == "Ex. (x in #3)"
-        ref = weakref.ref(conjunct)
+        play_truth_game(game, ScriptedInterrogator([inquiry]), honest_teller(game, V3))
+        conjunct = inquiry.parts[1]
+        assert print_instance(conjunct) == "Ex. ((x in #3) & !(x = #2))"
+        refs = [weakref.ref(conjunct), weakref.ref(conjunct.witness_body(0))]
         del game, conjunct
-        other = truth_game(V3)
-        play_truth_game(other, ScriptedInterrogator(inquiries), honest_teller(other, V3))
         gc.collect()
-        assert ref() is None
+        assert all(ref() is not None for ref in refs)
+        del inquiry
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_dropped_game_leaves_the_intern_table(self):
+        def search_and_extract():
+            game = truth_game(V3)
+            teller = honest_teller(game, V3)
+            assert interrogator_search(game, teller, depth=2).proven_none
+            extract_satisfaction(teller, game, enumerate_instances(V3, 4))
+            return len(logic._interned)
+
+        # A first game may leave parts on instances that other tests still
+        # hold; a second one leaves nothing.
+        search_and_extract()
+        gc.collect()
+        before = len(logic._interned)
+        assert search_and_extract() > before
+        gc.collect()
+        assert len(logic._interned) == before
 
 
 class TestFollowUpsFromTheGame:
-    """Sub-instances and witness bodies are derived once, by the game, and
-    every driver and teller hands on the game's own objects."""
+    """Sub-instances and witness bodies are derived once, by the instance,
+    and every driver and teller hands on the instance's own objects."""
 
     def test_unfold_returns_the_games_parts(self):
         game = truth_game(V2)
         for text in ("!(#0 in #1)", "(#0 in #1) & !(#1 in #0)"):
             inquiry = parse_instance(text)
-            assert all(a is b for a, b in zip(_unfold(game, inquiry, None), game.parts(inquiry)))
+            assert all(a is b for a, b in zip(_unfold(game, inquiry, None), inquiry.parts))
         ex = parse_instance("Ex. (x in #1)")
         (body,) = _unfold(game, ex, Pronouncement(True, 0))
-        assert body is game.witness_body(ex, 0)
+        assert body is ex.witness_body(0)
 
     def test_honest_witness_instances_are_the_games_bodies(self):
         game = truth_game(V2)
         ex, vacuous = parse_instance("Ex. (x in #1)"), parse_instance("Ex. (#0 in #1)")
         structure_backed = honest_teller(game, V2)
-        bodies = [game.witness_body(vacuous, 0), *(game.witness_body(ex, b) for b in range(4))]
+        bodies = [vacuous.witness_body(0), *(ex.witness_body(b) for b in range(4))]
         S = build_truth_predicate(V2, [ex, vacuous, *bodies])
         for teller in (structure_backed, HonestTeller(S)):
             for inquiry in (ex, vacuous):
                 pron = teller.answer(game, inquiry, 5, ())
-                assert pron.witness_instance is game.witness_body(inquiry, pron.witness)
+                assert pron.witness_instance is inquiry.witness_body(pron.witness)
 
     def test_replayed_witness_instances_are_the_games_bodies(self):
         game = truth_game(V2)
         doc = {"rounds": [{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": 0}]}
         (rnd,) = transcript_from_json(game, json.dumps(doc)).rounds
-        assert rnd.pronouncement.witness_instance is game.witness_body(rnd.inquiry, 0)
+        assert rnd.pronouncement.witness_instance is rnd.inquiry.witness_body(0)
 
 
 class TestLargeCarrierRecursion:
@@ -933,7 +954,7 @@ class SloppyWitness:
             return Pronouncement(True, pron.witness, other)
         if fault == 3:
             w = self.rng.randrange(game.structure.universe.size)
-            return Pronouncement(True, w, game.witness_body(inquiry, w))
+            return Pronouncement(True, w, inquiry.witness_body(w))
         return pron
 
 
@@ -950,7 +971,7 @@ def _framed_probes(game, teller, rng, rounds: int) -> None:
         if pick == 0:
             q = random_instance(rng, game.structure, 5)
         elif pick == 1 and isinstance(q.formula, (Not, And)):
-            q = rng.choice(game.parts(q))
+            q = rng.choice(q.parts)
         elif pick == 2:
             q = instance(Not(q.formula), q.assignment)
         elif pick == 3:
@@ -958,7 +979,7 @@ def _framed_probes(game, teller, rng, rounds: int) -> None:
             if not q.bindings and not other.bindings:
                 q = instance(And(q.formula, other.formula), {})
         elif isinstance(q.formula, Exists):
-            q = game.witness_body(q, rng.randrange(size))
+            q = q.witness_body(rng.randrange(size))
         state.push_frame()
         if state.ask(teller, game.clock(rounds + 1 - len(state.rounds)), q):
             state.pop_frame()
