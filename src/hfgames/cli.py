@@ -335,7 +335,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         node_budget=_at_least("node budget", _env_int("HFGAMES_NODE_BUDGET", args.node_budget), 1),
     )
-    reports = suites.run_suite(args.suite, cfg, inject_bug=args.inject_bug)
+    reports = suites.run_suite(args.suite, cfg)
     if args.json:
         print(json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True))
     else:
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--random-rank", type=int, default=4)
     p_verify.add_argument("--cap", type=int, default=8)
     p_verify.add_argument("--node-budget", type=int, default=etr.DEFAULT_NODE_BUDGET)
-    p_verify.add_argument("--inject-bug", default=None, help="mutation-test hook")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 

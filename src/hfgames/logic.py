@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import re
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -519,15 +521,23 @@ def check_constants(f: Formula, universe: Universe) -> None:
 
 
 class FormulaInstance(_Interned):
-    """A formula together with an assignment of its free variables.
-
-    It carries the instances the Tarskian clauses read off it, each built on
+    """A formula with its bindings: one ``(name, code)`` pair per free
+    variable, sorted by name.  A new instance is checked once, as it is
+    built; the instances derived from it are cut from its bindings.  It
+    carries the instances the Tarskian clauses read off it, each built on
     first use and kept while it lives: ``parts`` and ``witness_body``."""
 
     __slots__ = ("formula", "bindings", "_parts", "_bodies")
 
     @staticmethod
     def _facts(formula, bindings):
+        names = sorted(_node(formula)._fv)
+        if type(bindings) is not tuple or [
+            (b[0], type(b[1])) if type(b) is tuple and len(b) == 2 else b for b in bindings
+        ] != [(v, int) for v in names]:
+            raise MalformedInstanceError(
+                f"bindings {bindings!r} do not give the free variables {names}"
+                f" of {to_text(formula)} one int code each, in order")
         return None, None
 
     @property
@@ -569,21 +579,13 @@ class FormulaInstance(_Interned):
 
 def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -> FormulaInstance:
     """Build an instance, restricting the assignment to the free variables."""
-    assignment = dict(assignment or {})
-    fv = free_vars(formula)
-    missing = fv - set(assignment)
-    if missing:
-        raise MalformedInstanceError(
-            f"assignment misses free variables {sorted(missing)} of {to_text(formula)}"
-        )
-    bindings = tuple(sorted((v, int(assignment[v])) for v in fv))
-    return FormulaInstance(formula, bindings)
+    a = assignment or {}
+    return FormulaInstance(formula, tuple((v, a[v]) for v in sorted(free_vars(formula)) if v in a))
 
 
 def parse_instance(text: str, signature: Optional[Mapping[str, int]] = None) -> FormulaInstance:
     """Parse a closed formula as an instance with empty assignment."""
-    f = parse_formula(text, signature)
-    return instance(f, {})
+    return FormulaInstance(parse_formula(text, signature), ())
 
 
 def print_instance(inst: FormulaInstance) -> str:
@@ -592,18 +594,23 @@ def print_instance(inst: FormulaInstance) -> str:
 
 
 def sub_instance(inst: FormulaInstance, sub: Formula) -> FormulaInstance:
-    """Instance of a subformula under the same assignment."""
-    return instance(sub, inst.assignment)
+    """Instance of a subformula under the same assignment: the parent's
+    bindings, cut to the subformula's free variables when it has fewer."""
+    fv, b = _node(sub)._fv, inst.bindings
+    return FormulaInstance(sub, b if len(fv) == len(b) else tuple(p for p in b if p[0] in fv))
 
 
 def instantiate(inst: FormulaInstance, var: str, code: int) -> FormulaInstance:
-    """Instance of an Exists body at a chosen witness element."""
+    """Instance of an Exists body at a chosen witness element: the parent's
+    bindings with ``(var, code)`` in its sorted place, if the body has var."""
     f = inst.formula
     if not isinstance(f, Exists):
         raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
-    assignment = inst.assignment
-    assignment[var] = int(code)
-    return instance(f.body, assignment)
+    b = inst.bindings
+    if var in f.body._fv:
+        k = bisect_left(b, (var,))
+        b = (*b[:k], (var, code), *b[k:])
+    return FormulaInstance(f.body, b)
 
 
 @dataclass(frozen=True)
@@ -906,7 +913,7 @@ def tarski_check(
                     )
                 )
         elif isinstance(f, Not):
-            sub = sub_instance(inst, f.body)
+            (sub,) = inst.parts
             if marked == S.holds(sub):
                 violations.append(
                     TarskiViolation(
@@ -914,9 +921,8 @@ def tarski_check(
                     )
                 )
         elif isinstance(f, And):
-            both = S.holds(sub_instance(inst, f.left)) and S.holds(
-                sub_instance(inst, f.right)
-            )
+            left, right = inst.parts
+            both = S.holds(left) and S.holds(right)
             if marked != both:
                 violations.append(
                     TarskiViolation(
@@ -995,16 +1001,9 @@ def enumerate_instances(M: Structure, max_size: int) -> list[FormulaInstance]:
     free variables."""
     out = []
     for f in enumerate_formulas(M.universe, max_size, signature=M.signature() or None):
-        fv = sorted(free_vars(f))
-        if not fv:
-            out.append(instance(f, {}))
-            continue
-        assignments = [{}]
-        for v in fv:
-            assignments = [
-                {**a, v: b} for a in assignments for b in M.universe.elements
-            ]
-        out.extend(instance(f, a) for a in assignments)
+        names = sorted(f._fv)
+        for codes in product(M.universe.elements, repeat=len(names)):
+            out.append(FormulaInstance(f, tuple(zip(names, codes))))
     return out
 
 
@@ -1058,5 +1057,4 @@ def random_formula(
 
 def random_instance(rng, M: Structure, max_size: int) -> FormulaInstance:
     f = random_formula(rng, M.universe, max_size, M.signature() or None)
-    assignment = {v: rng.randrange(M.universe.size) for v in sorted(free_vars(f))}
-    return instance(f, assignment)
+    return FormulaInstance(f, tuple((v, rng.randrange(M.universe.size)) for v in sorted(f._fv)))

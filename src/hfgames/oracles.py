@@ -259,15 +259,16 @@ def referee_lost(game, rounds) -> bool:
     regard to their order: has the teller lost?
 
     A round loses outright if it affirms an existential without a witness,
-    with one outside the universe, or with a witness instance other than
-    the body at the witness.  Every other round marks its inquiry with its
-    verdict, and an affirmed existential marks the body at its witness true
-    too.  The marks lose if an atom (not the teller's F) is marked against
-    the structure, a negation shares a mark with its negatum, a conjunction
-    is marked true with a conjunct marked false or false with both marked
-    true, a denied existential has an instantiation at some element marked
-    true, a body named as a witness is marked false, or a recursion-rule
-    instance over the carrier and the value domain is marked false.
+    with one that is not an int code of the universe, or with a witness
+    instance other than the body at the witness.  Every other round marks
+    its inquiry with its verdict, and an affirmed existential marks the body
+    at its witness true too.  The marks lose if an atom (not the teller's F)
+    is marked against the structure, a negation shares a mark with its
+    negatum, a conjunction is marked true with a conjunct marked false or
+    false with both marked true, a denied existential has an instantiation
+    at some element marked true, a body named as a witness is marked false,
+    or a recursion-rule instance over the carrier and the value domain is
+    marked false.
     """
     M = game.structure
     ob = game.obligation
@@ -279,7 +280,7 @@ def referee_lost(game, rounds) -> bool:
         if p.verdict and isinstance(q.formula, Exists):
             if p.witness is None:
                 return True
-            if not 0 <= p.witness < M.universe.size:
+            if type(p.witness) is not int or not 0 <= p.witness < M.universe.size:
                 return True
             body = instantiate(q, q.formula.var, p.witness)
             if p.witness_instance is not None and p.witness_instance != body:

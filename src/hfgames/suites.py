@@ -200,38 +200,16 @@ def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
 # games suite
 
 
-def _buggy_label_clopen(G: games.Game):
-    """Mutation fixture: demands all children carry the mover's label."""
-    labels: dict = {}
-
-    def label(p):
-        if p in labels:
-            return labels[p]
-        d = G.decide(p)
-        if d is not None:
-            r = d
-        else:
-            mover = games.turn(p)
-            children = [label(p + (x,)) for x in G.moves]
-            r = mover if all(c == mover for c in children) else games.other_player(mover)
-        labels[p] = r
-        return r
-
-    winner = label(())
-    return labels, winner, games.Strategy(winner, {})
-
-
-def suite_games(cfg: RunConfig, inject_bug: Optional[str] = None) -> Report:
+def suite_games(cfg: RunConfig) -> Report:
     started = time.monotonic()
     report = Report("games", asdict(cfg))
 
     def solver_agreement():
         rng = cfg.rng("games.agreement")
-        labeler = _buggy_label_clopen if inject_bug == "label" else games.label_clopen
         for k in range(100):
             g = games.random_clopen_game(rng, max_nodes=600, max_cap=cfg.play_cap)
             w_value, s_value = games.value_strategy(g)
-            _, w_label, s_label = labeler(g)
+            _, w_label, _ = games.label_clopen(g)
             w_oracle = oracles.minimax_winner_dp(g)[()]
             ok_value = games.verify_strategy(g, s_value).ok
             if not (w_value == w_label == w_oracle and ok_value):
@@ -538,17 +516,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: RunConfig, inject_bug: Optional[str] = None) -> list[Report]:
+def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     if name == "all":
         names = ["logic", "games", "truthgames", "etr"]
     elif name in SUITES:
         names = [name]
     else:
         raise KeyError(f"unknown suite {name!r}")
-    reports = []
-    for n in names:
-        if n == "games":
-            reports.append(suite_games(cfg, inject_bug=inject_bug))
-        else:
-            reports.append(SUITES[n](cfg))
-    return reports
+    return [SUITES[n](cfg) for n in names]

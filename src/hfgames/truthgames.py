@@ -349,8 +349,8 @@ class RefereeState:
         elif pron.witness is None:
             out = [TarskiViolation("quantifier", inq, "affirmed existential without witness")]
             out += self.add(inq, True)
-        elif pron.witness not in self.game.structure.universe:
-            out = [TarskiViolation("quantifier", inq, f"witness {pron.witness} not in universe")]
+        elif type(pron.witness) is not int or pron.witness not in self.game.structure.universe:
+            out = [TarskiViolation("quantifier", inq, f"witness {pron.witness!r} not in universe")]
         else:
             body = inq.witness_body(pron.witness)
             if pron.witness_instance is not None and pron.witness_instance != body:
@@ -408,13 +408,9 @@ class RefereeState:
 
 
 def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:
-    """Is cand an instantiation of the denied existential ex at some element?"""
-    f = ex.formula
-    ea = ex.assignment
-    for k, v in cand.bindings:
-        if k != f.var and ea.get(k) != v:
-            return False
-    return True
+    """Is cand, an instance of ex's body, ex's instantiation at some element?"""
+    var = ex.formula.var
+    return tuple(p for p in cand.bindings if p[0] != var) == ex.bindings
 
 
 def _as_ordinal(clock) -> Ordinal:
@@ -758,7 +754,7 @@ def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:
             if cand not in seen:
                 seen.add(cand)
                 pool.append(cand)
-        neg = instance(Not(t.formula), t.assignment)
+        neg = FormulaInstance(Not(t.formula), t.bindings)
         if neg not in seen:
             seen.add(neg)
             pool.append(neg)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hfgames import suites
+from hfgames import games, suites
 from hfgames.cli import main
 from hfgames.logic import MAX_NESTING
 
@@ -40,6 +40,27 @@ def run_child(argv, env=(), address_limit=None, timeout=60):
     return subprocess.run(
         [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=timeout
     )
+
+
+def _buggy_label_clopen(G: games.Game):
+    """Mutation fixture: demands all children carry the mover's label."""
+    labels: dict = {}
+
+    def label(p):
+        if p in labels:
+            return labels[p]
+        d = G.decide(p)
+        if d is not None:
+            r = d
+        else:
+            mover = games.turn(p)
+            children = [label(p + (x,)) for x in G.moves]
+            r = mover if all(c == mover for c in children) else games.other_player(mover)
+        labels[p] = r
+        return r
+
+    winner = label(())
+    return labels, winner, games.Strategy(winner, {})
 
 
 class TestEval:
@@ -345,10 +366,9 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_inject_bug_fails_with_witness(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "games", "--seed", "1", "--inject-bug", "label"
-        )
+    def test_inject_bug_fails_with_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(games, "label_clopen", _buggy_label_clopen)
+        code, out, _ = run(capsys, "verify", "games", "--seed", "1")
         assert code == 1
         assert "FAIL" in out and "witness" in out
 

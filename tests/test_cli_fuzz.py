@@ -112,7 +112,6 @@ def values(action):
         "formula": st.sampled_from(FORMULAS) | st.text(max_size=12),
         "teller": st.sampled_from(["honest", "liar"]),
         "pred": st.sampled_from(PREDS),
-        "inject_bug": st.sampled_from(["label", "none"]),
     }.get(action.dest, st.text(max_size=8))
 
 

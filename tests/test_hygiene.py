@@ -1,11 +1,14 @@
 """Source hygiene: every name a module imports is used in that module."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hfgames"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hfgames"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -194,11 +197,19 @@ def test_cached_formula_facts_are_reads():
 def test_truthgames_reads_follow_ups_off_the_instance():
     """FormulaInstance.parts and FormulaInstance.witness_body are the only
     places the truth games get a sub-instance or a witness body from; the
-    referee, drivers and tellers read them off the instance."""
+    referee, drivers and tellers read them off the instance.  So does
+    tarski_check for the parts of a negation or conjunction.  The readers
+    that compare or rebuild bindings read the tuple, not the assignment dict."""
     tree = ast.parse((PACKAGE / "truthgames.py").read_text())
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     names = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n.lineno) for n in calls]
     assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate")] == []
+    logic_defs, _ = _definitions(ast.parse((PACKAGE / "logic.py").read_text()))
+    assert "sub_instance" not in _called_names(logic_defs["tarski_check"])
+    defs, _ = _definitions(tree)
+    for name in ("_is_instantiation", "_presearch_pool"):
+        reads = [n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)]
+        assert "assignment" not in reads, name
 
 
 def _violation_kinds(node) -> list[str]:
@@ -268,3 +279,34 @@ def test_no_unbounded_module_caches(path):
                 if text in ("cache", "functools.cache") or "maxsize=None" in text:
                     unbounded.append(f"{node.name} (line {node.lineno})")
     assert unbounded == []
+
+
+def _paper_map_rows() -> list[str]:
+    """The body rows of the README's paper-to-code table."""
+    section = (ROOT / "README.md").read_text().split("## Paper-to-code map", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return rows[2:]
+
+
+def test_paper_map_names_real_functions_and_criteria():
+    """Every backticked module.name in the README's paper-to-code map
+    resolves in the package, and every criterion it cites has its test, so
+    a rename cannot leave the map pointing nowhere."""
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    criteria = set(re.findall(r"^def test_criterion_(\d+)_", acceptance, re.M))
+    rows = _paper_map_rows()
+    assert len(rows) == 7
+    unresolved, uncited = [], []
+    for row in rows:
+        names = re.findall(r"`([a-z_]+)\.([A-Za-z_][\w.]*)`", row)
+        cited = re.findall(r"criterion (\d+)", row)
+        assert names and cited, row
+        for module, path in names:
+            obj = importlib.import_module(f"hfgames.{module}")
+            for attr in path.split("."):
+                obj = getattr(obj, attr, None)
+            if obj is None:
+                unresolved.append(f"{module}.{path}")
+        uncited += [n for n in cited if n not in criteria]
+    assert unresolved == [] and uncited == []

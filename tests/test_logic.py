@@ -330,6 +330,78 @@ class TestInterning:
         assert len(logic._interned) == before
 
 
+class TestInstanceBuilding:
+    """The constructor checks an instance once, when it is first built, and
+    every derived instance is cut from its parent's bindings."""
+
+    @pytest.mark.parametrize(
+        "bindings",
+        [
+            (),
+            (("x", 0),),
+            (("x", 0), ("y", 1), ("z", 2)),
+            (("y", 1), ("x", 0)),
+            (("x", 0), ("x", 1)),
+            (("x", "0"), ("y", 1)),
+            (("x", 0.5), ("y", 1)),
+            (("x", None), ("y", 1)),
+            (("x", True), ("y", 1)),
+            (("x", 0, 1), ("y", 1)),
+            "xy",
+        ],
+        ids=["none", "missing", "extra", "misordered", "repeated", "str", "float", "None",
+             "bool", "triple", "not a tuple"],
+    )
+    def test_constructor_refuses_bad_bindings(self, bindings):
+        # A formula no other test builds, so each call is a table miss.
+        f = parse_formula("(x in y) & (#977 in #978)")
+        with pytest.raises(MalformedInstanceError, match="one int code each"):
+            FormulaInstance(f, bindings)
+        assert FormulaInstance(f, (("x", 0), ("y", 1))) is instance(f, {"y": 1, "x": 0})
+
+    def test_closed_formula_takes_no_bindings(self):
+        f = parse_formula("Ex. (x in #1)")
+        assert FormulaInstance(f, ()) is parse_instance("Ex. (x in #1)")
+        with pytest.raises(MalformedInstanceError):
+            FormulaInstance(f.body, ())
+        with pytest.raises(MalformedInstanceError):
+            FormulaInstance(f, (("x", 0),))
+
+    @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(3, 14), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_instances_are_the_built_ones(self, seed, M, most, data):
+        f = random_formula(random.Random(seed), M.universe, most)
+        codes = st.integers(0, M.universe.size - 1)
+        root_env = {v: data.draw(codes) for v in ("x", "y", "z")}
+        todo = [(instance(f, root_env), root_env)]
+        while todo:
+            inst, env = todo.pop()
+            g = inst.formula
+            assert inst is instance(g, env)
+            for h in subformulas(g):
+                if free_vars(h) <= set(inst.assignment):
+                    assert sub_instance(inst, h) is instance(h, env)
+                else:
+                    with pytest.raises(MalformedInstanceError):
+                        sub_instance(inst, h)
+            if isinstance(g, Not):
+                (part,) = inst.parts
+                assert part is instance(g.body, env)
+            elif isinstance(g, And):
+                left, right = inst.parts
+                assert left is instance(g.left, env) and right is instance(g.right, env)
+            elif isinstance(g, Exists):
+                w = data.draw(codes)
+                body = inst.witness_body(w)
+                assert body is instantiate(inst, g.var, w)
+                assert body is instance(g.body, {**env, g.var: w})
+                todo.append((body, {**env, g.var: w}))
+                continue
+            else:
+                assert inst.parts == ()
+            todo += [(part, env) for part in inst.parts]
+
+
 class TestEval:
     def test_empty_in_singleton(self):
         assert eval_instance(V2, parse_instance("#0 in #1"))

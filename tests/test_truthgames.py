@@ -68,7 +68,7 @@ from hfgames.truthgames import (
     transcript_to_json,
     truth_game,
 )
-from hfgames.oracles import clock_outcome, tarski_eval
+from hfgames.oracles import clock_outcome, referee_lost, tarski_eval
 from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
 
 V2 = Structure(build_universe(2))
@@ -768,6 +768,29 @@ class TestWitnessDiscipline:
         ex = parse_instance("Ex. (x in #1)")
         rounds = [Round(1, ex, Pronouncement(True, 99, None))]
         assert referee(game, Transcript(rounds)) == INTERROGATOR_WINS
+
+    @pytest.mark.parametrize("witness", ["0", 0.0, True, "abc"])
+    def test_witness_not_an_int_loses(self, witness):
+        # int("0"), int(0.0) and int(True) are codes; the witness itself is not.
+        game = truth_game(V2)
+        ex = parse_instance("Ex. (x in #1)")
+        rounds = [Round(1, ex, Pronouncement(True, witness, None))]
+        assert referee(game, Transcript(rounds)) == INTERROGATOR_WINS
+        assert referee_lost(game, rounds)
+        (violation,) = RefereeState(game).process_round(rounds[0])
+        assert str(violation) == f"[quantifier] Ex. (x in #1): witness {witness!r} not in universe"
+        honest = honest_teller(game, V2)
+
+        class Teller:
+            def answer(self, game, inquiry, clock, history):
+                if isinstance(inquiry.formula, Exists):
+                    return Pronouncement(True, witness, None)
+                return honest.answer(game, inquiry, clock, history)
+
+        played = play_truth_game(game, ScriptedInterrogator([ex]), Teller())
+        assert played.status == INTERROGATOR_WINS
+        with pytest.raises(NotWinningStrategyError):
+            extract_satisfaction(Teller(), game, [ex])
 
 
 class TestDerivedInstanceLifetime:
