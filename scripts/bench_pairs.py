@@ -10,11 +10,15 @@ goes first from pair to pair.  After each run it copies that checkout's
 ``perfbench/out/summary-<workload>-seed<N>.json`` to ``RUNS/<side>/``,
 numbered by pair, and adds the run's end-to-end metrics (the last line
 ``run.py`` prints) under ``"metrics"``: the summary file does not hold
-``setup_s`` or ``peak_rss_mb``.
+``setup_s`` or ``peak_rss_mb``.  Each run is followed by one timed
+``python -m hfgames.cli verify all --seed 1 --json`` in the same checkout,
+recorded as the metric ``verify_all_s`` (wall seconds, process start
+included).
 
 ``write`` reads every such file back and records, per workload, seed and
-end-to-end metric, each side's median and quartiles, how many pairs the
-change won (ties count for neither) and the number of pairs.
+metric (the end-to-end ones and ``verify_all_s``), each side's median and
+quartiles, how many pairs the change won (ties count for neither) and the
+number of pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -48,11 +54,22 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
             name = f"summary-{workload}-seed{seed}.json"
             summary = json.loads((root / "perfbench" / "out" / name).read_text())
             summary["metrics"] = result["metrics"]
+            summary["metrics"]["verify_all_s"] = {"value": _verify_all_seconds(root), "unit": "s"}
             summary["correct"] = result["correct"]
             dest = out / side / f"summary-{workload}-seed{seed}-pair{k}.json"
             dest.write_text(json.dumps(summary, indent=1))
             batch = result["metrics"]["batch_norm_s"]["value"]
             print(f"pair {k} {side:6s} {workload} seed {seed}: batch_norm_s {batch:.4f}", flush=True)
+
+
+def _verify_all_seconds(root: Path) -> float:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "hfgames.cli", "verify", "all", "--seed", "1", "--json"],
+        cwd=root, env=env, capture_output=True, check=True,
+    )
+    return time.perf_counter() - start
 
 
 def _spec() -> dict:
@@ -123,7 +140,8 @@ def main(argv=None) -> int:
         return 0
     better = {m["name"]: m["better"] for m in _spec()["end_to_end"]}
     doc = {
-        "harness": "perfbench/run.py --trace 0, alternating sides, one run at a time",
+        "harness": "perfbench/run.py --trace 0, then one timed verify all --seed 1 --json,"
+                   " alternating sides, one run at a time",
         "note": args.note,
         "results": bench_document(args.out, better),
     }

@@ -147,7 +147,7 @@ def recursion_domain(
     checked = () if value_domain is None else domain
     for what, codes in (("carrier element", rel.carrier), ("value", checked)):
         for c in codes:
-            if not isinstance(c, int) or c not in M.universe:
+            if c not in M.universe:
                 raise SignatureError(f"{what} {c!r} is not a universe element")
     return domain
 
@@ -444,9 +444,9 @@ def iterated_truth(
     coding = dict(coding or {})
     for c, inst in coding.items():
         if c not in M.universe:
-            raise SignatureError(f"coding key {c} outside the universe")
+            raise SignatureError(f"coding key {c!r} outside the universe")
     for i in order:
-        if not isinstance(i, int) or i not in M.universe:
+        if i not in M.universe:
             raise SignatureError(f"stage index {i!r} is not a universe element")
     carrier = set(order.elements)
     for inst in closure:

@@ -442,30 +442,28 @@ def random_clopen_game(
     max_branching: int = 4,
     max_cap: int = 8,
 ) -> Game:
-    """Seeded random clopen game, decided-position table built breadth-first."""
+    """Seeded random clopen game, decided-position table built breadth-first.
+
+    The sequence of ``rng`` calls is part of the contract, not only the
+    game: callers draw their next game from the state this one leaves.
+    ``tests/test_games.py::TestRandomClopenGame::test_stream_pinned`` pins
+    both.
+    """
     if max_cap < 2:
         raise InvariantError(f"max_cap must be at least 2, got {max_cap}")
     branching = rng.randint(2, max_branching)
     cap = rng.randint(2, max_cap)
     decide_prob = rng.uniform(0.15, 0.45)
     moves = tuple(range(branching))
+    rand, pick, players = rng.random, rng.choice, (PLAYER_I, PLAYER_II)
     decided: dict[tuple, str] = {}
-    frontier: list[tuple] = [()]
-    nodes = 1
-    while frontier:
-        p = frontier.pop(0)
-        if p and rng.random() < decide_prob:
-            decided[p] = rng.choice((PLAYER_I, PLAYER_II))
-            continue
-        if len(p) == cap:
-            decided[p] = rng.choice((PLAYER_I, PLAYER_II))
-            continue
-        children = [p + (x,) for x in moves]
-        if nodes + len(children) > max_nodes:
-            decided[p] = rng.choice((PLAYER_I, PLAYER_II))
-            continue
-        nodes += len(children)
-        frontier.extend(children)
+    positions: list[tuple] = [()]
+    # The loop reads the nodes it appends: breadth-first order.
+    for p in positions:
+        if (p and rand() < decide_prob) or len(p) == cap or len(positions) + branching > max_nodes:
+            decided[p] = pick(players)
+        else:
+            positions.extend([p + (x,) for x in moves])
     if () in decided:
         # Keep the root playable: a decided root makes a degenerate game.
         root_winner = decided.pop(())

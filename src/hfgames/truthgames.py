@@ -207,22 +207,25 @@ class RefereeState:
         self.exists_false_by_body: dict[Formula, list] = {}
         self.true_by_formula: dict[Formula, list] = {}
         self.witness_bodies: dict[FormulaInstance, list] = {}
-        self._frames: list[list] = [[]]
-        # Per pushed frame: the round count and the loss flag to restore.
-        self._frame_starts: list[tuple[int, bool]] = []
+        # The undo records of the innermost pushed frame; None outside
+        # frames, where nothing is ever undone.
+        self._log: Optional[list] = None
+        # Per pushed frame: the round count, loss flag and log to restore.
+        self._frame_starts: list[tuple[int, bool, Optional[list]]] = []
         self._f_symbol = game.teller_symbol()
         self._signature = frozenset(game.signature())
 
     # -- frames
 
     def push_frame(self):
-        self._frames.append([])
-        self._frame_starts.append((len(self.rounds), self.lost))
+        self._frame_starts.append((len(self.rounds), self.lost, self._log))
+        self._log = []
 
     def pop_frame(self):
-        n, self.lost = self._frame_starts.pop()
+        log = self._log
+        n, self.lost, self._log = self._frame_starts.pop()
         del self.rounds[n:]
-        for tag, a, b in reversed(self._frames.pop()):
+        for tag, a, b in reversed(log):
             if tag == "lst":
                 a.pop(b)
             elif b == 0:
@@ -232,7 +235,8 @@ class RefereeState:
 
     def _set_mark(self, inst: FormulaInstance, bit: int) -> None:
         prev = self.marks.get(inst, 0)
-        self._frames[-1].append(("mark", inst, prev))
+        if self._log is not None:
+            self._log.append(("mark", inst, prev))
         self.marks[inst] = prev | bit
 
     def _register(self, index: dict, key, value, front: bool = False) -> None:
@@ -243,7 +247,8 @@ class RefereeState:
             lst.insert(0, value)
         else:
             lst.append(value)
-        self._frames[-1].append(("lst", lst, 0 if front else -1))
+        if self._log is not None:
+            self._log.append(("lst", lst, 0 if front else -1))
 
     # -- the checks
 
@@ -349,7 +354,7 @@ class RefereeState:
         elif pron.witness is None:
             out = [TarskiViolation("quantifier", inq, "affirmed existential without witness")]
             out += self.add(inq, True)
-        elif type(pron.witness) is not int or pron.witness not in self.game.structure.universe:
+        elif pron.witness not in self.game.structure.universe:
             out = [TarskiViolation("quantifier", inq, f"witness {pron.witness!r} not in universe")]
         else:
             body = inq.witness_body(pron.witness)
@@ -1016,14 +1021,21 @@ def _clock_to_json(clock):
 
 
 def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
+    """Serialize a transcript; a witness that is not an int raises
+    MalformedTranscriptError, so every file written here reads back."""
     rounds = []
-    for rnd in transcript.rounds:
+    for k, rnd in enumerate(transcript.rounds):
         doc: dict = {"clock": _clock_to_json(rnd.clock)}
         if rnd.inquiry is not None:
             doc["inquiry"] = print_instance(rnd.inquiry)
             doc["verdict"] = rnd.pronouncement.verdict
-            if rnd.pronouncement.witness is not None:
-                doc["witness"] = rnd.pronouncement.witness
+            witness = rnd.pronouncement.witness
+            if witness is not None:
+                if type(witness) is not int:
+                    raise MalformedTranscriptError(
+                        f"round {k}: witness {witness!r} is not an int code"
+                    )
+                doc["witness"] = witness
         rounds.append(doc)
     return json.dumps(
         {"clock_mode": game.clock_mode, "status": transcript.status, "rounds": rounds},

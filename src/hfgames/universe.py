@@ -122,7 +122,8 @@ class Universe:
         return range(self.size)
 
     def __contains__(self, code) -> bool:
-        return 0 <= int(code) < self.size
+        # Codes are ints: no str, float or bool stands for one.
+        return type(code) is int and 0 <= code < self.size
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)

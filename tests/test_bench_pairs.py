@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -59,3 +60,33 @@ def test_bench_document(tmp_path):
     assert evaluate["metrics"]["batch_norm_s"]["parent"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert evaluate["metrics"]["batch_norm_s"]["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert evaluate["metrics"]["batch_norm_s"]["change_wins"] == 0
+
+
+def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
+    # A stand-in for both subprocesses: perfbench's run writes its summary
+    # and prints its metrics line; verify all prints nothing.
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((Path(cwd).name, argv[1:3]))
+        if argv[1] == "perfbench/run.py":
+            out = Path(cwd) / "perfbench" / "out"
+            out.mkdir(parents=True, exist_ok=True)
+            summary_doc = {"workload": "evaluate", "seed": 1}
+            (out / "summary-evaluate-seed1.json").write_text(json.dumps(summary_doc))
+            line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+        assert kwargs["env"]["PYTHONPATH"] == str(Path(cwd) / "src")
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runs = tmp_path / "runs"
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 2, runs)
+
+    # Each run is followed by its verify all, sides alternating by pair.
+    assert [side for side, _ in calls] == ["p", "p", "c", "c", "c", "c", "p", "p"]
+    assert [argv for _, argv in calls[:2]] == [["perfbench/run.py", "--workload"], ["-m", "hfgames.cli"]]
+    (entry,) = bench_pairs.bench_document(runs, BETTER)
+    assert entry["pairs"] == 2
+    assert set(entry["metrics"]) == {"batch_norm_s", "verify_all_s"}
+    assert entry["metrics"]["verify_all_s"]["better"] == "lower"

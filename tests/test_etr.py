@@ -449,6 +449,10 @@ class TestKleeneBrouwer:
                 least = min(subset, key=order.index)
                 assert all(not kb_less(t, least) for t in subset)
 
+    def test_sequence_entry_not_an_int_rejected(self):
+        with pytest.raises(InvariantError, match="sequence entry '0'"):
+            kleene_brouwer([(), ("0",)], build_universe(3))
+
     def test_comparator_is_antisymmetric(self):
         assert kb_compare((0, 1), (0,)) == -1
         assert kb_compare((0,), (0, 1)) == 1
@@ -585,6 +589,13 @@ class TestIteratedTruth:
         for idx, i in enumerate(order.elements):
             rel = it.truth_relation_before(i)
             assert rel == {(j, 0) for j in order.elements[:idx]}
+
+    @pytest.mark.parametrize("key", ["abc", "0", 0.0, True])
+    def test_coding_key_not_an_int_rejected(self, key):
+        order = WellOrder((0, 1))
+        inst = parse_instance("#0 in #1")
+        with pytest.raises(SignatureError, match="coding key"):
+            iterated_truth(V3, order, closure=[inst], coding={key: inst})
 
     def test_out_of_order_stage_rejected(self):
         order = WellOrder((0, 1))

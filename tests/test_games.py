@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -505,3 +506,31 @@ class TestArena:
         del a
         gc.collect()
         assert ref() is None
+
+
+class TestRandomClopenGame:
+    # sha256 of ``game_to_json`` for every game of the grid below (one per
+    # line), then ``repr`` of one ``rng.random()`` drawn after them.
+    STREAM_DIGEST = "4a99d6fcffad7f9c5bf67d6fbe9cbbf3d265a617ba51d38abd41c181f2c4f5fe"
+
+    def test_stream_pinned(self):
+        # Perfbench's rejection loop and ``verify --json`` draw from the
+        # state each game leaves, so the rng calls are pinned with the games.
+        rng = random.Random(89)
+        docs = []
+        for max_nodes in (3, 12, 60, 250, 1000, 4000):
+            for max_branching in (2, 4):
+                for max_cap in (2, 8, 150):
+                    for _ in range(2):
+                        g = random_clopen_game(
+                            rng, max_nodes=max_nodes, max_branching=max_branching, max_cap=max_cap
+                        )
+                        docs.append(game_to_json(g))
+        text = "\n".join([*docs, repr(rng.random())])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.STREAM_DIGEST
+        # At three nodes a root with more than two moves cannot expand; its
+        # winner moves to every first move.
+        assert any(
+            len(doc["moves"]) > 2 and [p for p, _ in doc["decided"]] == [[x] for x in doc["moves"]]
+            for doc in map(json.loads, docs)
+        )

@@ -789,6 +789,9 @@ class TestWitnessDiscipline:
 
         played = play_truth_game(game, ScriptedInterrogator([ex]), Teller())
         assert played.status == INTERROGATOR_WINS
+        # The reader refuses such a witness, so the writer does too.
+        with pytest.raises(MalformedTranscriptError, match=f"round 0: witness {witness!r}"):
+            transcript_to_json(game, played)
         with pytest.raises(NotWinningStrategyError):
             extract_satisfaction(Teller(), game, [ex])
 

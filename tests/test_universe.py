@@ -56,6 +56,13 @@ class TestBuildUniverse:
         with pytest.raises(ResourceBoundError):
             build_universe(6)
 
+    @pytest.mark.parametrize("code", ["abc", "0", 0.0, True, 1.5, -1, 7])
+    def test_only_int_codes_in_range_are_members(self, code):
+        # No coercion: "0", 0.0 and True name no code, and "abc" raises nothing.
+        U = build_universe(3)
+        assert code not in U
+        assert all(c in U for c in range(U.size))
+
     def test_doubling_invariant(self):
         for k in range(4):
             assert universe_size(k + 1) == 2 ** universe_size(k)
