@@ -13,12 +13,16 @@ numbered by pair, and adds the run's end-to-end metrics (the last line
 ``setup_s`` or ``peak_rss_mb``.  Each run is followed by one timed
 ``python -m hfgames.cli verify all --seed 1 --json`` in the same checkout,
 recorded as the metric ``verify_all_s`` (wall seconds, process start
-included).
+included).  After the pairs, each side runs the tier-1 suite once
+(``python -m pytest -q -s --continue-on-collection-errors``), and
+``RUNS/<side>/tier1-<workload>-seed<N>.json`` records its wall seconds,
+exit code and ``ACCEPTANCE n ...`` lines.
 
 ``write`` reads every such file back and records, per workload, seed and
 metric (the end-to-end ones and ``verify_all_s``), each side's median and
 quartiles, how many pairs the change won (ties count for neither) and the
-number of pairs.
+number of pairs; and, under ``"tier1"``, each side's tier-1 runs with the
+median and quartiles of their wall time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import json
 import statistics
 import os
+import re
 import subprocess
 import sys
 import time
@@ -60,16 +65,31 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
             dest.write_text(json.dumps(summary, indent=1))
             batch = result["metrics"]["batch_norm_s"]["value"]
             print(f"pair {k} {side:6s} {workload} seed {seed}: batch_norm_s {batch:.4f}", flush=True)
+    for side in SIDES:
+        tier1 = {"workload": workload, "seed": seed, **_tier1(checkouts[side])}
+        (out / side / f"tier1-{workload}-seed{seed}.json").write_text(json.dumps(tier1, indent=1))
+        print(f"tier-1 {side:6s}: exit {tier1['exit']} in {tier1['wall_s']:.1f} s", flush=True)
+
+
+def _timed(root: Path, args: list, **kwargs) -> tuple:
+    """Run ``python args`` in ``root`` on its own ``src``: the process and
+    its wall seconds."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True, **kwargs)
+    return proc, time.perf_counter() - start
+
+
+def _tier1(root: Path) -> dict:
+    args = ["-m", "pytest", "-q", "-s", "--continue-on-collection-errors"]
+    proc, wall = _timed(root, args, text=True)
+    lines = re.findall(r"ACCEPTANCE \d+ .*", proc.stdout)
+    return {"wall_s": wall, "exit": proc.returncode, "acceptance": lines}
 
 
 def _verify_all_seconds(root: Path) -> float:
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "hfgames.cli", "verify", "all", "--seed", "1", "--json"],
-        cwd=root, env=env, capture_output=True, check=True,
-    )
-    return time.perf_counter() - start
+    args = ["-m", "hfgames.cli", "verify", "all", "--seed", "1", "--json"]
+    return _timed(root, args, check=True)[1]
 
 
 def _spec() -> dict:
@@ -82,6 +102,16 @@ def _spread(values: list[float]) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def tier1_document(out: Path) -> dict:
+    """Each side's tier-1 runs in ``out`` and the spread of their wall time."""
+    doc = {}
+    for side in SIDES:
+        runs = [json.loads(p.read_text()) for p in sorted((out / side).glob("tier1-*.json"))]
+        if runs:
+            doc[side] = {"wall_s": _spread([r["wall_s"] for r in runs]), "runs": runs}
+    return doc
 
 
 def bench_document(out: Path, better: dict) -> list:
@@ -141,9 +171,11 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in _spec()["end_to_end"]}
     doc = {
         "harness": "perfbench/run.py --trace 0, then one timed verify all --seed 1 --json,"
-                   " alternating sides, one run at a time",
+                   " alternating sides, one run at a time; the tier-1 suite once per side after"
+                   " each workload's pairs",
         "note": args.note,
         "results": bench_document(args.out, better),
+        "tier1": tier1_document(args.out),
     }
     args.bench.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -7,22 +7,25 @@ every caller stops a play at its first decided position, so what
 ``decide`` returns past a decided position is unspecified.  Plays that
 reach the cap undecided count as wins for the closed player.
 
-Every solver runs on an arena: the truncated game tree compiled once,
-breadth-first, into parallel lists (``_arena``), with one call of
-``decide`` per position.  A parent comes before its children, so values
-and winners are one pass over the indices in reverse order (retrograde
-analysis, linear in the edges), and strategies are walks over indices.
-No solver recurses on depth.  A single module-level entry keeps the most
-recent game's arena, matched by identity, so solvers called one after
-another on the same game share one compile, and a long-lived process holds
-at most one arena.
+Every solver runs on an arena: the truncated game tree compiled once, one
+breadth-first level at a time, into parallel lists (``_arena``), with one
+call of ``decide`` per position.  One player moves at every position of a
+level, so values and winners are one pass over the levels from the cap
+upwards (retrograde analysis, linear in the edges), and strategies are
+walks over indices.  No solver recurses on depth.  A single module-level
+entry keeps the most recent game's arena, matched by identity, so solvers
+called one after another on the same game share one compile, and a
+long-lived process holds at most one arena.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from itertools import compress, count, repeat
+from math import inf
+from operator import add, contains
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     IncompleteStrategyError,
@@ -128,34 +131,44 @@ class _Arena:
     Node 0 is the root.  ``positions[i]`` is node i's tuple and
     ``decided[i]`` its ``decide`` result.  The children of node i are
     ``first[i]`` .. ``first[i] + width - 1`` in move order; ``first[i]`` is
-    -1 at a leaf, which is decided or at the cap.  Values and winners are
-    computed on first use and kept with the arena.
+    -1 at a leaf, which is decided or at the cap.  Level d, the nodes at
+    depth d, is ``levels[d]`` .. ``levels[d + 1] - 1``; the last entry of
+    ``levels`` is the node count.  The tree is compiled level by level, and
+    solved level by level from the cap upwards with the mover fixed per
+    level.  ``unsettled`` records whether a clopen game has a play that
+    ends undecided at the cap.  Values and winners are computed on first
+    use and kept with the arena.
     """
 
-    __slots__ = ("game", "positions", "first", "decided", "width", "move_index", "_values", "_wins")
+    __slots__ = ("game", "positions", "first", "decided", "levels", "width", "move_index",
+                 "unsettled", "_values", "_wins")
 
     def __init__(self, G: Game, node_budget: Optional[int]):
-        decide, moves, cap = G.decide, G.moves, G.play_cap
-        positions: list = [()]
-        first: list = []
-        decided: list = []
-        # The loop reads the nodes it appends: breadth-first order.
-        for p in positions:
-            d = decide(p)
-            decided.append(d)
-            if d is None and len(p) < cap:
-                first.append(len(positions))
-                positions.extend([p + (x,) for x in moves])
-                if node_budget is not None and len(positions) > node_budget:
-                    raise ResourceBoundError(f"game tree exceeded {node_budget} nodes")
-            else:
-                first.append(-1)
+        decide, cap, width = G.decide, G.play_cap, len(G.moves)
+        suffixes = [(x,) for x in G.moves]
+        positions, first, decided, levels, level = [], [], [], [], [()]
+        while True:
+            levels.append(len(positions))
+            positions += level
+            ds = list(map(decide, level))
+            decided += ds
+            if len(level[0]) == cap or None not in ds:
+                first += [-1] * len(ds)
+                break
+            if node_budget is not None and len(positions) + ds.count(None) * width > node_budget:
+                raise ResourceBoundError(f"game tree exceeded {node_budget} nodes")
+            child = count(len(positions), width).__next__
+            first += [child() if d is None else -1 for d in ds]
+            level = [p + x for p, d in zip(level, ds) if d is None for x in suffixes]
+        levels.append(len(positions))
         self.game = G
         self.positions = positions
         self.first = first
         self.decided = decided
-        self.width = len(moves)
-        self.move_index = {x: k for k, x in enumerate(moves)}
+        self.levels = levels
+        self.width = width
+        self.move_index = {x: k for k, x in enumerate(G.moves)}
+        self.unsettled = G.kind == "clopen" and None in ds
         self._values: Optional[list] = None
         self._wins: Optional[list] = None
 
@@ -171,58 +184,68 @@ class _Arena:
             i = self.first[i] + k
         return i
 
+    def _solve(self, leaf: dict, at_cap: Iterator, combine: Callable) -> list:
+        """Every node's result, one level at a time from the deepest up: a
+        decided node's is ``leaf[winner]``, an undecided leaf's (at the cap)
+        the next of ``at_cap``.  The interior nodes of a level own the next
+        level in order, ``width`` children each, and ``combine(mover,
+        children)`` maps the tuples of their children's results to theirs.
+        """
+        levels, decided, width = self.levels, self.decided, self.width
+        out: list = [None] * len(decided)
+        nxt = at_cap.__next__
+        for depth in range(len(levels) - 2, -1, -1):
+            lo, hi = levels[depth], levels[depth + 1]
+            out[lo:hi] = [nxt() if d is None else leaf[d] for d in decided[lo:hi]]
+            if depth:
+                mover = PLAYER_I if depth % 2 else PLAYER_II
+                nxt = combine(mover, zip(*[out[lo + k:hi:width] for k in range(width)])).__next__
+        return out
+
     def values(self) -> list:
         """Ordinal value of every node as an int (finite branching and cap
-        keep every value below omega), None where unvalued."""
+        keep every value below omega), ``inf`` where unvalued: so the open
+        player's node is its least child plus one and the closed player's
+        its greatest child.
+        """
         if self._values is None:
-            G, first, positions, width = self.game, self.first, self.positions, self.width
-            open_player = G.open_player
-            open_parity = 0 if open_player == PLAYER_I else 1
-            values: list = [None] * len(positions)
-            for i in range(len(positions) - 1, -1, -1):
-                f = first[i]
-                if f < 0:
-                    if self.decided[i] == open_player:
-                        values[i] = 0
-                    continue
-                children = values[f:f + width]
-                if len(positions[i]) % 2 == open_parity:
-                    valued = [v for v in children if v is not None]
-                    if valued:
-                        values[i] = min(valued) + 1
-                elif None not in children:
-                    values[i] = max(children)
-            self._values = values
+            open_player = self.game.open_player
+
+            def combine(mover: str, children: Iterator) -> Iterator:
+                if mover == open_player:
+                    return map(add, map(min, children), repeat(1))
+                return map(max, children)
+
+            leaf = {open_player: 0, self.game.closed_player: inf}
+            self._values = self._solve(leaf, repeat(inf), combine)
         return self._values
 
     def wins(self) -> list:
         """Winner of every node by backward induction.
 
-        An undecided leaf of a clopen game holds its own index instead of a
-        winner.  A node takes the first child, in move order, that its
-        mover wins or that holds an index, so an index reaches a node
-        exactly when a depth-first minimax from there would meet that leaf
-        before a winning move.
+        A node's mover wins iff some child is theirs, and an undecided leaf
+        goes to the closed player.  In an unsettled arena such a leaf holds
+        its own index instead of a winner, and a node takes the first
+        child, in move order, that its mover wins or that holds an index,
+        so an index reaches a node exactly when a depth-first minimax from
+        there would meet that leaf before a winning move.
         """
         if self._wins is None:
-            first, positions, width = self.first, self.positions, self.width
-            wins: list = [None] * len(positions)
-            for i in range(len(positions) - 1, -1, -1):
-                f = first[i]
-                if f < 0:
-                    d = self.decided[i]
-                    if d is None:
-                        d = i if self.game.kind == "clopen" else self.game.closed_player
-                    wins[i] = d
-                    continue
-                mover = PLAYER_II if len(positions[i]) % 2 else PLAYER_I
-                w = other_player(mover)
-                for c in wins[f:f + width]:
-                    if c == mover or type(c) is int:
-                        w = c
-                        break
-                wins[i] = w
-            self._wins = wins
+            if self.unsettled:
+                lo, decided = self.levels[-2], self.decided
+                at_cap = (i for i in range(lo, len(decided)) if decided[i] is None)
+
+                def combine(mover: str, children: Iterator) -> Iterator:
+                    other = other_player(mover)
+                    return (next((c for c in cs if c == mover or type(c) is int), other) for cs in children)
+            else:
+                at_cap = repeat(self.game.closed_player)
+
+                def combine(mover: str, children: Iterator) -> Iterator:
+                    has_move = map(contains, children, repeat(mover))
+                    return map((other_player(mover), mover).__getitem__, has_move)
+
+            self._wins = self._solve({PLAYER_I: PLAYER_I, PLAYER_II: PLAYER_II}, at_cap, combine)
         return self._wins
 
 
@@ -233,8 +256,8 @@ def _arena(G: Game, node_budget: Optional[int] = None) -> _Arena:
     """G's arena, compiled unless G is the game compiled last.
 
     Only that one arena is kept, so memory stays bounded however many games
-    a process solves.  ``node_budget`` raises ResourceBoundError as soon as
-    the tree passes it.
+    a process solves.  ``node_budget`` raises ResourceBoundError before the
+    compile builds a level that would take the tree past it.
     """
     global _last_arena
     if _last_arena is None or _last_arena.game is not G:
@@ -258,7 +281,7 @@ def game_value(G: Game, position: tuple = ()) -> Optional[Ordinal]:
     _check_position(G, position)
     A = _arena(G)
     v = A.values()[A.find(position)]
-    return None if v is None else Ordinal.from_nat(v)
+    return None if v == inf else Ordinal.from_nat(v)
 
 
 def _strategy_walk(A: _Arena, winner: str, pick: Callable[[int, int], Optional[int]]) -> Strategy:
@@ -293,16 +316,16 @@ def value_strategy(G: Game) -> tuple[str, Strategy]:
     """
     A = _arena(G)
     values, width = A.values(), A.width
-    winner = G.open_player if values[0] is not None else G.closed_player
+    winner = G.open_player if values[0] < inf else G.closed_player
 
     def descend(i: int, f: int) -> Optional[int]:
         for c in range(f, f + width):
-            if values[c] is not None and values[c] < values[i]:
+            if values[c] < values[i]:
                 return c
         return None
 
     def stay_unvalued(i: int, f: int) -> Optional[int]:
-        return values.index(None, f, f + width) if None in values[f:f + width] else None
+        return values.index(inf, f, f + width) if inf in values[f:f + width] else None
 
     return winner, _strategy_walk(A, winner, descend if winner == G.open_player else stay_unvalued)
 
@@ -321,7 +344,8 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     winner = wins[0]
     if type(winner) is int:
         raise _not_clopen(positions[winner])
-    labels = {p: w for p, w in zip(positions, wins) if type(w) is str}
+    pairs = zip(positions, wins)
+    labels = {p: w for p, w in pairs if type(w) is str} if A.unsettled else dict(pairs)
     return labels, winner, _strategy_walk(A, winner, lambda i, f: wins.index(winner, f, f + width))
 
 
@@ -329,10 +353,9 @@ def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:
     """Positions from which exhaustive minimax gives player I the win."""
     A = _arena(G, node_budget)
     wins = A.wins()
-    unsettled = [w for w in wins if type(w) is int]
-    if unsettled:
-        raise _not_clopen(A.positions[unsettled[0]])
-    return frozenset(p for p, w in zip(A.positions, wins) if w == PLAYER_I)
+    if A.unsettled:
+        raise _not_clopen(A.positions[next(w for w in wins if type(w) is int)])
+    return frozenset(compress(A.positions, map(PLAYER_I.__eq__, wins)))
 
 
 def play(G: Game, strategy_I: Strategy, strategy_II: Strategy) -> tuple[str, tuple]:

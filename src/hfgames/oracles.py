@@ -97,6 +97,30 @@ def minimax_winner_dp(G: Game) -> dict[tuple, str]:
     return win
 
 
+def first_unsettled_leaf(G: Game, position: tuple = ()) -> tuple | None:
+    """The undecided full-length position a depth-first minimax from
+    ``position``, in move order, meets before a winning move, or None.
+
+    Plain recursion on depth: each mover tries their moves in order and
+    stops at the first they win or that reaches such a leaf.
+    """
+    def solve(p: tuple):
+        d = G.decide(p)
+        if d is not None:
+            return d
+        if len(p) == G.play_cap:
+            return p
+        mover = turn(p)
+        for x in G.moves:
+            r = solve(p + (x,))
+            if r == mover or isinstance(r, tuple):
+                return r
+        return other_player(mover)
+
+    r = solve(position)
+    return r if isinstance(r, tuple) else None
+
+
 def clopen_distance_dp(G: Game) -> dict[tuple, int | None]:
     """Exact minimax distance-to-win for the open player (player I on
     clopen games), bottom-up; None marks positions the closed player holds."""

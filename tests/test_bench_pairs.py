@@ -77,16 +77,62 @@ def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
             line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
             return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
         assert kwargs["env"]["PYTHONPATH"] == str(Path(cwd) / "src")
-        return subprocess.CompletedProcess(argv, 0)
+        return subprocess.CompletedProcess(argv, 0, stdout="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     runs = tmp_path / "runs"
     bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 2, runs)
 
-    # Each run is followed by its verify all, sides alternating by pair.
-    assert [side for side, _ in calls] == ["p", "p", "c", "c", "c", "c", "p", "p"]
+    # Each run is followed by its verify all, sides alternating by pair;
+    # the tier-1 suite runs once per side after the pairs.
+    assert [side for side, _ in calls] == ["p", "p", "c", "c", "c", "c", "p", "p", "p", "c"]
     assert [argv for _, argv in calls[:2]] == [["perfbench/run.py", "--workload"], ["-m", "hfgames.cli"]]
     (entry,) = bench_pairs.bench_document(runs, BETTER)
     assert entry["pairs"] == 2
     assert set(entry["metrics"]) == {"batch_norm_s", "verify_all_s"}
     assert entry["metrics"]["verify_all_s"]["better"] == "lower"
+
+
+def test_run_pairs_runs_tier1_once_per_side(tmp_path, monkeypatch):
+    # perfbench's run and verify all as above; the tier-1 suite prints its
+    # ACCEPTANCE lines among pytest's progress dots.
+    tier1_calls = []
+    pytest_out = (
+        "..ACCEPTANCE 1 [truth extraction]: PASS in 0.1s (30 targets)\n"
+        ".ACCEPTANCE 9 [determinism]: PASS in 0.7s\n"
+        "3 passed in 1.00s\n"
+    )
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[1] == "perfbench/run.py":
+            workload = argv[3]
+            out = Path(cwd) / "perfbench" / "out"
+            out.mkdir(parents=True, exist_ok=True)
+            summary_doc = {"workload": workload, "seed": 1}
+            (out / f"summary-{workload}-seed1.json").write_text(json.dumps(summary_doc))
+            line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+        if argv[1:3] == ["-m", "pytest"]:
+            assert kwargs["env"]["PYTHONPATH"] == str(Path(cwd) / "src")
+            tier1_calls.append(Path(cwd).name)
+            return subprocess.CompletedProcess(argv, 1 if Path(cwd).name == "c" else 0, stdout=pytest_out)
+        return subprocess.CompletedProcess(argv, 0, stdout="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runs = tmp_path / "runs"
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 3, runs)
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "recursion", 1, 2, runs)
+
+    # Once per side per invocation, however many pairs it runs.
+    assert tier1_calls == ["p", "c", "p", "c"]
+    doc = bench_pairs.tier1_document(runs)
+    assert set(doc) == {"parent", "change"}
+    assert [(r["workload"], r["exit"]) for r in doc["change"]["runs"]] == [("evaluate", 1), ("recursion", 1)]
+    assert doc["parent"]["runs"][0]["acceptance"] == [
+        "ACCEPTANCE 1 [truth extraction]: PASS in 0.1s (30 targets)",
+        "ACCEPTANCE 9 [determinism]: PASS in 0.7s",
+    ]
+    assert set(doc["parent"]["wall_s"]) == {"median", "q1", "q3"}
+    # The summaries of the pairs do not pick the tier-1 files up.
+    evaluate, recursion = bench_pairs.bench_document(runs, BETTER)
+    assert (evaluate["pairs"], recursion["pairs"]) == (3, 2)

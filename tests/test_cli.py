@@ -396,6 +396,17 @@ class TestVerify:
         assert "node budget must be at least 1" in err
 
 
+class TestModuleEntry:
+    def test_python_dash_m_help(self):
+        environ = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hfgames", "--help"],
+            env=environ, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hfgames")
+
+
 class TestEnvOverrides:
     def test_node_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HFGAMES_NODE_BUDGET", "10")

@@ -41,7 +41,12 @@ from hfgames.games import (
 )
 from hfgames.universe import Ordinal, build_universe, member, ordinal_compare
 
-from hfgames.oracles import clopen_distance_dp, enumerate_positions, minimax_winner_dp
+from hfgames.oracles import (
+    clopen_distance_dp,
+    enumerate_positions,
+    first_unsettled_leaf,
+    minimax_winner_dp,
+)
 
 V3 = build_universe(3)
 
@@ -429,6 +434,70 @@ class TestArena:
         else:
             with pytest.raises(NotClopenError):
                 label_clopen(g)
+
+    @given(seed=st.integers(min_value=0, max_value=10**9), cap=st.integers(min_value=2, max_value=9))
+    @settings(max_examples=120, deadline=None)
+    def test_cap_cut_by_one_agrees_or_names_the_oracle_leaf(self, seed, cap):
+        base = random_clopen_game(random.Random(seed), max_nodes=300, max_cap=cap)
+        # One move shorter: plays that were decided at the last move now
+        # end undecided at the cap, unless no play reached it.
+        g = strict(copy_game(base, cap=base.play_cap - 1))
+        positions = enumerate_positions(g)
+        if not any(len(p) == g.play_cap and g.decide(p) is None for p in positions):
+            win = minimax_winner_dp(g)
+            assert label_clopen(g)[0] == win
+            assert winning_region(g) == frozenset(p for p, w in win.items() if w == PLAYER_I)
+            return
+        # The region names the leaf met from the first position, in
+        # breadth-first order (moves are 0, 1, ...), that meets one.
+        bfs = sorted(positions, key=lambda p: (len(p), p))
+        met = next(filter(None, (first_unsettled_leaf(g, p) for p in bfs)))
+        with pytest.raises(NotClopenError) as region_error:
+            winning_region(g)
+        assert str(region_error.value) == str(games._not_clopen(met))
+        leaf = first_unsettled_leaf(g)
+        if leaf is not None:
+            with pytest.raises(NotClopenError) as label_error:
+                label_clopen(g)
+            assert str(label_error.value) == str(games._not_clopen(leaf))
+            return
+        # Every label holds whoever wins the undecided plays.
+        labels, winner, s_label = label_clopen(g)
+        for kind in ("open_I", "open_II"):
+            win = minimax_winner_dp(copy_game(g, kind=kind))
+            assert all(win[p] == w for p, w in labels.items())
+        assert verify_strategy(g, s_label).ok
+
+    def test_levels_hold_one_depth_and_own_the_next(self):
+        for seed in range(40):
+            g = random_clopen_game(random.Random(seed), max_nodes=400)
+            A = games._arena(g)
+            levels = A.levels
+            assert levels[0] == 0 and levels[-1] == len(A.positions) == len(enumerate_positions(g))
+            for d in range(len(levels) - 1):
+                lo, hi = levels[d], levels[d + 1]
+                assert lo < hi and all(len(p) == d for p in A.positions[lo:hi])
+                for i in range(lo, hi):
+                    f = A.first[i]
+                    if f >= 0:
+                        assert levels[d + 1] <= f and f + A.width <= levels[d + 2]
+                        assert A.positions[f] == A.positions[i] + (g.moves[0],)
+
+    def test_budget_refusal_asks_decide_within_budget(self):
+        for seed in range(20):
+            base = random_clopen_game(random.Random(seed), max_nodes=500)
+            n = len(enumerate_positions(base))
+            calls = 0
+
+            def decide(p):
+                nonlocal calls
+                calls += 1
+                return base.decide(p)
+
+            g = Game(base.moves, decide, base.play_cap)
+            with pytest.raises(ResourceBoundError, match=f"game tree exceeded {n - 1} nodes"):
+                winning_region(g, node_budget=n - 1)
+            assert 0 < calls <= n - 1
 
     def test_suite_asks_decide_only_below_decided(self, monkeypatch):
         build = games.table_game
