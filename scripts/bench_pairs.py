@@ -15,8 +15,11 @@ numbered by pair, and adds the run's end-to-end metrics (the last line
 recorded as the metric ``verify_all_s`` (wall seconds, process start
 included).  After the pairs, each side runs the tier-1 suite once
 (``python -m pytest -q -s --continue-on-collection-errors``), and
-``RUNS/<side>/tier1-<workload>-seed<N>.json`` records its wall seconds,
-exit code and ``ACCEPTANCE n ...`` lines.
+``RUNS/<side>/tier1-<workload>-seed<N>-from<k>.json`` records its wall
+seconds, exit code and ``ACCEPTANCE n ...`` lines.  Pairs are numbered on
+from those of the same workload and seed already in ``RUNS``, and ``k`` is
+this call's first pair, so a second ``run`` into the same ``--out`` adds
+to the first one's files.
 
 ``write`` reads every such file back and records, per workload, seed and
 metric (the end-to-end ones and ``verify_all_s``), each side's median and
@@ -46,7 +49,8 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
     checkouts = {"parent": parent, "change": change}
     for side in SIDES:
         (out / side).mkdir(parents=True, exist_ok=True)
-    for k in range(pairs):
+    first = _next_pair(out, workload, seed)
+    for k in range(first, first + pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
             root = checkouts[side]
@@ -67,8 +71,17 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
             print(f"pair {k} {side:6s} {workload} seed {seed}: batch_norm_s {batch:.4f}", flush=True)
     for side in SIDES:
         tier1 = {"workload": workload, "seed": seed, **_tier1(checkouts[side])}
-        (out / side / f"tier1-{workload}-seed{seed}.json").write_text(json.dumps(tier1, indent=1))
+        dest = out / side / f"tier1-{workload}-seed{seed}-from{first}.json"
+        dest.write_text(json.dumps(tier1, indent=1))
         print(f"tier-1 {side:6s}: exit {tier1['exit']} in {tier1['wall_s']:.1f} s", flush=True)
+
+
+def _next_pair(out: Path, workload: str, seed: int) -> int:
+    """One past the highest pair of this workload and seed in ``out``."""
+    done = [int(p.stem.rpartition("-pair")[2])
+            for side in SIDES
+            for p in (out / side).glob(f"summary-{workload}-seed{seed}-pair*.json")]
+    return max(done, default=-1) + 1
 
 
 def _timed(root: Path, args: list, **kwargs) -> tuple:

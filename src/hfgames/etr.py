@@ -7,17 +7,18 @@ partial solution restricted to the indices j <| b.  Reads of F
 are thereby predecessor-relativized exactly as in the recursion game's
 F(j,y) /\\ j <| i substitution, so unguarded reads never see later slices.
 
-The module also carries the relation-reduction chain (transitive closure,
-descending-sequence tree, Kleene-Brouwer linearization) with solution
-transports that preserve slices exactly, and iterated truth predicates
-along finite well-orders.
+``<|`` is the relation's one name: ``recursion_setup`` reads every
+recursion's structure alike.  The module also carries the relation-reduction
+chain (transitive closure, descending-sequence tree, Kleene-Brouwer
+linearization) with solution transports that preserve slices exactly, each F
+read guarded by <|, and iterated truth predicates along finite well-orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvariantError, ResourceBoundError, SignatureError
 from .logic import (
@@ -56,9 +57,9 @@ class RecursionRule:
     """Rule formula phi(x, i, F) with reserved symbols F and <|."""
 
     formula: Formula
-    x_var: str = "x"
-    i_var: str = "i"
-    f_symbol: str = "F"
+    x_var: ClassVar[str] = "x"
+    i_var: ClassVar[str] = "i"
+    f_symbol: ClassVar[str] = "F"
 
     def __post_init__(self):
         fv = free_vars(self.formula)
@@ -95,8 +96,8 @@ def _pred_atoms(f: Formula, name: str) -> list[Pred]:
     return [g for g in subformulas(f) if isinstance(g, Pred) and g.name == name]
 
 
-def _relativize(f: Formula, f_symbol: str, bound, guard: str = EDGE_SYMBOL) -> Formula:
-    """Conjoin every read F(j, y) with guard(j, bound)."""
+def _relativize(f: Formula, f_symbol: str, bound) -> Formula:
+    """Conjoin every read F(j, y) with (j <| bound)."""
     done: list[Formula] = []
     # (g, True): relativize g; (g, False): rebuild g from its parts in done.
     stack: list = [(f, True)]
@@ -111,7 +112,7 @@ def _relativize(f: Formula, f_symbol: str, bound, guard: str = EDGE_SYMBOL) -> F
             else:
                 done.append(Exists(g.var, done.pop()))
         elif isinstance(g, Pred) and g.name == f_symbol:
-            done.append(And(g, Pred(guard, (g.args[0], bound))))
+            done.append(And(g, Pred(EDGE_SYMBOL, (g.args[0], bound))))
         elif isinstance(g, And):
             stack += [(g, False), (g.right, True), (g.left, True)]
         elif isinstance(g, (Not, Exists)):
@@ -138,36 +139,49 @@ class Solution:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def recursion_domain(
-    M: Structure, rel: WellFoundedRelation, value_domain: Optional[Sequence[int]]
-) -> list[int]:
-    """The values a recursion ranges over (default: the whole universe),
-    after checking that they and the relation's carrier are universe codes."""
-    domain = list(M.universe.elements if value_domain is None else value_domain)
+def recursion_setup(
+    M: Structure, rel: WellFoundedRelation, value_domain: Optional[Sequence[int]] = None
+) -> tuple[Structure, tuple[int, ...]]:
+    """The structure a recursion's rule is read in, with <| installed as the
+    relation's edges, and the values it ranges over (default: the whole
+    universe).  The carrier and the values must be universe codes, and the
+    structure may not fix F nor fix <| to other edges."""
+    domain = tuple(M.universe.elements if value_domain is None else value_domain)
     checked = () if value_domain is None else domain
     for what, codes in (("carrier element", rel.carrier), ("value", checked)):
         for c in codes:
             if c not in M.universe:
                 raise SignatureError(f"{what} {c!r} is not a universe element")
-    return domain
+    f_symbol = RecursionRule.f_symbol
+    if f_symbol in M.predicates:
+        raise SignatureError(f"{f_symbol} is the teller's predicate; the structure may not fix it")
+    edges = M.predicates.get(EDGE_SYMBOL)
+    if edges is None:
+        return M.with_predicate(EDGE_SYMBOL, rel.edges), domain
+    if edges != rel.edges:
+        raise SignatureError(
+            f"{EDGE_SYMBOL} guards the reads of {f_symbol}; the structure may not"
+            " fix it to other than the relation's edges"
+        )
+    return M, domain
 
 
-def _recursion_structure(M: Structure, rel: WellFoundedRelation) -> Structure:
-    """Install <| (unless the caller already bound it) for rule evaluation."""
-    if EDGE_SYMBOL in M.predicates:
-        return M
-    return M.with_predicate(EDGE_SYMBOL, rel.edges)
+def _slice(M: Structure, formula: Formula, b, reads: frozenset, domain: Sequence[int]) -> frozenset:
+    """The x in ``domain`` where ``formula`` holds at i = b with F = ``reads``."""
+    Mb = M.with_predicate(RecursionRule.f_symbol, reads)
+    return satisfiers(Mb, formula, RecursionRule.x_var, {RecursionRule.i_var: b}, domain)
 
 
-def _slice(
-    M: Structure,
-    rule: RecursionRule,
-    b,
-    partial_pairs: frozenset,
-    value_domain: Sequence[int],
-) -> frozenset:
-    Mb = M.with_predicate(rule.f_symbol, partial_pairs)
-    return satisfiers(Mb, rule.formula, rule.x_var, {rule.i_var: int(b)}, value_domain)
+def _solve(M: Structure, formula: Formula, preds: dict, order: Sequence, domain) -> Solution:
+    """The slices in ``order``, each reading F at its ``preds`` only."""
+    pairs: set = set()
+    slices: dict = {}
+    for b in order:
+        restricted = frozenset((j, x) for j in preds[b] for x in slices.get(j, ()))
+        sl = _slice(M, formula, b, restricted, domain)
+        slices[b] = sl
+        pairs.update((b, x) for x in sl)
+    return Solution(frozenset(pairs))
 
 
 def etr_solve(
@@ -184,21 +198,8 @@ def etr_solve(
     (defaults to the whole universe).
     """
     topo = topological_order(rel)
-    domain = recursion_domain(M, rel, value_domain)
-    Mr = _recursion_structure(M, rel)
-    preds = rel.predecessor_map()
-    if order is None:
-        order = topo
-    pairs: set = set()
-    slices: dict = {}
-    for b in order:
-        restricted = frozenset(
-            (j, x) for j in preds[b] for x in slices.get(j, ())
-        )
-        sl = _slice(Mr, rule, b, restricted, domain)
-        slices[b] = sl
-        pairs.update((b, x) for x in sl)
-    return Solution(frozenset(pairs))
+    Mr, domain = recursion_setup(M, rel, value_domain)
+    return _solve(Mr, rule.formula, rel.predecessor_map(), topo if order is None else order, domain)
 
 
 def check_solution(
@@ -209,14 +210,13 @@ def check_solution(
     value_domain: Optional[Sequence[int]] = None,
 ) -> bool:
     """True iff every slice equation F_b = {x : phi(x, b, F|b)} holds exactly."""
-    domain = recursion_domain(M, rel, value_domain)
-    Mr = _recursion_structure(M, rel)
+    Mr, domain = recursion_setup(M, rel, value_domain)
     preds = rel.predecessor_map()
     for b in rel.carrier:
         restricted = frozenset(
             (j, x) for j, x in F.pairs if j in preds[b]
         )
-        expected = _slice(Mr, rule, b, restricted, domain)
+        expected = _slice(Mr, rule.formula, b, restricted, domain)
         if F.slice(b) != expected:
             return False
     stray = {i for i, _ in F.pairs} - rel.carrier
@@ -292,28 +292,18 @@ def kleene_brouwer(tree, universe: Universe) -> WellOrder:
 # -- solution transports along the chain
 
 
-def guarded_rule(rule: RecursionRule, direct_symbol: str) -> RecursionRule:
-    """Guard every F read by the original direct relation, kept as a
-    structure predicate, so the recursion transfers to a coarser order."""
-    guarded = _relativize(rule.formula, rule.f_symbol, Var(rule.i_var), direct_symbol)
-    return RecursionRule(guarded, rule.x_var, rule.i_var, rule.f_symbol)
-
-
-DIRECT_SYMBOL = "D"
-
-
 def solve_via_transitive_closure(
     M: Structure,
     rel: WellFoundedRelation,
     rule: RecursionRule,
     value_domain: Optional[Sequence[int]] = None,
 ) -> Solution:
-    """Run the recursion over the transitive closure; slices agree exactly
-    with the direct solution."""
+    """Run the recursion over the transitive closure, each F read guarded
+    by the original relation's <|; slices agree exactly with the direct
+    solution."""
     po = transitive_closure(rel)
-    rule2 = guarded_rule(rule, DIRECT_SYMBOL)
-    M2 = _recursion_structure(M.with_predicate(DIRECT_SYMBOL, rel.edges), rel)
-    return etr_solve(M2, po, rule2, value_domain)
+    Mr, domain = recursion_setup(M, rel, value_domain)
+    return _solve(Mr, rule.relativized(), po.predecessor_map(), topological_order(po), domain)
 
 
 def _sequence_solve(
@@ -322,29 +312,30 @@ def _sequence_solve(
     rule: RecursionRule,
     process_order: Sequence[tuple],
     value_domain: Optional[Sequence[int]],
-) -> dict:
+) -> Solution:
     """Shared engine for the tree and Kleene-Brouwer transports.
 
     Each nonempty sequence s computes the original slice at its last entry,
-    reading the collapsed pairs of its proper extensions; the empty root
-    carries no slice.  ``process_order`` must put every proper extension of
-    a node before the node itself, so each node's collapsed pairs are
-    complete, accumulated from its children, when its turn comes.
+    reading the collapsed pairs of its proper extensions through the rule's
+    <|-guarded F reads; the empty root carries no slice.  ``process_order``
+    must put every proper extension of a node before the node itself, so
+    each node's collapsed pairs are complete, accumulated from its
+    children, when its turn comes.  The answer is read off the singleton
+    sequences.
     """
-    domain = recursion_domain(M, rel, value_domain)
-    M2 = _recursion_structure(M.with_predicate(DIRECT_SYMBOL, rel.edges), rel)
-    rule2 = guarded_rule(rule, DIRECT_SYMBOL)
+    Mr, domain = recursion_setup(M, rel, value_domain)
+    guarded = rule.relativized()
     below: dict = {}
     slices: dict = {}
     for s in process_order:
         if s == ():
             continue
         reads = below.pop(s, set())
-        slices[s] = _slice(M2, rule2, s[-1], frozenset(reads), domain)
+        slices[s] = _slice(Mr, guarded, s[-1], frozenset(reads), domain)
         parent = below.setdefault(s[:-1], set())
         parent |= reads
         parent.update((s[-1], x) for x in slices[s])
-    return slices
+    return Solution(frozenset((s[0], x) for s, xs in slices.items() if len(s) == 1 for x in xs))
 
 
 def solve_via_descending_tree(
@@ -356,11 +347,9 @@ def solve_via_descending_tree(
 ) -> Solution:
     """Transport through the descending-sequence tree of the transitive
     closure and read the answer off the singleton sequences."""
-    po = transitive_closure(rel)
-    tree = descending_tree(po, node_budget)
+    tree = descending_tree(transitive_closure(rel), node_budget)
     nodes = sorted(tree.carrier, key=lambda s: (-len(s), s))
-    slices = _sequence_solve(M, rel, rule, nodes, value_domain)
-    return _project_singletons(slices, rel)
+    return _sequence_solve(M, rel, rule, nodes, value_domain)
 
 
 def solve_via_kleene_brouwer(
@@ -372,19 +361,8 @@ def solve_via_kleene_brouwer(
 ) -> tuple[Solution, WellOrder]:
     """Transport all the way to the Kleene-Brouwer well-order; the linear
     processing order refines the tree order, so slices agree exactly."""
-    po = transitive_closure(rel)
-    tree = descending_tree(po, node_budget)
-    kb = kleene_brouwer(tree, M.universe)
-    slices = _sequence_solve(M, rel, rule, kb.elements, value_domain)
-    return _project_singletons(slices, rel), kb
-
-
-def _project_singletons(slices: dict, rel: WellFoundedRelation) -> Solution:
-    pairs = set()
-    for i in rel.carrier:
-        for x in slices.get((i,), ()):
-            pairs.add((i, x))
-    return Solution(frozenset(pairs))
+    kb = kleene_brouwer(descending_tree(transitive_closure(rel), node_budget), M.universe)
+    return _sequence_solve(M, rel, rule, kb.elements, value_domain), kb
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +413,17 @@ def iterated_truth(
     ``T``: T(j, c) holds when stage j marked true the instance
     that the (declared, finite) coding assigns to universe element c.  The
     evaluator decides each instance outright, so the inner omega of the
-    recursion (formula size) needs no pass of its own.
+    recursion (formula size) needs no pass of its own.  Neither the
+    structure nor the parameter ``Z`` may fix ``T``.
     """
+    Z = Z or {}
+    if TRUTH_SYMBOL in M.predicates or TRUTH_SYMBOL in Z:
+        raise SignatureError(
+            f"{TRUTH_SYMBOL} is the earlier stages' truth; the structure and Z may not fix it"
+        )
     base = M
-    if Z:
-        for name in sorted(Z):
-            base = base.with_predicate(name, Z[name])
+    for name in sorted(Z):
+        base = base.with_predicate(name, Z[name])
     coding = dict(coding or {})
     for c, inst in coding.items():
         if c not in M.universe:

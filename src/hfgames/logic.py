@@ -529,6 +529,19 @@ class FormulaInstance(_Interned):
 
     __slots__ = ("formula", "bindings", "_parts", "_bodies")
 
+    def __new__(cls, formula, bindings):
+        ref = _interned.get((cls, formula, bindings))
+        obj = None if ref is None else ref()
+        if obj is None:
+            return _Interned.__new__(cls, formula, bindings)
+        if obj.bindings is not bindings:
+            # Equal bindings found a live instance, and True or 1.0 equal 1:
+            # a code that is not an int is refused as on a miss.
+            for _, code in bindings:
+                if type(code) is not int:
+                    cls._facts(formula, bindings)
+        return obj
+
     @staticmethod
     def _facts(formula, bindings):
         names = sorted(_node(formula)._fv)
@@ -615,37 +628,40 @@ def instantiate(inst: FormulaInstance, var: str, code: int) -> FormulaInstance:
 
 @dataclass(frozen=True)
 class Structure:
-    """A finite structure: a universe plus named class predicates."""
+    """A finite structure: a universe plus named class predicates, each a
+    set of 1- or 2-tuples of universe codes (``int``s), checked once."""
 
     universe: Universe
     predicates: Mapping[str, frozenset] = field(default_factory=dict)
 
     def __post_init__(self):
-        fixed = {}
-        for name, rel in self.predicates.items():
-            tuples = frozenset(tuple(int(x) for x in t) for t in rel)
-            arities = {len(t) for t in tuples}
-            if len(arities) > 1:
-                raise SignatureError(f"predicate {name!r} mixes arities {arities}")
-            if arities and arities.pop() not in (1, 2):
-                raise SignatureError(f"predicate {name!r} must have arity 1 or 2")
-            for t in tuples:
-                for x in t:
-                    if x not in self.universe:
-                        raise SignatureError(
-                            f"predicate {name!r} tuple {t} leaves the universe"
-                        )
-            fixed[name] = tuples
-        object.__setattr__(self, "predicates", fixed)
+        preds = {name: self._relation(name, rel) for name, rel in self.predicates.items()}
+        object.__setattr__(self, "predicates", preds)
         # Masks over the codes for predicate atoms, built by the evaluator
         # on first use: (name, which arguments are the variable) -> the
         # other arguments' values -> mask.
         object.__setattr__(self, "_index", {})
 
+    def _relation(self, name: str, rel: Iterable) -> frozenset:
+        tuples = [tuple(t) for t in rel]
+        arities = {len(t) for t in tuples}
+        if len(arities) > 1:
+            raise SignatureError(f"predicate {name!r} mixes arities {arities}")
+        if arities and arities.pop() not in (1, 2):
+            raise SignatureError(f"predicate {name!r} must have arity 1 or 2")
+        universe = self.universe
+        for t in tuples:
+            for x in t:
+                if x not in universe:
+                    raise SignatureError(f"predicate {name!r} tuple {t!r} is not of universe codes")
+        return frozenset(tuples)
+
     def with_predicate(self, name: str, rel: Iterable) -> "Structure":
-        preds = dict(self.predicates)
-        preds[name] = frozenset(tuple(int(x) for x in t) for t in rel)
-        return Structure(self.universe, preds)
+        """This structure with ``name`` set to ``rel``: only ``rel`` is checked."""
+        M = object.__new__(Structure)
+        preds = {**self.predicates, name: self._relation(name, rel)}
+        vars(M).update(universe=self.universe, predicates=preds, _index={})
+        return M
 
     def signature(self) -> dict[str, int]:
         sig = {}

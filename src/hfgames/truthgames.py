@@ -28,11 +28,10 @@ from .errors import (
     ParseError,
     SignatureError,
 )
-from .etr import RecursionRule, Solution, _recursion_structure, check_solution, recursion_domain
+from .etr import RecursionRule, Solution, check_solution, recursion_setup
 from .logic import (
     And,
     Const,
-    EDGE_SYMBOL,
     Exists,
     Formula,
     FormulaInstance,
@@ -162,19 +161,9 @@ def recursion_game(
 ) -> TruthGame:
     """Truth game whose referee additionally enforces the recursion rule
     F(i,x) <-> phi(x,i,F|i) on carrier indices.  The obligation writes F|i
-    as F(j,y) & (j <| i), so <| must be the relation's edges: the structure
-    gets them as ETR's does, and may only fix <| to those same edges."""
-    domain = tuple(recursion_domain(M, rel, value_domain))
-    if rule.f_symbol in M.predicates:
-        raise SignatureError(
-            f"{rule.f_symbol} is the teller's predicate; the structure may not fix it"
-        )
-    M2 = _recursion_structure(M, rel)
-    if M2.predicates[EDGE_SYMBOL] != rel.edges:
-        raise SignatureError(
-            f"{EDGE_SYMBOL} guards the reads of {rule.f_symbol}; the structure may not"
-            " fix it to other than the relation's edges"
-        )
+    as F(j,y) & (j <| i), so the structure is read as every recursion's is
+    (``etr.recursion_setup``)."""
+    M2, domain = recursion_setup(M, rel, value_domain)
     return TruthGame(M2, clock_mode, RecursionObligation(rel, rule, domain))
 
 
@@ -539,10 +528,10 @@ def honest_teller(
     in recursion mode, F-queries are answered from the supplied solution."""
     if game.obligation is not None:
         if isinstance(source, Structure):
-            M = _recursion_structure(source, game.obligation.relation)
+            ob = game.obligation
+            M, _ = recursion_setup(source, ob.relation, ob.value_domain)
             pairs = solution.pairs if solution is not None else frozenset()
-            M = M.with_predicate(game.obligation.rule.f_symbol, pairs)
-            return HonestTeller(M)
+            return HonestTeller(M.with_predicate(ob.rule.f_symbol, pairs))
         raise InvariantError("recursion-mode honest teller needs a structure source")
     return HonestTeller(source)
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -136,3 +137,37 @@ def test_run_pairs_runs_tier1_once_per_side(tmp_path, monkeypatch):
     # The summaries of the pairs do not pick the tier-1 files up.
     evaluate, recursion = bench_pairs.bench_document(runs, BETTER)
     assert (evaluate["pairs"], recursion["pairs"]) == (3, 2)
+
+
+def test_second_run_adds_pairs_and_tier1_record(tmp_path, monkeypatch):
+    # Two calls on one workload and seed into one directory: the second
+    # numbers its pairs on from the first's and keeps the first's tier-1
+    # record, and ``write`` reads both calls' files.
+    batches = iter([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2])
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[1] == "perfbench/run.py":
+            out = Path(cwd) / "perfbench" / "out"
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "summary-recursion-seed1.json").write_text(json.dumps({"workload": "recursion", "seed": 1}))
+            line = {"correct": True, "metrics": {"batch_norm_s": {"value": next(batches), "unit": "s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+        return subprocess.CompletedProcess(argv, 0, stdout="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runs = tmp_path / "runs"
+    for _ in range(2):
+        bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "recursion", 1, 2, runs)
+
+    for side in bench_pairs.SIDES:
+        names = sorted(p.name for p in (runs / side).iterdir())
+        assert names == [f"summary-recursion-seed1-pair{k}.json" for k in range(4)] + [
+            "tier1-recursion-seed1-from0.json", "tier1-recursion-seed1-from2.json"]
+    bench = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["write", "--out", str(runs), "--bench", str(bench)]) == 0
+    doc = json.loads(bench.read_text())
+    (entry,) = doc["results"]
+    assert entry["pairs"] == 4
+    # Sides alternate on across the calls: parent, change, change, parent, ...
+    assert entry["metrics"]["batch_norm_s"]["parent"]["median"] == statistics.median([0.5, 0.8, 0.9, 1.2])
+    assert [len(doc["tier1"][side]["runs"]) for side in bench_pairs.SIDES] == [2, 2]

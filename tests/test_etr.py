@@ -12,12 +12,10 @@ from hfgames.errors import InvariantError, ResourceBoundError, SignatureError
 from hfgames import suites
 from hfgames.etr import (
     RecursionRule,
-    _relativize,
     Solution,
     check_solution,
     descending_tree,
     etr_solve,
-    guarded_rule,
     iterated_truth,
     kb_compare,
     kleene_brouwer,
@@ -65,7 +63,7 @@ CHAIN = WellFoundedRelation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
 ACCUMULATE = RecursionRule.parse("x = #0 | Ej. ((j <| i) & F(j, x))")
 
 
-def random_dag_rule(rng, M, max_nodes=6):
+def random_dag(rng, M, max_nodes=6):
     nodes = sorted(rng.sample(range(M.universe.size), rng.randint(2, min(M.universe.size, max_nodes))))
     edges = {
         (a, b)
@@ -73,18 +71,32 @@ def random_dag_rule(rng, M, max_nodes=6):
         for b in nodes[i + 1 :]
         if rng.random() < 0.4
     }
-    rel = WellFoundedRelation(frozenset(nodes), frozenset(edges))
-    seed = rng.randrange(M.universe.size)
-    shapes = [
+    return WellFoundedRelation(frozenset(nodes), frozenset(edges))
+
+
+def rule_shapes(seed):
+    """Criterion 4's four rule shapes, with the constant #seed."""
+    return [
         f"x = #{seed} | Ej. ((j <| i) & F(j, x))",
         f"x = i | Ej. ((j <| i) & F(j, x))",
         f"x = #{seed} | Ej. (Ey. ((j <| i) & F(j, y) & x in y))",
         f"(x in i) | Ej. ((j <| i) & F(j, x))",
     ]
-    return rel, RecursionRule.parse(rng.choice(shapes))
+
+
+def random_dag_rule(rng, M, max_nodes=6):
+    rel = random_dag(rng, M, max_nodes)
+    seed = rng.randrange(M.universe.size)
+    return rel, RecursionRule.parse(rng.choice(rule_shapes(seed)))
 
 
 class TestRules:
+    def test_rule_takes_only_its_formula(self):
+        rule = RecursionRule.parse("x = i")
+        assert (rule.x_var, rule.i_var, rule.f_symbol) == ("x", "i", "F")
+        with pytest.raises(TypeError):
+            RecursionRule(rule.formula, "y")
+
     def test_relativization_guards_f_atoms(self):
         rule = RecursionRule.parse("F(j, x) & (j <| i)" .replace("j", "i"))
         rel = rule.relativized()
@@ -476,10 +488,72 @@ class TestTransports:
             kb_sol, kb = solve_via_kleene_brouwer(V3, rel, rule)
             assert kb_sol.pairs == base.pairs
 
-    def test_guarded_rule_reads_direct_edges_only(self):
-        rule = guarded_rule(ACCUMULATE, "D")
-        text = to_text(rule.formula)
-        assert "D(j, i)" in text
+    def test_structure_predicate_named_D(self):
+        # D is an ordinary predicate name: every transport reads the
+        # structure's D, as etr_solve does.
+        V2 = Structure(build_universe(2), {"D": {(1, 1)}})
+        rel = WellFoundedRelation(frozenset({0, 1}), frozenset({(0, 1)}))
+        rule = RecursionRule.parse("D(x, x) | Ej. ((j <| i) & F(j, x))")
+        expected = {(0, 1), (1, 1)}
+        assert etr_solve(V2, rel, rule).pairs == expected
+        assert solve_via_transitive_closure(V2, rel, rule).pairs == expected
+        assert solve_via_descending_tree(V2, rel, rule).pairs == expected
+        assert solve_via_kleene_brouwer(V2, rel, rule)[0].pairs == expected
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_transports_match_etr_and_oracle_over_extra_predicates(self, rank):
+        # Each structure carries a unary P and a binary D that the rule
+        # reads beside F and <|.
+        rng = random.Random(131 + rank)
+        U = build_universe(rank)
+        codes = range(U.size)
+        for _ in range(5):
+            M = Structure(U, {
+                "P": {(c,) for c in codes if rng.random() < 0.3},
+                "D": {(a, b) for a in codes for b in codes if rng.random() < 0.2},
+            })
+            rel = random_dag(rng, M)
+            for shape in rule_shapes(rng.randrange(U.size)):
+                for extra in ("", " | P(x)", " | D(x, x)", " | D(i, x)"):
+                    rule = RecursionRule.parse(f"({shape}){extra}")
+                    base = etr_solve(M, rel, rule).pairs
+                    assert worklist_fixpoint(M, rel, rule) == base
+                    assert solve_via_transitive_closure(M, rel, rule).pairs == base
+                    assert solve_via_descending_tree(M, rel, rule).pairs == base
+                    assert solve_via_kleene_brouwer(M, rel, rule)[0].pairs == base
+
+    @pytest.mark.parametrize(
+        "pred, says",
+        [
+            (("F", {(0, 0)}), "F is the teller's predicate; the structure may not fix it"),
+            (("<|", {(0, 2)}), r"<\| guards the reads of F; the structure may not fix it"
+                               " to other than the relation's edges"),
+        ],
+        ids=["F", "other-edges"],
+    )
+    def test_every_recursion_refuses_a_structure_fixing_its_predicates(self, pred, says):
+        M = V3.with_predicate(*pred)
+        entry_points = [
+            lambda: etr_solve(M, CHAIN, ACCUMULATE),
+            lambda: check_solution(M, CHAIN, ACCUMULATE, Solution(frozenset())),
+            lambda: solve_via_transitive_closure(M, CHAIN, ACCUMULATE),
+            lambda: solve_via_descending_tree(M, CHAIN, ACCUMULATE),
+            lambda: solve_via_kleene_brouwer(M, CHAIN, ACCUMULATE),
+            lambda: recursion_game(M, CHAIN, ACCUMULATE),
+        ]
+        for call in entry_points:
+            with pytest.raises(SignatureError, match=says):
+                call()
+
+    def test_every_recursion_accepts_the_relations_own_edges(self):
+        M = V3.with_predicate("<|", CHAIN.edges)
+        base = etr_solve(V3, CHAIN, ACCUMULATE)
+        assert etr_solve(M, CHAIN, ACCUMULATE) == base
+        assert check_solution(M, CHAIN, ACCUMULATE, base)
+        assert solve_via_transitive_closure(M, CHAIN, ACCUMULATE) == base
+        assert solve_via_descending_tree(M, CHAIN, ACCUMULATE) == base
+        assert solve_via_kleene_brouwer(M, CHAIN, ACCUMULATE)[0] == base
+        assert recursion_game(M, CHAIN, ACCUMULATE).structure is M
 
     @pytest.mark.parametrize(
         "shape",
@@ -499,9 +573,6 @@ class TestTransports:
                 re.sub(r"F\((\w+), (\w+)\)", rf"(F(\1, \2) & {guard})", shape)
             )
 
-        direct = guarded(r"D(\1, i)")
-        assert _relativize(rule.formula, "F", Var("i"), "D") == direct
-        assert guarded_rule(rule, "D").formula == direct
         assert rule.relativized() == guarded(r"(\1 <| i)")
 
 
@@ -603,6 +674,15 @@ class TestIteratedTruth:
         closure = [instance(parse_formula("T(#3, #0)", sig), {})]
         with pytest.raises(SignatureError):
             iterated_truth(V3, order, closure=closure, coding={})
+
+    @pytest.mark.parametrize("where", ["structure", "Z"])
+    def test_structure_or_parameter_may_not_fix_T(self, where):
+        order = WellOrder((0, 1))
+        closure = [instance(parse_formula("T(#0, #1)", {"T": 2}), {})]
+        fixed = {"T": {(0, 1)}}
+        M, Z = (Structure(V3.universe, fixed), None) if where == "structure" else (V3, fixed)
+        with pytest.raises(SignatureError, match="T is the earlier stages' truth"):
+            iterated_truth(M, order, Z=Z, closure=closure, coding={})
 
     def test_parameter_predicate(self):
         order = WellOrder((0,))

@@ -359,6 +359,18 @@ class TestInstanceBuilding:
             FormulaInstance(f, bindings)
         assert FormulaInstance(f, (("x", 0), ("y", 1))) is instance(f, {"y": 1, "x": 0})
 
+    @pytest.mark.parametrize("code", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_code_refused_beside_a_live_instance(self, code):
+        # True and 1.0 hash and compare equal to 1, so they find the live
+        # instance in the table: the answer must not depend on it.
+        f = parse_formula("(x in #979)")
+        live = FormulaInstance(f, (("x", 1),))
+        with pytest.raises(MalformedInstanceError, match="one int code each"):
+            FormulaInstance(f, (("x", code),))
+        with pytest.raises(MalformedInstanceError, match="one int code each"):
+            instance(f, {"x": code})
+        assert FormulaInstance(f, (("x", 1),)) is live
+
     def test_closed_formula_takes_no_bindings(self):
         f = parse_formula("Ex. (x in #1)")
         assert FormulaInstance(f, ()) is parse_instance("Ex. (x in #1)")
@@ -400,6 +412,30 @@ class TestInstanceBuilding:
             else:
                 assert inst.parts == ()
             todo += [(part, env) for part in inst.parts]
+
+
+class TestStructure:
+    @pytest.mark.parametrize("code", [1.9, "1", True], ids=["float", "str", "bool"])
+    def test_predicate_code_not_an_int_refused(self, code):
+        with pytest.raises(SignatureError, match="not of universe codes"):
+            Structure(V2.universe, {"P": {(code,)}})
+        with pytest.raises(SignatureError, match="not of universe codes"):
+            V2.with_predicate("P", {(code,)})
+        with pytest.raises(SignatureError, match="not of universe codes"):
+            V2.with_predicate("Q", {(0, 1)}).with_predicate("P", {(0, code)})
+
+    def test_with_predicate_checks_only_the_new_relation(self, monkeypatch):
+        M = Structure(V2.universe, {"P": {(1,)}, "Q": {(0, 1)}})
+        checked = []
+        check = Structure._relation
+        monkeypatch.setattr(
+            Structure, "_relation", lambda self, name, rel: checked.append(name) or check(self, name, rel)
+        )
+        N = M.with_predicate("R", [(1, 1)])
+        assert checked == ["R"]
+        assert N.predicates == {"P": {(1,)}, "Q": {(0, 1)}, "R": {(1, 1)}}
+        assert M.predicates == {"P": {(1,)}, "Q": {(0, 1)}}
+        assert eval_instance(N, parse_instance("R(#1, #1)", N.signature()))
 
 
 class TestEval:
