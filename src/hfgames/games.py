@@ -31,11 +31,10 @@ from .errors import (
     IncompleteStrategyError,
     InvariantError,
     NotClopenError,
-    ParseError,
     PlayCapError,
     ResourceBoundError,
 )
-from .universe import Ordinal, Universe, build_universe, member
+from .universe import Ordinal, Universe, member
 
 PLAYER_I = "I"
 PLAYER_II = "II"
@@ -62,7 +61,6 @@ class Game:
     decide: Callable[[tuple], Optional[str]]
     play_cap: int
     kind: str = "clopen"
-    name: Optional[str] = None
     payload: Optional[dict] = None
 
     def __post_init__(self):
@@ -432,8 +430,6 @@ def choice_game(universe: Universe) -> Game:
         decide=decide,
         play_cap=2,
         kind="clopen",
-        name="choice",
-        payload={"rank": universe.rank},
     )
 
 
@@ -454,7 +450,6 @@ def table_game(
         decide=table.get,
         play_cap=play_cap,
         kind=kind,
-        name="table",
         payload={"decided": table},
     )
 
@@ -502,77 +497,6 @@ def count_nodes(G: Game) -> int:
 
 # ---------------------------------------------------------------------------
 # Serialization.
-
-
-def _positions_of_table(G: Game) -> dict:
-    if G.payload is None or "decided" not in G.payload:
-        raise InvariantError("only table games and named built-ins serialize")
-    return G.payload["decided"]
-
-
-def game_to_json(G: Game) -> str:
-    if G.name == "choice":
-        doc = {"rule": "choice", "rank": G.payload["rank"]}
-    elif G.name == "table":
-        doc = {
-            "rule": "table",
-            "kind": G.kind,
-            "moves": list(G.moves),
-            "cap": G.play_cap,
-            "decided": sorted(
-                ([list(p), w] for p, w in _positions_of_table(G).items()),
-            ),
-        }
-    else:
-        raise InvariantError(f"game {G.name!r} has no serial form")
-    return json.dumps(doc, sort_keys=True)
-
-
-def game_from_json(text: str) -> Game:
-    """Parse a game written by ``game_to_json``.  Any other document raises
-    ParseError, a table entry that repeats or extends another included."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"game is not JSON: {exc}") from None
-    rule = doc.get("rule") if isinstance(doc, dict) else None
-    if rule == "choice" and type(doc.get("rank")) is int:
-        return choice_game(build_universe(doc["rank"]))
-    if rule != "table":
-        raise ParseError('a game needs rule "choice" with an integer rank, or rule "table"')
-    moves, cap, entries = doc.get("moves"), doc.get("cap"), doc.get("decided")
-    if not (
-        isinstance(moves, list)
-        and all(type(x) in (int, str) for x in moves)
-        and len(set(moves)) == len(moves)
-        and type(cap) is int
-        and isinstance(entries, list)
-    ):
-        raise ParseError("a table game needs distinct moves, an integer cap and decided entries")
-    legal, pairs = set(moves), []
-    for entry in entries:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and isinstance(entry[0], list)
-            and all(type(x) in (int, str) and x in legal for x in entry[0])
-            and entry[1] in (PLAYER_I, PLAYER_II)
-        ):
-            raise ParseError(f'decided entry {entry!r} is not [legal moves, "I" or "II"]')
-        pairs.append((tuple(entry[0]), entry[1]))
-    decided: dict = {}
-    for p, w in sorted(pairs, key=lambda pw: len(pw[0])):
-        if any(p[:k] in decided for k in range(len(p) + 1)):
-            raise ParseError(f"decided position {list(p)} repeats or extends another entry")
-        decided[p] = w
-    try:
-        return table_game(moves, decided, cap, doc.get("kind", "clopen"))
-    except InvariantError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def transcript_to_json(winner: str, position: tuple) -> str:
-    return json.dumps({"moves": list(position), "winner": winner}, sort_keys=True)
 
 
 def strategy_to_json(s: Strategy) -> str:

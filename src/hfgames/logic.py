@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 from .errors import (
     CoverageError,
+    InvariantError,
     MalformedInstanceError,
     NoWitnessError,
     ParseError,
@@ -115,6 +116,13 @@ class Var(_Interned):
 class Const(_Interned):
     __slots__ = ("code",)
     _fv = _EMPTY
+
+    def __new__(cls, code):
+        # Checked before the lookup: True and 1.0 equal 1 and would find a
+        # live Const(1).  Only what prints as ``#NAT`` is a code.
+        if type(code) is not int or code < 0:
+            raise InvariantError(f"constant code {code!r} is not a non-negative int")
+        return _Interned.__new__(cls, code)
 
     def __repr__(self) -> str:
         return f"Const({self.code!r})"
@@ -877,17 +885,6 @@ class SatisfactionClass:
         if v is None:
             raise CoverageError(f"instance outside closure: {print_instance(inst)}")
         return v
-
-
-def serialize_class(S: SatisfactionClass, closure: Optional[Iterable[FormulaInstance]] = None) -> str:
-    """Sorted ``T``/``F`` lines of printed instances, for textual diffing."""
-    insts = closure if closure is not None else S.closure
-    if insts is None:
-        insts = S.entries
-    lines = sorted(
-        ("T " if S.holds(i) else "F ") + print_instance(i) for i in insts
-    )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def build_truth_predicate(M: Structure, instances: Iterable[FormulaInstance]) -> SatisfactionClass:

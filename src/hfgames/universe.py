@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import InvariantError, ParseError, ResourceBoundError
 
@@ -167,20 +167,12 @@ class Ordinal:
     # -- construction helpers
 
     @staticmethod
-    def zero() -> "Ordinal":
-        return _ZERO
-
-    @staticmethod
     def from_nat(n: int) -> "Ordinal":
         if n < 0:
             raise InvariantError(f"negative natural {n}")
         if n == 0:
             return _ZERO
         return Ordinal(((_ZERO, n),))
-
-    @staticmethod
-    def omega() -> "Ordinal":
-        return _OMEGA
 
     # -- comparison (lexicographic on CNF)
 
@@ -206,12 +198,6 @@ class Ordinal:
         return self._cmp(other) < 0
 
     # -- arithmetic (only what the games need)
-
-    def succ(self) -> "Ordinal":
-        if self.terms and self.terms[-1][0] == _ZERO:
-            exp, coeff = self.terms[-1]
-            return Ordinal(self.terms[:-1] + ((exp, coeff + 1),))
-        return Ordinal(self.terms + ((_ZERO, 1),))
 
     def pred(self) -> "Ordinal":
         """Predecessor of a successor ordinal."""
@@ -257,7 +243,6 @@ class Ordinal:
 
 _ZERO = Ordinal(())
 _ONE = Ordinal(((_ZERO, 1),))
-_OMEGA = Ordinal(((_ONE, 1),))
 
 
 def ordinal_compare(x: Ordinal, y: Ordinal) -> int:
@@ -359,13 +344,6 @@ class WellFoundedRelation:
             preds[b].append(a)
         return preds
 
-    def minimal_elements(self, subset: Iterable) -> list:
-        sub = set(subset)
-        return sorted(
-            (n for n in sub if not any(a in sub for a, b in self.edges if b == n)),
-            key=_node_key,
-        )
-
 
 def _depth_first(rel: WellFoundedRelation) -> tuple[list, Optional[list]]:
     """The one walk of a relation: its depth-first post-order and first cycle.
@@ -442,63 +420,8 @@ class WellOrder:
     def index(self, a) -> int:
         return self._index[a]
 
-    def less(self, a, b) -> bool:
-        return self._index[a] < self._index[b]
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-
-# ---------------------------------------------------------------------------
-# Line-oriented serialization.  Grammar:
-#
-#   universe rank=<n>
-#   node <a>
-#   edge <a> <b>
-#
-# with one declaration per line, `node` lines for every carrier member in
-# ascending order, then `edge` lines sorted.  Round trips are bit-exact.
-
-
-def serialize_relation(universe: Universe, rel: WellFoundedRelation) -> str:
-    for n in rel.carrier:
-        if not isinstance(n, int):
-            raise InvariantError("only code-carrier relations serialize")
-    lines = [f"universe rank={universe.rank}"]
-    lines += [f"node {n}" for n in sorted(rel.carrier)]
-    lines += [f"edge {a} {b}" for a, b in sorted(rel.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_relation(text: str) -> tuple[Universe, WellFoundedRelation]:
-    universe = None
-    carrier: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "universe":
-            m = re.fullmatch(r"universe\s+rank=(\d+)", line)
-            if not m:
-                raise ParseError(f"bad universe header {line!r}", lineno)
-            universe = build_universe(int(m.group(1)))
-        elif parts[0] == "node":
-            if len(parts) != 2 or not parts[1].isdecimal():
-                raise ParseError(f"bad node line {line!r}", lineno)
-            carrier.add(int(parts[1]))
-        elif parts[0] == "edge":
-            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
-                raise ParseError(f"bad edge line {line!r}", lineno)
-            a, b = int(parts[1]), int(parts[2])
-            carrier.update((a, b))
-            edges.add((a, b))
-        else:
-            raise ParseError(f"unknown declaration {parts[0]!r}", lineno)
-    if universe is None:
-        raise ParseError("missing universe header")
-    return universe, WellFoundedRelation(frozenset(carrier), frozenset(edges))

@@ -1,5 +1,6 @@
-"""Fuzz gate for the parsers: random text and mutated valid documents either
-parse or raise a typed HFGamesError, never any other exception."""
+"""Fuzz gate for the parsers of formulas, instances and transcripts: random
+text and mutated valid documents either parse or raise a typed HFGamesError,
+never any other exception."""
 
 import json
 import random
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfgames.errors import HFGamesError
-from hfgames.games import choice_game, game_from_json, game_to_json, random_clopen_game
 from hfgames.logic import Structure, parse_formula, parse_instance
 from hfgames.truthgames import (
     ORDINAL,
@@ -19,7 +19,7 @@ from hfgames.truthgames import (
     transcript_to_json,
     truth_game,
 )
-from hfgames.universe import build_universe, parse_relation
+from hfgames.universe import build_universe
 
 V2 = Structure(build_universe(2)).with_predicate("Z", {(0,)})
 GAMES = [truth_game(V2), truth_game(V2, ORDINAL)]
@@ -50,19 +50,14 @@ FORMULAS = [
     "Ex. (Z(x) -> (x in #1 | x = #0))",
     "Ax. (x in #1 <-> !Ey. (y in x))",
 ]
-RELATIONS = ["universe rank=2\nnode 0\nnode 1\nedge 0 1\n", "# a comment\nuniverse rank=3\nedge 3 7\n"]
-GAME_DOCS = [
-    game_to_json(choice_game(build_universe(2))),
-    *(game_to_json(random_clopen_game(random.Random(k), max_nodes=12)) for k in range(3)),
-]
 TRANSCRIPTS = _transcripts()
 
-# Pieces of every grammar plus characters that look like digits to
-# str.isdigit but are not decimal.
+# Pieces of the formula, instance and transcript grammars, plus characters
+# that look like digits to str.isdigit but are not decimal.
 PIECES = st.sampled_from(
     list("#0123456789xyzAE!&|()-><=,. ^w*+[]{}\":Z\n\t\\") + [
-        "in", "<|", "->", "<->", "rank=", "node", "edge", "universe", "null", "true",
-        "-1", "1e999", "NaN", "²", "٣", "w^(", '"rule"', '"table"', '"clock"', "\x00",
+        "in", "<|", "->", "<->", "null", "true",
+        "-1", "1e999", "NaN", "²", "٣", "w^(", '"clock"', "\x00",
     ]
 )
 JSON_VALUES = st.recursive(
@@ -121,18 +116,6 @@ def test_formula_parsers(text):
 
 
 @settings(max_examples=50, deadline=None)
-@given(texts(RELATIONS))
-def test_relation_parser(text):
-    parses_or_typed_error(parse_relation, text)
-
-
-@settings(max_examples=50, deadline=None)
-@given(texts(GAME_DOCS) | grafted(GAME_DOCS))
-def test_game_parser(text):
-    parses_or_typed_error(game_from_json, text)
-
-
-@settings(max_examples=50, deadline=None)
 @given(st.sampled_from(GAMES), texts(TRANSCRIPTS) | grafted(TRANSCRIPTS))
 def test_transcript_parser(game, text):
     parses_or_typed_error(lambda t: transcript_from_json(game, t), text)
@@ -141,15 +124,13 @@ def test_transcript_parser(game, text):
 def test_hard_inputs_are_typed_errors():
     """Deep nesting, and digits that str.isdigit accepts but int rejects."""
     hard = [
-        (game_from_json, "[" * 100_000),
         (lambda t: transcript_from_json(GAMES[0], t), '{"rounds": ' + "[" * 100_000),
         (lambda t: transcript_from_json(GAMES[1], t), json.dumps(
             {"rounds": [{"clock": "w^(" * 3000 + "1" + ")" * 3000}]}
         )),
         (parse_formula, "!" * 5000 + "(#0 = #0)"),
         (parse_formula, "(" * 5000 + "#0 = #0" + ")" * 5000),
-        (parse_relation, "universe rank=2\nnode \u00b2\n"),
-        (parse_relation, "universe rank=2\nedge 1 \u00b2\n"),
+        (parse_formula, "#\u00b2 = #0"),
     ]
     for parse, text in hard:
         parses_or_typed_error(parse, text)
@@ -158,10 +139,6 @@ def test_hard_inputs_are_typed_errors():
 def test_valid_documents_parse():
     for text in FORMULAS:
         parse_formula(text, SIGNATURE)
-    for text in RELATIONS:
-        parse_relation(text)
-    for text in GAME_DOCS:
-        game_from_json(text)
     for game in GAMES:
         for text in TRANSCRIPTS:
             if json.loads(text)["clock_mode"] == game.clock_mode:

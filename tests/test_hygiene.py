@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every definition in the package has a reader outside the tests."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,88 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "from typing import Callable, Optional\nimport json\n\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["Callable (line 1)", "json (line 2)"]
+
+
+def _references(tree, module: str) -> Counter:
+    """The references under tree, a node of module's code, by key:
+    ``(module, name)`` for a name it reads or a name imported from a module
+    of that last dotted component, ``(prefix, attr)`` for ``prefix.attr``,
+    and ``(None, attr)`` for every attribute read."""
+    refs: Counter = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            refs[module, n.id] += 1
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            refs.update((n.module.rsplit(".", 1)[-1], alias.name) for alias in n.names)
+        elif isinstance(n, ast.Attribute):
+            refs[None, n.attr] += 1
+            if isinstance(n.value, ast.Name):
+                refs[n.value.id, n.attr] += 1
+    return refs
+
+
+def unused_definitions(modules: dict[str, str], others: list[str] = ()) -> list[str]:
+    """The module-level functions, classes and constants, and the methods,
+    of ``modules`` (source by module name) that no code refers to outside
+    their own definition; ``others`` holds the sources of the rest of the
+    code.  A module-level name is used when its module reads it, or another
+    file imports it from that module or reads it as ``module.name``.  A
+    method is used when any code reads an attribute of its name, whatever
+    the object.  Dunder names are called implicitly and are not scanned."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    refs: Counter = Counter()
+    for name, tree in trees.items():
+        refs += _references(tree, name)
+    for source in others:
+        refs += _references(ast.parse(source), "")
+    unused = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                defs.append(((module, node.name), node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [((None, m.name), f"{node.name}.{m.name}", m)
+                         for m in node.body if isinstance(m, FUNCTIONS)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [((module, n.id), n.id, node)
+                         for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for key, label, node in defs:
+            if key[1].startswith("__") and key[1].endswith("__"):
+                continue
+            if refs[key] <= _references(node, module)[key]:
+                unused.append(f"{module}.{label} (line {node.lineno})")
+    return unused
+
+
+# oracles.py holds the brute-force references that the tests and ``verify``
+# check against: it is read like the rest, but not scanned.
+SCANNED = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "oracles.py"}
+READERS = [(PACKAGE / "oracles.py").read_text(),
+           *(p.read_text() for d in ("perfbench", "scripts") for p in sorted((ROOT / d).glob("*.py")))]
+
+
+def test_every_definition_has_a_reader():
+    """What only tests call is not behaviour of the workbench."""
+    assert unused_definitions(SCANNED, READERS) == []
+
+
+def test_scan_flags_an_unused_definition():
+    modules = {
+        "m": (
+            "import json\n\nLIMIT = 3\nSPARE = 4\n\n"
+            "def used():\n    return LIMIT\n\n"
+            "def unused(n):\n    return unused(n - 1)\n\n"
+            "class K:\n    def __init__(self):\n        self.called()\n\n"
+            "    def called(self):\n        return json\n\n"
+            "    def spare(self):\n        return self.spare\n"
+        ),
+        "n": "from .m import K\nfrom . import m\n\nm.used()\n",
+    }
+    assert unused_definitions(modules) == [
+        "m.SPARE (line 4)", "m.unused (line 9)", "m.K.spare (line 19)",
+    ]
 
 
 # Functions that must stay iterative: a formula built in code may be nested

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hfgames import logic
 from hfgames.errors import (
     CoverageError,
+    InvariantError,
     MalformedInstanceError,
     NoWitnessError,
     ParseError,
@@ -42,7 +43,6 @@ from hfgames.logic import (
     print_instance,
     random_formula,
     random_instance,
-    serialize_class,
     size,
     skolem_witness,
     sub_instance,
@@ -309,6 +309,21 @@ class TestInterning:
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, name)
         assert f.body is Member(Var("x"), Const(1)) and inst.bindings == (("x", 0),)
+
+    @pytest.mark.parametrize("code", [True, 1.0, -1, "a"], ids=["bool", "float", "negative", "str"])
+    def test_const_refuses_what_is_not_a_code(self, code):
+        # True and 1.0 hash and compare equal to 1, so a table lookup would
+        # find the live Const(1) and print it as #True or #1.0.
+        live = Const(1)
+        with pytest.raises(InvariantError, match="non-negative int"):
+            Const(code)
+        assert Const(1) is live and to_text(Member(Const(1), Const(3))) == "(#1 in #3)"
+
+    @given(st.integers(0, 2**70))
+    @settings(max_examples=100, deadline=None)
+    def test_printed_codes_read_back(self, code):
+        f = Member(Const(code), Var("x"))
+        assert parse_formula(to_text(f)) is f
 
     def test_copies_are_the_interned_object(self):
         f = parse_formula("Ex. (P(x) & !Q(x, #1))", self.SIG)
@@ -722,14 +737,6 @@ class TestSkolem:
 
 
 class TestSerialization:
-    def test_sorted_tf_lines(self):
-        insts = [parse_instance("#0 in #1"), parse_instance("#1 in #0")]
-        S = build_truth_predicate(V2, insts)
-        text = serialize_class(S)
-        assert text.splitlines() == sorted(text.splitlines())
-        assert "T (#0 in #1)" in text
-        assert "F (#1 in #0)" in text
-
     def test_print_instance_substitutes(self):
         inst = instance(parse_formula("(x in #1)"), {"x": 0})
         assert print_instance(inst) == "(#0 in #1)"

@@ -1,10 +1,11 @@
 """The README's examples run as written."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from hfgames.cli import main
+from hfgames.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -40,3 +41,15 @@ def test_cli_lines_run(tmp_path, monkeypatch, capsys):
     for argv in lines:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_file_formats_name_their_commands():
+    """A format that no command reads or writes is not one of the
+    workbench's: every bullet of the section names its subcommand."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    section = README.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- (.*?)(?=^- |\Z)", section, re.M | re.S)
+    for bullet in bullets:
+        named = re.findall(r"`hfgames ([\w-]+)", bullet)
+        assert named and set(named) <= set(commands), bullet
+    assert len(bullets) == 2

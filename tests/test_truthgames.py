@@ -14,6 +14,7 @@ from hfgames.errors import (
     InvariantError,
     MalformedTranscriptError,
     NotWinningStrategyError,
+    ParseError,
     SignatureError,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
@@ -69,7 +70,7 @@ from hfgames.truthgames import (
     truth_game,
 )
 from hfgames.oracles import clock_outcome, referee_lost, tarski_eval
-from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
+from hfgames.universe import Ordinal, WellFoundedRelation, build_universe, parse_ordinal
 
 V2 = Structure(build_universe(2))
 V3 = Structure(build_universe(3))
@@ -188,14 +189,14 @@ class TestReferee:
         game = truth_game(V2, ORDINAL)
         phi = parse_instance("#0 = #0")
         rounds = [
-            Round(Ordinal.omega(), phi, Pronouncement(True)),
+            Round(parse_ordinal("w"), phi, Pronouncement(True)),
             Round(Ordinal.from_nat(5), phi, Pronouncement(True)),
-            Round(Ordinal.zero(), None, None),
+            Round(Ordinal.from_nat(0), None, None),
         ]
         assert referee(game, Transcript(rounds)) == TELLER_WINS
         bad = [
             Round(Ordinal.from_nat(2), phi, Pronouncement(True)),
-            Round(Ordinal.omega(), phi, Pronouncement(True)),
+            Round(parse_ordinal("w"), phi, Pronouncement(True)),
         ]
         with pytest.raises(MalformedTranscriptError):
             referee(game, Transcript(bad))
@@ -203,7 +204,7 @@ class TestReferee:
     def test_ordinal_clock_in_natural_mode_malformed(self):
         game = truth_game(V2)
         phi = parse_instance("#0 = #0")
-        clocks = [Ordinal.omega(), Ordinal.from_nat(7), Ordinal.from_nat(7)]
+        clocks = [parse_ordinal("w"), Ordinal.from_nat(7), Ordinal.from_nat(7)]
         with pytest.raises(MalformedTranscriptError):
             play_truth_game(game, ClockListInterrogator(clocks, [phi]), honest_teller(game, V2))
 
@@ -745,6 +746,39 @@ class TestTranscriptSerialization:
         back = transcript_from_json(game, transcript_to_json(game, t))
         assert referee(game, back) == t.status
 
+    @pytest.mark.parametrize(
+        "rounds, message",
+        [
+            ([1], "round 0 needs a clock"),
+            ([{"inquiry": "#0 = #0", "verdict": True}], "round 0 needs a clock"),
+            ([{"clock": 1.5}], "round 0 needs a clock"),
+            ([{"clock": "w+w"}], "CNF exponents must strictly decrease"),
+            ([{"clock": 2}, {"clock": 1, "inquiry": 3, "verdict": True}], "round 1 needs an inquiry string"),
+            ([{"clock": 1, "inquiry": "#0 = #0"}], "true/false verdict"),
+            ([{"clock": 1, "inquiry": "#0 = #0", "verdict": "true"}], "true/false verdict"),
+            ([{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": "0"}], "integer witness"),
+            ([{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": True}], "integer witness"),
+            ([{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": 1.0}], "integer witness"),
+            ([{"clock": 1, "inquiry": "(x in #1)", "verdict": True}], "free variables"),
+            ([{"clock": 1, "inquiry": "#9 in #1", "verdict": True}], "constant #9 outside the universe"),
+            ([{"clock": 1, "inquiry": "Q(#0)", "verdict": True}], "unknown predicate symbol 'Q'"),
+            ([{"clock": 1, "inquiry": "#0 in", "verdict": True}], "unexpected end of input"),
+        ],
+        ids=[
+            "round-not-object", "no-clock", "float-clock", "bad-cnf-clock", "inquiry-not-string",
+            "no-verdict", "verdict-not-bool", "witness-str", "witness-bool", "witness-float",
+            "free-variable", "constant-outside", "unknown-predicate", "truncated-inquiry",
+        ],
+    )
+    def test_malformed_rounds_refused(self, rounds, message):
+        with pytest.raises(ParseError, match=message):
+            transcript_from_json(truth_game(V2), json.dumps({"rounds": rounds}))
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"rounds": {}}', '{"status": "ongoing"}'])
+    def test_document_without_rounds_refused(self, text):
+        with pytest.raises(ParseError, match="not JSON|needs a list of rounds"):
+            transcript_from_json(truth_game(V2), text)
+
 
 class TestClockBudget:
     def test_budget_formula(self):
@@ -1119,8 +1153,8 @@ class TestOnePlayLoop:
 
 ORDINAL_CLOCKS = [
     *(Ordinal.from_nat(k) for k in range(5)),
-    Ordinal.omega(),
-    Ordinal.omega().succ(),
+    parse_ordinal("w"),
+    parse_ordinal("w+1"),
     Ordinal(((Ordinal.from_nat(1), 2),)),
 ]
 ANY_CLOCKS = [-1, 0, 1, 2, 3, 4, 5, True, False, *ORDINAL_CLOCKS]
