@@ -2,10 +2,9 @@
 truth-telling game, and run the verification suites.
 
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error, 3 resource
-bound exceeded.  HFGAMES_MAX_RANK caps the rank of every universe a command
-builds.  Only verify reads HFGAMES_NODE_BUDGET, HFGAMES_PLAY_CAP and
-HFGAMES_CLOCK_FACTOR; there a variable that is set overrides --node-budget
-or --cap.
+bound exceeded.  Each setting has one name: a flag, except HFGAMES_MAX_RANK,
+the one environment variable, which caps the rank of every universe a
+command builds.
 """
 
 from __future__ import annotations
@@ -33,16 +32,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"bad value for {name}: {raw!r}") from None
-
-
 def _at_least(name: str, value: int, least: int) -> int:
     if value < least:
         raise ParseError(f"{name} must be at least {least}, got {value}")
@@ -60,7 +49,12 @@ _LEAST_RANK = {"choice": 1, "truthtelling": 1, "logic": 1, "truthgames": 2, "etr
 
 
 def _max_rank() -> int:
-    return _at_least("HFGAMES_MAX_RANK", _env_int("HFGAMES_MAX_RANK", MAX_RANK), 0)
+    raw = os.environ.get("HFGAMES_MAX_RANK", str(MAX_RANK))
+    try:
+        rank = int(raw)
+    except ValueError:
+        raise ParseError(f"bad value for HFGAMES_MAX_RANK: {raw!r}") from None
+    return _at_least("HFGAMES_MAX_RANK", rank, 0)
 
 
 def _parse_pred(spec: str) -> tuple[str, frozenset]:
@@ -179,8 +173,6 @@ def _solve_truthtelling(args) -> dict:
     _at_least("--random-interrogators", args.random_interrogators, 0)
     M = _structure(args)
     game = truthgames.truth_game(M)
-    if args.teller != "honest":
-        raise ParseError(f"unknown teller {args.teller!r}")
     teller = truthgames.honest_teller(game, M)
     search = truthgames.interrogator_search(game, teller, depth=args.depth)
     rng = random.Random(f"truthtelling:{args.seed}")
@@ -330,10 +322,9 @@ def cmd_verify(args) -> int:
     cfg = suites.RunConfig(
         universe_rank=args.rank,
         random_rank=random_rank,
-        play_cap=_play_cap(_env_int("HFGAMES_PLAY_CAP", args.cap)),
-        clock_budget_factor=_at_least("HFGAMES_CLOCK_FACTOR", _env_int("HFGAMES_CLOCK_FACTOR", 2), 1),
+        play_cap=_play_cap(args.cap),
         seed=args.seed,
-        node_budget=_at_least("node budget", _env_int("HFGAMES_NODE_BUDGET", args.node_budget), 1),
+        node_budget=_at_least("node budget", args.node_budget, 1),
     )
     reports = suites.run_suite(args.suite, cfg)
     if args.json:
@@ -375,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-nodes", type=int, default=2000)
     p_solve.add_argument("--depth", type=int, default=2)
     p_solve.add_argument("--random-interrogators", type=int, default=50)
-    p_solve.add_argument("--teller", default="honest")
     p_solve.add_argument("--pred", action="append")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)

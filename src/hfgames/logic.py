@@ -29,7 +29,6 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
-    CoverageError,
     InvariantError,
     MalformedInstanceError,
     NoWitnessError,
@@ -879,12 +878,6 @@ class SatisfactionClass:
         if self.closure is None or inst in self.closure:
             return False
         return None
-
-    def marks(self, inst: FormulaInstance) -> bool:
-        v = self.verdict(inst)
-        if v is None:
-            raise CoverageError(f"instance outside closure: {print_instance(inst)}")
-        return v
 
 
 def build_truth_predicate(M: Structure, instances: Iterable[FormulaInstance]) -> SatisfactionClass:

@@ -246,7 +246,7 @@ def clock_outcome(clock_mode: str, rounds) -> str:
     return "spent" if spent else "running"
 
 
-def line_search(game, teller, depth: int, budget=None, pool=(), initial_clock=None):
+def line_search(game, teller, depth: int, budget=None, pool=()):
     """Brute-force interrogator search: every line of inquiries to ``depth``
     rounds, each round picking from ``pool`` plus the out-of-pool witness
     instances named earlier on the line, visited depth first in pool order.
@@ -256,10 +256,8 @@ def line_search(game, teller, depth: int, budget=None, pool=(), initial_clock=No
     lines visited); lines past ``budget`` are not seen.
     """
     pool = list(pool)
-    start = initial_clock if initial_clock is not None else depth
-    limit = min(depth, start)
     nodes = 0
-    todo = [(q,) for q in reversed(pool)] if limit > 0 else []
+    todo = [(q,) for q in reversed(pool)] if depth > 0 else []
     while todo:
         line = todo.pop()
         nodes += 1
@@ -267,11 +265,11 @@ def line_search(game, teller, depth: int, budget=None, pool=(), initial_clock=No
             return None, False, nodes
         rounds = []
         for k, q in enumerate(line):
-            clock = game.clock(start - k)
+            clock = game.clock(depth - k)
             rounds.append(Round(clock, q, teller.answer(game, q, clock, list(rounds))))
         if referee(game, Transcript(rounds)) == INTERROGATOR_WINS:
             return line, False, nodes
-        if len(line) < limit:
+        if len(line) < depth:
             named = [r.pronouncement.witness_instance for r in rounds]
             derived = [w for w in named if w is not None and w not in pool]
             todo.extend(line + (q,) for q in reversed(pool + derived))

@@ -36,7 +36,6 @@ class RunConfig:
     universe_rank: int = DEFAULT_EXHAUSTIVE_RANK
     random_rank: int = DEFAULT_RANDOM_RANK
     play_cap: int = 8
-    clock_budget_factor: int = 2
     seed: int = 1
     node_budget: int = etr.DEFAULT_NODE_BUDGET
 
@@ -79,10 +78,11 @@ class Report:
 
     def to_json(self) -> str:
         # Wall time is deliberately excluded: reports must be byte-identical
-        # for identical configurations.
+        # for identical configurations.  The fixed clock budget factor is
+        # recorded beside the configuration.
         doc = {
             "suite": self.suite,
-            "config": self.config,
+            "config": {**self.config, "clock_budget_factor": truthgames.CLOCK_FACTOR},
             "run": self.run,
             "passed": self.passed,
             "failed": self.failed,
@@ -343,9 +343,7 @@ def suite_truthgames(cfg: RunConfig) -> Report:
 
     def extraction_matches_truth():
         targets = logic.enumerate_instances(M, 4)
-        S = truthgames.extract_satisfaction(
-            teller, game, targets, clock_factor=cfg.clock_budget_factor
-        )
+        S = truthgames.extract_satisfaction(teller, game, targets)
         tp = logic.build_truth_predicate(M, targets)
         if S.entries != tp.entries:
             diff = sorted(

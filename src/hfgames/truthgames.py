@@ -62,13 +62,15 @@ TELLER_WINS = "teller_wins"
 NATURAL = "first_move_natural"
 ORDINAL = "ordinal_countdown"
 
-DEFAULT_CLOCK_FACTOR = 2
+CLOCK_FACTOR = 2
+# Node budget of the interrogator search extraction runs before its probes.
+PRESEARCH_BUDGET = 2000
 
 
-def clock_budget(target: FormulaInstance, factor: int = DEFAULT_CLOCK_FACTOR) -> int:
+def clock_budget(target: FormulaInstance) -> int:
     """Moves the teller must survive for a verdict on this target to bind:
     one step per node unfolded plus witness follow-ups, then slack."""
-    return factor * size(target.formula) + 2
+    return CLOCK_FACTOR * size(target.formula) + 2
 
 
 @dataclass(frozen=True)
@@ -672,17 +674,16 @@ def extract_satisfaction(
     teller,
     game: TruthGame,
     targets: Sequence[FormulaInstance],
-    clock_factor: int = DEFAULT_CLOCK_FACTOR,
     extra_clock: int = 0,
-    presearch_budget: Optional[int] = 2000,
 ) -> SatisfactionClass:
     """Read a satisfaction class off a winning teller strategy.
 
     A depth-2 interrogator search over the targets and their immediate
-    follow-ups runs first.  Each target is then probed at its clock budget
-    with the target asked first and follow-ups unfolded breadth-first, then
-    again in depth-first order; verdicts must agree across all probes.  The
-    result must pass the Tarskian audit on the target closure.
+    follow-ups, within ``PRESEARCH_BUDGET`` nodes, runs first.  Each target
+    is then probed at its clock budget plus ``extra_clock`` with the target
+    asked first and follow-ups unfolded breadth-first, then again in
+    depth-first order; verdicts must agree across all probes.  The result
+    must pass the Tarskian audit on the target closure.
 
     A ``memoryless`` teller (see ``interrogator_search``) is read in one
     pass instead: one referee state asks the search's pool, then the
@@ -690,44 +691,34 @@ def extract_satisfaction(
     above asks a subset of those rounds and the teller answers each inquiry
     alike wherever it is asked, so if the pass is won no search line wins,
     no probe is lost and no verdicts clash, and the pass's marks are the
-    probes' verdicts.  If the pass is lost, raises or cannot be had, the
-    search and probes run as described, so a refusal is the same either way.
+    probes' verdicts.  If the pass is lost or raises, the search and probes
+    run as described, so a refusal is the same either way.
+
+    Every clock budget is at least 6 (the smallest formula has size 2), so
+    a non-negative ``extra_clock`` leaves each probe a round for its target.
     """
+    if extra_clock < 0:
+        raise InvariantError(f"extra clock {extra_clock} below 0")
     targets = list(targets)
+    pool = _presearch_pool(targets)
     state = None
-    if getattr(teller, "memoryless", False) and all(
-        clock_budget(t, clock_factor) + extra_clock >= 1 for t in targets
-    ):
-        pool = _presearch_pool(targets) if presearch_budget else []
+    if getattr(teller, "memoryless", False):
         state = _single_pass(game, teller, pool + targets, _unfold)
-    if state is None and presearch_budget:
-        found = interrogator_search(
-            game,
-            teller,
-            depth=2,
-            budget=presearch_budget,
-            pool=_presearch_pool(targets),
-        )
+    if state is None:
+        found = interrogator_search(game, teller, depth=2, budget=PRESEARCH_BUDGET, pool=pool)
         if found.plan is not None:
             raise NotWinningStrategyError(
                 "bounded search found a winning interrogator: "
                 + ", ".join(print_instance(i) for i in found.plan.inquiries)
             )
-
-    def probes():
-        for target in targets:
-            budget = clock_budget(target, clock_factor) + extra_clock
-            if budget < 1:
-                raise InvariantError(
-                    f"clock budget {budget} below 1 for {print_instance(target)}"
-                )
-            yield (target,), budget, False
-            yield (target,), budget, True
-
-    if state is not None:
-        marks = state.marks
+        probes = (
+            ((target,), clock_budget(target) + extra_clock, lifo)
+            for target in targets
+            for lifo in (False, True)
+        )
+        marks = _read_marks(game, teller, probes, "pronouncement instability")
     else:
-        marks = _read_marks(game, teller, probes(), "pronouncement instability")
+        marks = state.marks
     entries = frozenset(t for t in targets if marks[t] == _TRUE)
     result = SatisfactionClass(entries, frozenset(targets))
     if game.obligation is None:
@@ -822,13 +813,12 @@ def interrogator_search(
     depth: int,
     budget: Optional[int] = None,
     pool: Optional[Sequence[FormulaInstance]] = None,
-    initial_clock: Optional[int] = None,
 ) -> SearchResult:
     """Search adaptive interrogator play to the given depth.
 
     Walks every line of inquiries under a one-step countdown from
-    ``initial_clock`` (default: depth): each round picks from the pool plus
-    the out-of-pool witness instances the teller named earlier on the line.
+    ``depth``: each round picks from the pool plus the out-of-pool witness
+    instances the teller named earlier on the line.
     Returns a winning plan if one trips the referee, a proven-none result if
     the walk completed, or a none-within-budget result if the node budget
     ran out first.  ``nodes`` counts the lines visited, capped at
@@ -848,13 +838,11 @@ def interrogator_search(
     if pool is None:
         pool = default_inquiry_pool(game)
     pool = list(pool)
-    start = initial_clock if initial_clock is not None else depth
-    limit = min(depth, start)
-    if limit > 0 and pool and getattr(teller, "memoryless", False):
+    if depth > 0 and pool and getattr(teller, "memoryless", False):
         named = _futility_certificate(game, teller, pool)
         if named is not None:
             cap = None if budget is None else max(budget, 0)
-            count = _line_count(pool, named, limit, cap)
+            count = _line_count(pool, named, depth, cap)
             if cap is not None and count > cap:
                 return SearchResult(None, False, cap + 1)
             return SearchResult(None, True, count)
@@ -863,7 +851,7 @@ def interrogator_search(
     nodes = 0
     # One (clock, candidates) entry per round of the current line; each
     # entry past the first sits on the referee frame of the round before it.
-    stack = [(game.clock(start), iter(pool))] if limit > 0 else []
+    stack = [(game.clock(depth), iter(pool))] if depth > 0 else []
     while stack:
         clock, candidates = stack[-1]
         inquiry = next(candidates, None)
@@ -878,8 +866,8 @@ def interrogator_search(
         state.push_frame()
         if state.ask(teller, clock, inquiry):
             line = tuple(r.inquiry for r in state.rounds)
-            return SearchResult(InterrogatorPlan(line, start), False, nodes)
-        if len(stack) == limit:
+            return SearchResult(InterrogatorPlan(line, depth), False, nodes)
+        if len(stack) == depth:
             state.pop_frame()
             continue
         # The teller's own witness pronouncements join the candidates: the
@@ -890,7 +878,7 @@ def interrogator_search(
             if r.pronouncement.witness_instance is not None
             and r.pronouncement.witness_instance not in pool_set
         ]
-        stack.append((game.clock(start - len(stack)), iter(pool + derived if derived else pool)))
+        stack.append((game.clock(depth - len(stack)), iter(pool + derived if derived else pool)))
     return SearchResult(None, not stack, nodes)
 
 
@@ -1048,7 +1036,7 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
     rounds = []
     for k, rdoc in enumerate(rdocs):
         clock = rdoc.get("clock") if isinstance(rdoc, dict) else None
-        if not isinstance(clock, (int, str)):
+        if not (type(clock) is int or isinstance(clock, str)):
             raise ParseError(f"round {k} needs a clock, a natural or an ordinal string")
         if isinstance(clock, str):
             clock = parse_ordinal(clock)
@@ -1067,7 +1055,8 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
         check_constants(f, game.structure.universe)
         inquiry = instance(f, {})
         witness_inst = None
-        if witness is not None and isinstance(f, Exists):
+        # A witness outside the universe has no body; the referee scores it.
+        if witness in game.structure.universe and isinstance(f, Exists):
             witness_inst = inquiry.witness_body(witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

@@ -60,11 +60,6 @@ class HFSet:
     def elements(self) -> tuple["HFSet", ...]:
         return tuple(HFSet(c) for c in hf_elements(self.code))
 
-    def rank(self) -> int:
-        if self.code == 0:
-            return 0
-        return 1 + max(e.rank() for e in self.elements)
-
     def pretty(self) -> str:
         if self.code == 0:
             return "{}"
@@ -198,12 +193,6 @@ class Ordinal:
         return self._cmp(other) < 0
 
     # -- arithmetic (only what the games need)
-
-    def pred(self) -> "Ordinal":
-        """Predecessor of a successor ordinal."""
-        if not self.is_finite() or self.is_zero():
-            raise InvariantError(f"{self} has no predecessor at desk scale")
-        return Ordinal.from_nat(self.to_int() - 1)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -181,7 +181,7 @@ class TestSolve:
 
     def test_truthtelling_honest_teller_wins(self, capsys):
         code, out, _ = run(
-            capsys, "solve", "truthtelling", "--rank", "3", "--teller", "honest", "--json"
+            capsys, "solve", "truthtelling", "--rank", "3", "--json"
         )
         assert code == 0
         doc = json.loads(out)
@@ -380,20 +380,24 @@ class TestVerify:
         assert "resource" in out
 
     @pytest.mark.parametrize(
-        "argv, env",
-        [
-            (("etr", "--node-budget", "-1", "--json"), None),
-            (("etr", "--node-budget", "0"), None),
-            (("games",), "-1"),
-        ],
-        ids=["flag", "flag zero", "variable"],
+        "argv",
+        [("etr", "--node-budget", "-1", "--json"), ("etr", "--node-budget", "0")],
+        ids=["flag", "flag zero"],
     )
-    def test_node_budget_below_one_usage_error(self, capsys, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("HFGAMES_NODE_BUDGET", env)
+    def test_node_budget_below_one_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv, "--rank", "2")
         assert code == 2 and out == ""
         assert "node budget must be at least 1" in err
+
+    def test_suite_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Unknown suite names stop at argparse; a KeyError from inside a
+        # suite is a fault, not bad input.
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(suites, "run_suite", broken)
+        with pytest.raises(KeyError):
+            main(["verify", "logic"])
 
 
 class TestModuleEntry:
@@ -408,11 +412,6 @@ class TestModuleEntry:
 
 
 class TestEnvOverrides:
-    def test_node_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFGAMES_NODE_BUDGET", "10")
-        code, out, _ = run(capsys, "verify", "etr", "--seed", "1")
-        assert code == 3
-
     def test_max_rank_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HFGAMES_MAX_RANK", "2")
         code, _, err = run(capsys, "eval", "--rank", "3", "#0 = #0")
@@ -423,12 +422,6 @@ class TestEnvOverrides:
         code, _, err = run(capsys, "eval", "--rank", "2", "#0 = #0")
         assert code == 2
         assert "HFGAMES_MAX_RANK" in err
-
-    def test_play_cap_env_below_two_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFGAMES_PLAY_CAP", "1")
-        code, _, err = run(capsys, "verify", "games")
-        assert code == 2
-        assert "play cap" in err
 
 
 class TestRankBounds:
@@ -486,25 +479,6 @@ class TestRankBounds:
     def test_least_rank_runs(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 0
-
-
-class TestClockFactorBound:
-    @pytest.mark.parametrize("factor", ["-5", "0"])
-    def test_clock_factor_below_one_usage_error(self, capsys, monkeypatch, factor):
-        monkeypatch.setenv("HFGAMES_CLOCK_FACTOR", factor)
-        code, out, err = run(capsys, "verify", "truthgames", "--rank", "2")
-        assert code == 2 and out == ""
-        assert f"HFGAMES_CLOCK_FACTOR must be at least 1, got {factor}" in err
-
-    def test_suite_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        # Unknown suite names stop at argparse; a KeyError from inside a
-        # suite is a fault, not bad input.
-        def broken(*args, **kwargs):
-            raise KeyError("internal")
-
-        monkeypatch.setattr(suites, "run_suite", broken)
-        with pytest.raises(KeyError):
-            main(["verify", "logic"])
 
 
 class TestOutsideTheUniverse:

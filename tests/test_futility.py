@@ -29,7 +29,6 @@ from hfgames.logic import (
     And,
     Exists,
     Not,
-    SatisfactionClass,
     Structure,
     build_truth_predicate,
     enumerate_instances,
@@ -211,15 +210,13 @@ class TestAgreement:
         assert time.process_time() - started < 0.1
         assert res == SearchResult(None, False, 6)
 
-    def test_initial_clock_below_depth(self):
+    def test_shallow_depths_agree(self):
         game = truth_game(STRUCTURES[2])
         teller = honest_teller(game, STRUCTURES[2])
         pool = default_inquiry_pool(game)
-        for clock in (0, 1, 2):
-            cert = interrogator_search(game, teller, 3, pool=pool, initial_clock=clock)
-            walk = interrogator_search(game, Walked(teller), 3, pool=pool, initial_clock=clock)
-            assert cert == walk
-            assert as_oracle(cert) == line_search(game, teller, 3, None, pool, clock)
+        for depth in (0, 1, 2):
+            cert, walk, oracle = three_ways(game, teller, depth, None, pool)
+            assert cert == walk and as_oracle(cert) == oracle
 
     def test_out_of_pool_witness_chain(self):
         M = STRUCTURES[3]
@@ -325,15 +322,11 @@ def both_extractions(make_teller, game, targets, **kwargs):
     return one, probed
 
 
-PRESEARCH = (2000, None)
-
-
 class TestSinglePassExtraction:
-    @pytest.mark.parametrize("presearch", PRESEARCH)
     @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
     @pytest.mark.parametrize("kind", ["structure", "class"])
     @pytest.mark.parametrize("rank, max_size", [(1, 4), (2, 4), (3, 3)])
-    def test_seeded_targets_agree(self, rank, max_size, kind, mode, presearch):
+    def test_seeded_targets_agree(self, rank, max_size, kind, mode):
         M = STRUCTURES[rank]
         game = truth_game(M, mode)
         targets = enumerate_instances(M, max_size)
@@ -345,27 +338,24 @@ class TestSinglePassExtraction:
         def make():
             return honest_teller(game, M) if kind == "structure" else HonestTeller(S)
 
-        one, probed = both_extractions(make, game, targets, presearch_budget=presearch)
+        one, probed = both_extractions(make, game, targets)
         assert one == probed == build_truth_predicate(M, targets)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([1, 2, 3]),
         st.sampled_from([NATURAL, ORDINAL]),
-        st.sampled_from(PRESEARCH),
         st.integers(0, 2**32),
         st.integers(1, 12),
     )
-    def test_drawn_targets_agree(self, rank, mode, presearch, seed, count):
+    def test_drawn_targets_agree(self, rank, mode, seed, count):
         # Drawn targets need not hold their witness bodies, so some of these
         # are refused by the Tarskian audit, alike on both paths.
         M = STRUCTURES[rank]
         game = truth_game(M, mode)
         rng = random.Random(seed)
         targets = [random_instance(rng, M, 6) for _ in range(count)]
-        one, probed = both_extractions(
-            lambda: honest_teller(game, M), game, targets, presearch_budget=presearch
-        )
+        one, probed = both_extractions(lambda: honest_teller(game, M), game, targets)
         assert one == probed
 
     @pytest.mark.parametrize("liar", [HashLiar, HashWitness])
@@ -376,53 +366,50 @@ class TestSinglePassExtraction:
             game = truth_game(M)
             rng = random.Random(salt)
             targets = [random_instance(rng, M, 5) for _ in range(6)]
-            one, probed = both_extractions(
-                lambda: liar(honest_teller(game, M), salt),
-                game,
-                targets,
-                clock_factor=salt % 3,
-                presearch_budget=PRESEARCH[salt % 2],
-            )
+            one, probed = both_extractions(lambda: liar(honest_teller(game, M), salt), game, targets)
             assert one == probed, salt
             refused += isinstance(one, tuple) and one[0] is NotWinningStrategyError
         assert refused >= 25
 
-    @pytest.mark.parametrize("presearch", PRESEARCH)
-    def test_class_backed_coverage_error_alike(self, presearch):
+    def test_class_backed_coverage_error_alike(self):
         # The class holds the target alone, not its part.
         M = STRUCTURES[2]
         game = truth_game(M)
         targets = [parse_instance("!(#0 in #1)")]
         S = build_truth_predicate(M, targets)
-        one, probed = both_extractions(
-            lambda: HonestTeller(S), game, targets, presearch_budget=presearch
-        )
+        one, probed = both_extractions(lambda: HonestTeller(S), game, targets)
         assert one == probed
         assert one[0] is CoverageError and "outside closure" in one[1]
 
-    def test_budget_below_one_alike(self):
+    def test_negative_extra_clock_alike(self):
         M = STRUCTURES[2]
         game = truth_game(M)
         targets = enumerate_instances(M, 3)
         one, probed = both_extractions(
-            lambda: honest_teller(game, M), game, targets, clock_factor=-5
+            lambda: honest_teller(game, M), game, targets, extra_clock=-1
         )
-        assert one == probed
-        assert one[0] is InvariantError and "below 1" in one[1]
+        assert one == probed == (InvariantError, "extra clock -1 below 0")
 
     def test_lost_pass_falls_back_to_the_probes(self):
-        """A lie on a part that no probe reaches at a one-round clock loses
-        the pass, but not the probes, which read the class."""
+        """A lie on the last of many targets loses the pass; the presearch
+        spends its node budget on lines that never ask it, and a probe
+        finds it."""
         M = STRUCTURES[2]
         game = truth_game(M)
-        lie = parse_instance("#1 in #0")
-        targets = [parse_instance(t) for t in ("!!!(#1 in #0)", "!!(#1 in #0)", "!(#1 in #0)")]
+        targets = enumerate_instances(M, 3)
+        lie = targets[-1]
         make = lambda: OneLie(honest_teller(game, M), lie)
         assert truthgames._single_pass(game, make(), targets, truthgames._unfold) is None
-        one, probed = both_extractions(
-            make, game, targets, clock_factor=0, extra_clock=-1, presearch_budget=None
+        presearch = interrogator_search(
+            game, make(), 2, budget=truthgames.PRESEARCH_BUDGET, pool=truthgames._presearch_pool(targets)
         )
-        assert one == probed == SatisfactionClass(frozenset(targets[::2]), frozenset(targets))
+        assert presearch.plan is None and not presearch.exhausted
+        one, probed = both_extractions(make, game, targets)
+        assert one == probed == (
+            NotWinningStrategyError,
+            f"teller lost a probe at {print_instance(lie)}:"
+            f" [atomic] {print_instance(lie)}: pronounced False, structure says True",
+        )
 
     def test_lie_only_the_presearch_asks_about(self):
         # The negation of the target is in the presearch's pool, and no

@@ -50,7 +50,8 @@ def _references(tree, module: str) -> Counter:
     """The references under tree, a node of module's code, by key:
     ``(module, name)`` for a name it reads or a name imported from a module
     of that last dotted component, ``(prefix, attr)`` for ``prefix.attr``,
-    and ``(None, attr)`` for every attribute read."""
+    ``(None, attr)`` for every attribute read and ``("()", attr)`` for
+    every call ``x.attr(...)``."""
     refs: Counter = Counter()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
@@ -61,7 +62,13 @@ def _references(tree, module: str) -> Counter:
             refs[None, n.attr] += 1
             if isinstance(n.value, ast.Name):
                 refs[n.value.id, n.attr] += 1
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            refs["()", n.func.attr] += 1
     return refs
+
+
+def _is_property(method) -> bool:
+    return any(getattr(d, "id", None) == "property" for d in method.decorator_list)
 
 
 def unused_definitions(modules: dict[str, str], others: list[str] = ()) -> list[str]:
@@ -70,8 +77,9 @@ def unused_definitions(modules: dict[str, str], others: list[str] = ()) -> list[
     their own definition; ``others`` holds the sources of the rest of the
     code.  A module-level name is used when its module reads it, or another
     file imports it from that module or reads it as ``module.name``.  A
-    method is used when any code reads an attribute of its name, whatever
-    the object.  Dunder names are called implicitly and are not scanned."""
+    method is used when any code calls it by name, ``x.name(...)``, whatever
+    the object x; a property when any code reads an attribute of its name.
+    Dunder names are called implicitly and are not scanned."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     refs: Counter = Counter()
     for name, tree in trees.items():
@@ -85,7 +93,7 @@ def unused_definitions(modules: dict[str, str], others: list[str] = ()) -> list[
             if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 defs.append(((module, node.name), node.name, node))
             if isinstance(node, ast.ClassDef):
-                defs += [((None, m.name), f"{node.name}.{m.name}", m)
+                defs += [((None if _is_property(m) else "()", m.name), f"{node.name}.{m.name}", m)
                          for m in node.body if isinstance(m, FUNCTIONS)]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -119,12 +127,16 @@ def test_scan_flags_an_unused_definition():
             "def unused(n):\n    return unused(n - 1)\n\n"
             "class K:\n    def __init__(self):\n        self.called()\n\n"
             "    def called(self):\n        return json\n\n"
-            "    def spare(self):\n        return self.spare\n"
+            "    def spare(self):\n        return self.spare\n\n"
+            "    def width(self):\n        return 2\n\n"
+            "    @property\n    def height(self):\n        return 3\n"
         ),
-        "n": "from .m import K\nfrom . import m\n\nm.used()\n",
+        # K().width is read as a data attribute, never called: it does not
+        # use the method.  A property is used by a read.
+        "n": "from .m import K\nfrom . import m\n\nm.used()\nK().width + K().height\n",
     }
     assert unused_definitions(modules) == [
-        "m.SPARE (line 4)", "m.unused (line 9)", "m.K.spare (line 19)",
+        "m.SPARE (line 4)", "m.unused (line 9)", "m.K.spare (line 19)", "m.K.width (line 22)",
     ]
 
 

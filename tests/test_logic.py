@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hfgames import logic
 from hfgames.errors import (
-    CoverageError,
     InvariantError,
     MalformedInstanceError,
     NoWitnessError,
@@ -773,8 +772,6 @@ class TestClosureSemantics:
         assert S.verdict(phi) is True
         assert S.verdict(psi) is False
         assert S.verdict(other) is None
-        with pytest.raises(CoverageError):
-            S.marks(other)
 
 
 class TestEnumeration:

@@ -128,6 +128,20 @@ class LowClockScrambler:
         return self.base.answer(game, inquiry, clock, history)
 
 
+class Patient:
+    """Answers as ``base`` at clocks <= 2, where extraction's depth-2
+    presearch asks, and as ``teller`` at every later clock, where its
+    probes ask (each probe's clock budget is at least 6)."""
+
+    def __init__(self, base, teller):
+        self.base = base
+        self.teller = teller
+
+    def answer(self, game, inquiry, clock, history):
+        n = clock.to_int() if isinstance(clock, Ordinal) else clock
+        return (self.base if n <= 2 else self.teller).answer(game, inquiry, clock, history)
+
+
 class BadWitnessTeller:
     """Affirms an existential but denies its own witness body."""
 
@@ -448,30 +462,21 @@ class TestExtraction:
         truth = build_truth_predicate(V3, targets)
         assert S.entries == truth.entries
 
-    @pytest.mark.parametrize("factor, extra", [(-5, 0), (2, -10)])
-    def test_clock_budget_below_one_is_typed(self, factor, extra):
-        # A budget below 1 leaves no round for the target itself.
+    @pytest.mark.parametrize("extra", [-1, -10])
+    def test_negative_extra_clock_is_typed(self, extra):
+        # Refused at entry, before the teller is asked anything.
         game = truth_game(V2)
         teller = honest_teller(game, V2)
-        with pytest.raises(InvariantError, match="clock budget -?\\d+ below 1"):
-            extract_satisfaction(
-                teller, game, [parse_instance("#0 in #1")], clock_factor=factor, extra_clock=extra
-            )
+        with pytest.raises(InvariantError, match=f"extra clock {extra} below 0"):
+            extract_satisfaction(teller, game, [parse_instance("#0 in #1")], extra_clock=extra)
 
     def test_atomic_liar_aborts(self):
         game = truth_game(V3)
+        honest = honest_teller(game, V3)
         lie = parse_instance("#0 in #1")
-        teller = LyingTeller(honest_teller(game, V3), lie)
-        with pytest.raises(NotWinningStrategyError):
-            extract_satisfaction(teller, game, [lie], presearch_budget=None)
-
-    def test_low_clock_scrambler_still_extracts_truth(self):
-        game = truth_game(V3)
-        teller = LowClockScrambler(honest_teller(game, V3), seed=3)
-        targets = enumerate_instances(V3, 4)
-        S = extract_satisfaction(teller, game, targets, presearch_budget=None)
-        truth = build_truth_predicate(V3, targets)
-        assert S.entries == truth.entries
+        teller = Patient(honest, LyingTeller(honest, lie))
+        with pytest.raises(NotWinningStrategyError, match="teller lost a probe"):
+            extract_satisfaction(teller, game, [lie])
 
     def test_stability_across_budgets(self):
         game = truth_game(V3)
@@ -495,9 +500,12 @@ class TestExtraction:
         game = truth_game(V3)
         teller = honest_teller(game, V3)
         targets = enumerate_instances(V3, 4)
+        # The replayed class must also answer the presearch's pool: the
+        # targets' parts and negations.
+        closure = targets + truthgames._presearch_pool(targets)
+        replay_teller = HonestTeller(extract_satisfaction(teller, game, closure))
         S = extract_satisfaction(teller, game, targets)
-        replay_teller = HonestTeller(S)
-        again = extract_satisfaction(replay_teller, game, targets, presearch_budget=None)
+        again = extract_satisfaction(replay_teller, game, targets)
         assert again.entries == S.entries
         pool = [t for t in targets][:80]
         res = interrogator_search(game, replay_teller, depth=2, pool=pool)
@@ -505,10 +513,11 @@ class TestExtraction:
 
     def test_instability_detected(self):
         game = truth_game(V3)
+        honest = honest_teller(game, V3)
         flip = parse_instance("!!(#0 in #1)")
-        teller = Flipper(honest_teller(game, V3), flip)
+        teller = Patient(honest, Flipper(honest, flip))
         with pytest.raises(NotWinningStrategyError, match="instability|probe"):
-            extract_satisfaction(teller, game, [flip], presearch_budget=None)
+            extract_satisfaction(teller, game, [flip])
 
 
 def refusal(call) -> str:
@@ -541,8 +550,8 @@ class TestExtractionRefusals:
 
     def test_a_liar_loses_a_probe(self):
         lie = parse_instance("#0 in #1")
-        teller = LyingTeller(self.honest, lie)
-        call = lambda: extract_satisfaction(teller, self.game, [lie], presearch_budget=None)
+        teller = Patient(self.honest, LyingTeller(self.honest, lie))
+        call = lambda: extract_satisfaction(teller, self.game, [lie])
         assert refusal(call) == (
             "teller lost a probe at (#0 in #1):"
             " [atomic] (#0 in #1): pronounced False, structure says True"
@@ -551,8 +560,8 @@ class TestExtractionRefusals:
     def test_verdicts_clash_across_probes(self):
         # A denied existential has no follow-up, so each probe alone is won.
         ex = parse_instance("Ex. (x in #1)")
-        teller = Flipper(self.honest, ex)
-        call = lambda: extract_satisfaction(teller, self.game, [ex], presearch_budget=None)
+        teller = Patient(self.honest, Flipper(self.honest, ex))
+        call = lambda: extract_satisfaction(teller, self.game, [ex])
         assert refusal(call) == "pronouncement instability across probes on Ex. (x in #1)"
 
     def test_class_without_witness_bodies_fails_the_audit(self):
@@ -752,6 +761,7 @@ class TestTranscriptSerialization:
             ([1], "round 0 needs a clock"),
             ([{"inquiry": "#0 = #0", "verdict": True}], "round 0 needs a clock"),
             ([{"clock": 1.5}], "round 0 needs a clock"),
+            ([{"clock": 2, "inquiry": "#0 = #0", "verdict": True}, {"clock": True}], "round 1 needs a clock"),
             ([{"clock": "w+w"}], "CNF exponents must strictly decrease"),
             ([{"clock": 2}, {"clock": 1, "inquiry": 3, "verdict": True}], "round 1 needs an inquiry string"),
             ([{"clock": 1, "inquiry": "#0 = #0"}], "true/false verdict"),
@@ -765,7 +775,7 @@ class TestTranscriptSerialization:
             ([{"clock": 1, "inquiry": "#0 in", "verdict": True}], "unexpected end of input"),
         ],
         ids=[
-            "round-not-object", "no-clock", "float-clock", "bad-cnf-clock", "inquiry-not-string",
+            "round-not-object", "no-clock", "float-clock", "bool-clock", "bad-cnf-clock", "inquiry-not-string",
             "no-verdict", "verdict-not-bool", "witness-str", "witness-bool", "witness-float",
             "free-variable", "constant-outside", "unknown-predicate", "truncated-inquiry",
         ],
@@ -894,6 +904,19 @@ class TestFollowUpsFromTheGame:
         doc = {"rounds": [{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": 0}]}
         (rnd,) = transcript_from_json(game, json.dumps(doc)).rounds
         assert rnd.pronouncement.witness_instance is rnd.inquiry.witness_body(0)
+
+    @pytest.mark.parametrize("witness", [-1, 4, 99])
+    def test_witness_outside_universe_has_no_body(self, witness):
+        game = truth_game(V2)
+        doc = {"rounds": [{"clock": 1, "inquiry": "Ex. (x in #1)", "verdict": True, "witness": witness}]}
+        back = transcript_from_json(game, json.dumps(doc))
+        assert back.rounds[0].pronouncement.witness_instance is None
+        state = RefereeState(game)
+        assert [str(v) for v in state.process_round(back.rounds[0])] == [
+            f"[quantifier] Ex. (x in #1): witness {witness} not in universe"
+        ]
+        assert referee(game, back) == INTERROGATOR_WINS
+        assert "#-" not in transcript_to_json(game, back)
 
 
 class TestLargeCarrierRecursion:

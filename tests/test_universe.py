@@ -108,7 +108,6 @@ class TestMember:
     def test_hfset_pretty(self):
         assert HFSet(0).pretty() == "{}"
         assert HFSet(3).pretty() == "{{},{{}}}"
-        assert HFSet(3).rank() == 2
         assert HFSet(0) in HFSet(1)
 
 
@@ -179,9 +178,6 @@ class TestOrdinals:
             Ordinal(((Ordinal.from_nat(0), 1), (Ordinal.from_nat(1), 1)))
         with pytest.raises(ParseError):
             parse_ordinal("w+w")
-
-    def test_pred(self):
-        assert Ordinal.from_nat(4).pred().to_int() == 3
 
     def test_total_order_on_random_pairs(self):
         rng = random.Random(20)
