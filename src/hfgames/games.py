@@ -4,18 +4,20 @@ Positions are plain tuples of moves; player I moves at even lengths.  A
 game's ``decide`` function reports the winner once a position is decided.
 It is asked only on positions whose proper prefixes are all undecided:
 every caller stops a play at its first decided position, so what
-``decide`` returns past a decided position is unspecified.  Plays that
-reach the cap undecided count as wins for the closed player.
+``decide`` returns past a decided position is unspecified.  In an open
+game, plays that reach the cap undecided count as wins for the closed
+player; a clopen game may have none, and compiling one that does raises
+NotClopenError, so every solver refuses it alike.
 
 Every solver runs on an arena: the truncated game tree compiled once, one
 breadth-first level at a time, into parallel lists (``_arena``), with one
 call of ``decide`` per position.  One player moves at every position of a
-level, so values and winners are one pass over the levels from the cap
-upwards (retrograde analysis, linear in the edges), and strategies are
-walks over indices.  No solver recurses on depth.  A single module-level
-entry keeps the most recent game's arena, matched by identity, so solvers
-called one after another on the same game share one compile, and a
-long-lived process holds at most one arena.
+level, so the ordinal values are one pass over the levels from the cap
+upwards (retrograde analysis, linear in the edges), the winners are read
+off the values, and strategies are walks over indices.  No solver recurses
+on depth.  A single module-level entry keeps the most recent game's arena,
+matched by identity, so solvers called one after another on the same game
+share one compile, and a long-lived process holds at most one arena.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import json
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from math import inf
-from operator import add, contains
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from operator import add
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
     IncompleteStrategyError,
@@ -82,9 +84,7 @@ class Game:
     def winner_at_cap(self, position: tuple) -> str:
         """Truncation convention: an undecided full-length play goes to the
         closed player; clopen games may not have one."""
-        return self._outcome_at_cap(position, self.decide(position))
-
-    def _outcome_at_cap(self, position: tuple, decided: Optional[str]) -> str:
+        decided = self.decide(position)
         if decided is not None:
             return decided
         if self.kind == "clopen":
@@ -133,13 +133,13 @@ class _Arena:
     depth d, is ``levels[d]`` .. ``levels[d + 1] - 1``; the last entry of
     ``levels`` is the node count.  The tree is compiled level by level, and
     solved level by level from the cap upwards with the mover fixed per
-    level.  ``unsettled`` records whether a clopen game has a play that
-    ends undecided at the cap.  Values and winners are computed on first
-    use and kept with the arena.
+    level.  A clopen game with a play that ends undecided at the cap is
+    refused here.  Values and winners are computed on first use and kept
+    with the arena.
     """
 
     __slots__ = ("game", "positions", "first", "decided", "levels", "width", "move_index",
-                 "unsettled", "_values", "_wins")
+                 "_values", "_wins")
 
     def __init__(self, G: Game, node_budget: Optional[int]):
         decide, cap, width = G.decide, G.play_cap, len(G.moves)
@@ -151,6 +151,8 @@ class _Arena:
             ds = list(map(decide, level))
             decided += ds
             if len(level[0]) == cap or None not in ds:
+                if G.kind == "clopen" and None in ds:
+                    raise _not_clopen(level[ds.index(None)])
                 first += [-1] * len(ds)
                 break
             if node_budget is not None and len(positions) + ds.count(None) * width > node_budget:
@@ -166,7 +168,6 @@ class _Arena:
         self.levels = levels
         self.width = width
         self.move_index = {x: k for k, x in enumerate(G.moves)}
-        self.unsettled = G.kind == "clopen" and None in ds
         self._values: Optional[list] = None
         self._wins: Optional[list] = None
 
@@ -174,76 +175,49 @@ class _Arena:
         """Index of ``position``, or of the decided leaf it extends."""
         i = 0
         for depth, x in enumerate(position):
-            if self.first[i] < 0:
-                break
             k = self.move_index.get(x)
             if k is None:
                 raise InvariantError(f"illegal move {x!r} at {position[:depth]}")
-            i = self.first[i] + k
+            if self.first[i] >= 0:
+                i = self.first[i] + k
         return i
-
-    def _solve(self, leaf: dict, at_cap: Iterator, combine: Callable) -> list:
-        """Every node's result, one level at a time from the deepest up: a
-        decided node's is ``leaf[winner]``, an undecided leaf's (at the cap)
-        the next of ``at_cap``.  The interior nodes of a level own the next
-        level in order, ``width`` children each, and ``combine(mover,
-        children)`` maps the tuples of their children's results to theirs.
-        """
-        levels, decided, width = self.levels, self.decided, self.width
-        out: list = [None] * len(decided)
-        nxt = at_cap.__next__
-        for depth in range(len(levels) - 2, -1, -1):
-            lo, hi = levels[depth], levels[depth + 1]
-            out[lo:hi] = [nxt() if d is None else leaf[d] for d in decided[lo:hi]]
-            if depth:
-                mover = PLAYER_I if depth % 2 else PLAYER_II
-                nxt = combine(mover, zip(*[out[lo + k:hi:width] for k in range(width)])).__next__
-        return out
 
     def values(self) -> list:
         """Ordinal value of every node as an int (finite branching and cap
-        keep every value below omega), ``inf`` where unvalued: so the open
-        player's node is its least child plus one and the closed player's
-        its greatest child.
+        keep every value below omega), ``inf`` where unvalued.
+
+        One level at a time from the deepest up: a node decided for the
+        open player is worth 0, one decided for the closed player or
+        undecided at the cap ``inf``.  The interior nodes of a level own the
+        next level in order, ``width`` children each: the open player's
+        node is worth its least child plus one, the closed player's its
+        greatest child.
         """
         if self._values is None:
+            levels, decided, width = self.levels, self.decided, self.width
             open_player = self.game.open_player
-
-            def combine(mover: str, children: Iterator) -> Iterator:
-                if mover == open_player:
-                    return map(add, map(min, children), repeat(1))
-                return map(max, children)
-
             leaf = {open_player: 0, self.game.closed_player: inf}
-            self._values = self._solve(leaf, repeat(inf), combine)
+            out: list = [None] * len(decided)
+            nxt = repeat(inf).__next__
+            for depth in range(len(levels) - 2, -1, -1):
+                lo, hi = levels[depth], levels[depth + 1]
+                out[lo:hi] = [nxt() if d is None else leaf[d] for d in decided[lo:hi]]
+                if depth:
+                    mover = PLAYER_I if depth % 2 else PLAYER_II
+                    children = zip(*[out[lo + k:hi:width] for k in range(width)])
+                    if mover == open_player:
+                        nxt = map(add, map(min, children), repeat(1)).__next__
+                    else:
+                        nxt = map(max, children).__next__
+            self._values = out
         return self._values
 
     def wins(self) -> list:
-        """Winner of every node by backward induction.
-
-        A node's mover wins iff some child is theirs, and an undecided leaf
-        goes to the closed player.  In an unsettled arena such a leaf holds
-        its own index instead of a winner, and a node takes the first
-        child, in move order, that its mover wins or that holds an index,
-        so an index reaches a node exactly when a depth-first minimax from
-        there would meet that leaf before a winning move.
-        """
+        """Winner of every node: the open player where the value is below
+        ``inf``, the closed player elsewhere."""
         if self._wins is None:
-            if self.unsettled:
-                lo, decided = self.levels[-2], self.decided
-                at_cap = (i for i in range(lo, len(decided)) if decided[i] is None)
-
-                def combine(mover: str, children: Iterator) -> Iterator:
-                    other = other_player(mover)
-                    return (next((c for c in cs if c == mover or type(c) is int), other) for cs in children)
-            else:
-                at_cap = repeat(self.game.closed_player)
-
-                def combine(mover: str, children: Iterator) -> Iterator:
-                    has_move = map(contains, children, repeat(mover))
-                    return map((other_player(mover), mover).__getitem__, has_move)
-
-            self._wins = self._solve({PLAYER_I: PLAYER_I, PLAYER_II: PLAYER_II}, at_cap, combine)
+            players = (self.game.closed_player, self.game.open_player)
+            self._wins = list(map(players.__getitem__, map(inf.__gt__, self.values())))
         return self._wins
 
 
@@ -338,22 +312,16 @@ def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
     if G.kind != "clopen":
         raise NotClopenError("labeling applies to clopen games")
     A = _arena(G)
-    wins, positions, width = A.wins(), A.positions, A.width
+    wins, width = A.wins(), A.width
     winner = wins[0]
-    if type(winner) is int:
-        raise _not_clopen(positions[winner])
-    pairs = zip(positions, wins)
-    labels = {p: w for p, w in pairs if type(w) is str} if A.unsettled else dict(pairs)
-    return labels, winner, _strategy_walk(A, winner, lambda i, f: wins.index(winner, f, f + width))
+    return dict(zip(A.positions, wins)), winner, _strategy_walk(
+        A, winner, lambda i, f: wins.index(winner, f, f + width))
 
 
 def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:
     """Positions from which exhaustive minimax gives player I the win."""
     A = _arena(G, node_budget)
-    wins = A.wins()
-    if A.unsettled:
-        raise _not_clopen(A.positions[next(w for w in wins if type(w) is int)])
-    return frozenset(compress(A.positions, map(PLAYER_I.__eq__, wins)))
+    return frozenset(compress(A.positions, map(PLAYER_I.__eq__, A.wins())))
 
 
 def play(G: Game, strategy_I: Strategy, strategy_II: Strategy) -> tuple[str, tuple]:
@@ -387,7 +355,7 @@ def verify_strategy(G: Game, s: Strategy) -> VerifyResult:
         i = frontier.pop()
         f = first[i]
         if f < 0:
-            if G._outcome_at_cap(positions[i], A.decided[i]) != s.player:
+            if (A.decided[i] or G.closed_player) != s.player:
                 return VerifyResult(False, positions[i])
             continue
         p = positions[i]

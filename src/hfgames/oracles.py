@@ -7,7 +7,8 @@ dynamic programs.
 
 from __future__ import annotations
 
-from hfgames.games import Game, other_player, turn
+from hfgames.etr import RecursionRule, etr_solve
+from hfgames.games import PLAYER_I, PLAYER_II, Game, other_player, turn
 from hfgames.logic import (
     EDGE_SYMBOL,
     And,
@@ -21,7 +22,7 @@ from hfgames.logic import (
     sub_instance,
 )
 from hfgames.truthgames import INTERROGATOR_WINS, NATURAL, Round, Transcript, referee
-from hfgames.universe import Ordinal, WellFoundedRelation
+from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
 
 
 def tarski_eval(M: Structure, formula, env: dict) -> bool:
@@ -97,28 +98,37 @@ def minimax_winner_dp(G: Game) -> dict[tuple, str]:
     return win
 
 
-def first_unsettled_leaf(G: Game, position: tuple = ()) -> tuple | None:
-    """The undecided full-length position a depth-first minimax from
-    ``position``, in move order, meets before a winning move, or None.
+# "I wins at i" as a recursion along the game tree, guard first: the slice
+# at a position is {0} exactly where player I wins there.
+_I_WINS = RecursionRule.parse(
+    "WinI(i) | (ToI(i) & Ej. ((j <| i) & F(j, x)))"
+    " | (ToII(i) & !Ej. ((j <| i) & !F(j, x)))"
+)
 
-    Plain recursion on depth: each mover tries their moves in order and
-    stops at the first they win or that reaches such a leaf.
+
+def clopen_by_etr(G: Game) -> dict[tuple, str]:
+    """Winner of every position, by ``etr_solve``: the converse of the
+    paper's first claim (ETR gives clopen determinacy) run as a recursion.
+
+    The positions, at most 16 so that they fit V_4, are the codes 0..n-1 in
+    ``enumerate_positions`` order, and each child comes before its parent
+    (``<|``).  ``WinI`` holds the positions won for I at once (decided, or
+    at the cap), ``ToI`` and ``ToII`` the rest by mover.
     """
-    def solve(p: tuple):
-        d = G.decide(p)
-        if d is not None:
-            return d
-        if len(p) == G.play_cap:
-            return p
-        mover = turn(p)
-        for x in G.moves:
-            r = solve(p + (x,))
-            if r == mover or isinstance(r, tuple):
-                return r
-        return other_player(mover)
-
-    r = solve(position)
-    return r if isinstance(r, tuple) else None
+    positions = enumerate_positions(G)
+    code = {p: k for k, p in enumerate(positions)}
+    preds: dict = {"WinI": set(), "ToI": set(), "ToII": set()}
+    edges = set()
+    for p in positions:
+        d = G.decide(p) if len(p) < G.play_cap else G.winner_at_cap(p)
+        if d is None:
+            preds["To" + turn(p)].add((code[p],))
+            edges.update((code[p + (x,)], code[p]) for x in G.moves)
+        elif d == PLAYER_I:
+            preds["WinI"].add((code[p],))
+    M = Structure(build_universe(4), preds)
+    F = etr_solve(M, WellFoundedRelation(code.values(), edges), _I_WINS, value_domain=(0,))
+    return {p: PLAYER_I if (code[p], 0) in F.pairs else PLAYER_II for p in positions}
 
 
 def clopen_distance_dp(G: Game) -> dict[tuple, int | None]:

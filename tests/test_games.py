@@ -38,9 +38,9 @@ from hfgames.games import (
 from hfgames.universe import Ordinal, build_universe, member, ordinal_compare
 
 from hfgames.oracles import (
+    clopen_by_etr,
     clopen_distance_dp,
     enumerate_positions,
-    first_unsettled_leaf,
     minimax_winner_dp,
 )
 
@@ -408,36 +408,28 @@ class TestArena:
 
     @given(seed=st.integers(min_value=0, max_value=10**9), cap=st.integers(min_value=2, max_value=9))
     @settings(max_examples=120, deadline=None)
-    def test_cap_cut_by_one_agrees_or_names_the_oracle_leaf(self, seed, cap):
+    def test_unsettled_clopen_game_refused_alike(self, seed, cap):
         base = random_clopen_game(random.Random(seed), max_nodes=300, max_cap=cap)
         # One move shorter: plays that were decided at the last move now
         # end undecided at the cap, unless no play reached it.
         g = strict(copy_game(base, cap=base.play_cap - 1))
         positions = enumerate_positions(g)
-        if not any(len(p) == g.play_cap and g.decide(p) is None for p in positions):
+        undecided = [p for p in positions if len(p) == g.play_cap and g.decide(p) is None]
+        if not undecided:
             win = minimax_winner_dp(g)
             assert label_clopen(g)[0] == win
             assert winning_region(g) == frozenset(p for p, w in win.items() if w == PLAYER_I)
+            assert value_strategy(g)[0] == win[()]
             return
-        # The region names the leaf met from the first position, in
-        # breadth-first order (moves are 0, 1, ...), that meets one.
-        bfs = sorted(positions, key=lambda p: (len(p), p))
-        met = next(filter(None, (first_unsettled_leaf(g, p) for p in bfs)))
-        with pytest.raises(NotClopenError) as region_error:
-            winning_region(g)
-        assert str(region_error.value) == str(games._not_clopen(met))
-        leaf = first_unsettled_leaf(g)
-        if leaf is not None:
-            with pytest.raises(NotClopenError) as label_error:
-                label_clopen(g)
-            assert str(label_error.value) == str(games._not_clopen(leaf))
-            return
-        # Every label holds whoever wins the undecided plays.
-        labels, winner, s_label = label_clopen(g)
-        for kind in ("open_I", "open_II"):
-            win = minimax_winner_dp(copy_game(g, kind=kind))
-            assert all(win[p] == w for p, w in labels.items())
-        assert verify_strategy(g, s_label).ok
+        # Every solver names the first such play in breadth-first order
+        # (moves are 0, 1, ...).
+        message = str(games._not_clopen(min(undecided)))
+        solvers = (count_nodes, game_value, value_strategy, label_clopen, winning_region,
+                   lambda g: verify_strategy(g, Strategy(PLAYER_I, {})))
+        for solve in solvers:
+            with pytest.raises(NotClopenError) as error:
+                solve(g)
+            assert str(error.value) == message
 
     def test_levels_hold_one_depth_and_own_the_next(self):
         for seed in range(40):
@@ -480,26 +472,19 @@ class TestArena:
         g = simple_game({(0,): PLAYER_I, (1,): PLAYER_II})
         assert game_value(g, (0, 1, 1)) == Ordinal.from_nat(0)
         assert game_value(g, (1, 0)) is None
-        with pytest.raises(InvariantError):
-            game_value(g, (2,))
+        for position in ((2,), (0, 99)):
+            with pytest.raises(InvariantError, match="illegal move"):
+                game_value(g, position)
 
     def test_illegal_strategy_move_raises(self):
-        g = simple_game({(0, 0): PLAYER_I, (1, 1): PLAYER_I}, cap=2)
+        g = simple_game(
+            {(0, 0): PLAYER_I, (0, 1): PLAYER_II, (1, 0): PLAYER_II, (1, 1): PLAYER_I}, cap=2
+        )
         bad = Strategy(PLAYER_I, {(): 5})
         with pytest.raises(InvariantError, match="illegal move 5"):
             verify_strategy(g, bad)
         with pytest.raises(InvariantError, match="illegal move 5"):
             play(g, bad, Strategy(PLAYER_II, {}))
-
-    def test_undecided_leaf_skipped_by_first_winning_move(self):
-        # I wins at once with move 0, so the undecided plays after 1 are
-        # never needed for the label; the region needs every node.
-        g = simple_game({(0,): PLAYER_I}, cap=2)
-        labels, winner, s = label_clopen(g)
-        assert winner == PLAYER_I and s.table == {(): 0}
-        assert set(labels) == {(), (0,)}
-        with pytest.raises(NotClopenError, match=r"\(1, 0\)"):
-            winning_region(g)
 
     def test_undecided_leaf_met_before_a_winning_move(self):
         g = simple_game({(1,): PLAYER_I}, cap=2)
@@ -546,6 +531,17 @@ class TestArena:
         del a
         gc.collect()
         assert ref() is None
+
+
+class TestConverseByETR:
+    def test_solvers_agree_with_the_recursion(self):
+        # Every game of at most 16 positions fits V_4.
+        rng = random.Random(97)
+        for _ in range(300):
+            g = random_clopen_game(rng, max_nodes=16)
+            win = clopen_by_etr(g)
+            assert label_clopen(g)[0] == win
+            assert minimax_winner_dp(g) == win
 
 
 class TestRandomClopenGame:
