@@ -408,7 +408,7 @@ class TestArena:
 
     @given(seed=st.integers(min_value=0, max_value=10**9), cap=st.integers(min_value=2, max_value=9))
     @settings(max_examples=120, deadline=None)
-    def test_unsettled_clopen_game_refused_alike(self, seed, cap):
+    def test_cap_cut_by_one_agrees_or_names_the_oracle_leaf(self, seed, cap):
         base = random_clopen_game(random.Random(seed), max_nodes=300, max_cap=cap)
         # One move shorter: plays that were decided at the last move now
         # end undecided at the cap, unless no play reached it.
@@ -485,6 +485,14 @@ class TestArena:
             verify_strategy(g, bad)
         with pytest.raises(InvariantError, match="illegal move 5"):
             play(g, bad, Strategy(PLAYER_II, {}))
+
+    def test_undecided_leaf_skipped_by_first_winning_move(self):
+        # I wins at once with move 0, so no label needs the undecided plays
+        # after 1; the game is still not clopen and is refused as compiled.
+        g = simple_game({(0,): PLAYER_I}, cap=2)
+        for solve in (label_clopen, winning_region, value_strategy):
+            with pytest.raises(NotClopenError, match=r"\(1, 0\)"):
+                solve(g)
 
     def test_undecided_leaf_met_before_a_winning_move(self):
         g = simple_game({(1,): PLAYER_I}, cap=2)
