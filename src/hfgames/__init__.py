@@ -2,7 +2,6 @@
 transfinite recursion over hereditarily finite sets."""
 
 from .universe import (
-    HFSet,
     MAX_RANK,
     Ordinal,
     Universe,
@@ -19,7 +18,6 @@ from .logic import (
     SatisfactionClass,
     Structure,
     build_truth_predicate,
-    eval_formula,
     eval_instance,
     instance,
     parse_formula,
@@ -34,7 +32,6 @@ from .games import (
     choice_game,
     game_value,
     label_clopen,
-    play,
     random_clopen_game,
     value_strategy,
     verify_strategy,

@@ -273,12 +273,9 @@ def kb_compare(s: tuple, t: tuple) -> int:
     return 1 if len(s) < len(t) else -1
 
 
-def kleene_brouwer(tree, universe: Universe) -> WellOrder:
+def kleene_brouwer(tree: WellFoundedRelation, universe: Universe) -> WellOrder:
     """Linearize a tree of sequences into a well-order by the KB comparison."""
-    if isinstance(tree, WellFoundedRelation):
-        nodes = list(tree.carrier)
-    else:
-        nodes = list(tree)
+    nodes = list(tree.carrier)
     for s in nodes:
         if not isinstance(s, tuple):
             raise InvariantError(f"tree node {s!r} is not a sequence")

@@ -324,29 +324,10 @@ def winning_region(G: Game, node_budget: Optional[int] = None) -> frozenset:
     return frozenset(compress(A.positions, map(PLAYER_I.__eq__, A.wins())))
 
 
-def play(G: Game, strategy_I: Strategy, strategy_II: Strategy) -> tuple[str, tuple]:
-    """Run both strategies to a decision (or the cap); returns winner and
-    the transcript position."""
-    if strategy_I.player != PLAYER_I or strategy_II.player != PLAYER_II:
-        raise InvariantError("play expects a strategy for each player in order")
-    p: tuple = ()
-    while True:
-        d = G.decide(p)
-        if d is not None:
-            return d, p
-        if len(p) == G.play_cap:
-            return G.winner_at_cap(p), p
-        mover = strategy_I if turn(p) == PLAYER_I else strategy_II
-        x = mover.move_at(p)
-        if x not in G.moves:
-            raise InvariantError(f"illegal move {x!r} at {p}")
-        p = p + (x,)
-
-
 def verify_strategy(G: Game, s: Strategy) -> VerifyResult:
     """Exhaustively walk every opposing play; verified iff s always wins.
 
-    An illegal move in s raises InvariantError, as in ``play``.
+    An illegal move in s raises InvariantError.
     """
     A = _arena(G)
     first, positions, width = A.first, A.positions, A.width

@@ -821,12 +821,8 @@ def _mask(
     return m
 
 
-def eval_formula(M: Structure, f: Formula, env: Mapping[str, int]) -> bool:
-    """Tarskian truth of f in M under env, by the bitmask evaluator."""
-    return _mask(M, f, None, dict(env), 1) == 1
-
-
 def eval_instance(M: Structure, inst: FormulaInstance) -> bool:
+    """Tarskian truth of the instance in M, by the bitmask evaluator."""
     return _mask(M, inst.formula, None, inst.assignment, 1) == 1
 
 
@@ -861,12 +857,11 @@ class SatisfactionClass:
     """Instances marked true; absence within the closure means marked false."""
 
     entries: frozenset[FormulaInstance]
-    closure: Optional[frozenset[FormulaInstance]] = None
+    closure: frozenset[FormulaInstance]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", frozenset(self.entries))
-        if self.closure is not None:
-            object.__setattr__(self, "closure", frozenset(self.closure))
+        object.__setattr__(self, "closure", frozenset(self.closure))
 
     def holds(self, inst: FormulaInstance) -> bool:
         return inst in self.entries
@@ -875,7 +870,7 @@ class SatisfactionClass:
         """True/False within the closure, None when unqueried."""
         if inst in self.entries:
             return True
-        if self.closure is None or inst in self.closure:
+        if inst in self.closure:
             return False
         return None
 

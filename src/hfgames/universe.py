@@ -40,35 +40,6 @@ def hf_elements(code: int) -> list[int]:
     return [i for i, d in enumerate(bin(code)[:1:-1]) if d == "1"]
 
 
-@dataclass(frozen=True, order=True)
-class HFSet:
-    """A hereditarily finite set, identified with its Ackermann code."""
-
-    code: int
-
-    def __post_init__(self):
-        if self.code < 0:
-            raise InvariantError(f"negative code {self.code}")
-
-    def __int__(self) -> int:
-        return self.code
-
-    def __contains__(self, other) -> bool:
-        return member(other, self)
-
-    @property
-    def elements(self) -> tuple["HFSet", ...]:
-        return tuple(HFSet(c) for c in hf_elements(self.code))
-
-    def pretty(self) -> str:
-        if self.code == 0:
-            return "{}"
-        return "{" + ",".join(e.pretty() for e in self.elements) + "}"
-
-    def __str__(self) -> str:
-        return self.pretty()
-
-
 @dataclass(frozen=True)
 class Universe:
     """V_rank: codes 0 .. 2^^(rank)-1, globally well-ordered by code."""

@@ -431,15 +431,21 @@ class TestOneWalk:
         assert walked == [CHAIN, CHAIN]
 
 
+def sequences(*seqs: tuple) -> WellFoundedRelation:
+    """The sequences as the carrier of a relation with no edges: the KB
+    order reads only the carrier."""
+    return WellFoundedRelation(frozenset(seqs), frozenset())
+
+
 class TestKleeneBrouwer:
     def test_single_branch_extension_order(self):
         U = build_universe(3)
-        order = kleene_brouwer([(), (2,), (2, 1), (2, 1, 0)], U)
+        order = kleene_brouwer(sequences((), (2,), (2, 1), (2, 1, 0)), U)
         assert order.elements == ((2, 1, 0), (2, 1), (2,), ())
 
     def test_spec_example(self):
         U = build_universe(3)
-        order = kleene_brouwer([(), (0,), (1,), (0, 1)], U)
+        order = kleene_brouwer(sequences((), (0,), (1,), (0, 1)), U)
         assert order.elements == ((0, 1), (0,), (1,), ())
 
     def test_random_trees_well_ordered(self):
@@ -463,7 +469,7 @@ class TestKleeneBrouwer:
 
     def test_sequence_entry_not_an_int_rejected(self):
         with pytest.raises(InvariantError, match="sequence entry '0'"):
-            kleene_brouwer([(), ("0",)], build_universe(3))
+            kleene_brouwer(sequences((), ("0",)), build_universe(3))
 
     def test_comparator_is_antisymmetric(self):
         assert kb_compare((0, 1), (0,)) == -1
@@ -471,7 +477,7 @@ class TestKleeneBrouwer:
         assert kb_compare((), ()) == 0
 
     def test_suite_check_rejects_an_order_out_of_kb(self):
-        order = kleene_brouwer([(), (0,), (1,), (0, 1)], build_universe(3))
+        order = kleene_brouwer(sequences((), (0,), (1,), (0, 1)), build_universe(3))
         assert suites._is_kb_order(order)
         swapped = WellOrder((order.elements[1], order.elements[0], *order.elements[2:]))
         assert not suites._is_kb_order(swapped)

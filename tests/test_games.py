@@ -26,7 +26,6 @@ from hfgames.games import (
     game_value,
     label_clopen,
     other_player,
-    play,
     random_clopen_game,
     strategy_to_json,
     table_game,
@@ -214,40 +213,11 @@ class TestWinningRegion:
 
 
 class TestPlay:
-    def test_root_decided(self):
-        g = simple_game({(): PLAYER_II})
-        w, pos = play(g, Strategy(PLAYER_I, {}), Strategy(PLAYER_II, {}))
-        assert w == PLAYER_II and pos == ()
-
-    def test_value_strategy_beats_random_tables(self):
-        rng = random.Random(47)
-        for _ in range(40):
-            g = random_clopen_game(rng, max_nodes=300)
-            winner, s = value_strategy(g)
-            opponent = other_player(winner)
-            table = {
-                p: rng.choice(g.moves)
-                for p in enumerate_positions(g)
-                if g.decide(p) is None and len(p) < g.play_cap and turn(p) == opponent
-            }
-            opp = Strategy(opponent, table)
-            if winner == PLAYER_I:
-                got, _ = play(g, s, opp)
-            else:
-                got, _ = play(g, opp, s)
-            assert got == winner
-
-    def test_choice_game_paper_play(self):
-        g = choice_game(build_universe(2))
-        sI = Strategy(PLAYER_I, {(): 1})
-        sII = Strategy(PLAYER_II, {(1,): 0})
-        w, pos = play(g, sI, sII)
-        assert w == PLAYER_II and pos == (1, 0)
-
     def test_missing_table_entry(self):
         g = simple_game({(0, 0): PLAYER_I, (0, 1): PLAYER_I, (1, 0): PLAYER_I, (1, 1): PLAYER_I})
-        with pytest.raises(IncompleteStrategyError):
-            play(g, Strategy(PLAYER_I, {}), Strategy(PLAYER_II, {}))
+        for player in (PLAYER_I, PLAYER_II):
+            with pytest.raises(IncompleteStrategyError, match=f"strategy for {player} has no move"):
+                verify_strategy(g, Strategy(player, {}))
 
 
 class TestVerifyStrategy:
@@ -394,10 +364,6 @@ class TestArena:
         winner, s_value = value_strategy(g)
         assert winner == win[()]
         assert verify_strategy(g, s_value).ok
-        loser = other_player(winner)
-        s_loser = Strategy(loser, {p: g.moves[-1] for p in positions if turn(p) == loser})
-        pair = (s_value, s_loser) if winner == PLAYER_I else (s_loser, s_value)
-        assert play(g, *pair)[0] == winner
         if kind == "clopen":
             labels, w_label, s_label = label_clopen(g)
             assert labels == win and w_label == win[()]
@@ -483,8 +449,6 @@ class TestArena:
         bad = Strategy(PLAYER_I, {(): 5})
         with pytest.raises(InvariantError, match="illegal move 5"):
             verify_strategy(g, bad)
-        with pytest.raises(InvariantError, match="illegal move 5"):
-            play(g, bad, Strategy(PLAYER_II, {}))
 
     def test_undecided_leaf_skipped_by_first_winning_move(self):
         # I wins at once with move 0, so no label needs the undecided plays

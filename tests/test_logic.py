@@ -32,7 +32,6 @@ from hfgames.logic import (
     build_truth_predicate,
     enumerate_formulas,
     enumerate_instances,
-    eval_formula,
     eval_instance,
     free_vars,
     instance,
@@ -42,6 +41,7 @@ from hfgames.logic import (
     print_instance,
     random_formula,
     random_instance,
+    satisfiers,
     size,
     skolem_witness,
     sub_instance,
@@ -165,7 +165,7 @@ class TestSizeAndVars:
         assert formula_facts(f)[1] == MAX_NESTING
         assert free_vars(f) <= {"x"}
         env = {"x": 1} if free_vars(f) else {}
-        assert eval_formula(V2, f, env) in (True, False)
+        assert eval_instance(V2, instance(f, env)) in (True, False)
         with pytest.raises(ParseError, match="nested deeper"):
             parse_formula("!" + text if text[0] == "!" else f"!({text})")
 
@@ -186,8 +186,7 @@ class TestSizeAndVars:
         assert free_vars(f) == set() and free_vars(body) == {"x"}
         assert print_instance(instance(body, {"x": 0})) == "!" * 3000 + "(#0 in #1)"
         assert print_instance(instance(f, {})) == to_text(f)
-        assert eval_formula(V2, f, {})
-        assert eval_formula(V2, body, {"x": 0}) and not eval_formula(V2, body, {"x": 1})
+        assert eval_instance(V2, instance(body, {"x": 0})) and not eval_instance(V2, instance(body, {"x": 1}))
         inst = instance(f, {})
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
@@ -471,11 +470,13 @@ class TestEval:
 
     def test_unbound_variable(self):
         with pytest.raises(MalformedInstanceError):
-            eval_formula(V2, parse_formula("(x in #1)"), {})
+            eval_instance(V2, parse_instance("(x in #1)"))
+        with pytest.raises(MalformedInstanceError, match="unbound variable 'x'"):
+            satisfiers(V2, parse_formula("(x in y)"), "y", {}, [0, 1])
 
     def test_unknown_predicate(self):
         with pytest.raises(SignatureError):
-            eval_formula(V2, parse_formula("P(#0)"), {})
+            eval_instance(V2, parse_instance("P(#0)"))
 
     def test_agreement_with_duplicated_evaluator(self):
         rng = random.Random(13)
@@ -488,8 +489,8 @@ class TestEval:
 
     def test_predicates(self):
         M = V3.with_predicate("P", {(0,), (2,)})
-        assert eval_formula(M, parse_formula("P(#2)"), {})
-        assert not eval_formula(M, parse_formula("P(#1)"), {})
+        assert eval_instance(M, parse_instance("P(#2)"))
+        assert not eval_instance(M, parse_instance("P(#1)"))
 
 
 VARS = ("x", "y", "z")
@@ -555,9 +556,8 @@ class TestBitmaskEvaluator:
     def test_agrees_with_tarski_eval(self, rank, seed):
         M, f, env = random_case(random.Random(seed), rank)
         want = tarski_eval(M, f, env)
-        assert eval_formula(M, f, env) is want, (to_text(f), env)
         inst = instance(f, env)
-        assert eval_instance(M, inst) is want
+        assert eval_instance(M, inst) is want, (to_text(f), env)
         if isinstance(f, Exists):
             w = least_witness(M, f, env)
             assert (w is not None) is want
@@ -595,7 +595,7 @@ class TestBitmaskEvaluator:
     def test_empty_universe(self):
         V0 = Structure(build_universe(0))
         inst = parse_instance("Ex. (x = x)")
-        assert not eval_instance(V0, inst) and eval_formula(V0, parse_formula("Ax. (x in x)"), {})
+        assert not eval_instance(V0, inst) and eval_instance(V0, parse_instance("Ax. (x in x)"))
         with pytest.raises(NoWitnessError):
             skolem_witness(V0, inst)
 
@@ -611,7 +611,7 @@ class TestBitmaskEvaluator:
     def test_rebound_variable_keeps_its_outer_value(self, text, env, verdict):
         f = parse_formula(text)
         assert tarski_eval(V4, f, env) is verdict
-        assert eval_formula(V4, f, env) is verdict
+        assert eval_instance(V4, instance(f, env)) is verdict
 
     @pytest.mark.parametrize(
         "text, error",
@@ -633,14 +633,14 @@ class TestBitmaskEvaluator:
     def test_typed_errors(self, text, error):
         f = parse_formula(text)
         with pytest.raises(error):
-            eval_formula(V2, f, {})
+            eval_instance(V2, FormulaInstance(f, ()))
         if isinstance(f, Exists):
             with pytest.raises(error):
                 skolem_witness(V2, FormulaInstance(f, ()))
 
     def test_predicate_index_dies_with_its_structure(self):
         M = V3.with_predicate("P", {(1,), (3,)})
-        assert eval_formula(M, parse_formula("Ex. (P(x) & (#0 in x))"), {})
+        assert eval_instance(M, parse_instance("Ex. (P(x) & (#0 in x))"))
         ref = weakref.ref(M)
         del M
         gc.collect()
@@ -687,7 +687,7 @@ class TestTarskiCheck:
     def test_opposite_pair_violation(self):
         phi = parse_instance("#0 in #1")
         neg = parse_instance("!(#0 in #1)")
-        S = SatisfactionClass(frozenset({phi, neg}))
+        S = SatisfactionClass(frozenset({phi, neg}), frozenset({phi, neg}))
         violations = tarski_check(V2, S, [neg])
         assert len(violations) == 1
         assert violations[0].kind == "negation"
@@ -703,7 +703,7 @@ class TestTarskiCheck:
 
     def test_conjunction_violation(self):
         both = parse_instance("(#0 in #1) & (#0 = #0)")
-        S = SatisfactionClass(frozenset({both}))
+        S = SatisfactionClass(frozenset({both}), frozenset({both}))
         violations = tarski_check(V2, S, [both])
         assert [v.kind for v in violations] == ["conjunction"]
 

@@ -8,7 +8,6 @@ from hfgames.errors import InvariantError, ParseError, ResourceBoundError
 from hfgames.logic import Structure
 from hfgames.truthgames import ORDINAL, Round, Transcript, transcript_from_json, transcript_to_json, truth_game
 from hfgames.universe import (
-    HFSet,
     Ordinal,
     WellFoundedRelation,
     WellOrder,
@@ -104,11 +103,6 @@ class TestMember:
     def test_negative_code_refused(self):
         with pytest.raises(InvariantError, match="negative code -1"):
             hf_elements(-1)
-
-    def test_hfset_pretty(self):
-        assert HFSet(0).pretty() == "{}"
-        assert HFSet(3).pretty() == "{{},{{}}}"
-        assert HFSet(0) in HFSet(1)
 
 
 def cnf(terms) -> Ordinal:
