@@ -13,7 +13,8 @@ numbered by pair, and adds the run's end-to-end metrics (the last line
 ``setup_s`` or ``peak_rss_mb``.  Each run is followed by one timed
 ``python -m hfgames.cli verify all --seed 1 --json`` in the same checkout,
 recorded as the metric ``verify_all_s`` (wall seconds, process start
-included).  After the pairs, each side runs the tier-1 suite once
+included) and, under ``"verify_all_sha256"``, the sha256 of what it
+prints.  After the pairs, each side runs the tier-1 suite once
 (``python -m pytest -q -s --continue-on-collection-errors``), and
 ``RUNS/<side>/tier1-<workload>-seed<N>-from<k>.json`` records its wall
 seconds, exit code and ``ACCEPTANCE n ...`` lines.  Pairs are numbered on
@@ -23,14 +24,16 @@ to the first one's files.
 
 ``write`` reads every such file back and records, per workload, seed and
 metric (the end-to-end ones and ``verify_all_s``), each side's median and
-quartiles, how many pairs the change won (ties count for neither) and the
-number of pairs; and, under ``"tier1"``, each side's tier-1 runs with the
-median and quartiles of their wall time.
+quartiles, how many pairs the change won (ties count for neither), the
+number of pairs and each side's distinct ``verify all`` digests; and,
+under ``"tier1"``, each side's tier-1 runs with the median and quartiles
+of their wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import os
@@ -63,7 +66,9 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
             name = f"summary-{workload}-seed{seed}.json"
             summary = json.loads((root / "perfbench" / "out" / name).read_text())
             summary["metrics"] = result["metrics"]
-            summary["metrics"]["verify_all_s"] = {"value": _verify_all_seconds(root), "unit": "s"}
+            digest, wall = _verify_all(root)
+            summary["metrics"]["verify_all_s"] = {"value": wall, "unit": "s"}
+            summary["verify_all_sha256"] = digest
             summary["correct"] = result["correct"]
             dest = out / side / f"summary-{workload}-seed{seed}-pair{k}.json"
             dest.write_text(json.dumps(summary, indent=1))
@@ -100,9 +105,12 @@ def _tier1(root: Path) -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "acceptance": lines}
 
 
-def _verify_all_seconds(root: Path) -> float:
+def _verify_all(root: Path) -> tuple[str, float]:
+    """The sha256 of what ``verify all --seed 1 --json`` prints, and its
+    wall seconds."""
     args = ["-m", "hfgames.cli", "verify", "all", "--seed", "1", "--json"]
-    return _timed(root, args, check=True)[1]
+    proc, wall = _timed(root, args, check=True, text=True)
+    return hashlib.sha256(proc.stdout.encode()).hexdigest(), wall
 
 
 def _spec() -> dict:
@@ -130,7 +138,8 @@ def tier1_document(out: Path) -> dict:
 def bench_document(out: Path, better: dict) -> list:
     """One entry per workload and seed: for each end-to-end metric, both
     sides' median and quartiles over the runs in ``out`` and the pairs the
-    change won, plus the number of pairs."""
+    change won, plus the number of pairs and each side's distinct
+    ``verify all`` digests."""
     runs: dict = {}
     for side in SIDES:
         for path in sorted((out / side).glob("summary-*.json")):
@@ -157,6 +166,7 @@ def bench_document(out: Path, better: dict) -> list:
             "seed": seed,
             "pairs": len(paired),
             "all_correct": all(p[s]["correct"] for p in paired for s in SIDES),
+            "verify_all_sha256": {s: sorted({p[s]["verify_all_sha256"] for p in paired}) for s in SIDES},
             "metrics": metrics,
         })
     return entries

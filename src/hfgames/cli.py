@@ -258,7 +258,7 @@ def cmd_play(args) -> int:
     mode = truthgames.ORDINAL if args.clock_mode == "ordinal" else truthgames.NATURAL
     game = truthgames.truth_game(M, mode)
     teller = truthgames.honest_teller(game, M)
-    if args.replay:
+    if args.replay is not None:
         try:
             with open(args.replay, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -271,8 +271,6 @@ def cmd_play(args) -> int:
             raise ParseError(f"malformed transcript: {exc}") from None
         print(truthgames.transcript_to_json(game, transcript))
         return EXIT_OK
-    if not args.interactive:
-        raise ParseError("play needs --interactive or --replay FILE")
     transcript = _interactive_loop(game, teller, _at_least("--clock", args.clock, 1))
     print(truthgames.transcript_to_json(game, transcript))
     return EXIT_OK
@@ -371,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(fn=cmd_solve)
 
     p_play = sub.add_parser("play", help="play the truth-telling game")
-    p_play.add_argument("--interactive", action="store_true")
-    p_play.add_argument("--replay", metavar="FILE")
+    source = p_play.add_mutually_exclusive_group(required=True)
+    source.add_argument("--interactive", action="store_true")
+    source.add_argument("--replay", metavar="FILE")
     p_play.add_argument("--rank", type=int, default=3)
     p_play.add_argument("--clock", type=int, default=8)
     p_play.add_argument("--clock-mode", choices=["natural", "ordinal"], default="natural")

@@ -40,7 +40,7 @@ class PlayCapError(HFGamesError, ValueError):
 
 
 class NotClopenError(HFGamesError, ValueError):
-    """A game declared clopen has an undecided position at full length."""
+    """A game leaves a full-length play undecided."""
 
 
 class IncompleteStrategyError(HFGamesError, LookupError):

@@ -1,13 +1,15 @@
-"""Finite game trees with open/clopen payoffs and their solvers.
+"""Finite clopen game trees and their solvers.
 
 Positions are plain tuples of moves; player I moves at even lengths.  A
 game's ``decide`` function reports the winner once a position is decided.
 It is asked only on positions whose proper prefixes are all undecided:
 every caller stops a play at its first decided position, so what
-``decide`` returns past a decided position is unspecified.  In an open
-game, plays that reach the cap undecided count as wins for the closed
-player; a clopen game may have none, and compiling one that does raises
-NotClopenError, so every solver refuses it alike.
+``decide`` returns past a decided position is unspecified.  Every game is
+clopen: each play is decided by the cap, and compiling a game with a play
+that reaches the cap undecided raises NotClopenError, so every solver
+refuses it alike.  A game open for one player, cut at a cap, is a clopen
+game whose ``decide`` gives the plays still undecided at the cap to the
+other player.  Player I is the open player of the ordinal values.
 
 Every solver runs on an arena: the truncated game tree compiled once, one
 breadth-first level at a time, into parallel lists (``_arena``), with one
@@ -52,44 +54,22 @@ def turn(position: tuple) -> str:
 
 @dataclass(frozen=True)
 class Game:
-    """A finite two-player game of perfect information.
+    """A finite clopen game of perfect information.
 
-    kind is "clopen", "open_I", or "open_II"; for clopen games player I is
-    the designated open player when computing ordinal values.  ``decide``
-    is asked only on positions whose proper prefixes it left undecided.
+    ``decide`` must decide every play by ``play_cap`` moves, and is asked
+    only on positions whose proper prefixes it left undecided.
     """
 
     moves: tuple
     decide: Callable[[tuple], Optional[str]]
     play_cap: int
-    kind: str = "clopen"
     payload: Optional[dict] = None
 
     def __post_init__(self):
-        if self.kind not in ("clopen", "open_I", "open_II"):
-            raise InvariantError(f"unknown game kind {self.kind!r}")
         if not self.moves:
             raise InvariantError("empty move space")
         if self.play_cap < 1:
             raise InvariantError("play cap must be positive")
-
-    @property
-    def open_player(self) -> str:
-        return PLAYER_II if self.kind == "open_II" else PLAYER_I
-
-    @property
-    def closed_player(self) -> str:
-        return other_player(self.open_player)
-
-    def winner_at_cap(self, position: tuple) -> str:
-        """Truncation convention: an undecided full-length play goes to the
-        closed player; clopen games may not have one."""
-        decided = self.decide(position)
-        if decided is not None:
-            return decided
-        if self.kind == "clopen":
-            raise _not_clopen(position)
-        return self.closed_player
 
 
 def _not_clopen(position: tuple) -> NotClopenError:
@@ -133,9 +113,9 @@ class _Arena:
     depth d, is ``levels[d]`` .. ``levels[d + 1] - 1``; the last entry of
     ``levels`` is the node count.  The tree is compiled level by level, and
     solved level by level from the cap upwards with the mover fixed per
-    level.  A clopen game with a play that ends undecided at the cap is
-    refused here.  Values and winners are computed on first use and kept
-    with the arena.
+    level.  A game with a play that ends undecided at the cap is refused
+    here.  Values and winners are computed on first use and kept with the
+    arena.
     """
 
     __slots__ = ("game", "positions", "first", "decided", "levels", "width", "move_index",
@@ -151,7 +131,7 @@ class _Arena:
             ds = list(map(decide, level))
             decided += ds
             if len(level[0]) == cap or None not in ds:
-                if G.kind == "clopen" and None in ds:
+                if None in ds:
                     raise _not_clopen(level[ds.index(None)])
                 first += [-1] * len(ds)
                 break
@@ -186,26 +166,23 @@ class _Arena:
         """Ordinal value of every node as an int (finite branching and cap
         keep every value below omega), ``inf`` where unvalued.
 
-        One level at a time from the deepest up: a node decided for the
-        open player is worth 0, one decided for the closed player or
-        undecided at the cap ``inf``.  The interior nodes of a level own the
-        next level in order, ``width`` children each: the open player's
-        node is worth its least child plus one, the closed player's its
-        greatest child.
+        One level at a time from the deepest up: a node decided for player I,
+        the open player, is worth 0, one decided for player II ``inf``.  The
+        interior nodes of a level own the next level in order, ``width``
+        children each: player I's node is worth its least child plus one,
+        player II's its greatest child.
         """
         if self._values is None:
             levels, decided, width = self.levels, self.decided, self.width
-            open_player = self.game.open_player
-            leaf = {open_player: 0, self.game.closed_player: inf}
+            leaf = {PLAYER_I: 0, PLAYER_II: inf}
             out: list = [None] * len(decided)
             nxt = repeat(inf).__next__
             for depth in range(len(levels) - 2, -1, -1):
                 lo, hi = levels[depth], levels[depth + 1]
                 out[lo:hi] = [nxt() if d is None else leaf[d] for d in decided[lo:hi]]
                 if depth:
-                    mover = PLAYER_I if depth % 2 else PLAYER_II
                     children = zip(*[out[lo + k:hi:width] for k in range(width)])
-                    if mover == open_player:
+                    if depth % 2:  # player I moves at depth - 1
                         nxt = map(add, map(min, children), repeat(1)).__next__
                     else:
                         nxt = map(max, children).__next__
@@ -213,10 +190,10 @@ class _Arena:
         return self._values
 
     def wins(self) -> list:
-        """Winner of every node: the open player where the value is below
-        ``inf``, the closed player elsewhere."""
+        """Winner of every node: player I where the value is below ``inf``,
+        player II elsewhere."""
         if self._wins is None:
-            players = (self.game.closed_player, self.game.open_player)
+            players = (PLAYER_II, PLAYER_I)
             self._wins = list(map(players.__getitem__, map(inf.__gt__, self.values())))
         return self._wins
 
@@ -243,12 +220,12 @@ def _arena(G: Game, node_budget: Optional[int] = None) -> _Arena:
 
 
 def game_value(G: Game, position: tuple = ()) -> Optional[Ordinal]:
-    """Ordinal value for the open player, or None when unvalued.
+    """Ordinal value for player I, the open player, or None when unvalued.
 
-    Value 0 at positions decided for the open player; the open player's
-    moves add one above the least valued child; the closed player's
-    positions are valued only when every child is, at the supremum (the
-    maximum, on finite branching).
+    Value 0 at positions decided for player I; player I's moves add one
+    above the least valued child; player II's positions are valued only
+    when every child is, at the supremum (the maximum, on finite
+    branching).
     """
     _check_position(G, position)
     A = _arena(G)
@@ -283,12 +260,12 @@ def _strategy_walk(A: _Arena, winner: str, pick: Callable[[int, int], Optional[i
 def value_strategy(G: Game) -> tuple[str, Strategy]:
     """Winner and a winning strategy from the ordinal-value analysis.
 
-    The open player descends in value (least such move); the closed player
-    stays on unvalued positions (least such move).
+    Player I descends in value (least such move); player II stays on
+    unvalued positions (least such move).
     """
     A = _arena(G)
     values, width = A.values(), A.width
-    winner = G.open_player if values[0] < inf else G.closed_player
+    winner = PLAYER_I if values[0] < inf else PLAYER_II
 
     def descend(i: int, f: int) -> Optional[int]:
         for c in range(f, f + width):
@@ -299,18 +276,16 @@ def value_strategy(G: Game) -> tuple[str, Strategy]:
     def stay_unvalued(i: int, f: int) -> Optional[int]:
         return values.index(inf, f, f + width) if inf in values[f:f + width] else None
 
-    return winner, _strategy_walk(A, winner, descend if winner == G.open_player else stay_unvalued)
+    return winner, _strategy_walk(A, winner, descend if winner == PLAYER_I else stay_unvalued)
 
 
 def label_clopen(G: Game) -> tuple[dict, str, Strategy]:
-    """Backward-induction labeling of a clopen game tree.
+    """Backward-induction labeling of the game tree.
 
     Every reachable node is labeled I or II: a node whose mover can reach a
     node already carrying their label gets that label.  Returns the
     labeling, the root label, and the stay-on-label strategy.
     """
-    if G.kind != "clopen":
-        raise NotClopenError("labeling applies to clopen games")
     A = _arena(G)
     wins, width = A.wins(), A.width
     winner = wins[0]
@@ -336,7 +311,7 @@ def verify_strategy(G: Game, s: Strategy) -> VerifyResult:
         i = frontier.pop()
         f = first[i]
         if f < 0:
-            if (A.decided[i] or G.closed_player) != s.player:
+            if A.decided[i] != s.player:
                 return VerifyResult(False, positions[i])
             continue
         p = positions[i]
@@ -378,7 +353,6 @@ def choice_game(universe: Universe) -> Game:
         moves=tuple(universe.elements),
         decide=decide,
         play_cap=2,
-        kind="clopen",
     )
 
 
@@ -386,7 +360,6 @@ def table_game(
     moves: Iterable,
     decided: Mapping[tuple, str],
     play_cap: int,
-    kind: str = "clopen",
 ) -> Game:
     """Game given by an explicit table of earliest decided positions.
 
@@ -398,7 +371,6 @@ def table_game(
         moves=tuple(moves),
         decide=table.get,
         play_cap=play_cap,
-        kind=kind,
         payload={"decided": table},
     )
 
@@ -436,7 +408,7 @@ def random_clopen_game(
         root_winner = decided.pop(())
         for x in moves:
             decided.setdefault((x,), root_winner)
-    return table_game(moves, decided, cap, kind="clopen")
+    return table_game(moves, decided, cap)
 
 
 def count_nodes(G: Game) -> int:

@@ -7,6 +7,7 @@ dynamic programs.
 
 from __future__ import annotations
 
+from hfgames.errors import NotClopenError
 from hfgames.etr import RecursionRule, etr_solve
 from hfgames.games import PLAYER_I, PLAYER_II, Game, other_player, turn
 from hfgames.logic import (
@@ -90,7 +91,7 @@ def minimax_winner_dp(G: Game) -> dict[tuple, str]:
         if d is not None:
             win[p] = d
         elif len(p) == G.play_cap:
-            win[p] = G.winner_at_cap(p)
+            raise NotClopenError(f"undecided full-length play {p}")
         else:
             mover = turn(p)
             children = [win[p + (x,)] for x in G.moves]
@@ -112,15 +113,17 @@ def clopen_by_etr(G: Game) -> dict[tuple, str]:
 
     The positions, at most 16 so that they fit V_4, are the codes 0..n-1 in
     ``enumerate_positions`` order, and each child comes before its parent
-    (``<|``).  ``WinI`` holds the positions won for I at once (decided, or
-    at the cap), ``ToI`` and ``ToII`` the rest by mover.
+    (``<|``).  ``WinI`` holds the positions decided for I, ``ToI`` and
+    ``ToII`` the undecided ones by mover.
     """
     positions = enumerate_positions(G)
     code = {p: k for k, p in enumerate(positions)}
     preds: dict = {"WinI": set(), "ToI": set(), "ToII": set()}
     edges = set()
     for p in positions:
-        d = G.decide(p) if len(p) < G.play_cap else G.winner_at_cap(p)
+        d = G.decide(p)
+        if d is None and len(p) == G.play_cap:
+            raise NotClopenError(f"undecided full-length play {p}")
         if d is None:
             preds["To" + turn(p)].add((code[p],))
             edges.update((code[p + (x,)], code[p]) for x in G.moves)
@@ -132,22 +135,20 @@ def clopen_by_etr(G: Game) -> dict[tuple, str]:
 
 
 def clopen_distance_dp(G: Game) -> dict[tuple, int | None]:
-    """Exact minimax distance-to-win for the open player (player I on
-    clopen games), bottom-up; None marks positions the closed player holds."""
+    """Exact minimax distance-to-win for player I, the open player,
+    bottom-up; None marks positions player II holds."""
     positions = enumerate_positions(G)
     positions.sort(key=len, reverse=True)
-    open_player = G.open_player
     dist: dict[tuple, int | None] = {}
     for p in positions:
         d = G.decide(p)
-        if d == open_player:
-            dist[p] = 0
-            continue
-        if d is not None or len(p) == G.play_cap:
-            dist[p] = None
+        if d is None and len(p) == G.play_cap:
+            raise NotClopenError(f"undecided full-length play {p}")
+        if d is not None:
+            dist[p] = 0 if d == PLAYER_I else None
             continue
         children = [dist[p + (x,)] for x in G.moves]
-        if turn(p) == open_player:
+        if turn(p) == PLAYER_I:
             valued = [c for c in children if c is not None]
             dist[p] = min(valued) + 1 if valued else None
         else:

@@ -242,7 +242,7 @@ def suite_games(cfg: RunConfig) -> Report:
             guard = 0
             while g.decide(p) is None and len(p) < g.play_cap and guard < 64:
                 guard += 1
-                if games.turn(p) == g.open_player:
+                if games.turn(p) == games.PLAYER_I:
                     if p not in s.table:
                         break
                     p = p + (s.table[p],)

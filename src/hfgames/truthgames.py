@@ -1021,8 +1021,8 @@ def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
 
 
 def transcript_from_json(game: TruthGame, text: str) -> Transcript:
-    """Parse a transcript written by ``transcript_to_json``; any other shape
-    raises ParseError."""
+    """Parse a transcript written by ``transcript_to_json`` in the game's
+    clock mode; any other shape or ``clock_mode`` raises ParseError."""
     from .universe import parse_ordinal
 
     try:
@@ -1032,6 +1032,9 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
     rdocs = doc.get("rounds") if isinstance(doc, dict) else None
     if not isinstance(rdocs, list):
         raise ParseError("transcript needs a list of rounds")
+    mode = doc.get("clock_mode", game.clock_mode)
+    if mode != game.clock_mode:
+        raise ParseError(f"transcript recorded in clock mode {mode!r}, read in {game.clock_mode!r}")
     sig = game.signature()
     rounds = []
     for k, rdoc in enumerate(rdocs):

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's summary of paired runs, on fixture summaries."""
 
+import hashlib
 import importlib.util
 import json
 import statistics
@@ -19,6 +20,7 @@ def summary(out, side, workload, pair, batch, passed):
         "workload": workload,
         "seed": 1,
         "correct": True,
+        "verify_all_sha256": "d" * 64,
         "metrics": {
             "batch_norm_s": {"value": batch, "unit": "s"},
             "passed_frac": {"value": passed, "unit": "fraction"},
@@ -56,6 +58,7 @@ def test_bench_document(tmp_path):
     assert batch["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert passed["parent"]["median"] == 1.0
     assert recursion["all_correct"] is True
+    assert recursion["verify_all_sha256"] == {"parent": ["d" * 64], "change": ["d" * 64]}
 
     assert evaluate["pairs"] == 1
     assert evaluate["metrics"]["batch_norm_s"]["parent"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
@@ -65,8 +68,10 @@ def test_bench_document(tmp_path):
 
 def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
     # A stand-in for both subprocesses: perfbench's run writes its summary
-    # and prints its metrics line; verify all prints nothing.
+    # and prints its metrics line; verify all prints its report, which
+    # differs on the third side run.
     calls = []
+    reports = iter(["[1]", "[1]", "[2]", "[1]"])
 
     def fake_run(argv, cwd, **kwargs):
         calls.append((Path(cwd).name, argv[1:3]))
@@ -78,7 +83,7 @@ def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
             line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
             return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
         assert kwargs["env"]["PYTHONPATH"] == str(Path(cwd) / "src")
-        return subprocess.CompletedProcess(argv, 0, stdout="")
+        return subprocess.CompletedProcess(argv, 0, stdout=next(reports, ""))
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     runs = tmp_path / "runs"
@@ -92,6 +97,12 @@ def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
     assert entry["pairs"] == 2
     assert set(entry["metrics"]) == {"batch_norm_s", "verify_all_s"}
     assert entry["metrics"]["verify_all_s"]["better"] == "lower"
+    # Each run's summary keeps its verify all digest; the entry lists each
+    # side's distinct ones.  Run order: p, c (pair 0), c, p (pair 1).
+    one, two = (hashlib.sha256(text.encode()).hexdigest() for text in ("[1]", "[2]"))
+    pair1 = json.loads((runs / "change" / "summary-evaluate-seed1-pair1.json").read_text())
+    assert pair1["verify_all_sha256"] == two
+    assert entry["verify_all_sha256"] == {"parent": [one], "change": sorted([one, two])}
 
 
 def test_run_pairs_runs_tier1_once_per_side(tmp_path, monkeypatch):

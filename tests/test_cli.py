@@ -247,6 +247,45 @@ class TestPlay:
         assert code == 0
         assert json.loads(out2)["status"] == "teller_wins"
 
+    def test_ordinal_session_replayed_as_natural_usage_error(self, capsys, tmp_path, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("(#0 in #1)\n"))
+        code, out, _ = run(
+            capsys, "play", "--interactive", "--rank", "2", "--clock", "3", "--clock-mode", "ordinal"
+        )
+        assert code == 0 and json.loads(out)["clock_mode"] == "ordinal_countdown"
+        path = tmp_path / "t.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "play", "--replay", str(path), "--rank", "2")
+        assert code == 2 and out == ""
+        assert "'ordinal_countdown'" in err and "'first_move_natural'" in err
+
+    def test_natural_transcript_replayed_as_ordinal_usage_error(self, capsys, tmp_path):
+        doc = {
+            "clock_mode": "first_move_natural",
+            "status": "teller_wins",
+            "rounds": [{"clock": 1, "inquiry": "(#0 in #1)", "verdict": True}, {"clock": 0}],
+        }
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "play", "--replay", str(path), "--rank", "2", "--clock-mode", "ordinal"
+        )
+        assert code == 2 and out == ""
+        assert "'first_move_natural'" in err and "'ordinal_countdown'" in err
+
+    @pytest.mark.parametrize("source", [["--interactive", "--replay", "t.json"], []], ids=["both", "neither"])
+    def test_play_takes_one_source(self, capsys, monkeypatch, source):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("(#0 in #1)\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(["play", *source, "--rank", "2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--interactive" in out.err and "--replay" in out.err
+
     def test_interactive_eof_is_ongoing(self, capsys, monkeypatch):
         import io
 

@@ -46,16 +46,17 @@ from hfgames.oracles import (
 V3 = build_universe(3)
 
 
-def simple_game(decided, cap=4, moves=(0, 1), kind="clopen"):
-    return table_game(moves, decided, cap, kind)
+def simple_game(decided, cap=4, moves=(0, 1)):
+    return table_game(moves, decided, cap)
 
 
 def table_game_json(g) -> str:
-    """A table game as one JSON document: its kind, moves, cap and sorted
-    decided entries, each ``[position, winner]``."""
+    """A table game as one JSON document: its moves, cap and sorted decided
+    entries, each ``[position, winner]``.  The ``"kind"`` key is kept so
+    that ``STREAM_DIGEST`` pins the same bytes."""
     doc = {
         "rule": "table",
-        "kind": g.kind,
+        "kind": "clopen",
         "moves": list(g.moves),
         "cap": g.play_cap,
         "decided": sorted([list(p), w] for p, w in g.payload["decided"].items()),
@@ -120,17 +121,17 @@ class TestValueStrategy:
             winner, s = value_strategy(g)
             p = ()
             while g.decide(p) is None and len(p) < g.play_cap:
-                if turn(p) == g.open_player:
+                if turn(p) == PLAYER_I:
                     p = p + (s.table[p],)
                 else:
                     p = p + (rng.choice(g.moves),)
                 nxt = game_value(g, p)
                 assert nxt is not None
                 assert ordinal_compare(nxt, current) <= 0
-                if turn(p) == g.closed_player:  # open player just moved
+                if turn(p) == PLAYER_II:  # player I, the open player, just moved
                     assert ordinal_compare(nxt, current) < 0
                 current = nxt
-            assert g.decide(p) == g.open_player or current == Ordinal.from_nat(0)
+            assert g.decide(p) == PLAYER_I or current == Ordinal.from_nat(0)
 
     def test_closed_player_soundness(self):
         rng = random.Random(37)
@@ -143,7 +144,7 @@ class TestValueStrategy:
                 if v is not None:
                     continue
                 children = [game_value(g, p + (x,)) for x in g.moves]
-                if turn(p) == g.closed_player:
+                if turn(p) == PLAYER_II:
                     assert any(c is None for c in children)
                 else:
                     assert all(c is None for c in children)
@@ -174,12 +175,9 @@ class TestLabeling:
             assert verify_strategy(g, s).ok
 
     def test_not_clopen_rejected(self):
-        g = Game(moves=(0,), decide=lambda p: None, play_cap=2, kind="clopen")
+        g = Game(moves=(0,), decide=lambda p: None, play_cap=2)
         with pytest.raises(NotClopenError):
             label_clopen(g)
-        g2 = simple_game({(): PLAYER_I}, kind="open_I")
-        with pytest.raises(NotClopenError):
-            label_clopen(g2)
 
 
 class TestWinningRegion:
@@ -276,19 +274,9 @@ class TestChoiceGame:
 
 
 class TestGameHygiene:
-    def test_open_game_truncation(self):
-        g = Game(moves=(0, 1), decide=lambda p: None, play_cap=3, kind="open_I")
-        assert g.winner_at_cap((0, 0, 0)) == PLAYER_II
-        g2 = Game(moves=(0, 1), decide=lambda p: None, play_cap=3, kind="open_II")
-        assert g2.winner_at_cap((0, 0, 0)) == PLAYER_I
-
     def test_random_game_cap_below_two_rejected(self):
         with pytest.raises(InvariantError):
             random_clopen_game(random.Random(1), max_cap=1)
-
-    def test_bad_game_kind(self):
-        with pytest.raises(InvariantError):
-            Game(moves=(0,), decide=lambda p: None, play_cap=1, kind="borel")
 
     def test_strategy_json(self):
         _, s = value_strategy(choice_game(build_universe(2)))
@@ -324,8 +312,8 @@ class TestResourceBudget:
             assert winning_region(g, node_budget=n) == oracle
 
 
-def copy_game(g, cap=None, kind=None):
-    return table_game(g.moves, g.payload["decided"], cap or g.play_cap, kind or g.kind)
+def copy_game(g, cap=None):
+    return table_game(g.moves, g.payload["decided"], cap or g.play_cap)
 
 
 def strict(g):
@@ -336,21 +324,17 @@ def strict(g):
         assert not any(p[:k] in table for k in range(len(p))), f"decide asked at {p}"
         return g.decide(p)
 
-    return Game(g.moves, decide, g.play_cap, g.kind, g.payload)
+    return Game(g.moves, decide, g.play_cap, g.payload)
 
 
 class TestArena:
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
         cap=st.integers(min_value=2, max_value=9),
-        kind=st.sampled_from(["clopen", "open_I", "open_II"]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_solvers_agree_with_oracles(self, seed, cap, kind):
+    def test_solvers_agree_with_oracles(self, seed, cap):
         g = random_clopen_game(random.Random(seed), max_nodes=300, max_cap=cap)
-        if kind != "clopen":
-            # One move shorter: the deepest plays end undecided at the cap.
-            g = copy_game(g, cap=max(1, g.play_cap - 1), kind=kind)
         # Every solver and oracle asks decide only below decided positions.
         g = strict(g)
         positions = enumerate_positions(g)
@@ -364,13 +348,9 @@ class TestArena:
         winner, s_value = value_strategy(g)
         assert winner == win[()]
         assert verify_strategy(g, s_value).ok
-        if kind == "clopen":
-            labels, w_label, s_label = label_clopen(g)
-            assert labels == win and w_label == win[()]
-            assert verify_strategy(g, s_label).ok
-        else:
-            with pytest.raises(NotClopenError):
-                label_clopen(g)
+        labels, w_label, s_label = label_clopen(g)
+        assert labels == win and w_label == win[()]
+        assert verify_strategy(g, s_label).ok
 
     @given(seed=st.integers(min_value=0, max_value=10**9), cap=st.integers(min_value=2, max_value=9))
     @settings(max_examples=120, deadline=None)
@@ -457,6 +437,12 @@ class TestArena:
         for solve in (label_clopen, winning_region, value_strategy):
             with pytest.raises(NotClopenError, match=r"\(1, 0\)"):
                 solve(g)
+
+    def test_oracles_refuse_an_undecided_full_length_play(self):
+        g = simple_game({(0,): PLAYER_I}, cap=2)
+        for oracle in (minimax_winner_dp, clopen_distance_dp, clopen_by_etr):
+            with pytest.raises(NotClopenError, match=r"\(1, [01]\)"):
+                oracle(g)
 
     def test_undecided_leaf_met_before_a_winning_move(self):
         g = simple_game({(1,): PLAYER_I}, cap=2)
