@@ -82,23 +82,13 @@ def _structure(args) -> logic.Structure:
         raise ParseError(str(exc)) from None
 
 
-def _read_closed(text: str, M: logic.Structure) -> logic.FormulaInstance:
-    """The closed formula the user typed, over M's signature and universe."""
-    f = logic.parse_formula(text, M.signature())
-    free = logic.free_vars(f)
-    if free:
-        raise ParseError(f"formula has free variables {sorted(free)}; bind or substitute them")
-    logic.check_constants(f, M.universe)
-    return logic.instance(f, {})
-
-
 # ---------------------------------------------------------------------------
 # eval
 
 
 def cmd_eval(args) -> int:
     M = _structure(args)
-    inst = _read_closed(args.formula, M)
+    inst = logic.parse_closed(args.formula, M.signature(), M.universe)
     f = inst.formula
     verdict = logic.eval_instance(M, inst)
     witness: Optional[int] = None
@@ -290,7 +280,7 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
         if not line or line == "quit":
             break
         try:
-            inquiry = _read_closed(line, game.structure)
+            inquiry = logic.parse_closed(line, game.signature(), game.structure.universe)
         except HFGamesError as exc:
             print(f"  ! {exc}", file=err)
             continue
@@ -393,9 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser built per call leaves argparse's allocations behind
+# on every run of a long-lived process.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         what = getattr(args, "game", None) or getattr(args, "suite", None)
         _at_least("--rank", args.rank, _LEAST_RANK.get(what, 0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 from .errors import InvariantError, ResourceBoundError, SignatureError
 from .logic import (
@@ -289,17 +289,12 @@ def kleene_brouwer(tree: WellFoundedRelation, universe: Universe) -> WellOrder:
 # -- solution transports along the chain
 
 
-def solve_via_transitive_closure(
-    M: Structure,
-    rel: WellFoundedRelation,
-    rule: RecursionRule,
-    value_domain: Optional[Sequence[int]] = None,
-) -> Solution:
+def solve_via_transitive_closure(M: Structure, rel: WellFoundedRelation, rule: RecursionRule) -> Solution:
     """Run the recursion over the transitive closure, each F read guarded
     by the original relation's <|; slices agree exactly with the direct
     solution."""
     po = transitive_closure(rel)
-    Mr, domain = recursion_setup(M, rel, value_domain)
+    Mr, domain = recursion_setup(M, rel)
     return _solve(Mr, rule.relativized(), po.predecessor_map(), topological_order(po), domain)
 
 
@@ -308,7 +303,6 @@ def _sequence_solve(
     rel: WellFoundedRelation,
     rule: RecursionRule,
     process_order: Sequence[tuple],
-    value_domain: Optional[Sequence[int]],
 ) -> Solution:
     """Shared engine for the tree and Kleene-Brouwer transports.
 
@@ -320,7 +314,7 @@ def _sequence_solve(
     children, when its turn comes.  The answer is read off the singleton
     sequences.
     """
-    Mr, domain = recursion_setup(M, rel, value_domain)
+    Mr, domain = recursion_setup(M, rel)
     guarded = rule.relativized()
     below: dict = {}
     slices: dict = {}
@@ -339,27 +333,25 @@ def solve_via_descending_tree(
     M: Structure,
     rel: WellFoundedRelation,
     rule: RecursionRule,
-    value_domain: Optional[Sequence[int]] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Solution:
     """Transport through the descending-sequence tree of the transitive
     closure and read the answer off the singleton sequences."""
     tree = descending_tree(transitive_closure(rel), node_budget)
     nodes = sorted(tree.carrier, key=lambda s: (-len(s), s))
-    return _sequence_solve(M, rel, rule, nodes, value_domain)
+    return _sequence_solve(M, rel, rule, nodes)
 
 
 def solve_via_kleene_brouwer(
     M: Structure,
     rel: WellFoundedRelation,
     rule: RecursionRule,
-    value_domain: Optional[Sequence[int]] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[Solution, WellOrder]:
     """Transport all the way to the Kleene-Brouwer well-order; the linear
     processing order refines the tree order, so slices agree exactly."""
     kb = kleene_brouwer(descending_tree(transitive_closure(rel), node_budget), M.universe)
-    return _sequence_solve(M, rel, rule, kb.elements, value_domain), kb
+    return _sequence_solve(M, rel, rule, kb.elements), kb
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +392,6 @@ class IteratedTruthPredicate:
 def iterated_truth(
     M: Structure,
     order: WellOrder,
-    Z: Optional[Mapping[str, Iterable]] = None,
     closure: Sequence[FormulaInstance] = (),
     coding: Optional[Mapping[int, FormulaInstance]] = None,
 ) -> IteratedTruthPredicate:
@@ -410,17 +401,13 @@ def iterated_truth(
     ``T``: T(j, c) holds when stage j marked true the instance
     that the (declared, finite) coding assigns to universe element c.  The
     evaluator decides each instance outright, so the inner omega of the
-    recursion (formula size) needs no pass of its own.  Neither the
-    structure nor the parameter ``Z`` may fix ``T``.
+    recursion (formula size) needs no pass of its own.  A class parameter
+    is a predicate of the structure; the structure may not fix ``T``.
     """
-    Z = Z or {}
-    if TRUTH_SYMBOL in M.predicates or TRUTH_SYMBOL in Z:
+    if TRUTH_SYMBOL in M.predicates:
         raise SignatureError(
-            f"{TRUTH_SYMBOL} is the earlier stages' truth; the structure and Z may not fix it"
+            f"{TRUTH_SYMBOL} is the earlier stages' truth; the structure may not fix it"
         )
-    base = M
-    for name in sorted(Z):
-        base = base.with_predicate(name, Z[name])
     coding = dict(coding or {})
     for c, inst in coding.items():
         if c not in M.universe:
@@ -439,5 +426,5 @@ def iterated_truth(
     slices: dict = {}
     it = IteratedTruthPredicate(order, slices, tuple(closure), coding)
     for i in order:
-        slices[i] = build_truth_predicate(it.structure_at(base, i), closure)
+        slices[i] = build_truth_predicate(it.structure_at(M, i), closure)
     return it

@@ -515,12 +515,18 @@ def parse_formula(text: str, signature: Optional[Mapping[str, int]] = None) -> F
     return _Parser(text, signature).parse()
 
 
-def check_constants(f: Formula, universe: Universe) -> None:
-    """Refuse, as a ParseError, a formula naming a code outside the universe."""
+def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) -> FormulaInstance:
+    """The closed formula a user typed, as an instance: a free variable or a
+    constant outside the universe is a ParseError, as bad syntax is."""
+    f = parse_formula(text, signature)
+    free = free_vars(f)
+    if free:
+        raise ParseError(f"formula has free variables {sorted(free)}; bind or substitute them")
     for g in subformulas(f):
         for t in _terms(g) if isinstance(g, ATOMIC_KINDS) else ():
             if type(t) is Const and t.code not in universe:
                 raise ParseError(f"constant #{t.code} outside the universe")
+    return FormulaInstance(f, ())
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +609,9 @@ def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -
     return FormulaInstance(formula, tuple((v, a[v]) for v in sorted(free_vars(formula)) if v in a))
 
 
-def parse_instance(text: str, signature: Optional[Mapping[str, int]] = None) -> FormulaInstance:
+def parse_instance(text: str) -> FormulaInstance:
     """Parse a closed formula as an instance with empty assignment."""
-    return FormulaInstance(parse_formula(text, signature), ())
+    return FormulaInstance(parse_formula(text), ())
 
 
 def print_instance(inst: FormulaInstance) -> str:

@@ -40,12 +40,11 @@ from .logic import (
     SatisfactionClass,
     Structure,
     TarskiViolation,
-    check_constants,
     enumerate_formulas,
     eval_instance,
     free_vars,
     instance,
-    parse_formula,
+    parse_closed,
     print_instance,
     random_instance,
     size,
@@ -158,7 +157,6 @@ def recursion_game(
     M: Structure,
     rel: WellFoundedRelation,
     rule: RecursionRule,
-    clock_mode: str = NATURAL,
     value_domain: Optional[Sequence[int]] = None,
 ) -> TruthGame:
     """Truth game whose referee additionally enforces the recursion rule
@@ -166,7 +164,7 @@ def recursion_game(
     as F(j,y) & (j <| i), so the structure is read as every recursion's is
     (``etr.recursion_setup``)."""
     M2, domain = recursion_setup(M, rel, value_domain)
-    return TruthGame(M2, clock_mode, RecursionObligation(rel, rule, domain))
+    return TruthGame(M2, obligation=RecursionObligation(rel, rule, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +558,11 @@ class RandomInterrogator:
     """Seeded interrogator mixing fresh random inquiries with adversarial
     follow-ups derived from the teller's own pronouncements."""
 
-    def __init__(self, rng, depth: int, max_size: int = 7):
+    max_size = 7  # of a fresh random inquiry
+
+    def __init__(self, rng, depth: int):
         self.rng = rng
         self.depth = depth
-        self.max_size = max_size
         # The follow-ups of the rounds read so far, extended as the one
         # transcript being played grows.
         self._transcript: Optional[Transcript] = None
@@ -793,13 +792,13 @@ class SearchResult:
         return self.plan is None and self.exhausted
 
 
-def default_inquiry_pool(game: TruthGame, max_size: int = 4) -> list[FormulaInstance]:
-    """Closed instances of bounded size over the game's signature; in
+def default_inquiry_pool(game: TruthGame) -> list[FormulaInstance]:
+    """Closed instances of size at most 4 over the game's signature; in
     recursion mode the teller's F-atoms and the rule instances join in."""
     sig = game.signature()
     pool = [
         instance(f, {})
-        for f in enumerate_formulas(game.structure.universe, max_size, ("x",), sig or None)
+        for f in enumerate_formulas(game.structure.universe, 4, ("x",), sig or None)
         if not free_vars(f)
     ]
     if game.obligation is not None:
@@ -1052,14 +1051,13 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
             raise ParseError(
                 f"round {k} needs an inquiry string, a true/false verdict and an integer witness if any"
             )
-        f = parse_formula(text, sig)
-        if free_vars(f):
-            raise ParseError(f"round {k} asks about a formula with free variables")
-        check_constants(f, game.structure.universe)
-        inquiry = instance(f, {})
+        try:
+            inquiry = parse_closed(text, sig, game.structure.universe)
+        except ParseError as exc:
+            raise ParseError(f"round {k}: {exc}") from None
         witness_inst = None
         # A witness outside the universe has no body; the referee scores it.
-        if witness in game.structure.universe and isinstance(f, Exists):
+        if witness in game.structure.universe and isinstance(inquiry.formula, Exists):
             witness_inst = inquiry.witness_body(witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

@@ -450,6 +450,37 @@ class TestModuleEntry:
         assert proc.stdout.startswith("usage: hfgames")
 
 
+class TestBoundedMemory:
+    def test_main_in_process_leaves_no_parser_behind(self, capsys):
+        """Twenty in-process runs of main, after three warm-up runs, leave
+        under 1 KiB allocated in argparse: main parses with one parser,
+        built once.  A parser built per call left about 13 KiB over the
+        twenty runs.  The process-wide total is not bounded here: the
+        intern table is bounded, but a resize of its dict can land on any
+        run."""
+        import gc
+        import tracemalloc
+
+        def runs(n):
+            for _ in range(n):
+                assert run(capsys, "eval", "#0 in #1", "--json")[0] == 0
+                gc.collect()
+
+        tracemalloc.start()
+        try:
+            runs(3)
+            before = tracemalloc.take_snapshot()
+            runs(20)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        growth = sum(
+            d.size_diff for d in after.compare_to(before, "filename")
+            if Path(d.traceback[0].filename).name == "argparse.py"
+        )
+        assert growth < 1024
+
+
 class TestEnvOverrides:
     def test_max_rank_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HFGAMES_MAX_RANK", "2")

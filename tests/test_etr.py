@@ -681,18 +681,19 @@ class TestIteratedTruth:
         with pytest.raises(SignatureError):
             iterated_truth(V3, order, closure=closure, coding={})
 
-    @pytest.mark.parametrize("where", ["structure", "Z"])
-    def test_structure_or_parameter_may_not_fix_T(self, where):
+    def test_structure_may_not_fix_T(self):
         order = WellOrder((0, 1))
         closure = [instance(parse_formula("T(#0, #1)", {"T": 2}), {})]
-        fixed = {"T": {(0, 1)}}
-        M, Z = (Structure(V3.universe, fixed), None) if where == "structure" else (V3, fixed)
+        M = Structure(V3.universe, {"T": {(0, 1)}})
         with pytest.raises(SignatureError, match="T is the earlier stages' truth"):
-            iterated_truth(M, order, Z=Z, closure=closure, coding={})
+            iterated_truth(M, order, closure=closure, coding={})
 
     def test_parameter_predicate(self):
-        order = WellOrder((0,))
+        """A class parameter is a predicate of the structure: every stage
+        reads it."""
+        order = WellOrder((0, 1))
         sig = {"Z": 1}
-        closure = [instance(parse_formula("Z(#2)", sig), {})]
-        it = iterated_truth(V3, order, Z={"Z": {(2,)}}, closure=closure)
-        assert it.slice(0).holds(closure[0])
+        member, other = (instance(parse_formula(f"Z(#{c})", sig), {}) for c in (2, 1))
+        it = iterated_truth(V3.with_predicate("Z", {(2,)}), order, closure=[member, other])
+        for i in order:
+            assert it.slice(i).holds(member) and not it.slice(i).holds(other)

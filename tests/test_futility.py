@@ -276,6 +276,21 @@ class TestAgreement:
         assert time.process_time() - started < 1.0
         assert res.proven_none and res.nodes >= n + n**2 + n**3
 
+    @pytest.mark.parametrize(
+        "rank, inquiries, lines, asks",
+        [(3, 114, 1_499_470, 128), (4, 1602, 4_114_197_230, 1654)],
+        ids=["criterion-2-V3", "readme-V4"],
+    )
+    def test_depth_three_futility_figures_pinned(self, rank, inquiries, lines, asks):
+        """The README's figures: depth-3 futility over the default pool is
+        proven by one ask of each pool inquiry and each witness instance."""
+        M = STRUCTURES[rank]
+        game = truth_game(M)
+        teller = Counting(honest_teller(game, M))
+        assert len(default_inquiry_pool(game)) == inquiries
+        assert interrogator_search(game, teller, depth=3) == SearchResult(None, True, lines)
+        assert sum(teller.asks.values()) == len(teller.asks) == asks
+
 
 class Counting:
     """The wrapped memoryless teller, counting how often each inquiry is asked."""

@@ -1,4 +1,4 @@
-"""Fuzz gate for the parsers of formulas, instances and transcripts: random
+"""Fuzz gate for the parsers of formulas, closed formulas and transcripts: random
 text and mutated valid documents either parse or raise a typed HFGamesError,
 never any other exception."""
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfgames.errors import HFGamesError
-from hfgames.logic import Structure, parse_formula, parse_instance
+from hfgames.logic import Structure, parse_closed, parse_formula
 from hfgames.truthgames import (
     ORDINAL,
     RandomInterrogator,
@@ -112,7 +112,7 @@ def texts(docs):
 @given(texts(FORMULAS))
 def test_formula_parsers(text):
     parses_or_typed_error(parse_formula, text)
-    parses_or_typed_error(lambda t: parse_instance(t, SIGNATURE), text)
+    parses_or_typed_error(lambda t: parse_closed(t, SIGNATURE, V2.universe), text)
 
 
 @settings(max_examples=50, deadline=None)

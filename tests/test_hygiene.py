@@ -155,6 +155,99 @@ def test_scan_flags_an_unused_definition():
     ]
 
 
+def _defaulted_parameters(tree) -> list[tuple]:
+    """``(callee, parameter, position, label)`` for each parameter with a
+    default of each function and method under tree.  The callee is the name
+    a call uses: the class's for ``__init__``.  The position is where a call
+    passes the parameter positionally, past a method's ``self``; None for a
+    keyword-only one."""
+    owner = {m: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for m in c.body if isinstance(m, FUNCTIONS)}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        cls, a = owner.get(fn), fn.args
+        label = f"{cls}.{fn.name}" if cls else fn.name
+        callee = cls if fn.name == "__init__" else fn.name
+        bound = cls is not None and "staticmethod" not in [getattr(d, "id", None) for d in fn.decorator_list]
+        positional = a.posonlyargs + a.args
+        for k in range(len(positional) - len(a.defaults), len(positional)):
+            out.append((callee, positional[k].arg, k - bound, label))
+        out += [(callee, arg.arg, None, label)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return out
+
+
+def _calls(sources: list[str]) -> dict[str, list]:
+    """Per callee name, what each call passes: ``(positional count, keyword
+    names)``, or None for a call that spreads ``*args`` or ``**kwargs``.
+    ``rec.call(label, fn, *args, **kwargs)`` is also a call of fn."""
+    calls: dict = {}
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if not isinstance(n, ast.Call):
+                continue
+            targets = [(n.func, n.args)]
+            if getattr(n.func, "attr", None) == "call" and len(n.args) >= 2:
+                targets.append((n.args[1], n.args[2:]))
+            for func, args in targets:
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                spread = any(isinstance(x, ast.Starred) for x in args) or any(k.arg is None for k in n.keywords)
+                calls.setdefault(name, []).append(None if spread else (len(args), {k.arg for k in n.keywords}))
+    return calls
+
+
+def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters of the functions and methods of ``modules``
+    (source by module name) that no call in ``callers`` passes, by keyword
+    or at its position.  A call matches on the callee's name alone,
+    whatever module or object it goes through, so a name shared by two
+    callees (the builtin ``next`` and a method ``next``) can only hide a
+    parameter that no call passes, never flag one that a call does."""
+    calls = _calls(callers)
+    unpassed = []
+    for module, source in modules.items():
+        for callee, param, position, label in _defaulted_parameters(ast.parse(source)):
+            if not any(c is None or param in c[1] or (position is not None and c[0] > position)
+                       for c in calls.get(callee, ())):
+                unpassed.append(f"{module}.{label}({param})")
+    return unpassed
+
+
+def caller_sources(root: Path) -> list[str]:
+    """The code whose calls count: the package, oracles.py included, the
+    benchmark and the scripts; never the tests."""
+    return [p.read_text() for d in ("src/hfgames", "perfbench", "scripts")
+            for p in sorted((root / d).glob("*.py"))]
+
+
+def test_every_default_has_a_caller():
+    """A default that only tests override is a setting of the tests, not of
+    the workbench.  ``main``'s ``argv`` is the one exception: the tests run
+    the CLI in process through it.  Calls match by name alone, so a name
+    shared by two callees can make the scan miss a parameter, never flag
+    one that a call passes."""
+    flagged = unpassed_defaults(scanned_sources(PACKAGE), caller_sources(ROOT))
+    assert flagged == ["cli.main(argv)"]
+
+
+def test_scan_flags_a_default_only_a_test_passes(tmp_path):
+    for d in ("src/hfgames", "perfbench", "tests"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src/hfgames/m.py").write_text(
+        "def tuned(n, width=2):\n    return n * width\n\n"
+        "def timed(n, limit=3):\n    return min(n, limit)\n\n"
+        "class K:\n    def __init__(self, n, step=1):\n        self.n = tuned(n) + timed(n)\n"
+    )
+    (tmp_path / "perfbench/workloads.py").write_text(
+        "def run(rec):\n    K(1, step=2)\n    return rec.call('m.timed', timed, 5, limit=4)\n"
+    )
+    (tmp_path / "tests/test_m.py").write_text("assert tuned(1, width=3) == 3\n")
+    sources = scanned_sources(tmp_path / "src/hfgames")
+    assert unpassed_defaults(sources, caller_sources(tmp_path)) == ["m.tuned(width)"]
+
+
 # Functions that must stay iterative: a formula built in code may be nested
 # far deeper than Python's recursion limit.
 ITERATIVE = [

@@ -36,6 +36,7 @@ from hfgames.logic import (
     free_vars,
     instance,
     instantiate,
+    parse_closed,
     parse_formula,
     parse_instance,
     print_instance,
@@ -90,6 +91,22 @@ class TestParser:
         with pytest.raises(ParseError, match="arity"):
             parse_formula("P(#0, #1)", {"P": 1})
         assert parse_formula("P(#0)", {"P": 1}) == Pred("P", (Const(0),))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Ey. (x in y)", r"free variables \['x'\]; bind or substitute them"),
+            ("Ex. (x in #4)", "constant #4 outside the universe"),
+            ("P(#0, #1)", "predicate 'P' expects arity 1"),
+        ],
+        ids=["free-variable", "constant-outside", "signature"],
+    )
+    def test_closed_reader_refusals(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_closed(text, {"P": 1}, V2.universe)
+
+    def test_closed_reader_builds_the_instance(self):
+        assert parse_closed("Ex. P(x)", {"P": 1}, V2.universe) is instance(parse_formula("Ex. P(x)"), {})
 
     def test_spaced_quantifier(self):
         assert parse_formula("E x . (x = x)") == parse_formula("Ex. (x = x)")
@@ -448,7 +465,7 @@ class TestStructure:
         assert checked == ["R"]
         assert N.predicates == {"P": {(1,)}, "Q": {(0, 1)}, "R": {(1, 1)}}
         assert M.predicates == {"P": {(1,)}, "Q": {(0, 1)}}
-        assert eval_instance(N, parse_instance("R(#1, #1)", N.signature()))
+        assert eval_instance(N, parse_closed("R(#1, #1)", N.signature(), N.universe))
 
 
 class TestEval:

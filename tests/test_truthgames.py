@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -39,6 +40,7 @@ from hfgames.logic import (
     print_instance,
     random_formula,
     random_instance,
+    size,
     skolem_witness,
     subformulas,
 )
@@ -628,7 +630,7 @@ class TestInterrogatorSearch:
     def test_pool_includes_structure_predicates(self):
         M = V2.with_predicate("Z", {(0,)})
         game = truth_game(M)
-        pool = default_inquiry_pool(game, max_size=2)
+        pool = default_inquiry_pool(game)
         assert any(
             inst.formula.name == "Z"
             for inst in pool
@@ -724,7 +726,7 @@ class TestRecursionGame:
         assert [r.inquiry for r in state.rounds] == [inq]
 
     def test_search_pool_contains_rule_instances(self):
-        pool = default_inquiry_pool(self.game, max_size=2)
+        pool = default_inquiry_pool(self.game)
         rf = self.game.rule_instance_formula
         assert any(inst.formula == rf for inst in pool)
 
@@ -782,6 +784,12 @@ class TestTranscriptSerialization:
     )
     def test_malformed_rounds_refused(self, rounds, message):
         with pytest.raises(ParseError, match=message):
+            transcript_from_json(truth_game(V2), json.dumps({"rounds": rounds}))
+
+    @pytest.mark.parametrize("text", ["(x in #1)", "#9 in #1", "Q(#0)", "#0 in"])
+    def test_refused_inquiry_names_its_round(self, text):
+        rounds = [{"clock": 2, "inquiry": "#0 = #0", "verdict": True}, {"clock": 1, "inquiry": text, "verdict": True}]
+        with pytest.raises(ParseError, match="^round 1: "):
             transcript_from_json(truth_game(V2), json.dumps({"rounds": rounds}))
 
     @pytest.mark.parametrize("text", ["{", "[]", '{"rounds": {}}', '{"status": "ongoing"}'])
@@ -981,6 +989,12 @@ MALFORMED_CLOCKS = [
 ]
 
 
+class SmallInterrogator(RandomInterrogator):
+    """Draws fresh inquiries of size at most 5, as the pinned plays did."""
+
+    max_size = 5
+
+
 def _play_statuses() -> list[str]:
     """Seeded plays in both clock modes, honest and faulty tellers, plus
     interrogators announcing malformed clocks: one line per play, the
@@ -998,7 +1012,7 @@ def _play_statuses() -> list[str]:
         ]
         for teller in tellers:
             for _ in range(25):
-                interrogator = RandomInterrogator(rng, depth=rng.randint(1, 8), max_size=5)
+                interrogator = SmallInterrogator(rng, depth=rng.randint(1, 8))
                 t = play_truth_game(game, interrogator, teller)
                 assert referee(game, t) == t.status
                 lines.append(transcript_to_json(game, t))
@@ -1087,7 +1101,7 @@ def _violation_lines(monkeypatch) -> list[str]:
         rng = random.Random(f"violations:{mode}")
         game = truth_game(V3, mode)
         honest = honest_teller(game, V3)
-        recursion = recursion_game(V3, rel, rule, mode)
+        recursion = dataclasses.replace(recursion_game(V3, rel, rule), clock_mode=mode)
         tellers = [
             (game, CoinFlipLiar(honest, 17)),
             (game, BadWitnessTeller(honest, parse_instance("Ex. (x in #3)"))),
@@ -1097,7 +1111,7 @@ def _violation_lines(monkeypatch) -> list[str]:
         ]
         for g, teller in tellers:
             for _ in range(60):
-                interrogator = RandomInterrogator(rng, depth=rng.randint(1, 8), max_size=5)
+                interrogator = SmallInterrogator(rng, depth=rng.randint(1, 8))
                 play_truth_game(g, interrogator, teller)
         targets = enumerate_instances(V3, 4)
         for g, teller in tellers:
@@ -1108,7 +1122,8 @@ def _violation_lines(monkeypatch) -> list[str]:
                     extract_solution(teller, g)
             except NotWinningStrategyError:
                 pass
-            interrogator_search(g, teller, depth=2, pool=default_inquiry_pool(g, 3)[:40])
+            pool = [q for q in default_inquiry_pool(g) if size(q.formula) <= 3][:40]
+            interrogator_search(g, teller, depth=2, pool=pool)
             _framed_probes(g, teller, rng, 300)
     return lines
 
@@ -1172,6 +1187,22 @@ class TestOnePlayLoop:
         t = natural_transcript(game, Watcher(honest_teller(game, V2)), inquiries)
         assert [n for _, n in seen] == [0, 1, 2]
         assert all(history is t.rounds for history, _ in seen)
+
+    def test_random_interrogator_starts_afresh_on_a_new_transcript(self):
+        """One interrogator's second play is the play of a fresh one whose
+        rng starts where its rng stood: the first play's follow-ups stay
+        behind."""
+        game = truth_game(V3)
+        teller = honest_teller(game, V3)
+        for seed in range(5):
+            reused = RandomInterrogator(random.Random(seed), depth=8)
+            play_truth_game(game, reused, teller)
+            fresh = RandomInterrogator(random.Random(), depth=8)
+            fresh.rng.setstate(reused.rng.getstate())
+            second = play_truth_game(game, reused, teller)
+            assert transcript_to_json(game, second) == transcript_to_json(
+                game, play_truth_game(game, fresh, teller)
+            )
 
 
 ORDINAL_CLOCKS = [
