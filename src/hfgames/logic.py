@@ -53,7 +53,11 @@ EDGE_SYMBOL = "<|"
 # from the children's: free variables, size (every AST node, terms
 # included), depth (formula nodes on the longest path down to an atom, both
 # ends included) and predicate symbols.  Atoms that have no slot for a fact
-# read the class default.
+# read the class default.  Instances look the table up themselves: the
+# constructor checks the bindings on a miss and builds through
+# ``_new_instance``, while the parts and witness bodies of an instance, whose
+# bindings are cut from its checked ones, are looked up and built unchecked
+# by ``_derived_instance``.
 
 _EMPTY: frozenset[str] = frozenset()
 _interned: dict = {}
@@ -535,28 +539,36 @@ def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) ->
 
 class FormulaInstance(_Interned):
     """A formula with its bindings: one ``(name, code)`` pair per free
-    variable, sorted by name.  A new instance is checked once, as it is
-    built; the instances derived from it are cut from its bindings.  It
-    carries the instances the Tarskian clauses read off it, each built on
-    first use and kept while it lives: ``parts`` and ``witness_body``."""
+    variable, sorted by name, each code an ``int``.  The constructor, and so
+    ``instance``, ``sub_instance`` and ``instantiate``, checks that on a
+    table miss, and on a hit whose bindings are equal but not the same
+    tuple.  An instance carries the instances the Tarskian clauses read off
+    it, each built on first use and kept while it lives: ``parts`` and
+    ``witness_body``.  Those are built unchecked (``_derived_instance``): a
+    part's free variables are some of its parent's, and a witness body's
+    are its parent's plus the binder, so the checked bindings cut to them,
+    or with the witness's ``int`` added in its sorted place, are still
+    sorted ``(name, int)`` pairs."""
 
     __slots__ = ("formula", "bindings", "_parts", "_bodies")
 
     def __new__(cls, formula, bindings):
-        ref = _interned.get((cls, formula, bindings))
+        key = (cls, formula, bindings)
+        ref = _interned.get(key)
         obj = None if ref is None else ref()
         if obj is None:
-            return _Interned.__new__(cls, formula, bindings)
+            cls._check(formula, bindings)
+            return _new_instance(key)
         if obj.bindings is not bindings:
             # Equal bindings found a live instance, and True or 1.0 equal 1:
             # a code that is not an int is refused as on a miss.
             for _, code in bindings:
                 if type(code) is not int:
-                    cls._facts(formula, bindings)
+                    cls._check(formula, bindings)
         return obj
 
     @staticmethod
-    def _facts(formula, bindings):
+    def _check(formula, bindings) -> None:
         names = sorted(_node(formula)._fv)
         if type(bindings) is not tuple or [
             (b[0], type(b[1])) if type(b) is tuple and len(b) == 2 else b for b in bindings
@@ -564,7 +576,6 @@ class FormulaInstance(_Interned):
             raise MalformedInstanceError(
                 f"bindings {bindings!r} do not give the free variables {names}"
                 f" of {to_text(formula)} one int code each, in order")
-        return None, None
 
     @property
     def assignment(self) -> dict[str, int]:
@@ -575,25 +586,28 @@ class FormulaInstance(_Interned):
         """The sub-instances of a Not or And instance; none for the others."""
         got = self._parts
         if got is None:
-            f = self.formula
+            f, b = self.formula, self.bindings
             if type(f) is Not:
-                got = (sub_instance(self, f.body),)
+                got = (_derived_instance(f.body, b),)
             elif type(f) is And:
-                got = (sub_instance(self, f.left), sub_instance(self, f.right))
+                got = (_derived_instance(f.left, b), _derived_instance(f.right, b))
             else:
                 got = ()
-            _setattr(self, "_parts", got)
+            _set_parts(self, got)
         return got
 
     def witness_body(self, witness: int) -> "FormulaInstance":
-        """The body of an existential instance at the named witness."""
+        """The body of an existential instance at the named witness, which
+        must be an ``int`` whatever is cached."""
         bodies = self._bodies
         if bodies is None:
             bodies = {}
-            _setattr(self, "_bodies", bodies)
-        got = bodies.get(witness)
+            _set_bodies(self, bodies)
+        # Only an int looks the cache up: True and 1.0 would find the body
+        # at 1.  _witnessed refuses the rest.
+        got = bodies.get(witness) if type(witness) is int else None
         if got is None:
-            got = bodies[witness] = instantiate(self, self.formula.var, witness)
+            got = bodies[witness] = _derived_instance(*_witnessed(self, self.formula.var, witness))
         return got
 
     def __repr__(self) -> str:
@@ -601,6 +615,37 @@ class FormulaInstance(_Interned):
 
     def __str__(self) -> str:
         return print_instance(self)
+
+
+# The slots' own setters, past the immutability guard: cheaper than
+# object.__setattr__, which looks each slot up by name.
+_set_formula, _set_bindings, _set_parts, _set_bodies = (
+    getattr(FormulaInstance, name).__set__ for name in FormulaInstance.__slots__)
+
+
+def _new_instance(key: tuple) -> FormulaInstance:
+    """A new instance for a table miss on ``key``, unchecked."""
+    cls, formula, bindings = key
+    obj = object.__new__(cls)
+    _set_formula(obj, formula)
+    _set_bindings(obj, bindings)
+    _set_parts(obj, None)
+    _set_bodies(obj, None)
+    _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
+    return obj
+
+
+def _derived_instance(formula: Formula, bindings: tuple) -> FormulaInstance:
+    """The instance of a part or witness body of a checked instance, under
+    the bindings it was cut from, cut to the formula's free variables; not
+    checked again."""
+    fv = formula._fv
+    if len(fv) != len(bindings):
+        bindings = tuple(p for p in bindings if p[0] in fv)
+    key = (FormulaInstance, formula, bindings)
+    ref = _interned.get(key)
+    obj = None if ref is None else ref()
+    return _new_instance(key) if obj is None else obj
 
 
 def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -> FormulaInstance:
@@ -626,17 +671,25 @@ def sub_instance(inst: FormulaInstance, sub: Formula) -> FormulaInstance:
     return FormulaInstance(sub, b if len(fv) == len(b) else tuple(p for p in b if p[0] in fv))
 
 
-def instantiate(inst: FormulaInstance, var: str, code: int) -> FormulaInstance:
-    """Instance of an Exists body at a chosen witness element: the parent's
-    bindings with ``(var, code)`` in its sorted place, if the body has var."""
+def _witnessed(inst: FormulaInstance, var: str, code: int) -> tuple:
+    """The body of an existential instance and its bindings at a witness:
+    the parent's bindings with ``(var, code)`` in its sorted place, if the
+    body has var."""
     f = inst.formula
     if not isinstance(f, Exists):
         raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
+    if type(code) is not int:
+        raise MalformedInstanceError(f"witness {code!r} is not an int code")
     b = inst.bindings
     if var in f.body._fv:
         k = bisect_left(b, (var,))
         b = (*b[:k], (var, code), *b[k:])
-    return FormulaInstance(f.body, b)
+    return f.body, b
+
+
+def instantiate(inst: FormulaInstance, var: str, code: int) -> FormulaInstance:
+    """Instance of an Exists body at a chosen witness element, checked."""
+    return FormulaInstance(*_witnessed(inst, var, code))
 
 
 @dataclass(frozen=True)

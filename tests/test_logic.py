@@ -347,9 +347,11 @@ class TestInterning:
                 assert copied is obj
 
     def test_dropped_chain_leaves_the_table(self):
+        # An atom no other test holds, so the chain's every node, instance
+        # and part is a table miss whatever ran before.
         gc.collect()
         before = len(logic._interned)
-        f = Member(Var("x"), Const(1))
+        f = Member(Var("x"), Const(981))
         for _ in range(3000):
             f = Not(f)
         inst = instance(f, {"x": 0})
@@ -400,6 +402,20 @@ class TestInstanceBuilding:
         with pytest.raises(MalformedInstanceError, match="one int code each"):
             instance(f, {"x": code})
         assert FormulaInstance(f, (("x", 1),)) is live
+
+    @pytest.mark.parametrize("text", ["Ex. (x in #980)", "Ex. (#0 in #980)"], ids=["live", "vacuous"])
+    @pytest.mark.parametrize("code", [True, 1.0, 1.5, "a", None], ids=["bool", "float", "half", "str", "None"])
+    def test_non_int_witness_refused_beside_a_cached_body(self, text, code):
+        # The body at 1 is cached, and True and 1.0 equal 1; a vacuous
+        # binder puts no code in the body's bindings, so only the witness
+        # check sees it.
+        ex = parse_instance(text)
+        body = ex.witness_body(1)
+        for build in (ex.witness_body, lambda c: instantiate(ex, "x", c)):
+            with pytest.raises(MalformedInstanceError, match="is not an int code"):
+                build(code)
+        assert ex.witness_body(1) is body is instantiate(ex, "x", 1)
+        assert list(ex._bodies) == [1]
 
     def test_closed_formula_takes_no_bindings(self):
         f = parse_formula("Ex. (x in #1)")

@@ -464,6 +464,19 @@ class TestExtraction:
         truth = build_truth_predicate(V3, targets)
         assert S.entries == truth.entries
 
+    @pytest.mark.parametrize("mode", [NATURAL, ORDINAL], ids=["natural", "ordinal"])
+    @pytest.mark.parametrize("budget", [1, 3, 4])
+    def test_probe_stops_when_its_clock_is_spent(self, mode, budget):
+        # The target and its follow-ups are five inquiries, more than the
+        # budget: the probe asks the first ``budget`` of them, counting the
+        # clock down to 1, and asks none at clock 0.
+        game = truth_game(V2, mode)
+        target = parse_instance("!(#0 in #1) & !(#1 in #0)")
+        left, right = target.parts
+        state = truthgames._probe(game, honest_teller(game, V2), [target], budget)
+        assert [rnd.inquiry for rnd in state.rounds] == [target, left, right, *left.parts][:budget]
+        assert [rnd.clock for rnd in state.rounds] == [game.clock(n) for n in range(budget, 0, -1)]
+
     @pytest.mark.parametrize("extra", [-1, -10])
     def test_negative_extra_clock_is_typed(self, extra):
         # Refused at entry, before the teller is asked anything.
