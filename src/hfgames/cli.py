@@ -128,7 +128,7 @@ def _solve_choice(args) -> dict:
         "game": "choice",
         "rank": args.rank,
         "winner": winner,
-        "strategy": json.loads(games.strategy_to_json(strat)),
+        "strategy": games.strategy_doc(strat),
         "cross_check": {
             "label_winner": label_winner,
             "agrees": label_winner == winner,
@@ -148,7 +148,7 @@ def _solve_random_clopen(args) -> dict:
         "seed": args.seed,
         "nodes": games.count_nodes(G),
         "winner": winner,
-        "strategy": json.loads(games.strategy_to_json(strat)),
+        "strategy": games.strategy_doc(strat),
         "cross_check": {
             "label_winner": label_winner,
             "agrees": label_winner == winner,
@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
     )
     reports = suites.run_suite(args.suite, cfg)
     if args.json:
-        print(json.dumps([json.loads(r.to_json()) for r in reports], sort_keys=True))
+        print(json.dumps([r.to_doc() for r in reports], sort_keys=True))
     else:
         for r in reports:
             print(r.to_text())

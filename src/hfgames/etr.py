@@ -17,7 +17,7 @@ read guarded by <|, and iterated truth predicates along finite well-orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from math import inf
 from typing import ClassVar, Mapping, Optional, Sequence
 
 from .errors import InvariantError, ResourceBoundError, SignatureError
@@ -191,7 +191,9 @@ def etr_solve(
     value_domain: Optional[Sequence[int]] = None,
     order: Optional[Sequence] = None,
 ) -> Solution:
-    """The unique solution of the recursion, by rank-stratified evaluation.
+    """The unique solution of the recursion, by rank-stratified evaluation:
+    slices in ``topological_order``, rank by rank, so every slice follows
+    all of its predecessors' slices.
 
     ``order`` may supply any topological order of the relation; the result
     does not depend on the choice.  ``value_domain`` restricts the x range
@@ -262,28 +264,19 @@ def descending_tree(
     return WellFoundedRelation(frozenset(nodes), frozenset(edges))
 
 
-def kb_compare(s: tuple, t: tuple) -> int:
-    """Kleene-Brouwer order: extensions first, else the first disagreement
-    decides by the global well-order (numeric code order)."""
-    if s == t:
-        return 0
-    for a, b in zip(s, t):
-        if a != b:
-            return -1 if a < b else 1
-    return 1 if len(s) < len(t) else -1
-
-
 def kleene_brouwer(tree: WellFoundedRelation, universe: Universe) -> WellOrder:
-    """Linearize a tree of sequences into a well-order by the KB comparison."""
-    nodes = list(tree.carrier)
-    for s in nodes:
+    """Linearize a tree of sequences into the Kleene-Brouwer well-order:
+    a proper extension comes before its prefix, and otherwise the first
+    disagreement decides by the global well-order (numeric code order).
+    The sort key ends each sequence in ``inf``, which sorts after every
+    code, so a sequence sorts before any of its prefixes."""
+    for s in tree.carrier:
         if not isinstance(s, tuple):
             raise InvariantError(f"tree node {s!r} is not a sequence")
         for a in s:
             if a not in universe:
                 raise InvariantError(f"sequence entry {a!r} outside the universe")
-    ordered = sorted(nodes, key=cmp_to_key(kb_compare))
-    return WellOrder(tuple(ordered))
+    return WellOrder(tuple(sorted(tree.carrier, key=lambda s: (*s, inf))))
 
 
 # -- solution transports along the chain

@@ -24,7 +24,6 @@ share one compile, and a long-lived process holds at most one arena.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from math import inf
@@ -420,11 +419,6 @@ def count_nodes(G: Game) -> int:
 # Serialization.
 
 
-def strategy_to_json(s: Strategy) -> str:
-    return json.dumps(
-        {
-            "player": s.player,
-            "table": sorted([list(p), m] for p, m in s.table.items()),
-        },
-        sort_keys=True,
-    )
+def strategy_doc(s: Strategy) -> dict:
+    """The strategy as a JSON document: its player and its sorted table."""
+    return {"player": s.player, "table": sorted([list(p), m] for p, m in s.table.items())}

@@ -604,10 +604,12 @@ class FormulaInstance(_Interned):
             bodies = {}
             _set_bodies(self, bodies)
         # Only an int looks the cache up: True and 1.0 would find the body
-        # at 1.  _witnessed refuses the rest.
+        # at 1.  _witnessed refuses the rest, and any instance but an
+        # existential, which alone has a binder.
         got = bodies.get(witness) if type(witness) is int else None
         if got is None:
-            got = bodies[witness] = _derived_instance(*_witnessed(self, self.formula.var, witness))
+            var = getattr(self.formula, "var", None)
+            got = bodies[witness] = _derived_instance(*_witnessed(self, var, witness))
         return got
 
     def __repr__(self) -> str:
@@ -991,7 +993,7 @@ def tarski_check(
                 )
         elif isinstance(f, Exists):
             some = any(
-                S.holds(instantiate(inst, f.var, b)) for b in M.universe.elements
+                S.holds(inst.witness_body(b)) for b in M.universe.elements
             )
             if marked != some:
                 violations.append(

@@ -170,6 +170,16 @@ def reachability_closure(rel: WellFoundedRelation) -> frozenset:
     return frozenset((a, b) for (a, b), v in reach.items() if v)
 
 
+def longest_path_ranks(rel: WellFoundedRelation) -> dict:
+    """Each node's rank in an acyclic relation: the number of edges on the
+    longest path ending at it, by relaxing every edge once per node."""
+    rank = dict.fromkeys(rel.carrier, 0)
+    for _ in rel.carrier:
+        for a, b in rel.edges:
+            rank[b] = max(rank[b], rank[a] + 1)
+    return rank
+
+
 def descending_sequences(po: WellFoundedRelation) -> set[tuple]:
     """All finite strictly descending sequences, straight from the
     definition: every consecutive pair must be an edge downward."""

@@ -76,11 +76,11 @@ class Report:
     def hit_resource_bound(self) -> bool:
         return any(c.resource_bound for c in self.cases)
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         # Wall time is deliberately excluded: reports must be byte-identical
         # for identical configurations.  The fixed clock budget factor is
         # recorded beside the configuration.
-        doc = {
+        return {
             "suite": self.suite,
             "config": {**self.config, "clock_budget_factor": truthgames.CLOCK_FACTOR},
             "run": self.run,
@@ -88,7 +88,6 @@ class Report:
             "failed": self.failed,
             "cases": [asdict(c) for c in self.cases],
         }
-        return json.dumps(doc, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite}: {self.passed}/{self.run} passed "
@@ -182,17 +181,15 @@ def suite_logic(cfg: RunConfig) -> Report:
 
 
 def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
-    import functools
-
     if depth == 0 or rng.random() < 0.4:
         return Ordinal.from_nat(rng.randrange(6))
     n_terms = rng.randint(1, 3)
     exps: list[Ordinal] = []
     while len(exps) < n_terms:
         e = _random_ordinal(rng, depth - 1)
-        if all(ordinal_compare(e, x) != 0 for x in exps):
+        if e not in exps:
             exps.append(e)
-    exps.sort(key=functools.cmp_to_key(ordinal_compare), reverse=True)
+    exps.sort(reverse=True)
     return Ordinal(tuple((e, rng.randint(1, 4)) for e in exps))
 
 
@@ -337,7 +334,7 @@ def suite_truthgames(cfg: RunConfig) -> Report:
             )
             if t.status == truthgames.INTERROGATOR_WINS:
                 return False, "random interrogator won", {
-                    "k": k, "transcript": json.loads(truthgames.transcript_to_json(rgame, t)),
+                    "k": k, "transcript": truthgames.transcript_doc(rgame, t),
                 }
         return True, "honest teller survived 100 random interrogators", None
 

@@ -996,9 +996,9 @@ def _clock_to_json(clock):
     return clock
 
 
-def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
-    """Serialize a transcript; a witness that is not an int raises
-    MalformedTranscriptError, so every file written here reads back."""
+def transcript_doc(game: TruthGame, transcript: Transcript) -> dict:
+    """A transcript as a JSON document; a witness that is not an int raises
+    MalformedTranscriptError, so every file written from it reads back."""
     rounds = []
     for k, rnd in enumerate(transcript.rounds):
         doc: dict = {"clock": _clock_to_json(rnd.clock)}
@@ -1013,10 +1013,11 @@ def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
                     )
                 doc["witness"] = witness
         rounds.append(doc)
-    return json.dumps(
-        {"clock_mode": game.clock_mode, "status": transcript.status, "rounds": rounds},
-        sort_keys=True,
-    )
+    return {"clock_mode": game.clock_mode, "status": transcript.status, "rounds": rounds}
+
+
+def transcript_to_json(game: TruthGame, transcript: Transcript) -> str:
+    return json.dumps(transcript_doc(game, transcript), sort_keys=True)
 
 
 def transcript_from_json(game: TruthGame, text: str) -> Transcript:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Optional
 
 from .errors import InvariantError, ParseError, ResourceBoundError
@@ -126,7 +127,7 @@ class Ordinal:
                 raise InvariantError(f"exponent {exp!r} is not an Ordinal")
             if not isinstance(coeff, int) or coeff < 1:
                 raise InvariantError(f"coefficient {coeff!r} must be >= 1")
-            if prev is not None and not prev._gt(exp):
+            if prev is not None and not exp < prev:
                 raise InvariantError("CNF exponents must strictly decrease")
             prev = exp
 
@@ -154,9 +155,6 @@ class Ordinal:
         # The longer CNF extends the shorter by strictly smaller terms,
         # so it denotes the larger ordinal.
         return -1 if len(self.terms) < len(other.terms) else 1
-
-    def _gt(self, other: "Ordinal") -> bool:
-        return self._cmp(other) > 0
 
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
@@ -305,47 +303,22 @@ class WellFoundedRelation:
         return preds
 
 
-def _depth_first(rel: WellFoundedRelation) -> tuple[list, Optional[list]]:
-    """The one walk of a relation: its depth-first post-order and first cycle.
-
-    Roots are taken in ``rel.nodes()`` order and each node's targets in
-    sorted order.  The walk stops at the first edge back into the search
-    path and returns that cycle, from the edge's target to its source, with
-    the post-order so far; on an acyclic relation the cycle is None and
-    every node follows all of its targets in the post-order.
-    """
-    succs: dict = {n: [] for n in rel.carrier}
-    for a, b in rel.edges:
-        succs[a].append(b)
-    for targets in succs.values():
-        targets.sort(key=_node_key)
-    post: list = []
-    # A node on the search path maps to its depth there, a finished one to None.
-    depth: dict = {}
-    for root in rel.nodes():
-        if root in depth:
-            continue
-        depth[root] = 0
-        stack = [(root, iter(succs[root]))]
-        while stack:
-            node, targets = stack[-1]
-            for b in targets:
-                if b not in depth:
-                    depth[b] = len(stack)
-                    stack.append((b, iter(succs[b])))
-                    break
-                if depth[b] is not None:
-                    return post, [n for n, _ in stack[depth[b]:]]
-            else:
-                stack.pop()
-                depth[node] = None
-                post.append(node)
-    return post, None
+def _sorter(rel: WellFoundedRelation) -> TopologicalSorter:
+    """The relation as a graphlib sorter: each node with its predecessors,
+    added in ``rel.nodes()`` order, so that neither the order nor the cycle
+    found depends on set iteration."""
+    preds = rel.predecessor_map()
+    return TopologicalSorter({n: preds[n] for n in rel.nodes()})
 
 
 def find_cycle(rel: WellFoundedRelation) -> Optional[list]:
-    """A directed cycle as a node list, or None if the relation is acyclic."""
-    return _depth_first(rel)[1]
+    """A directed cycle as a node list, each node's successor next, or None
+    if the relation is acyclic."""
+    try:
+        _sorter(rel).prepare()
+    except CycleError as exc:
+        return exc.args[1][:-1]
+    return None
 
 
 def check_wellfounded(rel: WellFoundedRelation) -> bool:
@@ -354,13 +327,13 @@ def check_wellfounded(rel: WellFoundedRelation) -> bool:
 
 
 def topological_order(rel: WellFoundedRelation) -> list:
-    """Nodes with every edge source before its target: the reversed
-    depth-first post-order.  Raises InvariantError on a cycle."""
-    post, cycle = _depth_first(rel)
-    if cycle is not None:
-        raise InvariantError(f"relation is not well-founded (cycle {cycle})")
-    post.reverse()
-    return post
+    """Nodes with every edge source before its target, rank by rank: the
+    minimal nodes, then those whose predecessors are all minimal, and so on.
+    Raises InvariantError on a cycle."""
+    try:
+        return list(_sorter(rel).static_order())
+    except CycleError as exc:
+        raise InvariantError(f"relation is not well-founded (cycle {exc.args[1][:-1]})") from None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hfgames import universe
@@ -17,7 +17,6 @@ from hfgames.etr import (
     descending_tree,
     etr_solve,
     iterated_truth,
-    kb_compare,
     kleene_brouwer,
     solve_via_descending_tree,
     solve_via_kleene_brouwer,
@@ -53,6 +52,7 @@ from hfgames.truthgames import recursion_game
 from hfgames.oracles import (
     descending_sequences,
     kb_less,
+    longest_path_ranks,
     reachability_closure,
     worklist_fixpoint,
 )
@@ -422,10 +422,20 @@ class TestOneWalk:
         assert po.edges == reach
         assert set(descending_tree(po).carrier) == descending_sequences(po)
 
+    @settings(max_examples=200, deadline=None)
+    @given(relations())
+    def test_order_lists_the_carrier_rank_by_rank(self, rel):
+        """Minimal nodes first, then the nodes whose longest path down is
+        one edge, and so on: etr_solve's slices are rank-stratified."""
+        assume(check_wellfounded(rel))
+        rank = longest_path_ranks(rel)
+        ranks = [rank[n] for n in topological_order(rel)]
+        assert ranks == sorted(ranks)
+
     def test_etr_solve_walks_its_relation_once(self, monkeypatch):
         walked = []
-        walk = universe._depth_first
-        monkeypatch.setattr(universe, "_depth_first", lambda rel: walked.append(rel) or walk(rel))
+        build = universe._sorter
+        monkeypatch.setattr(universe, "_sorter", lambda rel: walked.append(rel) or build(rel))
         etr_solve(V3, CHAIN, ACCUMULATE)
         etr_solve(V3, CHAIN, ACCUMULATE, order=[0, 1, 2])
         assert walked == [CHAIN, CHAIN]
@@ -471,10 +481,9 @@ class TestKleeneBrouwer:
         with pytest.raises(InvariantError, match="sequence entry '0'"):
             kleene_brouwer(sequences((), ("0",)), build_universe(3))
 
-    def test_comparator_is_antisymmetric(self):
-        assert kb_compare((0, 1), (0,)) == -1
-        assert kb_compare((0,), (0, 1)) == 1
-        assert kb_compare((), ()) == 0
+    def test_extension_before_prefix_first_difference_decides(self):
+        order = kleene_brouwer(sequences((0,), (0, 1), (0, 0), (1,), ()), build_universe(3))
+        assert order.elements == ((0, 0), (0, 1), (0,), (1,), ())
 
     def test_suite_check_rejects_an_order_out_of_kb(self):
         order = kleene_brouwer(sequences((), (0,), (1,), (0, 1)), build_universe(3))

@@ -27,7 +27,7 @@ from hfgames.games import (
     label_clopen,
     other_player,
     random_clopen_game,
-    strategy_to_json,
+    strategy_doc,
     table_game,
     turn,
     value_strategy,
@@ -280,7 +280,7 @@ class TestGameHygiene:
 
     def test_strategy_json(self):
         _, s = value_strategy(choice_game(build_universe(2)))
-        assert json.loads(strategy_to_json(s)) == {
+        assert strategy_doc(s) == {
             "player": "II",
             "table": [[[1], 0]],
         }

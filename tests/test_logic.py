@@ -417,6 +417,13 @@ class TestInstanceBuilding:
         assert ex.witness_body(1) is body is instantiate(ex, "x", 1)
         assert list(ex._bodies) == [1]
 
+    @pytest.mark.parametrize("text", ["#0 in #1", "!(#0 in #1)", "(#0 = #0) & (#0 in #1)"])
+    def test_witness_body_of_a_non_existential_is_a_typed_error(self, text):
+        inst = parse_instance(text)
+        for build in (inst.witness_body, lambda c: instantiate(inst, "x", c)):
+            with pytest.raises(MalformedInstanceError, match="not an existential"):
+                build(0)
+
     def test_closed_formula_takes_no_bindings(self):
         f = parse_formula("Ex. (x in #1)")
         assert FormulaInstance(f, ()) is parse_instance("Ex. (x in #1)")

@@ -1217,6 +1217,34 @@ class TestOnePlayLoop:
                 game, play_truth_game(game, fresh, teller)
             )
 
+    def test_random_interrogator_offers_only_the_new_transcripts_follow_ups(self):
+        """Moved on transcript A and then on a different transcript B, the
+        interrogator draws its follow-up from B's rounds alone."""
+
+        class ChoiceRecorder:
+            def __init__(self):
+                self.offered = []
+
+            def random(self):
+                return 0.0
+
+            def choice(self, seq):
+                self.offered.append(list(seq))
+                return seq[0]
+
+        game = truth_game(V2)
+        a = Transcript([Round(3, parse_instance("!(#0 in #1)"), Pronouncement(False))])
+        b = Transcript([Round(3, parse_instance("(#0 = #0) & (#1 in #0)"), Pronouncement(False))])
+        rng = ChoiceRecorder()
+        interrogator = RandomInterrogator(rng, depth=4)
+        interrogator.move(game, a)
+        interrogator.move(game, b)
+        assert rng.offered[-1] == [
+            parse_instance("#0 = #0"),
+            parse_instance("#1 in #0"),
+            parse_instance("!((#0 = #0) & (#1 in #0))"),
+        ]
+
 
 ORDINAL_CLOCKS = [
     *(Ordinal.from_nat(k) for k in range(5)),
