@@ -17,17 +17,19 @@ included) and, under ``"verify_all_sha256"``, the sha256 of what it
 prints.  After the pairs, each side runs the tier-1 suite once
 (``python -m pytest -q -s --continue-on-collection-errors``), and
 ``RUNS/<side>/tier1-<workload>-seed<N>-from<k>.json`` records its wall
-seconds, exit code and ``ACCEPTANCE n ...`` lines.  Pairs are numbered on
-from those of the same workload and seed already in ``RUNS``, and ``k`` is
-this call's first pair, so a second ``run`` into the same ``--out`` adds
-to the first one's files.
+seconds, exit code and ``ACCEPTANCE n ...`` lines, and the line counts of
+its ``src/hfgames/*.py``, in total and of ``oracles.py``.  Pairs are
+numbered on from those of the same workload and seed already in ``RUNS``,
+and ``k`` is this call's first pair, so a second ``run`` into the same
+``--out`` adds to the first one's files.
 
 ``write`` reads every such file back and records, per workload, seed and
 metric (the end-to-end ones and ``verify_all_s``), each side's median and
 quartiles, how many pairs the change won (ties count for neither), the
 number of pairs and each side's distinct ``verify all`` digests; and,
 under ``"tier1"``, each side's tier-1 runs with the median and quartiles
-of their wall time.
+of their wall time; and, under ``"src_delta"``, the change's net ``src/``
+line delta, in total and without ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -102,7 +104,14 @@ def _tier1(root: Path) -> dict:
     args = ["-m", "pytest", "-q", "-s", "--continue-on-collection-errors"]
     proc, wall = _timed(root, args, text=True)
     lines = re.findall(r"ACCEPTANCE \d+ .*", proc.stdout)
-    return {"wall_s": wall, "exit": proc.returncode, "acceptance": lines}
+    return {"wall_s": wall, "exit": proc.returncode, "acceptance": lines, "src_lines": _src_lines(root)}
+
+
+def _src_lines(root: Path) -> dict:
+    """Newlines in ``src/hfgames/*.py`` (as ``wc -l`` counts them), in total
+    and in ``oracles.py``."""
+    counts = {p.name: p.read_text().count("\n") for p in (root / "src" / "hfgames").glob("*.py")}
+    return {"total": sum(counts.values()), "oracles": counts.get("oracles.py", 0)}
 
 
 def _verify_all(root: Path) -> tuple[str, float]:
@@ -133,6 +142,14 @@ def tier1_document(out: Path) -> dict:
         if runs:
             doc[side] = {"wall_s": _spread([r["wall_s"] for r in runs]), "runs": runs}
     return doc
+
+
+def src_delta(tier1: dict) -> dict:
+    """The change's net ``src/`` line delta against the parent, in total and
+    without ``oracles.py``, from each side's last tier-1 run."""
+    lines = {side: tier1[side]["runs"][-1]["src_lines"] for side in SIDES}
+    total = lines["change"]["total"] - lines["parent"]["total"]
+    return {"total": total, "without_oracles": total - (lines["change"]["oracles"] - lines["parent"]["oracles"])}
 
 
 def bench_document(out: Path, better: dict) -> list:
@@ -192,13 +209,15 @@ def main(argv=None) -> int:
                   args.pairs, args.out)
         return 0
     better = {m["name"]: m["better"] for m in _spec()["end_to_end"]}
+    tier1 = tier1_document(args.out)
     doc = {
         "harness": "perfbench/run.py --trace 0, then one timed verify all --seed 1 --json,"
                    " alternating sides, one run at a time; the tier-1 suite once per side after"
                    " each workload's pairs",
         "note": args.note,
         "results": bench_document(args.out, better),
-        "tier1": tier1_document(args.out),
+        "tier1": tier1,
+        "src_delta": src_delta(tier1),
     }
     args.bench.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -97,29 +97,22 @@ def _pred_atoms(f: Formula, name: str) -> list[Pred]:
 
 
 def _relativize(f: Formula, f_symbol: str, bound) -> Formula:
-    """Conjoin every read F(j, y) with (j <| bound)."""
-    done: list[Formula] = []
-    # (g, True): relativize g; (g, False): rebuild g from its parts in done.
-    stack: list = [(f, True)]
-    while stack:
-        g, expand = stack.pop()
-        if not expand:
-            if isinstance(g, And):
-                right = done.pop()
-                done.append(And(done.pop(), right))
-            elif isinstance(g, Not):
-                done.append(Not(done.pop()))
-            else:
-                done.append(Exists(g.var, done.pop()))
-        elif isinstance(g, Pred) and g.name == f_symbol:
-            done.append(And(g, Pred(EDGE_SYMBOL, (g.args[0], bound))))
-        elif isinstance(g, And):
-            stack += [(g, False), (g.right, True), (g.left, True)]
-        elif isinstance(g, (Not, Exists)):
-            stack += [(g, False), (g.body, True)]
+    """Conjoin every read F(j, y) with (j <| bound), in one pass up the
+    subformula order: reversed pre-order maps each node after its parts."""
+    image: dict = {}
+    for g in reversed(list(subformulas(f))):
+        t = type(g)
+        if t is Pred and g.name == f_symbol:
+            image[g] = And(g, Pred(EDGE_SYMBOL, (g.args[0], bound)))
+        elif t is Not:
+            image[g] = Not(image[g.body])
+        elif t is And:
+            image[g] = And(image[g.left], image[g.right])
+        elif t is Exists:
+            image[g] = Exists(g.var, image[g.body])
         else:
-            done.append(g)
-    return done[0]
+            image[g] = g
+    return image[f]
 
 
 @dataclass(frozen=True)
@@ -356,30 +349,18 @@ TRUTH_SYMBOL = "T"
 @dataclass(frozen=True)
 class IteratedTruthPredicate:
     """Slices of truth indexed by a well-order, each over the structure
-    extended by the strictly earlier slices."""
+    extended by the strictly earlier slices; ``before[i]`` is T|i, the
+    coded pairs (j, c) true at the stages j before i."""
 
-    order: WellOrder
     slices: Mapping
-    closure: tuple
-    coding: Mapping[int, FormulaInstance]
+    before: Mapping
 
     def slice(self, i) -> SatisfactionClass:
         return self.slices[i]
 
-    def truth_relation_before(self, i) -> frozenset:
-        """The predicate T|i: coded pairs (j, c) true at stages j before i."""
-        cut = self.order.index(i)
-        rel = set()
-        for j in self.order.elements[:cut]:
-            entries = self.slices[j].entries
-            for code, inst in self.coding.items():
-                if inst in entries:
-                    rel.add((j, code))
-        return frozenset(rel)
-
     def structure_at(self, base: Structure, i) -> Structure:
         """The stage-i structure: base extended by the earlier slices."""
-        return base.with_predicate(TRUTH_SYMBOL, self.truth_relation_before(i))
+        return base.with_predicate(TRUTH_SYMBOL, self.before[i])
 
 
 def iterated_truth(
@@ -392,10 +373,12 @@ def iterated_truth(
 
     The object language sees the earlier stages through the binary symbol
     ``T``: T(j, c) holds when stage j marked true the instance
-    that the (declared, finite) coding assigns to universe element c.  The
-    evaluator decides each instance outright, so the inner omega of the
-    recursion (formula size) needs no pass of its own.  A class parameter
-    is a predicate of the structure; the structure may not fix ``T``.
+    that the (declared, finite) coding assigns to universe element c.  T is
+    carried up the order: stage i is read with T = T|i, then adds its own
+    pairs (i, c).  The evaluator decides each instance outright, so the
+    inner omega of the recursion (formula size) needs no pass of its own.
+    A class parameter is a predicate of the structure; the structure may
+    not fix ``T``.
     """
     if TRUTH_SYMBOL in M.predicates:
         raise SignatureError(
@@ -416,8 +399,9 @@ def iterated_truth(
                 raise SignatureError(
                     f"closure references stage {first.code} outside the well-order"
                 )
-    slices: dict = {}
-    it = IteratedTruthPredicate(order, slices, tuple(closure), coding)
+    slices, before, T = {}, {}, frozenset()
     for i in order:
-        slices[i] = build_truth_predicate(it.structure_at(M, i), closure)
-    return it
+        before[i] = T
+        sl = slices[i] = build_truth_predicate(M.with_predicate(TRUTH_SYMBOL, T), closure)
+        T = T | {(i, c) for c, inst in coding.items() if inst in sl.entries}
+    return IteratedTruthPredicate(slices, before)

@@ -51,6 +51,20 @@ def tarski_eval(M: Structure, formula, env: dict) -> bool:
     raise AssertionError(f"unknown formula {formula!r}")
 
 
+def relativize(formula, f_symbol: str, bound):
+    """Each read of ``f_symbol`` conjoined with its guard (its first
+    argument <| ``bound``), by plain recursion over the formula."""
+    if isinstance(formula, Pred) and formula.name == f_symbol:
+        return And(formula, Pred(EDGE_SYMBOL, (formula.args[0], bound)))
+    if isinstance(formula, Not):
+        return Not(relativize(formula.body, f_symbol, bound))
+    if isinstance(formula, And):
+        return And(relativize(formula.left, f_symbol, bound), relativize(formula.right, f_symbol, bound))
+    if isinstance(formula, Exists):
+        return Exists(formula.var, relativize(formula.body, f_symbol, bound))
+    return formula
+
+
 def formula_facts(formula) -> tuple[int, int, frozenset]:
     """(size, depth, predicate names) of a formula by plain recursion: size
     counts every AST node, terms included, and depth the formula nodes on
@@ -233,8 +247,10 @@ def clock_outcome(clock_mode: str, rounds) -> str:
     No round follows a round without an inquiry and a zero clock only closes
     play.  In natural mode the first round announces an int >= 1 (not a
     bool) and round k announces it minus k; in ordinal mode the clocks,
-    naturals or ordinals, strictly descend.  A natural clock is spent at a
-    closing round at 0 or an answered round at 1, an ordinal clock at 0.
+    naturals or ordinals, strictly descend.  In either mode the clock is
+    spent at a closing round at 0 or an answered round at 1; an ordinal
+    clock is 1 only when it equals the ordinal 1, so a transfinite clock is
+    never spent.
     """
     if not rounds:
         return "running"
@@ -248,7 +264,7 @@ def clock_outcome(clock_mode: str, rounds) -> str:
         if any(r.clock != v for r, v in zip(rounds, values)):
             return "malformed"
         zeros = [v == 0 for v in values]
-        spent = values[-1] == 0 or (values[-1] == 1 and rounds[-1].inquiry is not None)
+        one = 1
     else:
         values = []
         for r in rounds:
@@ -261,7 +277,8 @@ def clock_outcome(clock_mode: str, rounds) -> str:
         if any(not later < earlier for earlier, later in zip(values, values[1:])):
             return "malformed"
         zeros = [v.is_zero() for v in values]
-        spent = zeros[-1]
+        one = Ordinal.from_nat(1)
+    spent = zeros[-1] or (values[-1] == one and rounds[-1].inquiry is not None)
     if any(z and r.inquiry is not None for z, r in zip(zeros, rounds)):
         return "malformed"
     return "spent" if spent else "running"

@@ -388,16 +388,18 @@ class RefereeState:
 
     def status(self) -> str:
         """The interrogator wins at the first violation, the teller wins
-        once the last round runs the clock out, otherwise play is ongoing."""
+        once the last round runs the clock out, otherwise play is ongoing.
+        In both modes the clock runs out at an answered round at 1 or a
+        closing round at 0; a transfinite clock never does."""
         if self.lost:
             return INTERROGATOR_WINS
         if not self.rounds:
             return ONGOING
         last = self.rounds[-1]
-        if self.game.clock_mode == NATURAL:
-            spent = last.clock == 0 or (last.clock == 1 and last.inquiry is not None)
-        else:
-            spent = _as_ordinal(last.clock).is_zero()
+        clock = last.clock
+        if isinstance(clock, Ordinal):
+            clock = clock.to_int() if clock.is_finite() else None
+        spent = clock == 0 or (clock == 1 and last.inquiry is not None)
         return TELLER_WINS if spent else ONGOING
 
 
@@ -681,8 +683,8 @@ def extract_satisfaction(
     follow-ups, within ``PRESEARCH_BUDGET`` nodes, runs first.  Each target
     is then probed at its clock budget plus ``extra_clock`` with the target
     asked first and follow-ups unfolded breadth-first, then again in
-    depth-first order; verdicts must agree across all probes.  The result
-    must pass the Tarskian audit on the target closure.
+    depth-first order; verdicts must agree across all probes.  The marks,
+    parts and named witness bodies included, must pass the Tarskian audit.
 
     A ``memoryless`` teller (see ``interrogator_search``) is read in one
     pass instead: one referee state asks the search's pool, then the
@@ -718,15 +720,14 @@ def extract_satisfaction(
         marks = _read_marks(game, teller, probes, "pronouncement instability")
     else:
         marks = state.marks
-    entries = frozenset(t for t in targets if marks[t] == _TRUE)
-    result = SatisfactionClass(entries, frozenset(targets))
     if game.obligation is None:
-        violations = tarski_check(game.structure, result, targets)
+        marked = SatisfactionClass(frozenset(i for i, b in marks.items() if b == _TRUE), marks)
+        violations = tarski_check(game.structure, marked, marks)
         if violations:
             raise NotWinningStrategyError(
                 f"extracted class fails the Tarskian audit: {violations[0]}"
             )
-    return result
+    return SatisfactionClass(frozenset(t for t in targets if marks[t] == _TRUE), targets)
 
 
 def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:

@@ -182,3 +182,37 @@ def test_second_run_adds_pairs_and_tier1_record(tmp_path, monkeypatch):
     # Sides alternate on across the calls: parent, change, change, parent, ...
     assert entry["metrics"]["batch_norm_s"]["parent"]["median"] == statistics.median([0.5, 0.8, 0.9, 1.2])
     assert [len(doc["tier1"][side]["runs"]) for side in bench_pairs.SIDES] == [2, 2]
+
+
+def test_tier1_records_count_src_lines(tmp_path, monkeypatch):
+    # Two planted trees: the change adds 3 lines to oracles.py and deletes
+    # 5 elsewhere, so its net delta is -2, or -5 without oracles.py.
+    planted = {
+        "p": {"a.py": "x = 1\n" * 10, "oracles.py": "y = 2\n" * 4},
+        "c": {"a.py": "x = 1\n" * 5, "oracles.py": "y = 2\n" * 7, "b.txt": "not counted\n"},
+    }
+    for side, files in planted.items():
+        package = tmp_path / side / "src" / "hfgames"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[1] == "perfbench/run.py":
+            out = Path(cwd) / "perfbench" / "out"
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "summary-evaluate-seed1.json").write_text(json.dumps({"workload": "evaluate", "seed": 1}))
+            line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+        return subprocess.CompletedProcess(argv, 0, stdout="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runs = tmp_path / "runs"
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 1, runs)
+
+    doc = bench_pairs.tier1_document(runs)
+    assert doc["parent"]["runs"][0]["src_lines"] == {"total": 14, "oracles": 4}
+    assert doc["change"]["runs"][0]["src_lines"] == {"total": 12, "oracles": 7}
+    bench = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["write", "--out", str(runs), "--bench", str(bench)]) == 0
+    assert json.loads(bench.read_text())["src_delta"] == {"total": -2, "without_oracles": -5}

@@ -13,6 +13,7 @@ from hfgames import suites
 from hfgames.etr import (
     RecursionRule,
     Solution,
+    _relativize,
     check_solution,
     descending_tree,
     etr_solve,
@@ -27,6 +28,7 @@ from hfgames.logic import (
     And,
     Const,
     Eq,
+    Exists,
     Not,
     Pred,
     Structure,
@@ -35,6 +37,7 @@ from hfgames.logic import (
     instance,
     parse_formula,
     parse_instance,
+    random_formula,
     tarski_check,
     to_text,
 )
@@ -54,6 +57,7 @@ from hfgames.oracles import (
     kb_less,
     longest_path_ranks,
     reachability_closure,
+    relativize,
     worklist_fixpoint,
 )
 
@@ -114,6 +118,14 @@ class TestRules:
         f = ACCUMULATE.instance_formula()
         assert isinstance(f, And)
         assert isinstance(f.left, Not) and isinstance(f.right, Not)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(3, 30))
+    def test_relativize_agrees_with_oracle(self, seed, most):
+        f = random_formula(random.Random(seed), V3.universe, most, {"F": 2})
+        g = Pred("F", (Var("y"), Var("x")))
+        for h in (f, And(f, f), Not(And(g, Exists("y", And(g, f)))), Exists("z", And(Not(f), f))):
+            assert _relativize(h, "F", Var("i")) == relativize(h, "F", Var("i"))
 
     def test_relativize_deep_not_chain(self):
         read = Pred("F", (Var("i"), Var("x")))
@@ -607,6 +619,23 @@ class TestUniquenessOrders:
         assert differs > 0
 
 
+def tower(length: int):
+    """Criterion 6's well-order of the given length, coding and closure."""
+    sig = {"T": 2}
+    coding = {c: parse_instance(f"(#{c} in #3)") for c in range(3)}
+    t_query = parse_formula("T(j, x)", sig)
+    # The existential's instantiations enter the closure with the same
+    # body formula, or the audit cannot see its witnesses.
+    ex_body = parse_formula("T(#0, x)", sig)
+    closure = [
+        *coding.values(),
+        *(instance(t_query, {"j": j, "x": x}) for j in range(length) for x in range(3)),
+        *(instance(ex_body, {"x": b}) for b in V3.universe.elements),
+        instance(parse_formula("Ex. T(#0, x)", sig), {}),
+    ]
+    return WellOrder(tuple(range(length))), coding, closure
+
+
 class TestIteratedTruth:
     def test_single_point_equals_truth_predicate(self):
         from hfgames.logic import build_truth_predicate
@@ -645,27 +674,25 @@ class TestIteratedTruth:
         assert not it.slice(0).holds(instance(t_query, {"x": 0}))
 
     def test_slices_pass_tarski_audit(self):
-        order = WellOrder((0, 1, 2))
-        sig = {"T": 2}
-        coding = {c: parse_instance(f"(#{c} in #3)") for c in range(3)}
-        t_query = parse_formula("T(j, x)", sig)
-        # The existential's instantiations enter the closure with the same
-        # body formula, or the audit cannot see its witnesses.
-        ex_body = parse_formula("T(#0, x)", sig)
-        closure = [
-            *coding.values(),
-            *(
-                instance(t_query, {"j": j, "x": x})
-                for j in range(3)
-                for x in range(3)
-            ),
-            *(instance(ex_body, {"x": b}) for b in V3.universe.elements),
-            instance(parse_formula("Ex. T(#0, x)", sig), {}),
-        ]
+        order, coding, closure = tower(3)
         it = iterated_truth(V3, order, closure=closure, coding=coding)
         for i in order:
             Mi = it.structure_at(V3, i)
             assert tarski_check(Mi, it.slice(i), closure) == []
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_before_is_the_union_of_the_earlier_slices(self, length):
+        order, coding, closure = tower(length)
+        it = iterated_truth(V3, order, closure=closure, coding=coding)
+        for k, i in enumerate(order.elements):
+            want = {
+                (j, c)
+                for j in order.elements[:k]
+                for c, inst in coding.items()
+                if inst in it.slice(j).entries
+            }
+            assert it.before[i] == want
+        assert it.before[order.elements[-1]] or length == 1
 
     def test_monotone_coherence(self):
         order = WellOrder((0, 1, 2))
@@ -673,8 +700,7 @@ class TestIteratedTruth:
         closure = [parse_instance("#0 in #1")]
         it = iterated_truth(V3, order, closure=closure, coding=coding)
         for idx, i in enumerate(order.elements):
-            rel = it.truth_relation_before(i)
-            assert rel == {(j, 0) for j in order.elements[:idx]}
+            assert it.before[i] == {(j, 0) for j in order.elements[:idx]}
 
     @pytest.mark.parametrize("key", ["abc", "0", 0.0, True])
     def test_coding_key_not_an_int_rejected(self, key):

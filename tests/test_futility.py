@@ -364,17 +364,20 @@ class TestSinglePassExtraction:
         st.integers(1, 12),
     )
     def test_drawn_targets_agree(self, rank, mode, seed, count):
-        # Drawn targets need not hold their witness bodies, so some of these
-        # are refused by the Tarskian audit, alike on both paths.
+        # Drawn targets need not hold their parts or witness bodies; the
+        # audit reads the marks of those the referee judged.
         M = STRUCTURES[rank]
         game = truth_game(M, mode)
         rng = random.Random(seed)
         targets = [random_instance(rng, M, 6) for _ in range(count)]
         one, probed = both_extractions(lambda: honest_teller(game, M), game, targets)
-        assert one == probed
+        assert one == probed == build_truth_predicate(M, targets)
 
     @pytest.mark.parametrize("liar", [HashLiar, HashWitness])
     def test_memoryless_liars_refused_alike(self, liar):
+        # The audit reads every marked part and witness body, so a hashed
+        # witness that satisfies its body is no lie: such a run is accepted,
+        # and whatever is accepted is the truth on the targets.
         refused = 0
         for salt in range(30):
             M = STRUCTURES[2 + salt % 2]
@@ -383,8 +386,11 @@ class TestSinglePassExtraction:
             targets = [random_instance(rng, M, 5) for _ in range(6)]
             one, probed = both_extractions(lambda: liar(honest_teller(game, M), salt), game, targets)
             assert one == probed, salt
-            refused += isinstance(one, tuple) and one[0] is NotWinningStrategyError
-        assert refused >= 25
+            if isinstance(one, tuple):
+                refused += one[0] is NotWinningStrategyError
+            else:
+                assert one == build_truth_predicate(M, targets), salt
+        assert refused > 0
 
     def test_class_backed_coverage_error_alike(self):
         # The class holds the target alone, not its part.

@@ -534,6 +534,20 @@ class TestExtraction:
         with pytest.raises(NotWinningStrategyError, match="instability|probe"):
             extract_satisfaction(teller, game, [flip])
 
+    @pytest.mark.parametrize("path", ["one pass", "probes"])
+    @pytest.mark.parametrize(
+        "texts", [["!(#0 in #1)"], ["Ex. (x in #1)"], ["(#0 in #1) & (#0 in #1)"]]
+    )
+    def test_honest_teller_on_targets_without_their_parts(self, texts, path):
+        # A list need not hold its parts or witness bodies.  Patient hides
+        # the honest teller's memoryless declaration, so its marks come from
+        # the presearch and probes.
+        game = truth_game(V2)
+        honest = honest_teller(game, V2)
+        teller = honest if path == "one pass" else Patient(honest, honest)
+        targets = [parse_instance(t) for t in texts]
+        assert extract_satisfaction(teller, game, targets) == build_truth_predicate(V2, targets)
+
 
 def refusal(call) -> str:
     """The message of the NotWinningStrategyError, exactly that type, call raises."""
@@ -579,11 +593,16 @@ class TestExtractionRefusals:
         call = lambda: extract_satisfaction(teller, self.game, [ex])
         assert refusal(call) == "pronouncement instability across probes on Ex. (x in #1)"
 
-    def test_class_without_witness_bodies_fails_the_audit(self):
+    def test_marks_that_disagree_across_probes_fail_the_audit(self):
+        # The teller denies the existential in its probe and affirms its
+        # body at witness 0 in the body's own probe: each probe alone is won
+        # and no instance clashes, but the marks together are not Tarskian.
         ex = parse_instance("Ex. (x in #1)")
-        assert refusal(lambda: extract_satisfaction(self.honest, self.game, [ex])) == (
+        teller = Patient(self.honest, LyingTeller(self.honest, ex))
+        call = lambda: extract_satisfaction(teller, self.game, [ex, ex.witness_body(0)])
+        assert refusal(call) == (
             "extracted class fails the Tarskian audit:"
-            " [quantifier] Ex. (x in #1): marked True, instantiations give False"
+            " [quantifier] Ex. (x in #1): marked False, instantiations give True"
         )
 
     def test_slices_clash_across_probes(self):
@@ -1143,12 +1162,17 @@ def _violation_lines(monkeypatch) -> list[str]:
 
 class TestOnePlayLoop:
     def test_statuses_pinned(self):
-        # Computed before plays, probes, search and the CLI shared one
-        # referee state; change it only with a deliberate change of rules.
+        # Change it only with a deliberate change of rules.  The last one
+        # made an ordinal clock spent at an answered round at 1, as a
+        # natural one is: 78 ordinal-mode plays went from ongoing to
+        # teller_wins.  The natural-mode half is pinned on its own.
         lines = _play_statuses()
         assert len(lines) == 218
+        assert hashlib.sha256("\n".join(lines[:109]).encode()).hexdigest() == (
+            "fc0d4740a9e8c686696a3c60edf926cccfc3463e2f4ee60e40af570967c805f3"
+        )
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "f933cd1614dcce196010b5f2e6132ddaba5cc7acead78999beeade36032eb8db"
+            "c0ef2fdc89e638cf4182918aa5b6597a9b17fde92861299269ceaba39f419cbe"
         )
 
     def test_violations_pinned(self, monkeypatch):
@@ -1312,6 +1336,23 @@ class TestClockRules:
         else:
             expected = TELLER_WINS if outcome == "spent" else ONGOING
         assert referee(game, Transcript(rounds)) == expected
+
+    @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
+    def test_answered_round_at_one_ends_play_in_both_modes(self, mode):
+        """Clocks 3, 2, 1, all answered: the only ordinal below 1 is 0,
+        which only closes play, so the ordinal play is over as the natural
+        one is.  A transfinite clock is never spent."""
+        game = truth_game(V3, mode)
+        honest = honest_teller(game, V3)
+        t = play_truth_game(game, RandomInterrogator(random.Random(1), depth=3), honest)
+        assert [str(r.clock) for r in t.rounds] == ["3", "2", "1"]
+        assert t.status == referee(game, Transcript(list(t.rounds))) == TELLER_WINS
+        if mode == ORDINAL:
+            phi = parse_instance("#0 = #0")
+            omega = Round(parse_ordinal("w"), phi, Pronouncement(True))
+            assert referee(game, Transcript([omega])) == ONGOING
+            one = Round(Ordinal.from_nat(1), phi, Pronouncement(True))
+            assert referee(game, Transcript([omega, one])) == TELLER_WINS
 
     def test_malformed_clock_stops_play_at_its_round(self):
         asked = []
