@@ -2,16 +2,13 @@
 truth-telling game, and run the verification suites.
 
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error, 3 resource
-bound exceeded.  Each setting has one name: a flag, except HFGAMES_MAX_RANK,
-the one environment variable, which caps the rank of every universe a
-command builds.
+bound exceeded.  Each setting has one name: a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Optional
@@ -24,7 +21,7 @@ from .errors import (
     ResourceBoundError,
     SignatureError,
 )
-from .universe import MAX_RANK, WellFoundedRelation, build_universe
+from .universe import WellFoundedRelation, build_universe
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,15 +45,6 @@ def _play_cap(cap: int) -> int:
 _LEAST_RANK = {"choice": 1, "truthtelling": 1, "logic": 1, "truthgames": 2, "etr": 2, "all": 2}
 
 
-def _max_rank() -> int:
-    raw = os.environ.get("HFGAMES_MAX_RANK", str(MAX_RANK))
-    try:
-        rank = int(raw)
-    except ValueError:
-        raise ParseError(f"bad value for HFGAMES_MAX_RANK: {raw!r}") from None
-    return _at_least("HFGAMES_MAX_RANK", rank, 0)
-
-
 def _parse_pred(spec: str) -> tuple[str, frozenset]:
     name, _, body = spec.partition("=")
     if not name or not body:
@@ -74,7 +62,7 @@ def _parse_pred(spec: str) -> tuple[str, frozenset]:
 
 
 def _structure(args) -> logic.Structure:
-    U = build_universe(args.rank, _max_rank())
+    U = build_universe(args.rank)
     preds = dict(_parse_pred(spec) for spec in (args.pred or []))
     try:
         return logic.Structure(U, preds)
@@ -112,7 +100,7 @@ def cmd_eval(args) -> int:
 
 
 def _solve_choice(args) -> dict:
-    U = build_universe(args.rank, _max_rank())
+    U = build_universe(args.rank)
     G = games.choice_game(U)
     # Refuse before the arena is compiled: it may hold width ** cap plays.
     width, bound = len(G.moves), etr.DEFAULT_NODE_BUDGET
@@ -213,7 +201,7 @@ def _solve_recursion(args) -> dict:
         "relation": {"nodes": nodes, "edges": sorted(map(list, edges))},
         "rule": logic.to_text(rule.formula),
         "winner": "teller",
-        "solution": extracted.serialize().splitlines(),
+        "solution": sorted(f"{i} {x}" for i, x in extracted.pairs),
         "round_trip_exact": extracted.pairs == solution.pairs,
         "check_solution": etr.check_solution(M, rel, rule, extracted),
     }
@@ -306,7 +294,7 @@ def _interactive_loop(game, teller, clock: int) -> truthgames.Transcript:
 
 def cmd_verify(args) -> int:
     random_rank = max(args.rank, args.random_rank)
-    build_universe(random_rank, _max_rank())  # both ranks within HFGAMES_MAX_RANK
+    build_universe(random_rank)  # both ranks within universe.MAX_RANK
     cfg = suites.RunConfig(
         universe_rank=args.rank,
         random_rank=random_rank,

@@ -127,10 +127,6 @@ class Solution:
     def slice(self, i) -> frozenset:
         return frozenset(x for j, x in self.pairs if j == i)
 
-    def serialize(self) -> str:
-        lines = sorted(f"{i} {x}" for i, x in self.pairs)
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def recursion_setup(
     M: Structure, rel: WellFoundedRelation, value_domain: Optional[Sequence[int]] = None

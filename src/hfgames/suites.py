@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import types
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -350,9 +351,11 @@ def suite_truthgames(cfg: RunConfig) -> Report:
         return True, f"extraction equals truth on {len(targets)} targets", None
 
     def clock_robustness():
+        # Without ``memoryless`` the teller is probed at each target's budget.
+        probed = types.SimpleNamespace(answer=teller.answer)
         targets = logic.enumerate_instances(M, 3)
-        base = truthgames.extract_satisfaction(teller, game, targets)
-        slow = truthgames.extract_satisfaction(teller, game, targets, extra_clock=5)
+        base = truthgames.extract_satisfaction(probed, game, targets)
+        slow = truthgames.extract_satisfaction(probed, game, targets, extra_clock=5)
         ogame = truthgames.truth_game(M, truthgames.ORDINAL)
         oteller = truthgames.honest_teller(ogame, M)
         ordinal = truthgames.extract_satisfaction(oteller, ogame, targets)

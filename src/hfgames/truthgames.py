@@ -692,8 +692,10 @@ def extract_satisfaction(
     above asks a subset of those rounds and the teller answers each inquiry
     alike wherever it is asked, so if the pass is won no search line wins,
     no probe is lost and no verdicts clash, and the pass's marks are the
-    probes' verdicts.  If the pass is lost or raises, the search and probes
-    run as described, so a refusal is the same either way.
+    probes' verdicts.  The referee has judged every mark of a won pass
+    against each clause the audit reads, so the pass is not audited again.
+    If the pass is lost or raises, the search and probes run as described,
+    so a refusal is the same either way.
 
     Every clock budget is at least 6 (the smallest formula has size 2), so
     a non-negative ``extra_clock`` leaves each probe a round for its target.
@@ -718,15 +720,15 @@ def extract_satisfaction(
             for lifo in (False, True)
         )
         marks = _read_marks(game, teller, probes, "pronouncement instability")
+        if game.obligation is None:
+            marked = SatisfactionClass(frozenset(i for i, b in marks.items() if b == _TRUE), marks)
+            violations = tarski_check(game.structure, marked, marks)
+            if violations:
+                raise NotWinningStrategyError(
+                    f"extracted class fails the Tarskian audit: {violations[0]}"
+                )
     else:
         marks = state.marks
-    if game.obligation is None:
-        marked = SatisfactionClass(frozenset(i for i, b in marks.items() if b == _TRUE), marks)
-        violations = tarski_check(game.structure, marked, marks)
-        if violations:
-            raise NotWinningStrategyError(
-                f"extracted class fails the Tarskian audit: {violations[0]}"
-            )
     return SatisfactionClass(frozenset(t for t in targets if marks[t] == _TRUE), targets)
 
 

@@ -96,13 +96,11 @@ class Universe:
         return iter(self.elements)
 
 
-def build_universe(rank: int, max_rank: int = MAX_RANK) -> Universe:
+def build_universe(rank: int) -> Universe:
     if rank < 0:
         raise InvariantError(f"negative rank {rank}")
-    if rank > max_rank:
-        raise ResourceBoundError(
-            f"rank {rank} exceeds configured maximum {max_rank}"
-        )
+    if rank > MAX_RANK:
+        raise ResourceBoundError(f"rank {rank} exceeds the maximum {MAX_RANK}")
     return Universe(rank)
 
 

@@ -34,9 +34,7 @@ def run_child(argv, env=(), address_limit=None, timeout=60):
             f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
         )
     code += f"from hfgames.cli import main\nsys.exit(main({list(argv)!r}))\n"
-    environ = {k: v for k, v in os.environ.items() if not k.startswith("HFGAMES_")}
-    environ["PYTHONPATH"] = str(SRC)
-    environ.update(env)
+    environ = {**os.environ, "PYTHONPATH": str(SRC), **dict(env)}
     return subprocess.run(
         [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=timeout
     )
@@ -481,19 +479,6 @@ class TestBoundedMemory:
         assert growth < 1024
 
 
-class TestEnvOverrides:
-    def test_max_rank_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFGAMES_MAX_RANK", "2")
-        code, _, err = run(capsys, "eval", "--rank", "3", "#0 = #0")
-        assert code == 3
-
-    def test_bad_env_value_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFGAMES_MAX_RANK", "abc")
-        code, _, err = run(capsys, "eval", "--rank", "2", "#0 = #0")
-        assert code == 2
-        assert "HFGAMES_MAX_RANK" in err
-
-
 class TestRankBounds:
     """A rank the command cannot run on is a usage error that names the
     least rank it can."""
@@ -552,8 +537,8 @@ class TestRankBounds:
 
 
 class TestOutsideTheUniverse:
-    """Codes outside V_rank in the input, and a maximum rank below 0 or below
-    the ranks asked for, are refused before anything is evaluated."""
+    """Codes outside V_rank in the input are refused before anything is
+    evaluated, and a rank above the ceiling before any universe is built."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -600,19 +585,29 @@ class TestOutsideTheUniverse:
         assert doc["status"] == "teller_wins"
         assert [r.get("inquiry") for r in doc["rounds"]] == ["(#0 in #1)", None]
 
-    def test_negative_max_rank_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFGAMES_MAX_RANK", "-5")
-        code, out, err = run(capsys, "eval", "--rank", "1", "#0 = #0")
-        assert code == 2 and out == ""
-        assert "HFGAMES_MAX_RANK must be at least 0, got -5" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [("--rank", "2", "--random-rank", "6"), ("--rank", "6", "--random-rank", "1")],
+        ids=["random-rank", "rank"],
+    )
+    def test_verify_heeds_max_rank(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "all", *argv)
+        assert code == 3 and out == ""
+        assert "rank 6 exceeds the maximum 5" in err
 
     @pytest.mark.parametrize(
         "argv",
-        [("--rank", "2", "--random-rank", "3"), ("--rank", "1", "--random-rank", "1")],
-        ids=["random-rank", "rank"],
+        [
+            ("eval", "Ax. (x = x)"),
+            ("solve", "choice"),
+            ("solve", "truthtelling"),
+            ("solve", "recursion"),
+            ("play", "--interactive"),
+        ],
+        ids=lambda argv: " ".join(argv),
     )
-    def test_verify_heeds_max_rank(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("HFGAMES_MAX_RANK", "0")
-        code, out, err = run(capsys, "verify", "logic", *argv)
+    def test_rank_above_the_ceiling_exits_3(self, capsys, argv):
+        # V_6 has 2^65536 elements: each command refuses it before building it.
+        code, out, err = run(capsys, *argv, "--rank", "6")
         assert code == 3 and out == ""
-        assert "exceeds configured maximum 0" in err
+        assert "rank 6 exceeds the maximum 5" in err

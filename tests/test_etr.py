@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 import re
 import sys
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hfgames import universe
 from hfgames.errors import InvariantError, ResourceBoundError, SignatureError
 from hfgames import suites
+from hfgames.cli import main
 from hfgames.etr import (
     RecursionRule,
     Solution,
@@ -291,9 +293,13 @@ class TestCheckSolution:
                 hits += 1
         assert hits > 0
 
-    def test_serialization_sorted_pairs(self):
-        sol = etr_solve(V3, CHAIN, ACCUMULATE)
-        assert sol.serialize() == "0 0\n1 0\n2 0\n"
+    def test_serialization_sorted_pairs(self, capsys):
+        # `solve recursion` prints the extracted solution as sorted "i x" pairs.
+        for rank, pairs in ((2, ["0 0", "1 0"]), (3, ["0 0", "1 0", "2 0", "3 0"])):
+            assert main(["solve", "recursion", "--rank", str(rank), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["solution"] == pairs
+            assert main(["solve", "recursion", "--rank", str(rank)]) == 0
+            assert f"solution: {json.dumps(pairs)}\n" in capsys.readouterr().out
 
 
 class TestTransitiveClosure:

@@ -29,6 +29,7 @@ from hfgames.logic import (
     And,
     Exists,
     Not,
+    SatisfactionClass,
     Structure,
     build_truth_predicate,
     enumerate_instances,
@@ -38,6 +39,7 @@ from hfgames.logic import (
     print_instance,
     random_instance,
     sub_instance,
+    tarski_check,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
 from hfgames.oracles import line_search, referee_lost
@@ -391,6 +393,35 @@ class TestSinglePassExtraction:
             else:
                 assert one == build_truth_predicate(M, targets), salt
         assert refused > 0
+
+    @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
+    def test_won_pass_audits_clean(self, mode):
+        # The referee judged every mark of a won pass against each clause
+        # the audit reads, so extraction audits the probe path only.
+        won = Counter()
+        for salt in range(40):
+            M = STRUCTURES[2 + salt % 2]
+            game = truth_game(M, mode)
+            rng = random.Random(salt)
+            targets = [random_instance(rng, M, 5) for _ in range(6)]
+            honest = honest_teller(game, M)
+            lie = rng.choice(sorted(tarski_closure(M, targets), key=print_instance))
+            tellers = {
+                "honest": honest,
+                "hash liar": HashLiar(honest, salt, rate=8),
+                "hash witness": HashWitness(honest, salt),
+                "one lie": OneLie(honest, lie),
+            }
+            openings = truthgames._presearch_pool(targets) + targets
+            for kind, teller in tellers.items():
+                state = truthgames._single_pass(game, teller, openings, truthgames._unfold)
+                if state is None:
+                    continue
+                won[kind] += 1
+                marks = state.marks
+                marked = SatisfactionClass(frozenset(i for i, b in marks.items() if b == 1), marks)
+                assert tarski_check(M, marked, marks) == [], (kind, salt)
+        assert won["honest"] == 40 and min(won.values()) > 0 and len(won) == 4
 
     def test_class_backed_coverage_error_alike(self):
         # The class holds the target alone, not its part.

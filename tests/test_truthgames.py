@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hfgames.errors import (
     SignatureError,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
-from hfgames import logic, truthgames
+from hfgames import logic, suites, truthgames
 from hfgames.logic import (
     ATOMIC_KINDS,
     And,
@@ -493,14 +494,27 @@ class TestExtraction:
         with pytest.raises(NotWinningStrategyError, match="teller lost a probe"):
             extract_satisfaction(teller, game, [lie])
 
-    def test_stability_across_budgets(self):
+    def test_stability_across_budgets(self, probe_budgets):
         game = truth_game(V3)
-        teller = honest_teller(game, V3)
+        # Without ``memoryless`` the teller is read by probes at each
+        # target's budget: the one path the extra clock reaches.
+        teller = SimpleNamespace(answer=honest_teller(game, V3).answer)
         targets = enumerate_instances(V3, 3)
         base = extract_satisfaction(teller, game, targets)
         for k in (1, 3, 5):
             again = extract_satisfaction(teller, game, targets, extra_clock=k)
             assert again.entries == base.entries
+        for k in (0, 1, 3, 5):
+            assert all(((t,), clock_budget(t) + k) in probe_budgets for t in targets)
+
+    def test_suite_clock_robustness_reaches_the_probes(self, probe_budgets):
+        cfg = suites.RunConfig()
+        report = suites.suite_truthgames(cfg)
+        (case,) = [c for c in report.cases if c.name == "clock robustness"]
+        assert case.passed
+        targets = enumerate_instances(Structure(build_universe(cfg.universe_rank)), 3)
+        for k in (0, 5):
+            assert all(((t,), clock_budget(t) + k) in probe_budgets for t in targets)
 
     def test_clock_mode_equivalence(self):
         targets = enumerate_instances(V3, 3)
