@@ -25,8 +25,9 @@ and ``k`` is this call's first pair, so a second ``run`` into the same
 
 ``write`` reads every such file back and records, per workload, seed and
 metric (the end-to-end ones and ``verify_all_s``), each side's median and
-quartiles, how many pairs the change won (ties count for neither), the
-number of pairs and each side's distinct ``verify all`` digests; and,
+quartiles, how many pairs the change won (ties count for neither) and a
+verdict (see ``verdict``), the number of pairs and each side's distinct
+``verify all`` digests; and,
 under ``"tier1"``, each side's tier-1 runs with the median and quartiles
 of their wall time; and, under ``"src_delta"``, the change's net ``src/``
 line delta, in total and without ``oracles.py``.
@@ -152,11 +153,34 @@ def src_delta(tier1: dict) -> dict:
     return {"total": total, "without_oracles": total - (lines["change"]["oracles"] - lines["parent"]["oracles"])}
 
 
-def bench_document(out: Path, better: dict) -> list:
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound) -> str:
+    """How a metric moved, from each side's ``_spread`` and the pairs won.
+
+    ``gain``: the change won at least nine tenths of the pairs, and its
+    median is better than the parent's by more than the parent's
+    interquartile range.  ``worse``: its median is worse than the parent's
+    by more than ``bound``, the metric's ``BENCHMARK.json`` bound, read as a
+    fraction of the parent's median (0.25 allows 25 %); a metric with no
+    bound, such as ``verify_all_s``, is never read as worse.  ``within
+    bound``: otherwise.
+    """
+    ahead = parent["median"] - change["median"]
+    if better != "lower":
+        ahead = -ahead
+    if 10 * wins >= 9 * pairs and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is not None and -ahead > bound * abs(parent["median"]):
+        return "worse"
+    return "within bound"
+
+
+def bench_document(out: Path, spec: dict) -> list:
     """One entry per workload and seed: for each end-to-end metric, both
-    sides' median and quartiles over the runs in ``out`` and the pairs the
-    change won, plus the number of pairs and each side's distinct
-    ``verify all`` digests."""
+    sides' median and quartiles over the runs in ``out``, the pairs the
+    change won and its ``verdict``, plus the number of pairs and each
+    side's distinct ``verify all`` digests.  ``spec`` maps a metric's name
+    to its ``BENCHMARK.json`` entry; a metric it lacks is lower-is-better
+    with no bound."""
     runs: dict = {}
     for side in SIDES:
         for path in sorted((out / side).glob("summary-*.json")):
@@ -169,14 +193,18 @@ def bench_document(out: Path, better: dict) -> list:
         metrics = {}
         for name, first in paired[0]["parent"]["metrics"].items():
             sides = {s: [p[s]["metrics"][name]["value"] for p in paired] for s in SIDES}
-            sign = -1 if better.get(name, "lower") == "lower" else 1
+            entry = spec.get(name, {})
+            better = entry.get("better", "lower")
+            sign = -1 if better == "lower" else 1
             wins = sum(1 for a, b in zip(sides["parent"], sides["change"]) if sign * (b - a) > 0)
+            parent, change = _spread(sides["parent"]), _spread(sides["change"])
             metrics[name] = {
                 "unit": first["unit"],
-                "better": better.get(name, "lower"),
-                "parent": _spread(sides["parent"]),
-                "change": _spread(sides["change"]),
+                "better": better,
+                "parent": parent,
+                "change": change,
                 "change_wins": wins,
+                "verdict": verdict(parent, change, wins, len(paired), better, entry.get("bound")),
             }
         entries.append({
             "workload": workload,
@@ -208,14 +236,14 @@ def main(argv=None) -> int:
         run_pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seed,
                   args.pairs, args.out)
         return 0
-    better = {m["name"]: m["better"] for m in _spec()["end_to_end"]}
+    spec = {m["name"]: m for m in _spec()["end_to_end"]}
     tier1 = tier1_document(args.out)
     doc = {
         "harness": "perfbench/run.py --trace 0, then one timed verify all --seed 1 --json,"
                    " alternating sides, one run at a time; the tier-1 suite once per side after"
                    " each workload's pairs",
         "note": args.note,
-        "results": bench_document(args.out, better),
+        "results": bench_document(args.out, spec),
         "tier1": tier1,
         "src_delta": src_delta(tier1),
     }

@@ -1,14 +1,16 @@
 """Command-line workbench: evaluate formulas, solve games, play the
 truth-telling game, and run the verification suites.
 
-Exit codes: 0 success, 1 suite failure, 2 usage or parse error, 3 resource
-bound exceeded.  Each setting has one name: a flag.
+Exit codes: 0 success, 1 suite failure or a stdout closed before the
+output was written, 2 usage or parse error, 3 resource bound exceeded.
+Each setting has one name: a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -381,7 +383,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         what = getattr(args, "game", None) or getattr(args, "suite", None)
         _at_least("--rank", args.rank, _LEAST_RANK.get(what, 0))
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to devnull,
+        # so the flush at exit is quiet too (the Python docs' SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

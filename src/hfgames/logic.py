@@ -208,7 +208,9 @@ class And(_FormulaNode):
 
 
 class Exists(_FormulaNode):
-    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds")
+    # ``_guard`` is left unset, so building a node pays nothing for it; the
+    # evaluator fills it on the node's first loop (``_guard_of``).
+    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds", "_guard")
 
     @staticmethod
     def _facts(var, body):
@@ -747,8 +749,12 @@ class Structure:
 # complements within care, And evaluates its right side only where its left
 # side holds, and Exists w is one nested mask over w, tested for a set bit.
 # Only an Exists whose body mentions v loops over the bits of care, one
-# nested mask per bit.  With v None the formula is a sentence under env,
-# care is 1 and the mask is the verdict.
+# nested mask per bit, and first narrows care by its guard: the literals
+# (atoms and negated atoms) on the conjunction spine of its body, looking
+# through nested Exists, that mention none of the binders on the way.  The
+# body implies each of them, so a bit that fails the guard fails the body
+# (miniscoping, done at evaluation time).  With v None the formula is a
+# sentence under env, care is 1 and the mask is the verdict.
 
 # What the consumer of a mask needs: all of it, or only its lowest set bit
 # (an existential's witness) or its lowest clear bit (a universal's
@@ -757,8 +763,31 @@ _ALL, _LOWEST_SET, _LOWEST_CLEAR = 0, 1, 2
 _NEGATED_NEED = (_ALL, _LOWEST_CLEAR, _LOWEST_SET)
 # Continuation frames on the evaluator's stack; each consumes the mask just
 # computed.
-_NOT, _AND, _SOME, _EACH = range(4)
+_NOT, _AND, _SOME, _LOOP, _EACH = range(5)
 _UNSET = object()
+
+
+def _guard_of(ex: Exists) -> Optional[Formula]:
+    """The And of ex's guard literals, or None if it has none; built on
+    the first call and kept on the node."""
+    try:
+        return ex._guard
+    except AttributeError:
+        pass
+    guard = None
+    stack = [(ex.body, frozenset((ex.var,)))]
+    while stack:
+        g, bound = stack.pop()
+        t = type(g)
+        if t is And:
+            stack.append((g.right, bound))
+            stack.append((g.left, bound))
+        elif t is Exists:
+            stack.append((g.body, bound | {g.var}))
+        elif (t in ATOMIC_KINDS or t is Not and type(g.body) in ATOMIC_KINDS) and bound.isdisjoint(g._fv):
+            guard = g if guard is None else And(guard, g)
+    _setattr(ex, "_guard", guard)
+    return guard
 
 
 def _pred_mask(M: Structure, g: Pred, v: str, val: Callable[[Term], int]) -> int:
@@ -813,8 +842,22 @@ def _mask(
                     stack.append((frame[1], frame[2], m, frame[3]))
             elif g == _SOME:
                 m = frame[1] if m else 0
+            elif g == _LOOP:
+                # m is the guard's mask within care.  A universal's
+                # counterexample is at latest care's lowest bit outside it.
+                _, ex, v, care, need = frame
+                out = care & ~m
+                if need == _LOWEST_CLEAR and out:
+                    m &= (out & -out) - 1
+                bits = hf_elements(m)
+                if not bits:
+                    continue
+                saved = env.get(v, _UNSET)
+                env[v] = bits[0]
+                stack.append((_EACH, ex, v, need, bits, 0, 0, saved))
+                stack.append((ex.body, ex.var, U.full_mask(), _LOWEST_SET))
             else:
-                _, ex, v, care, need, bits, k, acc, saved = frame
+                _, ex, v, need, bits, k, acc, saved = frame
                 b = bits[k]
                 if m:
                     acc |= 1 << b
@@ -828,7 +871,7 @@ def _mask(
                     m = acc
                 else:
                     env[v] = bits[k]
-                    stack.append((_EACH, ex, v, care, need, bits, k, acc, saved))
+                    stack.append((_EACH, ex, v, need, bits, k, acc, saved))
                     stack.append((ex.body, ex.var, U.full_mask(), _LOWEST_SET))
             continue
         _, v, care, need = frame
@@ -868,15 +911,14 @@ def _mask(
         elif t is Exists:
             if v not in g._fv:
                 stack.append((_SOME, care))
+                stack.append((g.body, g.var, U.full_mask(), _LOWEST_SET))
             else:
-                bits = hf_elements(care)
-                if not bits:
-                    m = 0
-                    continue
-                saved = env.get(v, _UNSET)
-                env[v] = bits[0]
-                stack.append((_EACH, g, v, care, need, bits, 0, 0, saved))
-            stack.append((g.body, g.var, U.full_mask(), _LOWEST_SET))
+                stack.append((_LOOP, g, v, care, need))
+                guard = _guard_of(g)
+                if guard is None:
+                    m = care
+                else:
+                    stack.append((guard, v, care, _ALL))
         else:
             raise TypeError(f"not a formula: {g!r}")
     return m

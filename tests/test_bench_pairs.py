@@ -12,7 +12,10 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"batch_norm_s": "lower", "passed_frac": "higher"}
+SPEC = {
+    "batch_norm_s": {"better": "lower", "bound": 0.25},
+    "passed_frac": {"better": "higher", "bound": 0.01},
+}
 
 
 def summary(out, side, workload, pair, batch, passed):
@@ -49,7 +52,7 @@ def test_bench_document(tmp_path):
     summary(tmp_path, "parent", "evaluate", 0, 0.25, 1.0)
     summary(tmp_path, "change", "evaluate", 0, 0.5, 1.0)
 
-    evaluate, recursion = bench_pairs.bench_document(tmp_path, BETTER)
+    evaluate, recursion = bench_pairs.bench_document(tmp_path, SPEC)
 
     assert recursion["workload"] == "recursion" and recursion["pairs"] == 4
     batch, passed = recursion["metrics"]["batch_norm_s"], recursion["metrics"]["passed_frac"]
@@ -64,6 +67,43 @@ def test_bench_document(tmp_path):
     assert evaluate["metrics"]["batch_norm_s"]["parent"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert evaluate["metrics"]["batch_norm_s"]["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert evaluate["metrics"]["batch_norm_s"]["change_wins"] == 0
+
+
+def verdicts(tmp_path, parent: list, change: list) -> tuple:
+    """The verdicts on batch_norm_s and passed_frac of pairs whose parent
+    and change runs read the given batch_norm_s, each with passed_frac
+    equal to its batch_norm_s."""
+    for k, (p, c) in enumerate(zip(parent, change)):
+        summary(tmp_path, "parent", "evaluate", k, p, p)
+        summary(tmp_path, "change", "evaluate", k, c, c)
+    (entry,) = bench_pairs.bench_document(tmp_path, SPEC)
+    return entry["metrics"]["batch_norm_s"]["verdict"], entry["metrics"]["passed_frac"]["verdict"]
+
+
+PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]
+
+
+def test_verdict_gain(tmp_path):
+    # The change wins 9 of 10 pairs by 10 %; the parent's quartiles are
+    # 0.98 and 1.02.  passed_frac is higher-is-better: there the same
+    # numbers are 10 % worse, past its 1 % bound.
+    change = [p * 0.9 for p in PARENT[:9]] + [1.5]
+    assert verdicts(tmp_path, PARENT, change) == ("gain", "worse")
+
+
+def test_verdict_worse(tmp_path):
+    # 30 % slower on every pair, past the 25 % bound; passed_frac gains.
+    assert verdicts(tmp_path, PARENT, [p * 1.3 for p in PARENT]) == ("worse", "gain")
+
+
+def test_verdict_within_bound(tmp_path):
+    # batch_norm_s: 8 of 10 pairs won by 10 % is no gain, and 20 % slower
+    # on every pair is within its 25 % bound.  passed_frac reads the same
+    # numbers the other way up: 10 % lower is past its 1 % bound, and 20 %
+    # higher on every pair is a gain.
+    change = [p * 0.9 for p in PARENT[:8]] + [1.5, 1.5]
+    assert verdicts(tmp_path, PARENT, change) == ("within bound", "worse")
+    assert verdicts(tmp_path / "slower", PARENT, [p * 1.2 for p in PARENT]) == ("within bound", "gain")
 
 
 def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
@@ -93,7 +133,7 @@ def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
     # the tier-1 suite runs once per side after the pairs.
     assert [side for side, _ in calls] == ["p", "p", "c", "c", "c", "c", "p", "p", "p", "c"]
     assert [argv for _, argv in calls[:2]] == [["perfbench/run.py", "--workload"], ["-m", "hfgames.cli"]]
-    (entry,) = bench_pairs.bench_document(runs, BETTER)
+    (entry,) = bench_pairs.bench_document(runs, SPEC)
     assert entry["pairs"] == 2
     assert set(entry["metrics"]) == {"batch_norm_s", "verify_all_s"}
     assert entry["metrics"]["verify_all_s"]["better"] == "lower"
@@ -146,7 +186,7 @@ def test_run_pairs_runs_tier1_once_per_side(tmp_path, monkeypatch):
     ]
     assert set(doc["parent"]["wall_s"]) == {"median", "q1", "q3"}
     # The summaries of the pairs do not pick the tier-1 files up.
-    evaluate, recursion = bench_pairs.bench_document(runs, BETTER)
+    evaluate, recursion = bench_pairs.bench_document(runs, SPEC)
     assert (evaluate["pairs"], recursion["pairs"]) == (3, 2)
 
 

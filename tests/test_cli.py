@@ -448,6 +448,41 @@ class TestModuleEntry:
         assert proc.stdout.startswith("usage: hfgames")
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head -c 50`` may, ends the
+    command with exit 1 and nothing on stderr: no traceback.  The read end
+    is closed before the child starts, so every write the child makes
+    meets a closed pipe."""
+
+    REPLAY = {
+        "clock_mode": "first_move_natural",
+        "status": "ongoing",
+        "rounds": [{"clock": 1, "inquiry": "(#0 in #1)", "verdict": True}],
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "random-clopen", "--max-nodes", "5", "--json"],
+            ["verify", "all", "--seed", "1", "--json"],
+            ["play", "--replay", "t.json", "--rank", "2"],
+        ],
+        ids=["solve", "verify", "play"],
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv, tmp_path):
+        (tmp_path / "t.json").write_text(json.dumps(self.REPLAY))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hfgames", *argv], stdout=write, stderr=subprocess.PIPE,
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
 class TestBoundedMemory:
     def test_main_in_process_leaves_no_parser_behind(self, capsys):
         """Twenty in-process runs of main, after three warm-up runs, leave

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -53,7 +54,7 @@ from hfgames.universe import (
     topological_order,
 )
 
-from hfgames.truthgames import recursion_game
+from hfgames.truthgames import extract_solution, honest_teller, recursion_game
 from hfgames.oracles import (
     descending_sequences,
     kb_less,
@@ -224,6 +225,26 @@ class TestEtrSolve:
         assert {b: set(sol.slice(b)) for b in nodes} == want
         assert any(len(s) > 1 for s in want.values())
         assert check_solution(U5, rel, rule, sol, value_domain=domain)
+
+    def test_v5_round_trip_with_the_guard_inside(self):
+        # (j <| i) sits inside Ey, so only the evaluator's guard keeps the
+        # loop over j from scanning all 65,536 codes for each x.
+        U5 = Structure(build_universe(5))
+        rel = WellFoundedRelation(frozenset({3, 7, 9}), frozenset({(3, 7), (7, 9), (3, 9)}))
+        domain = [0, 1, 3, 7, 9]
+        inside = RecursionRule.parse("x = #1 | Ej. (Ey. ((j <| i) & F(j, y) & x in y))")
+        first = RecursionRule.parse("x = #1 | Ej. ((j <| i) & Ey. (F(j, y) & x in y))")
+        start = time.perf_counter()
+        sol = etr_solve(U5, rel, inside, value_domain=domain)
+        game = recursion_game(U5, rel, inside, value_domain=domain)
+        assert extract_solution(honest_teller(game, U5, solution=sol), game) == sol
+        assert time.perf_counter() - start < 1.0
+        assert sol == etr_solve(U5, rel, first, value_domain=domain)
+        # Every witness the rule can use (carrier nodes, values) is below
+        # 16, so the slices are those over V_4, where brute force is quick.
+        V4 = Structure(build_universe(4))
+        assert sol.pairs == worklist_fixpoint(V4, rel, inside, value_domain=domain)
+        assert {i: sorted(sol.slice(i)) for i in (3, 7, 9)} == {3: [1], 7: [0, 1], 9: [0, 1]}
 
 
 def reversed_topo(rel):

@@ -260,6 +260,7 @@ ITERATIVE = [
     "satisfiers",
     "_mask",
     "_pred_mask",
+    "_guard_of",
 ]
 ITERATIVE_UNIVERSE = ["_sorter", "find_cycle", "check_wellfounded", "topological_order"]
 ITERATIVE_ETR = ["_relativize", "transitive_closure", "descending_tree"]

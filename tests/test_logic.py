@@ -590,6 +590,56 @@ def least_witness(M, f, env):
     return None
 
 
+def guarded_case(rng: random.Random, rank: int):
+    """A structure of rank 1..4 with unary P, binary R and <|, a formula
+    Ev. B whose literal guards sit inside one or two nested quantifiers
+    (one over V_4, where brute force is dearer), and an assignment to its
+    free variable u, if any.  Each level conjoins the level below with
+    literals over its whole scope and literals over the outer variable
+    only; binders may shadow the outer variable or each other or bind
+    nothing, and an inner quantifier may sit under a negation (a
+    universal)."""
+    n = universe_size(rank)
+
+    def literal(names):
+        # One side a variable of names, the other one of names, u or a code.
+        a = Var(rng.choice(names))
+        b = Var(rng.choice((*names, "u"))) if rng.random() < 0.5 else Const(rng.randrange(n))
+        if rng.random() < 0.5:
+            a, b = b, a
+        kind = rng.choice(["in", "eq", "P", "R", "<|"])
+        if kind == "P":
+            atom = Pred("P", (a,))
+        elif kind in ("R", "<|"):
+            atom = Pred(kind, (a, b))
+        else:
+            atom = (Member if kind == "in" else Eq)(a, b)
+        return Not(atom) if rng.random() < 0.5 else atom
+
+    binders = [rng.choice(VARS) for _ in range(rng.randint(1, 2 if rank < 4 else 1))]
+    scope = (rng.choice(VARS), *binders)
+    f = None
+    for depth in range(len(scope) - 1, -1, -1):
+        parts = [literal(scope[: depth + 1]) for _ in range(rng.randint(0, 2))]
+        parts += [literal(scope[:1]) for _ in range(rng.randint(0, 1))]
+        parts = parts + [f] if f else parts or [literal(scope)]
+        rng.shuffle(parts)
+        body = parts[0]
+        for g in parts[1:]:
+            body = And(body, g) if rng.random() < 0.5 else And(g, body)
+        f = Exists(scope[depth], body)
+        if depth and rng.random() < 0.5:
+            f = Not(f)
+    codes = range(n)
+    preds = {
+        "P": {(c,) for c in rng.sample(codes, rng.randint(1, min(n, 8)))},
+        "R": {(rng.choice(codes), rng.choice(codes)) for _ in range(rng.randint(1, 16))},
+        "<|": {(rng.choice(codes), rng.choice(codes)) for _ in range(rng.randint(1, 16))},
+    }
+    env = {v: rng.randrange(n) for v in sorted(free_vars(f))}
+    return Structure(build_universe(rank), preds), f, env
+
+
 class TestBitmaskEvaluator:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32))
@@ -607,6 +657,25 @@ class TestBitmaskEvaluator:
                 with pytest.raises(NoWitnessError):
                     skolem_witness(M, inst)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32))
+    def test_guards_agree_with_tarski_eval(self, rank, seed):
+        rng = random.Random(seed)
+        M, f, env = guarded_case(rng, rank)
+        want = tarski_eval(M, f, env)
+        inst = instance(f, env)
+        assert eval_instance(M, inst) is want, (to_text(f), env)
+        w = least_witness(M, f, env)
+        assert (w is not None) is want
+        if want:
+            assert skolem_witness(M, inst) == w, (to_text(f), env)
+        else:
+            with pytest.raises(NoWitnessError):
+                skolem_witness(M, inst)
+        codes = [c for c in M.universe.elements if rng.random() < 0.5]
+        got = satisfiers(M, f.body, f.var, env, codes)
+        assert got == {c for c in codes if tarski_eval(M, f.body, {**env, f.var: c})}, (to_text(f), env)
+
     @pytest.mark.parametrize(
         "text, verdict, witness",
         [
@@ -622,6 +691,20 @@ class TestBitmaskEvaluator:
             ("Ex. (x in #6 & Ay. (y in x -> !(y = #0)))", True, 2),
             ("Ax. Ey. (x in y)", False, None),
             ("Ex. Ay. !(y in x)", True, 0),
+            # The early-exit shape: each loop's guard leaves it one bit.
+            ("Ex. Ey. Ez. (((x = #5) & (y = #5) & (z = #5)) & ((x in #6) | !(x in #6)))", True, 5),
+            ("Ex. Ey. Ez. (((x = #5) & (y = #6) & (z = #5)) & (z in y))", False, None),
+            # The guard of Ey leaves no bit of x.
+            ("Ex. Ey. ((x in #0) & (y = x))", False, None),
+            # Under a negation the loop stops below the first bit of x
+            # that fails the guard, a counterexample; without one it
+            # goes on past it.
+            ("Ex. !Ey. ((x = #2) & (y in x))", True, 0),
+            ("Ex. !Ey. (!(x = #3) & (y = x))", True, 3),
+            ("Ex. Ey. (!(x = #0) & (y = x))", True, 1),
+            ("Ax. Ey. ((x in y) & (y = #3) & (x = #0 | x = #1))", False, None),
+            # A literal behind a binder that shadows x is no guard on x.
+            ("Ex. Ey. ((Ex. (x = #3)) & (y = x) & (x = #2))", True, 2),
         ],
     )
     def test_binders(self, text, verdict, witness):
