@@ -79,14 +79,13 @@ def _structure(args) -> logic.Structure:
 def cmd_eval(args) -> int:
     M = _structure(args)
     inst = logic.parse_closed(args.formula, M.signature(), M.universe)
-    f = inst.formula
     verdict = logic.eval_instance(M, inst)
     witness: Optional[int] = None
-    if verdict and isinstance(f, logic.Exists):
+    if verdict and isinstance(inst, logic.Exists):
         witness = logic.skolem_witness(M, inst)
     if args.json:
         print(json.dumps(
-            {"formula": logic.to_text(f), "verdict": verdict, "witness": witness},
+            {"formula": logic.to_text(inst), "verdict": verdict, "witness": witness},
             sort_keys=True,
         ))
     else:
@@ -239,6 +238,8 @@ def cmd_play(args) -> int:
     game = truthgames.truth_game(M, mode)
     teller = truthgames.honest_teller(game, M)
     if args.replay is not None:
+        if args.clock is not None:
+            raise ParseError("argument --clock: not allowed with argument --replay")
         try:
             with open(args.replay, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -251,7 +252,8 @@ def cmd_play(args) -> int:
             raise ParseError(f"malformed transcript: {exc}") from None
         print(truthgames.transcript_to_json(game, transcript))
         return EXIT_OK
-    transcript = _interactive_loop(game, teller, _at_least("--clock", args.clock, 1))
+    clock = 8 if args.clock is None else args.clock
+    transcript = _interactive_loop(game, teller, _at_least("--clock", clock, 1))
     print(truthgames.transcript_to_json(game, transcript))
     return EXIT_OK
 
@@ -335,25 +337,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=cmd_eval)
 
     p_solve = sub.add_parser("solve", help="solve a built-in game")
-    p_solve.add_argument(
-        "game", choices=["choice", "random-clopen", "truthtelling", "recursion"]
-    )
-    p_solve.add_argument("--rank", type=int, default=3)
-    p_solve.add_argument("--seed", type=int, default=1)
-    p_solve.add_argument("--cap", type=int, default=8)
-    p_solve.add_argument("--max-nodes", type=int, default=2000)
-    p_solve.add_argument("--depth", type=int, default=2)
-    p_solve.add_argument("--random-interrogators", type=int, default=50)
-    p_solve.add_argument("--pred", action="append")
-    p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
+    games_sub = p_solve.add_subparsers(dest="game", required=True)
+    # Each game takes the flags its handler reads, and no other.
+    p_choice, p_clopen, p_truth, p_rec = (
+        games_sub.add_parser(game) for game in ("choice", "random-clopen", "truthtelling", "recursion")
+    )
+    for p_game in (p_choice, p_truth, p_rec):
+        p_game.add_argument("--rank", type=int, default=3)
+    for p_game in (p_clopen, p_truth):
+        p_game.add_argument("--seed", type=int, default=1)
+    p_clopen.add_argument("--cap", type=int, default=8)
+    p_clopen.add_argument("--max-nodes", type=int, default=2000)
+    p_truth.add_argument("--depth", type=int, default=2)
+    p_truth.add_argument("--random-interrogators", type=int, default=50)
+    for p_game in (p_truth, p_rec):
+        p_game.add_argument("--pred", action="append")
+    for p_game in (p_choice, p_clopen, p_truth, p_rec):
+        p_game.add_argument("--json", action="store_true")
 
     p_play = sub.add_parser("play", help="play the truth-telling game")
     source = p_play.add_mutually_exclusive_group(required=True)
     source.add_argument("--interactive", action="store_true")
     source.add_argument("--replay", metavar="FILE")
     p_play.add_argument("--rank", type=int, default=3)
-    p_play.add_argument("--clock", type=int, default=8)
+    p_play.add_argument("--clock", type=int, help="the interactive play's first clock (default 8)")
     p_play.add_argument("--clock-mode", choices=["natural", "ordinal"], default="natural")
     p_play.add_argument("--pred", action="append")
     p_play.set_defaults(fn=cmd_play)
@@ -382,7 +390,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         what = getattr(args, "game", None) or getattr(args, "suite", None)
-        _at_least("--rank", args.rank, _LEAST_RANK.get(what, 0))
+        if hasattr(args, "rank"):
+            _at_least("--rank", args.rank, _LEAST_RANK.get(what, 0))
         code = args.fn(args)
         sys.stdout.flush()
         return code

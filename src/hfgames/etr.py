@@ -26,7 +26,6 @@ from .logic import (
     EDGE_SYMBOL,
     Exists,
     Formula,
-    FormulaInstance,
     Not,
     Pred,
     SatisfactionClass,
@@ -362,8 +361,8 @@ class IteratedTruthPredicate:
 def iterated_truth(
     M: Structure,
     order: WellOrder,
-    closure: Sequence[FormulaInstance] = (),
-    coding: Optional[Mapping[int, FormulaInstance]] = None,
+    closure: Sequence[Formula] = (),
+    coding: Optional[Mapping[int, Formula]] = None,
 ) -> IteratedTruthPredicate:
     """Build truth slices stage by stage along the well-order.
 
@@ -389,7 +388,7 @@ def iterated_truth(
             raise SignatureError(f"stage index {i!r} is not a universe element")
     carrier = set(order.elements)
     for inst in closure:
-        for atom in _pred_atoms(inst.formula, TRUTH_SYMBOL):
+        for atom in _pred_atoms(inst, TRUTH_SYMBOL):
             first = atom.args[0]
             if hasattr(first, "code") and first.code not in carrier:
                 raise SignatureError(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -53,11 +52,10 @@ EDGE_SYMBOL = "<|"
 # from the children's: free variables, size (every AST node, terms
 # included), depth (formula nodes on the longest path down to an atom, both
 # ends included) and predicate symbols.  Atoms that have no slot for a fact
-# read the class default.  Instances look the table up themselves: the
-# constructor checks the bindings on a miss and builds through
-# ``_new_instance``, while the parts and witness bodies of an instance, whose
-# bindings are cut from its checked ones, are looked up and built unchecked
-# by ``_derived_instance``.
+# read the class default.  An instance is its closed formula node: the
+# instance builders substitute the bindings they are given, and the parts
+# and witness bodies of a closed node are closed nodes too, so a
+# proposition is one object however it was reached.
 
 _EMPTY: frozenset[str] = frozenset()
 _interned: dict = {}
@@ -74,6 +72,11 @@ class _Interned:
 
     __slots__ = ("__weakref__",)
 
+    def __init_subclass__(cls):
+        # The slots' own setters, past the immutability guard: cheaper than
+        # object.__setattr__, which looks each slot up by name.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @staticmethod
     def _facts(*args) -> tuple:
         return ()
@@ -84,8 +87,8 @@ class _Interned:
         obj = None if ref is None else ref()
         if obj is None:
             obj = object.__new__(cls)
-            for name, value in zip(cls.__slots__, (*args, *cls._facts(*args))):
-                _setattr(obj, name, value)
+            for setter, value in zip(cls._setters, (*args, *cls._facts(*args))):
+                setter(obj, value)
             # A C callback: no Python code runs inside a deallocation.
             _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
         return obj
@@ -145,16 +148,35 @@ def _term(t) -> Term:
 
 
 class _FormulaNode(_Interned):
-    """What the six formula classes share: the defaults of the cached facts
-    and a repr in the text syntax, so formulas of any depth print."""
+    """What the six formula classes share: the defaults of the cached facts,
+    the text syntax for repr and str, so formulas of any depth print, and
+    what a closed formula reads as an instance: itself as its ``formula``,
+    no bindings, its ``parts`` and, for an existential, its
+    ``witness_body``.  ``_shape`` is left unset until ``shape`` fills it."""
 
-    __slots__ = ()
+    __slots__ = ("_shape",)
     _size = 3
     _depth = 1
     _preds = _EMPTY
+    bindings = ()
+
+    @property
+    def formula(self) -> "_FormulaNode":
+        return self
+
+    @property
+    def parts(self) -> tuple:
+        t = type(self)
+        return (self.body,) if t is Not else (self.left, self.right) if t is And else ()
+
+    def witness_body(self, witness: int) -> "_FormulaNode":
+        raise MalformedInstanceError(f"not an existential: {self}")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {to_text(self)}>"
+
+    def __str__(self) -> str:
+        return to_text(self)
 
 
 def _node(f) -> "_FormulaNode":
@@ -208,15 +230,33 @@ class And(_FormulaNode):
 
 
 class Exists(_FormulaNode):
-    # ``_guard`` is left unset, so building a node pays nothing for it; the
-    # evaluator fills it on the node's first loop (``_guard_of``).
-    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds", "_guard")
+    # ``_guard`` and ``_bodies`` are left unset, so building a node pays
+    # nothing for them; the evaluator fills ``_guard`` on the node's first
+    # loop (``_guard_of``), and ``witness_body`` ``_bodies``.
+    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds", "_guard", "_bodies")
 
     @staticmethod
     def _facts(var, body):
         b = _node(body)
         fv = b._fv - {var} if var in b._fv else b._fv
         return fv, b._size + 1, b._depth + 1, b._preds
+
+    def witness_body(self, witness: int) -> "_FormulaNode":
+        """The body with the constant of the witness for the variable, built
+        on first use and kept while the node lives; the witness must be an
+        ``int`` code whatever is kept."""
+        # Checked first: True and 1.0 would find the body at 1.
+        if type(witness) is not int or witness < 0:
+            raise MalformedInstanceError(f"witness {witness!r} is not an int code")
+        try:
+            bodies = self._bodies
+        except AttributeError:
+            bodies = {}
+            _setattr(self, "_bodies", bodies)
+        got = bodies.get(witness)
+        if got is None:
+            got = bodies[witness] = substitute(self.body, {self.var: witness})
+        return got
 
 
 Formula = Union[Member, Eq, Pred, Not, And, Exists]
@@ -265,15 +305,10 @@ def _ends_in_quantifier(f: Formula) -> bool:
     return isinstance(f, Exists)
 
 
-class _Rebind(tuple):
-    """(var, code): a binding an Exists hid, to give back after its body."""
-
-
-def _render(f: Formula, env: dict) -> str:
-    """Text of f with each free variable that env binds shown as its constant;
-    an Exists hides its variable from env in its body."""
+def to_text(f: Formula) -> str:
+    """Canonical core-connective rendering; parse(to_text(f)) == f."""
     out = []
-    stack: list = [_node(f)]  # formulas, text to follow them, and _Rebinds
+    stack: list = [_node(f)]  # formulas, and the text to follow them
     while stack:
         g = stack.pop()
         t = type(g)
@@ -291,32 +326,71 @@ def _render(f: Formula, env: dict) -> str:
                 stack += [")", g.right, " & ", g.left]
         elif t is Exists:
             out.append(f"E{g.var}. ")
-            if g.var in env:
-                stack.append(_Rebind((g.var, env.pop(g.var))))
             stack.append(g.body)
-        elif t is _Rebind:
-            env[g[0]] = g[1]
-        elif t in ATOMIC_KINDS:
-            terms = _terms(g)
-            if env and not g._fv.isdisjoint(env):
-                terms = [f"#{env[a.name]}" if type(a) is Var and a.name in env else a
-                         for a in terms]
-            if t is Member:
-                out.append(f"({terms[0]} in {terms[1]})")
-            elif t is Eq:
-                out.append(f"({terms[0]} = {terms[1]})")
-            elif g.name == EDGE_SYMBOL:
-                out.append(f"({terms[0]} <| {terms[1]})")
-            else:
-                out.append(f"{g.name}({', '.join(str(a) for a in terms)})")
+        elif t is Member:
+            out.append(f"({g.left} in {g.right})")
+        elif t is Eq:
+            out.append(f"({g.left} = {g.right})")
+        elif t is Pred and g.name == EDGE_SYMBOL:
+            out.append(f"({g.args[0]} <| {g.args[1]})")
+        elif t is Pred:
+            out.append(f"{g.name}({', '.join(str(a) for a in g.args)})")
         else:
             raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
 
 
-def to_text(f: Formula) -> str:
-    """Canonical core-connective rendering; parse(to_text(f)) == f."""
-    return _render(f, {})
+def substitute(f: Formula, env: Mapping[str, int]) -> Formula:
+    """f with the constant of its code for each free occurrence of a
+    variable env binds.  One pass builds every node at most once, after its
+    parts; a quantifier that rebinds one variable while another is replaced
+    under it takes one pass per variable."""
+    consts = {v: Const(c) for v, c in env.items()}
+    got = _replace(_node(f), consts)
+    if got is None:
+        for v, c in consts.items():
+            f = _replace(f, {v: c})
+        return f
+    return got
+
+
+def _replace(f: Formula, consts: dict) -> Optional[Formula]:
+    """f with each free variable that consts binds replaced by its constant,
+    iteratively, or None at a quantifier that rebinds one of them while
+    another is replaced under it.  Only nodes a variable is free in are
+    walked and new."""
+    names = frozenset(consts)
+    if names.isdisjoint(f._fv):
+        return f
+    image: dict = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in image:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is And:
+            left, right = g.left, g.right
+            a = left if names.isdisjoint(left._fv) else image.get(left)
+            b = right if names.isdisjoint(right._fv) else image.get(right)
+            if a is None or b is None:
+                stack += [p for p, got in ((left, a), (right, b)) if got is None]
+                continue
+            image[g] = And(a, b)
+        elif t is Not or t is Exists:
+            if t is Exists and g.var in consts:
+                return None
+            body = image.get(g.body)  # the body has a variable of names free
+            if body is None:
+                stack.append(g.body)
+                continue
+            image[g] = Not(body) if t is Not else Exists(g.var, body)
+        else:
+            terms = [consts.get(a.name, a) if type(a) is Var else a for a in _terms(g)]
+            image[g] = Pred(g.name, tuple(terms)) if t is Pred else t(*terms)
+        stack.pop()
+    return image[f]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +595,7 @@ def parse_formula(text: str, signature: Optional[Mapping[str, int]] = None) -> F
     return _Parser(text, signature).parse()
 
 
-def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) -> FormulaInstance:
+def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) -> Formula:
     """The closed formula a user typed, as an instance: a free variable or a
     constant outside the universe is a ParseError, as bad syntax is."""
     f = parse_formula(text, signature)
@@ -539,161 +613,92 @@ def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) ->
 # Instances, structures, evaluation.
 
 
-class FormulaInstance(_Interned):
-    """A formula with its bindings: one ``(name, code)`` pair per free
-    variable, sorted by name, each code an ``int``.  The constructor, and so
-    ``instance``, ``sub_instance`` and ``instantiate``, checks that on a
-    table miss, and on a hit whose bindings are equal but not the same
-    tuple.  An instance carries the instances the Tarskian clauses read off
-    it, each built on first use and kept while it lives: ``parts`` and
-    ``witness_body``.  Those are built unchecked (``_derived_instance``): a
-    part's free variables are some of its parent's, and a witness body's
-    are its parent's plus the binder, so the checked bindings cut to them,
-    or with the witness's ``int`` added in its sorted place, are still
-    sorted ``(name, int)`` pairs."""
-
-    __slots__ = ("formula", "bindings", "_parts", "_bodies")
-
-    def __new__(cls, formula, bindings):
-        key = (cls, formula, bindings)
-        ref = _interned.get(key)
-        obj = None if ref is None else ref()
-        if obj is None:
-            cls._check(formula, bindings)
-            return _new_instance(key)
-        if obj.bindings is not bindings:
-            # Equal bindings found a live instance, and True or 1.0 equal 1:
-            # a code that is not an int is refused as on a miss.
-            for _, code in bindings:
-                if type(code) is not int:
-                    cls._check(formula, bindings)
-        return obj
-
-    @staticmethod
-    def _check(formula, bindings) -> None:
-        names = sorted(_node(formula)._fv)
+def FormulaInstance(formula: Formula, bindings: tuple) -> Formula:
+    """The proposition formula states at the bindings, one ``(name, code)``
+    pair per free variable, sorted by name, each code an ``int``: the
+    formula with the codes' constants substituted for the variables.  Any
+    other bindings are refused.  The instance is that closed formula node,
+    so ``(x in #1)`` at x = 0 and ``(#0 in #1)`` are one object."""
+    if bindings != () or _node(formula)._fv:
+        names = sorted(formula._fv)
         if type(bindings) is not tuple or [
             (b[0], type(b[1])) if type(b) is tuple and len(b) == 2 else b for b in bindings
         ] != [(v, int) for v in names]:
             raise MalformedInstanceError(
                 f"bindings {bindings!r} do not give the free variables {names}"
                 f" of {to_text(formula)} one int code each, in order")
-
-    @property
-    def assignment(self) -> dict[str, int]:
-        return dict(self.bindings)
-
-    @property
-    def parts(self) -> tuple["FormulaInstance", ...]:
-        """The sub-instances of a Not or And instance; none for the others."""
-        got = self._parts
-        if got is None:
-            f, b = self.formula, self.bindings
-            if type(f) is Not:
-                got = (_derived_instance(f.body, b),)
-            elif type(f) is And:
-                got = (_derived_instance(f.left, b), _derived_instance(f.right, b))
-            else:
-                got = ()
-            _set_parts(self, got)
-        return got
-
-    def witness_body(self, witness: int) -> "FormulaInstance":
-        """The body of an existential instance at the named witness, which
-        must be an ``int`` whatever is cached."""
-        bodies = self._bodies
-        if bodies is None:
-            bodies = {}
-            _set_bodies(self, bodies)
-        # Only an int looks the cache up: True and 1.0 would find the body
-        # at 1.  _witnessed refuses the rest, and any instance but an
-        # existential, which alone has a binder.
-        got = bodies.get(witness) if type(witness) is int else None
-        if got is None:
-            var = getattr(self.formula, "var", None)
-            got = bodies[witness] = _derived_instance(*_witnessed(self, var, witness))
-        return got
-
-    def __repr__(self) -> str:
-        return f"<FormulaInstance {print_instance(self)}>"
-
-    def __str__(self) -> str:
-        return print_instance(self)
+        formula = substitute(formula, dict(bindings))
+    return formula
 
 
-# The slots' own setters, past the immutability guard: cheaper than
-# object.__setattr__, which looks each slot up by name.
-_set_formula, _set_bindings, _set_parts, _set_bodies = (
-    getattr(FormulaInstance, name).__set__ for name in FormulaInstance.__slots__)
-
-
-def _new_instance(key: tuple) -> FormulaInstance:
-    """A new instance for a table miss on ``key``, unchecked."""
-    cls, formula, bindings = key
-    obj = object.__new__(cls)
-    _set_formula(obj, formula)
-    _set_bindings(obj, bindings)
-    _set_parts(obj, None)
-    _set_bodies(obj, None)
-    _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
-    return obj
-
-
-def _derived_instance(formula: Formula, bindings: tuple) -> FormulaInstance:
-    """The instance of a part or witness body of a checked instance, under
-    the bindings it was cut from, cut to the formula's free variables; not
-    checked again."""
-    fv = formula._fv
-    if len(fv) != len(bindings):
-        bindings = tuple(p for p in bindings if p[0] in fv)
-    key = (FormulaInstance, formula, bindings)
-    ref = _interned.get(key)
-    obj = None if ref is None else ref()
-    return _new_instance(key) if obj is None else obj
-
-
-def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -> FormulaInstance:
-    """Build an instance, restricting the assignment to the free variables."""
+def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -> Formula:
+    """The closed instance of formula under the assignment, whose keys must
+    cover the free variables; other keys are dropped."""
     a = assignment or {}
     return FormulaInstance(formula, tuple((v, a[v]) for v in sorted(free_vars(formula)) if v in a))
 
 
-def parse_instance(text: str) -> FormulaInstance:
-    """Parse a closed formula as an instance with empty assignment."""
+def parse_instance(text: str) -> Formula:
+    """Parse a closed formula as an instance."""
     return FormulaInstance(parse_formula(text), ())
 
 
-def print_instance(inst: FormulaInstance) -> str:
-    """The formula's text with each free variable shown as its constant."""
-    return _render(inst.formula, inst.assignment)
+# An instance prints as its closed formula.
+print_instance = to_text
 
 
-def sub_instance(inst: FormulaInstance, sub: Formula) -> FormulaInstance:
-    """Instance of a subformula under the same assignment: the parent's
-    bindings, cut to the subformula's free variables when it has fewer."""
-    fv, b = _node(sub)._fv, inst.bindings
-    return FormulaInstance(sub, b if len(fv) == len(b) else tuple(p for p in b if p[0] in fv))
+def sub_instance(inst: Formula, sub: Formula) -> Formula:
+    """The instance of sub, a subformula of inst's formula that must itself
+    be closed."""
+    return FormulaInstance(sub, ())
 
 
-def _witnessed(inst: FormulaInstance, var: str, code: int) -> tuple:
-    """The body of an existential instance and its bindings at a witness:
-    the parent's bindings with ``(var, code)`` in its sorted place, if the
-    body has var."""
-    f = inst.formula
-    if not isinstance(f, Exists):
-        raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
-    if type(code) is not int:
-        raise MalformedInstanceError(f"witness {code!r} is not an int code")
-    b = inst.bindings
-    if var in f.body._fv:
-        k = bisect_left(b, (var,))
-        b = (*b[:k], (var, code), *b[k:])
-    return f.body, b
+def instantiate(inst: Formula, var: str, code: int) -> Formula:
+    """The body of an existential instance, var being its variable, at a
+    chosen witness element: its ``witness_body``."""
+    return inst.witness_body(code)
 
 
-def instantiate(inst: FormulaInstance, var: str, code: int) -> FormulaInstance:
-    """Instance of an Exists body at a chosen witness element, checked."""
-    return FormulaInstance(*_witnessed(inst, var, code))
+def instantiation_witness(ex: Formula, inst: Formula) -> Optional[int]:
+    """The code c with inst the body of the existential ex at c, or None if
+    there is none.  c is the constant inst holds where the body first has
+    the variable free, found by walking both in step, which also turns
+    inst away at the first node or constant it does not share with the
+    body; one substitution confirms c.  A body without the variable is the
+    same at every element, and 0 stands for them all."""
+    var, body = ex.var, ex.body
+    if var not in body._fv:
+        return 0 if body is inst else None
+    code = None
+    for g, h in zip(subformulas(body), subformulas(inst)):
+        if type(g) is not type(h):
+            return None
+        for a, b in zip(_terms(g), _terms(h)) if type(g) in ATOMIC_KINDS else ():
+            if type(a) is Const:
+                if a is not b:
+                    return None
+            elif code is None and type(b) is Const and a.name == var:
+                code = b.code
+    return code if code is not None and ex.witness_body(code) is inst else None
+
+
+# A term in ``to_text``: a constant, or a name that neither calls a
+# predicate nor is bound by the ``E`` before it.
+_TERM = re.compile(r"#\d+|\b[A-Za-z]\w*\b(?![(.])")
+
+
+def shape(f: Formula) -> int:
+    """A hash of f's skeleton, its text with every term erased.  An
+    existential's instantiations all have its body's shape; two shapes may
+    collide, so a candidate is confirmed by ``instantiation_witness``.
+    Built on first use and kept in the node's ``_shape`` slot, so building
+    a node pays nothing for it."""
+    try:
+        return f._shape
+    except AttributeError:
+        got = hash(_TERM.sub("", to_text(f)))
+        _setattr(f, "_shape", got)
+        return got
 
 
 @dataclass(frozen=True)
@@ -924,17 +929,16 @@ def _mask(
     return m
 
 
-def eval_instance(M: Structure, inst: FormulaInstance) -> bool:
+def eval_instance(M: Structure, inst: Formula) -> bool:
     """Tarskian truth of the instance in M, by the bitmask evaluator."""
-    return _mask(M, inst.formula, None, inst.assignment, 1) == 1
+    return _mask(M, inst, None, {}, 1) == 1
 
 
-def skolem_witness(M: Structure, inst: FormulaInstance) -> int:
+def skolem_witness(M: Structure, inst: Formula) -> int:
     """Global-order-least witness of a true existential instance."""
-    f = inst.formula
-    if not isinstance(f, Exists):
+    if not isinstance(inst, Exists):
         raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
-    m = _mask(M, f.body, f.var, inst.assignment, M.universe.full_mask(), _LOWEST_SET)
+    m = _mask(M, inst.body, inst.var, {}, M.universe.full_mask(), _LOWEST_SET)
     if not m:
         raise NoWitnessError(f"no witness for {print_instance(inst)}")
     return (m & -m).bit_length() - 1
@@ -959,17 +963,17 @@ def satisfiers(
 class SatisfactionClass:
     """Instances marked true; absence within the closure means marked false."""
 
-    entries: frozenset[FormulaInstance]
-    closure: frozenset[FormulaInstance]
+    entries: frozenset[Formula]
+    closure: frozenset[Formula]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", frozenset(self.entries))
         object.__setattr__(self, "closure", frozenset(self.closure))
 
-    def holds(self, inst: FormulaInstance) -> bool:
+    def holds(self, inst: Formula) -> bool:
         return inst in self.entries
 
-    def verdict(self, inst: FormulaInstance) -> Optional[bool]:
+    def verdict(self, inst: Formula) -> Optional[bool]:
         """True/False within the closure, None when unqueried."""
         if inst in self.entries:
             return True
@@ -978,7 +982,7 @@ class SatisfactionClass:
         return None
 
 
-def build_truth_predicate(M: Structure, instances: Iterable[FormulaInstance]) -> SatisfactionClass:
+def build_truth_predicate(M: Structure, instances: Iterable[Formula]) -> SatisfactionClass:
     """Mark exactly the listed instances that evaluate true in M."""
     insts = frozenset(instances)
     return SatisfactionClass(frozenset(i for i in insts if eval_instance(M, i)), insts)
@@ -987,7 +991,7 @@ def build_truth_predicate(M: Structure, instances: Iterable[FormulaInstance]) ->
 @dataclass(frozen=True)
 class TarskiViolation:
     kind: str
-    inst: FormulaInstance
+    inst: Formula
     detail: str
 
     def __str__(self) -> str:
@@ -997,7 +1001,7 @@ class TarskiViolation:
 def tarski_check(
     M: Structure,
     S: SatisfactionClass,
-    closure: Iterable[FormulaInstance],
+    closure: Iterable[Formula],
 ) -> list[TarskiViolation]:
     """Audit the Tarskian conditions on every closure instance.
 
@@ -1006,9 +1010,8 @@ def tarski_check(
     """
     violations = []
     for inst in closure:
-        f = inst.formula
         marked = S.holds(inst)
-        if isinstance(f, ATOMIC_KINDS):
+        if isinstance(inst, ATOMIC_KINDS):
             actual = eval_instance(M, inst)
             if marked != actual:
                 violations.append(
@@ -1016,7 +1019,7 @@ def tarski_check(
                         "atomic", inst, f"marked {marked}, structure says {actual}"
                     )
                 )
-        elif isinstance(f, Not):
+        elif isinstance(inst, Not):
             (sub,) = inst.parts
             if marked == S.holds(sub):
                 violations.append(
@@ -1024,7 +1027,7 @@ def tarski_check(
                         "negation", inst, f"same mark as {print_instance(sub)}"
                     )
                 )
-        elif isinstance(f, And):
+        elif isinstance(inst, And):
             left, right = inst.parts
             both = S.holds(left) and S.holds(right)
             if marked != both:
@@ -1033,7 +1036,7 @@ def tarski_check(
                         "conjunction", inst, f"marked {marked}, conjuncts give {both}"
                     )
                 )
-        elif isinstance(f, Exists):
+        elif isinstance(inst, Exists):
             some = any(
                 S.holds(inst.witness_body(b)) for b in M.universe.elements
             )
@@ -1044,7 +1047,7 @@ def tarski_check(
                     )
                 )
         else:
-            raise TypeError(f"not a formula: {f!r}")
+            raise TypeError(f"not a formula: {inst!r}")
     return violations
 
 
@@ -1100,9 +1103,10 @@ def enumerate_formulas(
     return out
 
 
-def enumerate_instances(M: Structure, max_size: int) -> list[FormulaInstance]:
-    """Every size-bounded formula over x and y with every assignment of its
-    free variables."""
+def enumerate_instances(M: Structure, max_size: int) -> list[Formula]:
+    """Every size-bounded formula over x and y at every assignment of its
+    free variables, as closed instances: two assignments may state one
+    proposition, which the list then holds twice."""
     out = []
     for f in enumerate_formulas(M.universe, max_size, signature=M.signature() or None):
         names = sorted(f._fv)
@@ -1159,6 +1163,6 @@ def random_formula(
     return gen(max(3, max_size), ())
 
 
-def random_instance(rng, M: Structure, max_size: int) -> FormulaInstance:
+def random_instance(rng, M: Structure, max_size: int) -> Formula:
     f = random_formula(rng, M.universe, max_size, M.signature() or None)
     return FormulaInstance(f, tuple((v, rng.randrange(M.universe.size)) for v in sorted(f._fv)))

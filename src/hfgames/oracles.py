@@ -13,14 +13,15 @@ from hfgames.games import PLAYER_I, PLAYER_II, Game, other_player, turn
 from hfgames.logic import (
     EDGE_SYMBOL,
     And,
+    Const,
     Eq,
     Exists,
+    FormulaInstance,
     Member,
     Not,
     Pred,
     Structure,
-    instantiate,
-    sub_instance,
+    Var,
 )
 from hfgames.truthgames import INTERROGATOR_WINS, NATURAL, Round, Transcript, referee
 from hfgames.universe import Ordinal, WellFoundedRelation, build_universe
@@ -63,6 +64,34 @@ def relativize(formula, f_symbol: str, bound):
     if isinstance(formula, Exists):
         return Exists(formula.var, relativize(formula.body, f_symbol, bound))
     return formula
+
+
+def substitute(formula, env: dict):
+    """formula with the constant of each code env gives a variable in place
+    of its free occurrences, by plain recursion; a quantifier hides its own
+    variable from env in its body."""
+    def term(t):
+        return Const(env[t.name]) if isinstance(t, Var) and t.name in env else t
+
+    if isinstance(formula, Member):
+        return Member(term(formula.left), term(formula.right))
+    if isinstance(formula, Eq):
+        return Eq(term(formula.left), term(formula.right))
+    if isinstance(formula, Pred):
+        return Pred(formula.name, tuple(term(a) for a in formula.args))
+    if isinstance(formula, Not):
+        return Not(substitute(formula.body, env))
+    if isinstance(formula, And):
+        return And(substitute(formula.left, env), substitute(formula.right, env))
+    if isinstance(formula, Exists):
+        inner = {v: c for v, c in env.items() if v != formula.var}
+        return Exists(formula.var, substitute(formula.body, inner))
+    raise AssertionError(f"unknown formula {formula!r}")
+
+
+def proposition(formula, env: dict):
+    """The closed instance ``substitute`` makes of formula under env."""
+    return FormulaInstance(substitute(formula, env), ())
 
 
 def formula_facts(formula) -> tuple[int, int, frozenset]:
@@ -286,8 +315,9 @@ def clock_outcome(clock_mode: str, rounds) -> str:
 
 def line_search(game, teller, depth: int, budget=None, pool=()):
     """Brute-force interrogator search: every line of inquiries to ``depth``
-    rounds, each round picking from ``pool`` plus the out-of-pool witness
-    instances named earlier on the line, visited depth first in pool order.
+    rounds, each round picking from ``pool`` plus the witness instances
+    named earlier on the line, visited depth first in pool order: each one
+    that instantiates a binder its body uses, and the others off the pool.
     Each line is replayed from scratch and judged by ``referee``.
 
     Returns (the first winning line or None, whether every line was seen,
@@ -308,10 +338,18 @@ def line_search(game, teller, depth: int, budget=None, pool=()):
         if referee(game, Transcript(rounds)) == INTERROGATOR_WINS:
             return line, False, nodes
         if len(line) < depth:
-            named = [r.pronouncement.witness_instance for r in rounds]
-            derived = [w for w in named if w is not None and w not in pool]
+            derived = [
+                r.pronouncement.witness_instance for r in rounds
+                if r.pronouncement.witness_instance is not None
+                and (r.pronouncement.witness_instance not in pool or _uses_binder(r.inquiry))
+            ]
             todo.extend(line + (q,) for q in reversed(pool + derived))
     return None, True, nodes
+
+
+def _uses_binder(f) -> bool:
+    """Is f an existential whose body changes with its variable's value?"""
+    return isinstance(f, Exists) and substitute(f.body, {f.var: 0}) != f.body
 
 
 def referee_lost(game, rounds) -> bool:
@@ -328,7 +366,8 @@ def referee_lost(game, rounds) -> bool:
     false with both marked true, a denied existential has an instantiation
     at some element marked true, a body named as a witness is marked false,
     or a recursion-rule instance over the carrier and the value domain is
-    marked false.
+    marked false.  An instance is its closed formula: instantiations,
+    witness bodies and rule instances are made by ``substitute``.
     """
     M = game.structure
     ob = game.obligation
@@ -337,12 +376,12 @@ def referee_lost(game, rounds) -> bool:
         q, p = r.inquiry, r.pronouncement
         if q is None:
             continue
-        if p.verdict and isinstance(q.formula, Exists):
+        if p.verdict and isinstance(q, Exists):
             if p.witness is None:
                 return True
             if type(p.witness) is not int or not 0 <= p.witness < M.universe.size:
                 return True
-            body = instantiate(q, q.formula.var, p.witness)
+            body = proposition(q.body, {q.var: p.witness})
             if p.witness_instance is not None and p.witness_instance != body:
                 return True
             named.add(body)
@@ -351,29 +390,29 @@ def referee_lost(game, rounds) -> bool:
     if named & false:
         return True
     f_symbol = ob.rule.f_symbol if ob is not None else None
-    rule_formula = ob.rule.instance_formula() if ob is not None else None
+    rules = set() if ob is None else {
+        proposition(ob.rule.instance_formula(), {ob.rule.i_var: i, ob.rule.x_var: x})
+        for i in ob.relation.carrier for x in ob.value_domain
+    }
     for inst in true | false:
-        f, a = inst.formula, inst.assignment
-        if isinstance(f, (Member, Eq, Pred)):
-            if not (isinstance(f, Pred) and f.name == f_symbol):
-                actual = tarski_eval(M, f, a)
+        if isinstance(inst, (Member, Eq, Pred)):
+            if not (isinstance(inst, Pred) and inst.name == f_symbol):
+                actual = tarski_eval(M, inst, {})
                 if (inst in true and not actual) or (inst in false and actual):
                     return True
-        elif isinstance(f, Not):
-            body = sub_instance(inst, f.body)
+        elif isinstance(inst, Not):
+            body = inst.body
             if (inst in true and body in true) or (inst in false and body in false):
                 return True
-        elif isinstance(f, And):
-            left, right = sub_instance(inst, f.left), sub_instance(inst, f.right)
+        elif isinstance(inst, And):
+            left, right = inst.left, inst.right
             if inst in true and (left in false or right in false):
                 return True
             if inst in false and left in true and right in true:
                 return True
         elif inst in false:
-            if any(instantiate(inst, f.var, b) in true for b in M.universe.elements):
+            if any(proposition(inst.body, {inst.var: b}) in true for b in M.universe.elements):
                 return True
-        if inst in false and f == rule_formula:
-            i, x = a.get(ob.rule.i_var), a.get(ob.rule.x_var)
-            if i in ob.relation.carrier and x in ob.value_domain:
-                return True
+        if inst in false and inst in rules:
+            return True
     return False

@@ -147,13 +147,13 @@ def suite_logic(cfg: RunConfig) -> Report:
         checked = 0
         for _ in range(200):
             inst = logic.random_instance(rng, M, 6)
-            if not isinstance(inst.formula, logic.Exists):
+            if not isinstance(inst, logic.Exists):
                 continue
             if not logic.eval_instance(M, inst):
                 continue
             w = logic.skolem_witness(M, inst)
             for b in range(w):
-                body = logic.instantiate(inst, inst.formula.var, b)
+                body = inst.witness_body(b)
                 if logic.eval_instance(M, body):
                     return False, "witness not least", {"inst": str(inst), "w": w, "b": b}
             checked += 1
@@ -469,8 +469,8 @@ def suite_etr(cfg: RunConfig) -> Report:
         order = WellOrder(tuple(range(min(3, U.size))))
         coding = {0: logic.parse_instance("(#0 in #1)")}
         sig = {"T": 2}
-        # Quantified T-queries need their instantiations in the closure, in
-        # assignment form, for the audit to see the witnesses.
+        # Quantified T-queries need their instantiations in the closure for
+        # the audit to see the witnesses.
         t_query = logic.parse_formula("T(#0, x)", sig)
         closure = [
             logic.parse_instance("(#0 in #1)"),

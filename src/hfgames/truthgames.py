@@ -1,14 +1,16 @@
 """The truth-telling game, its counting-down variants, and the recursion game.
 
-The interrogator asks about formula instances under a descending clock; the
-truth-teller answers true or false and must name a witness whenever she
-affirms an existential.  The referee is purely syntactic except on atomic
-ground facts: it flags atomic answers contradicting the structure, opposite
-pairs marked alike, conjunctions out of step with their conjuncts, witness
-bodies denied, instantiations affirmed under a denied existential, and (in
-recursion mode) denied instances of the recursion obligation.  Honest
-tellers never trip it; winning strategies compress into satisfaction
-classes and recursion solutions.
+The interrogator asks about formula instances under a descending clock: each
+is the closed formula it states, so two inquiries about one proposition are
+one inquiry however they were reached.  The truth-teller answers true or
+false and must name a witness whenever she affirms an existential.  The
+referee is purely syntactic except on atomic ground facts: it flags atomic
+answers contradicting the structure, opposite pairs marked alike,
+conjunctions out of step with their conjuncts, witness bodies denied,
+instantiations affirmed under a denied existential, and (in recursion mode)
+denied instances of the recursion obligation.  Honest tellers never trip
+it; winning strategies compress into satisfaction classes and recursion
+solutions.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .logic import (
     Const,
     Exists,
     Formula,
-    FormulaInstance,
     Not,
     Pred,
     SatisfactionClass,
@@ -44,9 +45,11 @@ from .logic import (
     eval_instance,
     free_vars,
     instance,
+    instantiation_witness,
     parse_closed,
     print_instance,
     random_instance,
+    shape,
     size,
     skolem_witness,
     subformulas,
@@ -66,10 +69,10 @@ CLOCK_FACTOR = 2
 PRESEARCH_BUDGET = 2000
 
 
-def clock_budget(target: FormulaInstance) -> int:
+def clock_budget(target: Formula) -> int:
     """Moves the teller must survive for a verdict on this target to bind:
     one step per node unfolded plus witness follow-ups, then slack."""
-    return CLOCK_FACTOR * size(target.formula) + 2
+    return CLOCK_FACTOR * size(target) + 2
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,13 @@ class Pronouncement:
 
     verdict: bool
     witness: Optional[int] = None
-    witness_instance: Optional[FormulaInstance] = None
+    witness_instance: Optional[Formula] = None
 
 
 @dataclass(frozen=True)
 class Round:
     clock: Union[int, Ordinal]
-    inquiry: Optional[FormulaInstance]
+    inquiry: Optional[Formula]
     pronouncement: Optional[Pronouncement]
 
 
@@ -113,11 +116,20 @@ class TruthGame:
         if self.clock_mode not in (NATURAL, ORDINAL):
             raise InvariantError(f"unknown clock mode {self.clock_mode!r}")
         self.rule_instance_formula: Optional[Formula] = None
-        if self.obligation is not None:
-            self.rule_instance_formula = self.obligation.rule.instance_formula()
+        self._rules: dict[tuple, Formula] = {}
+        ob = self.obligation
+        if ob is not None:
+            rf = self.rule_instance_formula = ob.rule.instance_formula()
+            self._rules = {
+                (i, x): instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x})
+                for i in sorted(ob.relation.carrier)
+                for x in ob.value_domain
+            }
+        # The referee flags a denial of any rule instance.
+        self.rule_set = frozenset(self._rules.values())
         self._eval_cache: dict = {}
 
-    def eval_atomic(self, inst: FormulaInstance) -> bool:
+    def eval_atomic(self, inst: Formula) -> bool:
         cached = self._eval_cache.get(inst)
         if cached is None:
             cached = eval_instance(self.structure, inst)
@@ -134,16 +146,11 @@ class TruthGame:
             sig[self.obligation.rule.f_symbol] = 2
         return sig
 
-    def rule_instances(self) -> dict[tuple, FormulaInstance]:
+    def rule_instances(self) -> dict[tuple, Formula]:
         """The recursion-rule instance at every (i, x) of carrier x value
-        domain, carrier in sorted order."""
-        ob = self.obligation
-        rf = self.rule_instance_formula
-        return {
-            (i, x): instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x})
-            for i in sorted(ob.relation.carrier)
-            for x in ob.value_domain
-        }
+        domain, carrier in sorted order: the game's own dict, built with the
+        game, which callers read and never change."""
+        return self._rules
 
     def clock(self, n: int) -> Union[int, Ordinal]:
         return Ordinal.from_nat(n) if self.clock_mode == ORDINAL else n
@@ -188,14 +195,16 @@ class RefereeState:
         self.game = game
         self.rounds: list[Round] = []
         self.lost = False
-        self.marks: dict[FormulaInstance, int] = {}
+        self.marks: dict[Formula, int] = {}
         # Part -> the marked Not and And instances around it.  Nots go in
         # front, so a mark's negation violations come before its conjunction
         # ones.
-        self.wraps: dict[FormulaInstance, list] = {}
-        self.exists_false_by_body: dict[Formula, list] = {}
-        self.true_by_formula: dict[Formula, list] = {}
-        self.witness_bodies: dict[FormulaInstance, list] = {}
+        self.wraps: dict[Formula, list] = {}
+        # Affirmed instances, and denied existentials by their body, in
+        # ``_bucket``s: an instantiation falls in its existential's body's.
+        self.affirmed: dict[tuple, list] = {}
+        self.denied_existentials: dict[tuple, list] = {}
+        self.witness_bodies: dict[Formula, list] = {}
         # The undo records of the innermost pushed frame; None outside
         # frames, where nothing is ever undone.
         self._log: Optional[list] = None
@@ -222,7 +231,7 @@ class RefereeState:
             else:
                 self.marks[a] = b
 
-    def _set_mark(self, inst: FormulaInstance, bit: int) -> None:
+    def _set_mark(self, inst: Formula, bit: int) -> None:
         prev = self.marks.get(inst, 0)
         if self._log is not None:
             self._log.append(("mark", inst, prev))
@@ -241,7 +250,7 @@ class RefereeState:
 
     # -- the checks
 
-    def add(self, inst: FormulaInstance, verdict: bool) -> list[TarskiViolation]:
+    def add(self, inst: Formula, verdict: bool) -> list[TarskiViolation]:
         """Mark inst with the verdict and return the violations it brings
         about: first the clause inst is the subject of, then the clauses of
         the marked instances it is a part of, then the witness and recursion
@@ -252,15 +261,14 @@ class RefereeState:
             return []
         self._set_mark(inst, bit)
         out: list[TarskiViolation] = []
-        f = inst.formula
-        t = type(f)
+        t = type(inst)
         if t is Not or t is And:
             parts = inst.parts
             self._register(self.wraps, parts[0], inst, t is Not)
             if t is And and parts[1] != parts[0]:
                 self._register(self.wraps, parts[1], inst)
             self._check_connective(inst, out)
-        elif t is not Exists and not (t is Pred and f.name == self._f_symbol):
+        elif t is not Exists and not (t is Pred and inst.name == self._f_symbol):
             actual = self.game.eval_atomic(inst)
             if verdict != actual:
                 detail = f"pronounced {verdict}, structure says {actual}"
@@ -269,34 +277,32 @@ class RefereeState:
             self._check_connective(wrap, out)
         others = ()
         if verdict:
-            self._register(self.true_by_formula, f, inst)
-            others = self.exists_false_by_body.get(f, ())
+            key = _bucket(inst)
+            self._register(self.affirmed, key, inst)
+            others = self.denied_existentials.get(key, ())
         else:
             if self.witness_bodies.get(inst):
                 out.append(TarskiViolation("quantifier", inst, "named witness body later denied"))
-            rf = self.game.rule_instance_formula
-            if rf is not None and f == rf:
-                ob = self.game.obligation
-                a = inst.assignment
-                i_val, x_val = a.get(ob.rule.i_var), a.get(ob.rule.x_var)
-                if i_val in ob.relation.carrier and x_val in ob.value_domain:
-                    detail = "recursion obligation denied"
-                    out.append(TarskiViolation("recursion-rule", inst, detail))
+            if inst in self.game.rule_set:
+                out.append(TarskiViolation("recursion-rule", inst, "recursion obligation denied"))
             if t is Exists:
-                self._register(self.exists_false_by_body, f.body, inst)
-                others = self.true_by_formula.get(f.body, ())
+                key = _bucket(inst.body)
+                self._register(self.denied_existentials, key, inst)
+                others = self.affirmed.get(key, ())
         # The quantifier clause, whichever side inst is on: a denied
-        # existential has no affirmed instance.  A denied inst is the
-        # subject of this clause, so its violation leads the list.
+        # existential has no affirmed instantiation at an element.  A
+        # denied inst is the subject of this clause, so its violation leads
+        # the list.
+        universe = self.game.structure.universe
         for other in others:
             ex, cand = (other, inst) if verdict else (inst, other)
-            if _is_instantiation(cand, ex):
+            if shape(cand) == shape(ex.body) and instantiation_witness(ex, cand) in universe:
                 detail = f"denied but {print_instance(cand)} was affirmed"
                 out.insert(len(out) if verdict else 0, TarskiViolation("quantifier", ex, detail))
                 break
         return out
 
-    def _check_connective(self, wrap: FormulaInstance, out: list[TarskiViolation]) -> None:
+    def _check_connective(self, wrap: Formula, out: list[TarskiViolation]) -> None:
         """Judge a marked Not or And instance against its parts' marks: a
         negation differs from its negatum, a conjunction agrees with its
         conjuncts."""
@@ -313,7 +319,7 @@ class RefereeState:
         if bits & _FALSE and left & right & _TRUE:
             out.append(TarskiViolation("conjunction", wrap, "denied with both conjuncts affirmed"))
 
-    def ask(self, teller, clock, inquiry: FormulaInstance) -> list[TarskiViolation]:
+    def ask(self, teller, clock, inquiry: Formula) -> list[TarskiViolation]:
         """Put one inquiry to the teller, record the round and judge it.
 
         The teller sees the rounds so far as ``history``: the live list,
@@ -332,13 +338,13 @@ class RefereeState:
             return []
         if pron is None:
             raise MalformedTranscriptError("inquiry round without a reply")
-        if not inq.formula._preds <= self._signature:
+        if not inq._preds <= self._signature:
             # Name the first unknown predicate in pre-order.
-            name = next(g.name for g in subformulas(inq.formula)
+            name = next(g.name for g in subformulas(inq)
                         if isinstance(g, Pred) and g.name not in self._signature)
             raise SignatureError(f"inquiry uses unknown predicate {name!r}")
         self.rounds.append(rnd)
-        if not (pron.verdict and isinstance(inq.formula, Exists)):
+        if not (pron.verdict and isinstance(inq, Exists)):
             out = self.add(inq, pron.verdict)
         elif pron.witness is None:
             out = [TarskiViolation("quantifier", inq, "affirmed existential without witness")]
@@ -403,10 +409,10 @@ class RefereeState:
         return TELLER_WINS if spent else ONGOING
 
 
-def _is_instantiation(cand: FormulaInstance, ex: FormulaInstance) -> bool:
-    """Is cand, an instance of ex's body, ex's instantiation at some element?"""
-    var = ex.formula.var
-    return tuple(p for p in cand.bindings if p[0] != var) == ex.bindings
+def _bucket(f: Formula) -> tuple:
+    """What a node holds without a walk and an existential's
+    instantiations share with its body: class, size, depth and predicates."""
+    return type(f), f._size, f._depth, f._preds
 
 
 def _as_ordinal(clock) -> Ordinal:
@@ -444,12 +450,15 @@ class HonestTeller:
 
     def __init__(self, source: Union[Structure, SatisfactionClass]):
         self.source = source
-        self._cache: dict[FormulaInstance, Pronouncement] = {}
+        self._cache: dict[Formula, Pronouncement] = {}
+        # A class source's entries by ``_bucket``, built on the first
+        # existential.
+        self._entries: Optional[dict[tuple, list]] = None
 
     def answer(
         self,
         game: TruthGame,
-        inquiry: FormulaInstance,
+        inquiry: Formula,
         clock,
         history: Sequence[Round],
     ) -> Pronouncement:
@@ -460,20 +469,22 @@ class HonestTeller:
         self._cache[inquiry] = pron
         return pron
 
-    def _answer(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
+    def _answer(self, game: TruthGame, inquiry: Formula) -> Pronouncement:
         if isinstance(self.source, Structure):
             return self._by_clauses(game, inquiry)
         verdict = self.source.verdict(inquiry)
         if verdict is None:
             raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
-        if verdict and isinstance(inquiry.formula, Exists):
-            f = inquiry.formula
-            # A vacuous binder's body is the same instance at every element,
-            # so any witnesses; take the least.
+        if verdict and isinstance(inquiry, Exists):
+            # The least code at which a marked entry is the body.
+            if self._entries is None:
+                self._entries = {}
+                for entry in self.source.entries:
+                    self._entries.setdefault(_bucket(entry), []).append(entry)
             candidates = [
-                entry.assignment.get(f.var, 0)
-                for entry in self.source.entries
-                if entry.formula == f.body and _is_instantiation(entry, inquiry)
+                w for entry in self._entries.get(_bucket(inquiry.body), ())
+                if shape(entry) == shape(inquiry.body)
+                and (w := instantiation_witness(inquiry, entry)) is not None
             ]
             if not candidates:
                 raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
@@ -481,7 +492,7 @@ class HonestTeller:
             return Pronouncement(True, w, inquiry.witness_body(w))
         return Pronouncement(verdict)
 
-    def _by_clauses(self, game: TruthGame, inquiry: FormulaInstance) -> Pronouncement:
+    def _by_clauses(self, game: TruthGame, inquiry: Formula) -> Pronouncement:
         """Tarski's clauses over the teller's own answers: a Not is true iff
         its part is false, an And iff both parts are, and the right part is
         answered only when the left one is true.  Parts not yet answered go
@@ -494,7 +505,7 @@ class HonestTeller:
             if inst in cache:
                 stack.pop()
                 continue
-            t = type(inst.formula)
+            t = type(inst)
             if t is Not or t is And:
                 parts = inst.parts
                 got = cache.get(parts[0])
@@ -545,7 +556,7 @@ def honest_teller(
 class ScriptedInterrogator:
     """Replays a fixed list of inquiries under an automatic countdown."""
 
-    def __init__(self, inquiries: Sequence[FormulaInstance], initial_clock: Optional[int] = None):
+    def __init__(self, inquiries: Sequence[Formula], initial_clock: Optional[int] = None):
         self.inquiries = list(inquiries)
         self.initial_clock = initial_clock if initial_clock is not None else len(self.inquiries)
 
@@ -568,7 +579,7 @@ class RandomInterrogator:
         # The follow-ups of the rounds read so far, extended as the one
         # transcript being played grows.
         self._transcript: Optional[Transcript] = None
-        self._derived: list[FormulaInstance] = []
+        self._derived: list[Formula] = []
         self._read = 0
 
     def move(self, game: TruthGame, transcript: Transcript):
@@ -583,7 +594,7 @@ class RandomInterrogator:
             if rnd.inquiry is None:
                 continue
             derived.extend(_unfold(game, rnd.inquiry, rnd.pronouncement))
-            derived.append(FormulaInstance(Not(rnd.inquiry.formula), rnd.inquiry.bindings))
+            derived.append(Not(rnd.inquiry))
         self._read = k
         if derived and self.rng.random() < 0.6:
             return clock, self.rng.choice(derived)
@@ -609,10 +620,10 @@ def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
 
 
 def _unfold(
-    game: TruthGame, inquiry: FormulaInstance, pron: Optional[Pronouncement]
-) -> tuple[FormulaInstance, ...]:
+    game: TruthGame, inquiry: Formula, pron: Optional[Pronouncement]
+) -> tuple[Formula, ...]:
     """Immediate follow-up inquiries exposing the pronouncement's commitments."""
-    if isinstance(inquiry.formula, Exists) and pron is not None and pron.verdict:
+    if isinstance(inquiry, Exists) and pron is not None and pron.verdict:
         if pron.witness_instance is not None:
             return (pron.witness_instance,)
         if pron.witness is not None:
@@ -627,7 +638,7 @@ def _unfold(
 def _probe(
     game: TruthGame,
     teller,
-    opening: Sequence[FormulaInstance],
+    opening: Sequence[Formula],
     budget: int,
     lifo: bool = False,
     follow=_unfold,
@@ -638,7 +649,7 @@ def _probe(
     NotWinningStrategyError if the teller loses the play."""
     state = RefereeState(game)
     queue = deque(opening)
-    asked: set[FormulaInstance] = set()
+    asked: set[Formula] = set()
     while queue and len(state.rounds) < budget:
         inquiry = queue.pop() if lifo else queue.popleft()
         if inquiry in asked:
@@ -653,12 +664,12 @@ def _probe(
     return state
 
 
-def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[FormulaInstance, int]:
+def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[Formula, int]:
     """Play each ``(opening, budget, lifo)`` probe in turn and merge their
     marks.  Raises NotWinningStrategyError, naming ``what``, at the first
     probe that marks an instance against an earlier probe's verdict, so
     each instance in the result carries one verdict."""
-    merged: dict[FormulaInstance, int] = {}
+    merged: dict[Formula, int] = {}
     for opening, budget, lifo in probes:
         clash = None
         for inst, bits in _probe(game, teller, opening, budget, lifo).marks.items():
@@ -674,16 +685,17 @@ def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[FormulaInsta
 def extract_satisfaction(
     teller,
     game: TruthGame,
-    targets: Sequence[FormulaInstance],
+    targets: Sequence[Formula],
     extra_clock: int = 0,
 ) -> SatisfactionClass:
     """Read a satisfaction class off a winning teller strategy.
 
     A depth-2 interrogator search over the targets and their immediate
-    follow-ups, within ``PRESEARCH_BUDGET`` nodes, runs first.  Each target
-    is then probed at its clock budget plus ``extra_clock`` with the target
-    asked first and follow-ups unfolded breadth-first, then again in
-    depth-first order; verdicts must agree across all probes.  The marks,
+    follow-ups, within ``PRESEARCH_BUDGET`` nodes, runs first.  Each
+    distinct target is then probed at its clock budget plus
+    ``extra_clock`` with the target asked first and follow-ups unfolded
+    breadth-first, then again in depth-first order; verdicts must agree
+    across all probes.  The marks,
     parts and named witness bodies included, must pass the Tarskian audit.
 
     A ``memoryless`` teller (see ``interrogator_search``) is read in one
@@ -716,7 +728,7 @@ def extract_satisfaction(
             )
         probes = (
             ((target,), clock_budget(target) + extra_clock, lifo)
-            for target in targets
+            for target in dict.fromkeys(targets)
             for lifo in (False, True)
         )
         marks = _read_marks(game, teller, probes, "pronouncement instability")
@@ -732,16 +744,16 @@ def extract_satisfaction(
     return SatisfactionClass(frozenset(t for t in targets if marks[t] == _TRUE), targets)
 
 
-def _presearch_pool(targets: Sequence[FormulaInstance]) -> list:
+def _presearch_pool(targets: Sequence[Formula]) -> list:
     cap = 120
-    pool: list[FormulaInstance] = []
+    pool: list[Formula] = []
     seen = set()
     for t in targets:
         for cand in (t, *t.parts):
             if cand not in seen:
                 seen.add(cand)
                 pool.append(cand)
-        neg = FormulaInstance(Not(t.formula), t.bindings)
+        neg = Not(t)
         if neg not in seen:
             seen.add(neg)
             pool.append(neg)
@@ -780,7 +792,7 @@ def extract_solution(teller, game: TruthGame) -> Solution:
 class InterrogatorPlan:
     """A concrete winning line of questioning against the searched teller."""
 
-    inquiries: tuple[FormulaInstance, ...]
+    inquiries: tuple[Formula, ...]
     initial_clock: int
 
 
@@ -795,7 +807,7 @@ class SearchResult:
         return self.plan is None and self.exhausted
 
 
-def default_inquiry_pool(game: TruthGame) -> list[FormulaInstance]:
+def default_inquiry_pool(game: TruthGame) -> list[Formula]:
     """Closed instances of size at most 4 over the game's signature; in
     recursion mode the teller's F-atoms and the rule instances join in."""
     sig = game.signature()
@@ -814,13 +826,13 @@ def interrogator_search(
     teller,
     depth: int,
     budget: Optional[int] = None,
-    pool: Optional[Sequence[FormulaInstance]] = None,
+    pool: Optional[Sequence[Formula]] = None,
 ) -> SearchResult:
     """Search adaptive interrogator play to the given depth.
 
     Walks every line of inquiries under a one-step countdown from
-    ``depth``: each round picks from the pool plus the out-of-pool witness
-    instances the teller named earlier on the line.
+    ``depth``: each round picks from the pool plus the witness instances
+    the teller named earlier on the line that ``_asked_back`` keeps.
     Returns a winning plan if one trips the referee, a proven-none result if
     the walk completed, or a none-within-budget result if the node budget
     ran out first.  ``nodes`` counts the lines visited, capped at
@@ -872,20 +884,17 @@ def interrogator_search(
         if len(stack) == depth:
             state.pop_frame()
             continue
-        # The teller's own witness pronouncements join the candidates: the
-        # re-asking device needs the exact instances she produced.
         derived = [
             r.pronouncement.witness_instance
             for r in state.rounds
-            if r.pronouncement.witness_instance is not None
-            and r.pronouncement.witness_instance not in pool_set
+            if _asked_back(r.inquiry, r.pronouncement.witness_instance, pool_set)
         ]
         stack.append((game.clock(depth - len(stack)), iter(pool + derived if derived else pool)))
     return SearchResult(None, not stack, nodes)
 
 
 def _single_pass(
-    game: TruthGame, teller, openings: list[FormulaInstance], follow
+    game: TruthGame, teller, openings: list[Formula], follow
 ) -> Optional[RefereeState]:
     """One clean pass over the openings: a probe that asks each distinct
     opening once, then the follow-ups ``follow`` reads off each answer until
@@ -897,7 +906,7 @@ def _single_pass(
     a named witness instance to the existential's body), so there are at
     most as many asks as the openings' sizes add up to, and a countdown from
     that sum plus one per opening never reaches zero."""
-    budget = sum(1 + size(inst.formula) for inst in openings)
+    budget = sum(1 + size(inst) for inst in openings)
     try:
         state = _probe(game, teller, openings, budget, follow=follow)
     except HFGamesError:
@@ -905,19 +914,19 @@ def _single_pass(
     for rnd in state.rounds:
         pron = rnd.pronouncement
         if pron.witness_instance is not None and not (
-            pron.verdict and isinstance(rnd.inquiry.formula, Exists)
+            pron.verdict and isinstance(rnd.inquiry, Exists)
         ):
             return None
     return state
 
 
 def _futility_certificate(
-    game: TruthGame, teller, pool: list[FormulaInstance]
-) -> Optional[dict[FormulaInstance, Optional[FormulaInstance]]]:
+    game: TruthGame, teller, pool: list[Formula]
+) -> Optional[dict[Formula, Optional[Formula]]]:
     """One ``_single_pass`` over the pool whose follow-up is the witness
     instance each answer names.  Returns, for every inquiry asked, the
-    out-of-pool witness instance its answer names (or None); returns None
-    instead if the pass does."""
+    witness instance its answer names if ``_asked_back`` keeps it (or None);
+    returns None instead if the pass does."""
     state = _single_pass(game, teller, pool, _named_witness)
     if state is None:
         return None
@@ -925,27 +934,40 @@ def _futility_certificate(
     named: dict = {}
     for rnd in state.rounds:
         wi = rnd.pronouncement.witness_instance
-        named[rnd.inquiry] = None if wi in pool_set else wi
+        named[rnd.inquiry] = wi if _asked_back(rnd.inquiry, wi, pool_set) else None
     return named
 
 
+def _asked_back(inquiry: Formula, witness_instance, pool_set) -> bool:
+    """Does a witness instance named on a line join the walk's candidates?
+    The teller's own witness pronouncements do, for the re-asking device: an
+    instantiation at a binder its body uses always, even where the pool
+    states the same proposition, and any other instance (a vacuous binder's
+    is its body) when the pool lacks it."""
+    if witness_instance is None:
+        return False
+    return witness_instance not in pool_set or (
+        type(inquiry) is Exists and inquiry.var in inquiry.body._fv
+    )
+
+
 def _named_witness(
-    game: TruthGame, inquiry: FormulaInstance, pron: Pronouncement
-) -> tuple[FormulaInstance, ...]:
+    game: TruthGame, inquiry: Formula, pron: Pronouncement
+) -> tuple[Formula, ...]:
     return () if pron.witness_instance is None else (pron.witness_instance,)
 
 
 def _line_count(
-    pool: list[FormulaInstance],
-    named: dict[FormulaInstance, Optional[FormulaInstance]],
+    pool: list[Formula],
+    named: dict[Formula, Optional[Formula]],
     limit: int,
     cap: Optional[int],
 ) -> int:
     """Nodes of the walk's line tree to ``limit`` rounds, for a teller whose
     answers ``named`` records; stops at the first total past ``cap``.
 
-    A line's candidates are the pool plus the out-of-pool witness instances
-    named on it, so the shape of its subtree depends only on how many of
+    A line's candidates are the pool plus the witness instances named on it
+    that ``_asked_back`` keeps, so the shape of its subtree depends only on how many of
     those it holds at each height, the height being the length of the chain
     of witness instances one still leads to.  Asking one of height h adds
     one of height h - 1; asking a pool entry adds the one it names, if any.
@@ -1061,7 +1083,7 @@ def transcript_from_json(game: TruthGame, text: str) -> Transcript:
             raise ParseError(f"round {k}: {exc}") from None
         witness_inst = None
         # A witness outside the universe has no body; the referee scores it.
-        if witness in game.structure.universe and isinstance(inquiry.formula, Exists):
+        if witness in game.structure.universe and isinstance(inquiry, Exists):
             witness_inst = inquiry.witness_body(witness)
         rounds.append(Round(clock, inquiry, Pronouncement(verdict, witness, witness_inst)))
     return Transcript(rounds, doc.get("status", ONGOING))

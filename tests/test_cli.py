@@ -142,6 +142,87 @@ class TestEval:
             assert "nested deeper" in err and "Traceback" not in err
 
 
+def exit_code(argv) -> int:
+    """main(argv)'s exit code, argparse's own refusals included."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# Per solve game, the flags its handler does not read: 17 pairs.
+UNREAD = {
+    "choice": ["--seed", "--cap", "--max-nodes", "--depth", "--random-interrogators", "--pred"],
+    "random-clopen": ["--rank", "--depth", "--random-interrogators", "--pred"],
+    "truthtelling": ["--cap", "--max-nodes"],
+    "recursion": ["--seed", "--cap", "--max-nodes", "--depth", "--random-interrogators"],
+}
+VALUES = {"--seed": "1", "--cap": "8", "--max-nodes": "5", "--depth": "1",
+          "--random-interrogators": "1", "--pred": "Z=0", "--rank": "2"}
+# Small runs of each game, which read every flag they are given.
+SMALL = {
+    "choice": ["--rank", "1"],
+    "random-clopen": ["--seed", "2", "--cap", "3", "--max-nodes", "5"],
+    "truthtelling": ["--rank", "1", "--seed", "2", "--depth", "0", "--random-interrogators", "0",
+                     "--pred", "Z=0"],
+    "recursion": ["--rank", "2", "--pred", "Z=0"],
+}
+
+
+class TestFlagsBelongToTheirCommand:
+    @pytest.mark.parametrize(
+        "game, flag", [(g, f) for g, flags in UNREAD.items() for f in flags], ids=lambda v: v
+    )
+    def test_flag_a_game_does_not_read_is_refused(self, capsys, game, flag):
+        assert exit_code(["solve", game, flag, VALUES[flag]]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_replay_refuses_a_clock(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"rounds": [{"clock": 1, "inquiry": "(#0 in #1)", "verdict": True}]}))
+        assert exit_code(["play", "--replay", str(path), "--clock", "3"]) == 2
+        assert capsys.readouterr().err == "error: argument --clock: not allowed with argument --replay\n"
+        assert exit_code(["play", "--replay", str(path)]) == 0
+
+    @pytest.mark.parametrize("game", sorted(SMALL))
+    def test_every_flag_a_game_takes_is_read(self, monkeypatch, capsys, game):
+        assert flags_never_read(monkeypatch, ["solve", game, *SMALL[game], "--json"]) == set()
+        capsys.readouterr()
+
+    def test_scan_flags_a_parsed_flag_never_read(self, monkeypatch, capsys):
+        # A planted handler that reads none of its game's flags; --json is
+        # read by the command around it.
+        from hfgames import cli
+
+        monkeypatch.setattr(cli, "_solve_random_clopen", lambda args: {"game": "g", "winner": "I"})
+        argv = ["solve", "random-clopen", *SMALL["random-clopen"]]
+        assert flags_never_read(monkeypatch, argv) == {"seed", "cap", "max_nodes"}
+        capsys.readouterr()
+
+
+class _ReadRecorder:
+    """A namespace that records the attributes read off it once ``read``
+    is set, so parsing reads nothing into it."""
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("read")
+        if read is not None and not name.startswith("__"):
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+def flags_never_read(monkeypatch, argv) -> set:
+    """The flags argv's command parses that ``main`` never reads."""
+    from hfgames import cli
+
+    args = cli._PARSER.parse_args(argv, namespace=_ReadRecorder())
+    parsed = set(vars(args)) - {"read", "fn", "command", "game"}
+    args.__dict__["read"] = set()
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: args)
+    assert cli.main(argv) == 0
+    return parsed - args.__dict__["read"]
+
+
 class TestSolve:
     def test_choice(self, capsys):
         code, out, _ = run(capsys, "solve", "choice", "--rank", "3", "--json")
@@ -202,9 +283,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, says",
         [
-            (("truthtelling", "--depth", "-1"), "--depth must be at least 0, got -1"),
+            (("truthtelling", "--rank", "2", "--depth", "-1"), "--depth must be at least 0, got -1"),
             (
-                ("truthtelling", "--random-interrogators", "-3"),
+                ("truthtelling", "--rank", "2", "--random-interrogators", "-3"),
                 "--random-interrogators must be at least 0, got -3",
             ),
             (("random-clopen", "--max-nodes", "0"), "--max-nodes must be at least 1, got 0"),
@@ -213,7 +294,7 @@ class TestSolve:
         ids=["depth", "random-interrogators", "max-nodes-0", "max-nodes-negative"],
     )
     def test_negative_search_size_usage_error(self, capsys, argv, says):
-        code, out, err = run(capsys, "solve", *argv, "--rank", "2", "--json")
+        code, out, err = run(capsys, "solve", *argv, "--json")
         assert code == 2 and out == ""
         assert err == f"error: {says}\n"
 
@@ -523,7 +604,6 @@ class TestRankBounds:
         [
             ("eval", "Ax. (x = x)"),
             ("solve", "choice"),
-            ("solve", "random-clopen"),
             ("solve", "recursion"),
             ("play", "--interactive"),
             ("verify", "games"),

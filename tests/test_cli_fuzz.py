@@ -120,15 +120,23 @@ def invocations(draw):
     if name is None:
         return draw(st.sampled_from([[], ["--help"], ["frobnicate"]]))
     argv = [name]
-    for action in SUBCOMMANDS[name]._actions:
-        if isinstance(action, argparse._HelpAction):
-            if draw(st.integers(0, 29)) == 0:
-                argv.append(draw(st.sampled_from(action.option_strings)))
-        elif not action.option_strings:
-            argv.append(draw(values(action)))
-        elif action.dest in BOUNDED or draw(st.booleans()):
-            flag = draw(st.sampled_from(action.option_strings))
-            argv += [flag] if action.nargs == 0 else [flag, draw(values(action))]
+    parsers = [SUBCOMMANDS[name]]
+    # A nested subcommand (solve's game) brings its own flags: only those
+    # its command reads.
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._HelpAction):
+                if draw(st.integers(0, 29)) == 0:
+                    argv.append(draw(st.sampled_from(action.option_strings)))
+            elif isinstance(action, argparse._SubParsersAction):
+                argv.append(draw(values(action)))
+                if argv[-1] in action.choices:
+                    parsers.append(action.choices[argv[-1]])
+            elif not action.option_strings:
+                argv.append(draw(values(action)))
+            elif action.dest in BOUNDED or draw(st.booleans()):
+                flag = draw(st.sampled_from(action.option_strings))
+                argv += [flag] if action.nargs == 0 else [flag, draw(values(action))]
     return argv
 
 

@@ -254,7 +254,10 @@ ITERATIVE = [
     "size",
     "free_vars",
     "to_text",
-    "_render",
+    "substitute",
+    "_replace",
+    "instantiation_witness",
+    "shape",
     "eval_instance",
     "skolem_witness",
     "satisfiers",
@@ -401,78 +404,20 @@ def test_cached_formula_facts_are_reads():
 def test_truthgames_reads_follow_ups_off_the_instance():
     """FormulaInstance.parts and FormulaInstance.witness_body are the only
     places the truth games get a sub-instance or a witness body from; the
-    referee, drivers and tellers read them off the instance.  So does
+    referee, drivers and tellers read them off the instance and never
+    substitute themselves.  So does
     tarski_check, for the parts of a negation or conjunction and for the
-    instantiations of an existential.  The readers
-    that compare or rebuild bindings read the tuple, not the assignment dict."""
+    instantiations of an existential.  The presearch pool builds its
+    negations from the instance's closed formula, not its assignment."""
     tree = ast.parse((PACKAGE / "truthgames.py").read_text())
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     names = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n.lineno) for n in calls]
-    assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate")] == []
+    assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate", "substitute")] == []
     logic_defs, _ = _definitions(ast.parse((PACKAGE / "logic.py").read_text()))
     assert _called_names(logic_defs["tarski_check"]).isdisjoint({"sub_instance", "instantiate"})
     defs, _ = _definitions(tree)
-    for name in ("_is_instantiation", "_presearch_pool"):
-        reads = [n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)]
-        assert "assignment" not in reads, name
-
-
-UNCHECKED_BUILDERS = ("_derived_instance", "_new_instance")
-
-
-def unchecked_builder_readers(modules: dict[str, str]) -> list[str]:
-    """``module:owner reads name`` for each reference to an unchecked
-    instance builder, where owner is the module-level function or
-    ``Class.method`` around it, or the class or ``<module>`` outside any."""
-    out = set()
-    for module, source in modules.items():
-        owned = []
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    name = f"{node.name}.{item.name}" if isinstance(item, FUNCTIONS) else node.name
-                    owned.append((name, item))
-            else:
-                owned.append((node.name if isinstance(node, FUNCTIONS) else "<module>", node))
-        for owner, node in owned:
-            for n in ast.walk(node):
-                name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
-                if name in UNCHECKED_BUILDERS:
-                    out.add(f"{module}:{owner} reads {name}")
-    return sorted(out)
-
-
-def test_unchecked_instances_come_from_checked_parents():
-    """An instance built without the bindings check is a part or a witness
-    body of a checked instance, or the constructor's own miss after its
-    check: no other code, in the package, the benchmark or the scripts,
-    reaches the unchecked builders."""
-    modules = {f"{d}/{p.stem}": p.read_text() for d in ("src/hfgames", "perfbench", "scripts")
-               for p in sorted((ROOT / d).glob("*.py"))}
-    assert unchecked_builder_readers(modules) == [
-        "src/hfgames/logic:FormulaInstance.__new__ reads _new_instance",
-        "src/hfgames/logic:FormulaInstance.parts reads _derived_instance",
-        "src/hfgames/logic:FormulaInstance.witness_body reads _derived_instance",
-        "src/hfgames/logic:_derived_instance reads _new_instance",
-    ]
-
-
-def test_scan_flags_an_unchecked_build_elsewhere():
-    modules = {
-        "logic": (
-            "def _new_instance(key):\n    return key\n\n"
-            "def _derived_instance(f, b):\n    return _new_instance((f, b))\n\n"
-            "class FormulaInstance:\n    shortcut = _derived_instance\n\n"
-            "    def negation(self):\n        return _derived_instance(Not(self.formula), self.bindings)\n"
-        ),
-        "truthgames": "from . import logic\n\ndef fast(f):\n    return logic._derived_instance(f, ())\n",
-    }
-    assert unchecked_builder_readers(modules) == [
-        "logic:FormulaInstance reads _derived_instance",
-        "logic:FormulaInstance.negation reads _derived_instance",
-        "logic:_derived_instance reads _new_instance",
-        "truthgames:fast reads _derived_instance",
-    ]
+    reads = [n.attr for n in ast.walk(defs["_presearch_pool"]) if isinstance(n, ast.Attribute)]
+    assert "assignment" not in reads
 
 
 def _violation_kinds(node) -> list[str]:

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -36,6 +37,7 @@ from hfgames.logic import (
     free_vars,
     instance,
     instantiate,
+    instantiation_witness,
     parse_closed,
     parse_formula,
     parse_instance,
@@ -43,6 +45,7 @@ from hfgames.logic import (
     random_formula,
     random_instance,
     satisfiers,
+    shape,
     size,
     skolem_witness,
     sub_instance,
@@ -52,6 +55,7 @@ from hfgames.logic import (
 )
 from hfgames.universe import build_universe, universe_size
 
+from hfgames import oracles
 from hfgames.oracles import formula_facts, tarski_eval
 
 V2 = Structure(build_universe(2))
@@ -207,6 +211,9 @@ class TestSizeAndVars:
         inst = instance(f, {})
         assert eval_instance(V2, inst)
         assert skolem_witness(V2, inst) == 0
+        at_one = instance(body, {"x": 1})
+        assert shape(at_one) == shape(body) != shape(Not(at_one))
+        assert instantiation_witness(inst, at_one) == 1
 
     @pytest.mark.parametrize(
         "thing",
@@ -290,7 +297,7 @@ class TestSizeAndVars:
         with pytest.raises(MalformedInstanceError):
             instance(f, {"x": 0})
         inst = instance(f, {"x": 0, "y": 1, "z": 9})
-        assert inst.assignment == {"x": 0, "y": 1}
+        assert inst is parse_instance("(#0 in #1)") and inst.bindings == ()
 
 
 class TestInterning:
@@ -323,7 +330,7 @@ class TestInterning:
                 setattr(obj, name, None)
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, name)
-        assert f.body is Member(Var("x"), Const(1)) and inst.bindings == (("x", 0),)
+        assert f.body is Member(Var("x"), Const(1)) and inst.bindings == ()
 
     @pytest.mark.parametrize("code", [True, 1.0, -1, "a"], ids=["bool", "float", "negative", "str"])
     def test_const_refuses_what_is_not_a_code(self, code):
@@ -444,7 +451,7 @@ class TestInstanceBuilding:
             g = inst.formula
             assert inst is instance(g, env)
             for h in subformulas(g):
-                if free_vars(h) <= set(inst.assignment):
+                if not free_vars(h):
                     assert sub_instance(inst, h) is instance(h, env)
                 else:
                     with pytest.raises(MalformedInstanceError):
@@ -465,6 +472,56 @@ class TestInstanceBuilding:
             else:
                 assert inst.parts == ()
             todo += [(part, env) for part in inst.parts]
+
+
+class TestSubstitution:
+    """``logic.substitute`` and ``logic.instantiation_witness`` against the
+    plain-recursion substitution in ``hfgames.oracles``."""
+
+    @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(3, 14), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_substitution_agrees_with_oracle(self, seed, M, most, data):
+        # Random formulas may bind a variable in one conjunct and leave it
+        # free in the other, so some substitutions take one pass per
+        # variable.
+        f = random_formula(random.Random(seed), M.universe, most, {"P": 1})
+        codes = st.integers(0, M.universe.size - 1)
+        env = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]), codes))
+        assert logic.substitute(f, env) is oracles.substitute(f, env)
+
+    @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(4, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instantiation_witness_agrees_with_oracle(self, seed, M, most, data):
+        rng = random.Random(seed)
+        f = random_formula(rng, M.universe, most)
+        var = data.draw(st.sampled_from(["x", "y", "z"]))
+        rest = {v: rng.randrange(M.universe.size) for v in sorted(f._fv - {var})}
+        ex = instance(Exists(var, f), rest)
+        codes = M.universe.elements
+        # A body of ex at some element, or one of another existential.
+        g = random_formula(rng, M.universe, most)
+        other = instance(Exists(var, g), {v: rng.randrange(M.universe.size) for v in sorted(g._fv - {var})})
+        source = data.draw(st.sampled_from([ex, other]))
+        cand = source.witness_body(data.draw(st.sampled_from(codes)))
+        want = [c for c in codes if oracles.proposition(ex.body, {var: c}) is cand]
+        got = instantiation_witness(ex, cand)
+        if var in ex.body._fv:
+            assert ([got] if got is not None else []) == want
+        else:
+            assert (got == 0) == bool(want)
+
+
+    @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(3, 14), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shape_ignores_terms(self, seed, M, most, data):
+        f = random_formula(random.Random(seed), M.universe, most, {"P": 1})
+        erased = parse_formula(re.sub(r"#\d+|\b[xyz]\b(?!\.)", "#0", to_text(f)), {"P": 1})
+        assert shape(f) == shape(erased)
+        # Every instantiation of an existential has the shape of its body.
+        var = data.draw(st.sampled_from(["x", "y", "z"]))
+        ex = instance(Exists(var, f), {v: 1 for v in f._fv - {var}})
+        code = data.draw(st.sampled_from(M.universe.elements))
+        assert shape(ex.witness_body(code)) == shape(ex.body)
 
 
 class TestStructure:
@@ -524,7 +581,7 @@ class TestEval:
             M = V3 if k % 2 else V4
             inst = random_instance(rng, M, max_size=8)
             assert eval_instance(M, inst) == tarski_eval(
-                M, inst.formula, inst.assignment
+                M, inst.formula, {}
             ), print_instance(inst)
 
     def test_predicates(self):
@@ -907,8 +964,8 @@ class TestEnumeration:
     def test_instances_cover_assignments(self):
         insts = enumerate_instances(V2, 3)
         f = parse_formula("(x in y)")
-        matching = [i for i in insts if i.formula == f]
-        assert len(matching) == 4  # 2 elements ** 2 free variables
+        matching = {instance(f, {"x": a, "y": b}) for a in V2.universe.elements for b in V2.universe.elements}
+        assert len(matching) == 4 and matching <= set(insts)  # 2 elements ** 2 free variables
 
     def test_instances_closed_under_instantiation(self):
         insts = set(enumerate_instances(V3, 5))
