@@ -384,6 +384,10 @@ def random_clopen_game(
 
     The sequence of ``rng`` calls is part of the contract, not only the
     game: callers draw their next game from the state this one leaves.
+    After the branching, cap and decide probability, each non-root position
+    draws one ``random()``, and each decided position draws its winner by
+    ``getrandbits(2)`` until one is below 2, as ``rng.choice`` of the two
+    players would.
     ``tests/test_games.py::TestRandomClopenGame::test_stream_pinned`` pins
     both.
     """
@@ -393,13 +397,16 @@ def random_clopen_game(
     cap = rng.randint(2, max_cap)
     decide_prob = rng.uniform(0.15, 0.45)
     moves = tuple(range(branching))
-    rand, pick, players = rng.random, rng.choice, (PLAYER_I, PLAYER_II)
+    rand, bits, players = rng.random, rng.getrandbits, (PLAYER_I, PLAYER_II)
     decided: dict[tuple, str] = {}
     positions: list[tuple] = [()]
     # The loop reads the nodes it appends: breadth-first order.
     for p in positions:
         if (p and rand() < decide_prob) or len(p) == cap or len(positions) + branching > max_nodes:
-            decided[p] = pick(players)
+            r = bits(2)
+            while r >= 2:
+                r = bits(2)
+            decided[p] = players[r]
         else:
             positions.extend([p + (x,) for x in moves])
     if () in decided:

@@ -47,15 +47,17 @@ EDGE_SYMBOL = "<|"
 # built once per distinct class and arguments, so equal means identical, and
 # they compare and hash by identity.  The one table maps (class, *arguments)
 # to a weak reference whose callback drops the entry when its object dies, so
-# the table holds only what the program still holds.  On a miss the
-# constructor sets the arguments, then the facts ``_facts`` computes once
-# from the children's: free variables, size (every AST node, terms
-# included), depth (formula nodes on the longest path down to an atom, both
-# ends included) and predicate symbols.  Atoms that have no slot for a fact
-# read the class default.  An instance is its closed formula node: the
-# instance builders substitute the bindings they are given, and the parts
-# and witness bodies of a closed node are closed nodes too, so a
-# proposition is one object however it was reached.
+# the table holds only what the program still holds.  On a miss ``_intern``
+# sets the arguments, then the facts, which a constructor has ``_facts``
+# compute once from the children's: free variables, size (every AST node,
+# terms included), predicate symbols and depth (formula nodes on the longest
+# path down to an atom, both ends included).  A class keeps a prefix of
+# those four in slots and reads the class default for the rest, so
+# substitution, which copies the facts of the node it replaces, hands every
+# class the same four.  An instance is its closed formula node: the instance
+# builders substitute the bindings they are given, and the parts and witness
+# bodies of a closed node are closed nodes too, so a proposition is one
+# object however it was reached.
 
 _EMPTY: frozenset[str] = frozenset()
 _interned: dict = {}
@@ -64,6 +66,18 @@ _setattr = object.__setattr__
 
 def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
+
+
+def _intern(key: tuple, values: tuple):
+    """A new object for key, ``(class, *arguments)``, with its slots set to
+    values, the arguments and then the facts, and its entry in the table.
+    The constructor and ``_build`` call it on a miss of their lookup."""
+    obj = object.__new__(key[0])
+    for setter, value in zip(key[0]._setters, values):
+        setter(obj, value)
+    # A C callback: no Python code runs inside a deallocation.
+    _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
+    return obj
 
 
 class _Interned:
@@ -85,13 +99,7 @@ class _Interned:
         key = (cls, *args)
         ref = _interned.get(key)
         obj = None if ref is None else ref()
-        if obj is None:
-            obj = object.__new__(cls)
-            for setter, value in zip(cls._setters, (*args, *cls._facts(*args))):
-                setter(obj, value)
-            # A C callback: no Python code runs inside a deallocation.
-            _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
-        return obj
+        return _intern(key, (*args, *cls._facts(*args))) if obj is None else obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -211,35 +219,35 @@ class Pred(_FormulaNode):
 
 
 class Not(_FormulaNode):
-    __slots__ = ("body", "_fv", "_size", "_depth", "_preds")
+    __slots__ = ("body", "_fv", "_size", "_preds", "_depth")
 
     @staticmethod
     def _facts(body):
         b = _node(body)
-        return b._fv, b._size + 1, b._depth + 1, b._preds
+        return b._fv, b._size + 1, b._preds, b._depth + 1
 
 
 class And(_FormulaNode):
-    __slots__ = ("left", "right", "_fv", "_size", "_depth", "_preds")
+    __slots__ = ("left", "right", "_fv", "_size", "_preds", "_depth")
 
     @staticmethod
     def _facts(left, right):
         a, b = _node(left), _node(right)
         return (_join(a._fv, b._fv), a._size + b._size + 1,
-                max(a._depth, b._depth) + 1, _join(a._preds, b._preds))
+                _join(a._preds, b._preds), max(a._depth, b._depth) + 1)
 
 
 class Exists(_FormulaNode):
     # ``_guard`` and ``_bodies`` are left unset, so building a node pays
     # nothing for them; the evaluator fills ``_guard`` on the node's first
     # loop (``_guard_of``), and ``witness_body`` ``_bodies``.
-    __slots__ = ("var", "body", "_fv", "_size", "_depth", "_preds", "_guard", "_bodies")
+    __slots__ = ("var", "body", "_fv", "_size", "_preds", "_depth", "_guard", "_bodies")
 
     @staticmethod
     def _facts(var, body):
         b = _node(body)
         fv = b._fv - {var} if var in b._fv else b._fv
-        return fv, b._size + 1, b._depth + 1, b._preds
+        return fv, b._size + 1, b._preds, b._depth + 1
 
     def witness_body(self, witness: int) -> "_FormulaNode":
         """The body with the constant of the witness for the variable, built
@@ -342,55 +350,98 @@ def to_text(f: Formula) -> str:
 
 def substitute(f: Formula, env: Mapping[str, int]) -> Formula:
     """f with the constant of its code for each free occurrence of a
-    variable env binds.  One pass builds every node at most once, after its
-    parts; a quantifier that rebinds one variable while another is replaced
-    under it takes one pass per variable."""
+    variable env binds: ``substitute_each``'s one-row case."""
     consts = {v: Const(c) for v, c in env.items()}
-    got = _replace(_node(f), consts)
-    if got is None:
-        for v, c in consts.items():
-            f = _replace(f, {v: c})
-        return f
-    return got
+    return _substituted(f, _plan(_node(f), frozenset(consts)), consts)
 
 
-def _replace(f: Formula, consts: dict) -> Optional[Formula]:
-    """f with each free variable that consts binds replaced by its constant,
-    iteratively, or None at a quantifier that rebinds one of them while
-    another is replaced under it.  Only nodes a variable is free in are
-    walked and new."""
-    names = frozenset(consts)
+def substitute_each(f: Formula, names: Sequence[str], rows: Iterable[Sequence[int]]) -> list[Formula]:
+    """For each row of codes, f with the constant of each code for the free
+    occurrences of the variable of names in its place, all built off one
+    plan."""
+    plan = _plan(_node(f), frozenset(names))
+    return [_substituted(f, plan, {v: Const(c) for v, c in zip(names, row)}) for row in rows]
+
+
+def _substituted(f: Formula, plan: Optional[list], consts: dict) -> Formula:
+    """``_build(f, plan, consts)``; where the plan is None, since a
+    quantifier rebinds one variable of consts while another is replaced
+    under it, one plan and build per variable."""
+    if plan is not None:
+        return _build(f, plan, consts)
+    for v, c in consts.items():
+        f = _build(f, _plan(f, frozenset((v,))), {v: c})
+    return f
+
+
+def _plan(f: Formula, names: frozenset) -> Optional[list]:
+    """The nodes of f in which a variable of names is free, parts first,
+    each as ``(node, place, place, facts)``: the places of its parts in the
+    list, -1 for a part left as it is (or none), and the facts its image
+    has, its own less the variables of names.  None at a quantifier that
+    rebinds one of names while another is free under it.  Iterative."""
+    plan: list = []
     if names.isdisjoint(f._fv):
-        return f
-    image: dict = {}
+        return plan
+    place: dict = {}
     stack = [f]
     while stack:
         g = stack[-1]
-        if g in image:
+        if g in place:
             stack.pop()
             continue
         t = type(g)
+        a = b = -1
         if t is And:
             left, right = g.left, g.right
-            a = left if names.isdisjoint(left._fv) else image.get(left)
-            b = right if names.isdisjoint(right._fv) else image.get(right)
+            a = -1 if names.isdisjoint(left._fv) else place.get(left)
+            b = -1 if names.isdisjoint(right._fv) else place.get(right)
             if a is None or b is None:
-                stack += [p for p, got in ((left, a), (right, b)) if got is None]
+                if a is None:
+                    stack.append(left)
+                if b is None:
+                    stack.append(right)
                 continue
-            image[g] = And(a, b)
         elif t is Not or t is Exists:
-            if t is Exists and g.var in consts:
+            if t is Exists and g.var in names:
                 return None
-            body = image.get(g.body)  # the body has a variable of names free
-            if body is None:
+            a = place.get(g.body)  # the body has a variable of names free
+            if a is None:
                 stack.append(g.body)
                 continue
-            image[g] = Not(body) if t is Not else Exists(g.var, body)
-        else:
-            terms = [consts.get(a.name, a) if type(a) is Var else a for a in _terms(g)]
-            image[g] = Pred(g.name, tuple(terms)) if t is Pred else t(*terms)
         stack.pop()
-    return image[f]
+        fv = _EMPTY if g._fv <= names else g._fv - names
+        place[g] = len(plan)
+        plan.append((g, a, b, (fv, g._size, g._preds, g._depth)))
+    return plan
+
+
+def _build(f: Formula, plan: list, consts: dict) -> Formula:
+    """f with each variable consts binds replaced by its constant, by
+    making the nodes of ``_plan(f, consts' names)`` in order.  A constant
+    in a variable's place keeps a node's size, predicates and depth, so
+    each node takes the facts its plan entry holds and no ``_facts`` runs."""
+    if not plan:
+        return f
+    made: list = []
+    for g, a, b, facts in plan:
+        t = type(g)
+        if t is And:
+            key = (t, g.left if a < 0 else made[a], g.right if b < 0 else made[b])
+        elif t is Not:
+            key = (t, made[a])
+        elif t is Exists:
+            key = (t, g.var, made[a])
+        elif t is Pred:
+            key = (t, g.name, tuple([consts.get(x.name, x) if type(x) is Var else x for x in g.args]))
+        else:
+            x, y = g.left, g.right
+            key = (t, consts.get(x.name, x) if type(x) is Var else x,
+                   consts.get(y.name, y) if type(y) is Var else y)
+        ref = _interned.get(key)
+        obj = None if ref is None else ref()
+        made.append(_intern(key, (*key[1:], *facts)) if obj is None else obj)
+    return made[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,8 @@ def referee_lost(game, rounds) -> bool:
     at some element marked true, a body named as a witness is marked false,
     or a recursion-rule instance over the carrier and the value domain is
     marked false.  An instance is its closed formula: instantiations,
-    witness bodies and rule instances are made by ``substitute``.
+    witness bodies and rule instances are made by this module's plain
+    ``substitute``, one by one, not by the package's planned builds.
     """
     M = game.structure
     ob = game.obligation

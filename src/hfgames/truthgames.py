@@ -53,6 +53,7 @@ from .logic import (
     size,
     skolem_witness,
     subformulas,
+    substitute_each,
     tarski_check,
 )
 from .universe import Ordinal, WellFoundedRelation, ordinal_compare
@@ -120,11 +121,8 @@ class TruthGame:
         ob = self.obligation
         if ob is not None:
             rf = self.rule_instance_formula = ob.rule.instance_formula()
-            self._rules = {
-                (i, x): instance(rf, {ob.rule.i_var: i, ob.rule.x_var: x})
-                for i in sorted(ob.relation.carrier)
-                for x in ob.value_domain
-            }
+            keys = [(i, x) for i in sorted(ob.relation.carrier) for x in ob.value_domain]
+            self._rules = dict(zip(keys, substitute_each(rf, (ob.rule.i_var, ob.rule.x_var), keys)))
         # The referee flags a denial of any rule instance.
         self.rule_set = frozenset(self._rules.values())
         self._eval_cache: dict = {}

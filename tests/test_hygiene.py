@@ -255,7 +255,10 @@ ITERATIVE = [
     "free_vars",
     "to_text",
     "substitute",
-    "_replace",
+    "substitute_each",
+    "_substituted",
+    "_plan",
+    "_build",
     "instantiation_witness",
     "shape",
     "eval_instance",

@@ -489,6 +489,28 @@ class TestSubstitution:
         env = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]), codes))
         assert logic.substitute(f, env) is oracles.substitute(f, env)
 
+    @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(3, 14), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_built_nodes_hold_the_facts_of_their_arguments(self, seed, M, most, data):
+        """A substitution copies each new node's facts from the node it
+        replaces instead of running ``_facts``; every node it returns, one
+        env's or a family's, holds what ``_facts`` computes from the node's
+        arguments.  Binders may shadow, so the one-plan-per-variable path
+        runs too."""
+        f = random_formula(random.Random(seed), M.universe, most, {"P": 1})
+        codes = st.integers(0, M.universe.size - 1)
+        env = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z"]), codes))
+        names = data.draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True))
+        rows = data.draw(st.lists(st.tuples(*[codes] * len(names)), min_size=1, max_size=4))
+        family = logic.substitute_each(f, names, rows)
+        assert family == [oracles.substitute(f, dict(zip(names, row))) for row in rows]
+        for g in [logic.substitute(f, env), *family]:
+            for h in subformulas(g):
+                slots = type(h).__slots__
+                want = type(h)._facts(*[getattr(h, n) for n in slots if n[0] != "_"])
+                facts = [n for n in slots if n[0] == "_"][:len(want)]
+                assert dict(zip(facts, want)) == {n: getattr(h, n) for n in facts}, to_text(h)
+
     @given(st.integers(0, 10**6), st.sampled_from([V2, V3]), st.integers(4, 12), st.data())
     @settings(max_examples=300, deadline=None)
     def test_instantiation_witness_agrees_with_oracle(self, seed, M, most, data):

@@ -20,7 +20,7 @@ from hfgames.errors import (
     SignatureError,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
-from hfgames import logic, suites, truthgames
+from hfgames import logic, oracles, suites, truthgames
 from hfgames.logic import (
     ATOMIC_KINDS,
     And,
@@ -828,6 +828,35 @@ class TestRecursionGame:
         with pytest.raises(SignatureError, match="unknown predicate 'G'"):
             state.process_round(Round(2, parse_instance("F(#0, #0) & G(#0, #0)"), Pronouncement(False)))
         assert [r.inquiry for r in state.rounds] == [inq]
+
+    def test_rule_planned_once_per_game(self, monkeypatch):
+        """A game plans its rule formula once and builds every rule instance
+        off that plan, each the node the plain substitution makes: over
+        criterion 4's rule shapes, and over a 16-node rule with one
+        disjunct per edge over V_5."""
+        V5 = Structure(build_universe(5))
+        edges = sorted({(a, b) for b in range(1, 16) for a in {b - 1, b // 2}})
+        formula = Eq(Var("x"), Const(0))
+        for a, b in edges:
+            clause = And(And(Eq(Var("i"), Const(b)), Pred("F", (Const(a), Var("x")))),
+                         Pred("<|", (Const(a), Var("i"))))
+            formula = Not(And(Not(formula), Not(clause)))
+        shapes = ["x = #2 | Ej. ((j <| i) & F(j, x))", "x = i | Ej. ((j <| i) & F(j, x))",
+                  "(x in i) | Ej. ((j <| i) & F(j, x))", "x = #2 | Ej. (Ey. ((j <| i) & F(j, y) & x in y))"]
+        chain = WellFoundedRelation(frozenset(range(16)), frozenset(edges))
+        cases = [(V3, self.rel, RecursionRule.parse(text), None) for text in shapes]
+        cases.append((V5, chain, RecursionRule(formula), (0, 1)))
+        planned = []
+        plan = logic._plan
+        monkeypatch.setattr(logic, "_plan", lambda f, names: planned.append(f) or plan(f, names))
+        for M, rel, rule, domain in cases:
+            planned.clear()
+            game = recursion_game(M, rel, rule, value_domain=domain)
+            assert planned == [rule.instance_formula()]
+            rules = game.rule_instances()
+            assert len(rules) == len(rel.carrier) * len(domain or M.universe.elements)
+            for (i, x), inst in rules.items():
+                assert inst is oracles.proposition(rule.instance_formula(), {"i": i, "x": x})
 
     def test_search_pool_contains_rule_instances(self):
         pool = default_inquiry_pool(self.game)
