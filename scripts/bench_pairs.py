@@ -6,7 +6,10 @@
 
 ``run`` runs ``perfbench/run.py --trace 0`` in each checkout for the run
 length ``BENCHMARK.json`` sets, one run at a time, alternating which side
-goes first from pair to pair.  After each run it copies that checkout's
+goes first from pair to pair.  Before the first pair each side runs once
+untimed and unrecorded: the first run after a source edit, or in a tree
+without ``__pycache__``, reads ``peak_rss_mb`` a few MB high.  After each
+run it copies that checkout's
 ``perfbench/out/summary-<workload>-seed<N>.json`` to ``RUNS/<side>/``,
 numbered by pair, and adds the run's end-to-end metrics (the last line
 ``run.py`` prints) under ``"metrics"``: the summary file does not hold
@@ -55,16 +58,16 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
     checkouts = {"parent": parent, "change": change}
     for side in SIDES:
         (out / side).mkdir(parents=True, exist_ok=True)
+    bench = [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    for side in SIDES:
+        subprocess.run(bench, cwd=checkouts[side], capture_output=True, text=True, check=True)
     first = _next_pair(out, workload, seed)
     for k in range(first, first + pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
             root = checkouts[side]
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                cwd=root, capture_output=True, text=True, check=True,
-            )
+            proc = subprocess.run(bench, cwd=root, capture_output=True, text=True, check=True)
             result = json.loads(proc.stdout.strip().splitlines()[-1])
             name = f"summary-{workload}-seed{seed}.json"
             summary = json.loads((root / "perfbench" / "out" / name).read_text())

@@ -985,14 +985,21 @@ def eval_instance(M: Structure, inst: Formula) -> bool:
     return _mask(M, inst, None, {}, 1) == 1
 
 
+def least_witness(M: Structure, ex: Exists) -> Optional[int]:
+    """Global-order-least witness of an existential instance; None when it
+    is false."""
+    m = _mask(M, ex.body, ex.var, {}, M.universe.full_mask(), _LOWEST_SET)
+    return (m & -m).bit_length() - 1 if m else None
+
+
 def skolem_witness(M: Structure, inst: Formula) -> int:
     """Global-order-least witness of a true existential instance."""
     if not isinstance(inst, Exists):
         raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
-    m = _mask(M, inst.body, inst.var, {}, M.universe.full_mask(), _LOWEST_SET)
-    if not m:
+    w = least_witness(M, inst)
+    if w is None:
         raise NoWitnessError(f"no witness for {print_instance(inst)}")
-    return (m & -m).bit_length() - 1
+    return w
 
 
 def satisfiers(

@@ -25,7 +25,6 @@ from .errors import (
     HFGamesError,
     InvariantError,
     MalformedTranscriptError,
-    NoWitnessError,
     NotWinningStrategyError,
     ParseError,
     SignatureError,
@@ -46,12 +45,12 @@ from .logic import (
     free_vars,
     instance,
     instantiation_witness,
+    least_witness,
     parse_closed,
     print_instance,
     random_instance,
     shape,
     size,
-    skolem_witness,
     subformulas,
     substitute_each,
     tarski_check,
@@ -83,6 +82,11 @@ class Pronouncement:
     verdict: bool
     witness: Optional[int] = None
     witness_instance: Optional[Formula] = None
+
+
+# The honest teller's reply to every inquiry but an affirmed existential,
+# shared: ``_PLAIN[verdict]``.
+_PLAIN = (Pronouncement(False), Pronouncement(True))
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,6 @@ class RefereeState:
             else:
                 self.marks[a] = b
 
-    def _set_mark(self, inst: Formula, bit: int) -> None:
-        prev = self.marks.get(inst, 0)
-        if self._log is not None:
-            self._log.append(("mark", inst, prev))
-        self.marks[inst] = prev | bit
-
     def _register(self, index: dict, key, value, front: bool = False) -> None:
         lst = index.get(key)
         if lst is None:
@@ -254,17 +252,22 @@ class RefereeState:
         the marked instances it is a part of, then the witness and recursion
         clauses on a denial."""
         bit = _TRUE if verdict else _FALSE
-        prev = self.marks.get(inst, 0)
+        marks = self.marks
+        prev = marks.get(inst, 0)
         if prev & bit:
             return []
-        self._set_mark(inst, bit)
+        if self._log is not None:
+            self._log.append(("mark", inst, prev))
+        marks[inst] = prev | bit
         out: list[TarskiViolation] = []
         t = type(inst)
-        if t is Not or t is And:
-            parts = inst.parts
-            self._register(self.wraps, parts[0], inst, t is Not)
-            if t is And and parts[1] != parts[0]:
-                self._register(self.wraps, parts[1], inst)
+        if t is Not:
+            self._register(self.wraps, inst.body, inst, True)
+            self._check_connective(inst, out)
+        elif t is And:
+            self._register(self.wraps, inst.left, inst)
+            if inst.right != inst.left:
+                self._register(self.wraps, inst.right, inst)
             self._check_connective(inst, out)
         elif t is not Exists and not (t is Pred and inst.name == self._f_symbol):
             actual = self.game.eval_atomic(inst)
@@ -306,12 +309,11 @@ class RefereeState:
         conjuncts."""
         marks = self.marks
         bits = marks[wrap]
-        parts = wrap.parts
-        if len(parts) == 1:
-            if bits & marks.get(parts[0], 0):
+        if type(wrap) is Not:
+            if bits & marks.get(wrap.body, 0):
                 out.append(TarskiViolation("negation", wrap, "agrees with its own negatum"))
             return
-        left, right = marks.get(parts[0], 0), marks.get(parts[1], 0)
+        left, right = marks.get(wrap.left, 0), marks.get(wrap.right, 0)
         if bits & _TRUE and (left | right) & _FALSE:
             out.append(TarskiViolation("conjunction", wrap, "affirmed with a denied conjunct"))
         if bits & _FALSE and left & right & _TRUE:
@@ -488,14 +490,15 @@ class HonestTeller:
                 raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
             w = min(candidates)
             return Pronouncement(True, w, inquiry.witness_body(w))
-        return Pronouncement(verdict)
+        return _PLAIN[verdict]
 
     def _by_clauses(self, game: TruthGame, inquiry: Formula) -> Pronouncement:
         """Tarski's clauses over the teller's own answers: a Not is true iff
         its part is false, an And iff both parts are, and the right part is
         answered only when the left one is true.  Parts not yet answered go
         first, in post-order off an explicit stack.  Only atoms are
-        evaluated, and only existentials look for their least witness."""
+        evaluated, only existentials look for their least witness, and only
+        an affirmed one gets a reply of its own."""
         M, cache = self.source, self._cache
         stack = [inquiry]
         while stack:
@@ -505,26 +508,22 @@ class HonestTeller:
                 continue
             t = type(inst)
             if t is Not or t is And:
-                parts = inst.parts
-                got = cache.get(parts[0])
+                part = inst.body if t is Not else inst.left
+                got = cache.get(part)
                 if got is None:
-                    stack.append(parts[0])
+                    stack.append(part)
                     continue
                 if t is And and got.verdict:
-                    got = cache.get(parts[1])
+                    got = cache.get(inst.right)
                     if got is None:
-                        stack.append(parts[1])
+                        stack.append(inst.right)
                         continue
-                pron = Pronouncement(not got.verdict if t is Not else got.verdict)
+                pron = _PLAIN[not got.verdict if t is Not else got.verdict]
             elif t is Exists:
-                try:
-                    w = skolem_witness(M, inst)
-                except NoWitnessError:
-                    pron = Pronouncement(False)
-                else:
-                    pron = Pronouncement(True, w, inst.witness_body(w))
+                w = least_witness(M, inst)
+                pron = _PLAIN[False] if w is None else Pronouncement(True, w, inst.witness_body(w))
             else:
-                pron = Pronouncement(eval_instance(M, inst))
+                pron = _PLAIN[eval_instance(M, inst)]
             cache[inst] = pron
             stack.pop()
         return cache[inquiry]

@@ -48,13 +48,10 @@ class Universe:
     rank: int
 
     def __post_init__(self):
-        # Bitmasks over the codes, made on first use; bit c stands for the
-        # set coded c.
+        # The number of codes, and bitmasks over the codes made on first
+        # use: bit c stands for the set coded c.
+        object.__setattr__(self, "size", universe_size(self.rank))
         object.__setattr__(self, "_masks", {})
-
-    @property
-    def size(self) -> int:
-        return universe_size(self.rank)
 
     def full_mask(self) -> int:
         """Every code of the universe."""

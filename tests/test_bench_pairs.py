@@ -129,10 +129,11 @@ def test_run_pairs_times_verify_all_next_to_each_run(tmp_path, monkeypatch):
     runs = tmp_path / "runs"
     bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 2, runs)
 
-    # Each run is followed by its verify all, sides alternating by pair;
-    # the tier-1 suite runs once per side after the pairs.
-    assert [side for side, _ in calls] == ["p", "p", "c", "c", "c", "c", "p", "p", "p", "c"]
-    assert [argv for _, argv in calls[:2]] == [["perfbench/run.py", "--workload"], ["-m", "hfgames.cli"]]
+    # One warm-up run per side, then each run is followed by its verify
+    # all, sides alternating by pair; the tier-1 suite runs once per side
+    # after the pairs.
+    assert [side for side, _ in calls] == ["p", "c", "p", "p", "c", "c", "c", "c", "p", "p", "p", "c"]
+    assert [argv for _, argv in calls[2:4]] == [["perfbench/run.py", "--workload"], ["-m", "hfgames.cli"]]
     (entry,) = bench_pairs.bench_document(runs, SPEC)
     assert entry["pairs"] == 2
     assert set(entry["metrics"]) == {"batch_norm_s", "verify_all_s"}
@@ -193,8 +194,9 @@ def test_run_pairs_runs_tier1_once_per_side(tmp_path, monkeypatch):
 def test_second_run_adds_pairs_and_tier1_record(tmp_path, monkeypatch):
     # Two calls on one workload and seed into one directory: the second
     # numbers its pairs on from the first's and keeps the first's tier-1
-    # record, and ``write`` reads both calls' files.
-    batches = iter([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2])
+    # record, and ``write`` reads both calls' files.  Each call's two
+    # warm-up runs read 9.9, which no median may take up.
+    batches = iter([9.9, 9.9, 0.5, 0.6, 0.7, 0.8, 9.9, 9.9, 0.9, 1.0, 1.1, 1.2])
 
     def fake_run(argv, cwd, **kwargs):
         if argv[1] == "perfbench/run.py":
@@ -222,6 +224,37 @@ def test_second_run_adds_pairs_and_tier1_record(tmp_path, monkeypatch):
     # Sides alternate on across the calls: parent, change, change, parent, ...
     assert entry["metrics"]["batch_norm_s"]["parent"]["median"] == statistics.median([0.5, 0.8, 0.9, 1.2])
     assert [len(doc["tier1"][side]["runs"]) for side in bench_pairs.SIDES] == [2, 2]
+
+
+def test_run_pairs_warms_each_side_up_once_per_call(tmp_path, monkeypatch):
+    # Each benchmark run is logged with the summary files ``RUNS`` holds
+    # when it starts.
+    runs = tmp_path / "runs"
+    bench_runs = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[1] == "perfbench/run.py":
+            bench_runs.append((Path(cwd).name, len(list(runs.glob("*/summary-*.json")))))
+            out = Path(cwd) / "perfbench" / "out"
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "summary-evaluate-seed1.json").write_text(json.dumps({"workload": "evaluate", "seed": 1}))
+            line = {"correct": True, "metrics": {"batch_norm_s": {"value": 0.5, "unit": "s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+        return subprocess.CompletedProcess(argv, 0, stdout="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 2, runs)
+    bench_pairs.run_pairs(tmp_path / "p", tmp_path / "c", "evaluate", 1, 1, runs)
+
+    # Per call, each side warms up once before the first pair and the
+    # warm-ups write nothing to RUNS; then each pair's runs are recorded.
+    assert bench_runs == [
+        ("p", 0), ("c", 0), ("p", 0), ("c", 1), ("c", 2), ("p", 3),
+        ("p", 4), ("c", 4), ("p", 4), ("c", 5),
+    ]
+    assert len(list(runs.glob("*/summary-*.json"))) == 6
+    (entry,) = bench_pairs.bench_document(runs, SPEC)
+    assert entry["pairs"] == 3
 
 
 def test_tier1_records_count_src_lines(tmp_path, monkeypatch):

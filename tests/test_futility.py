@@ -601,13 +601,13 @@ class TestOrderLemma:
 FAULTS = [None, None, None, "bare", "outside", "mismatch"]
 
 
-def agree_step_by_step(game, rounds, steps):
+def play_steps(game, rounds, steps):
     """Feed the rounds in turn, over and over, to one referee state as the
-    steps say, pushing and popping frames in between, and hold ``lost`` to
-    ``referee_lost`` over the state's rounds after every step.  A fault step
-    plays the next round, its answer perhaps swapped for an affirmation with
-    no witness, one outside the universe, or a witness instance that is not
-    the body."""
+    steps say, pushing and popping frames in between; yields each step
+    (a pop with no frame open reads ``None``) and the state after it.  A
+    fault step plays the next round, its answer perhaps swapped for an
+    affirmation with no witness, one outside the universe, or a witness
+    instance that is not the body."""
     state = RefereeState(game)
     start = len(steps) + 1
     frames = 0
@@ -617,7 +617,9 @@ def agree_step_by_step(game, rounds, steps):
             state.push_frame()
             frames += 1
         elif step == "pop":
-            if frames:
+            if not frames:
+                step = None
+            else:
                 state.pop_frame()
                 frames -= 1
         else:
@@ -630,7 +632,25 @@ def agree_step_by_step(game, rounds, steps):
             elif step == "mismatch":
                 pron = Pronouncement(True, 0, q)
             state.process_round(Round(game.clock(start - len(state.rounds)), q, pron))
+        yield step, state
+
+
+def agree_step_by_step(game, rounds, steps):
+    """``play_steps``, holding ``lost`` to ``referee_lost`` over the
+    state's rounds after every step."""
+    for step, state in play_steps(game, rounds, steps):
         assert state.lost == referee_lost(game, state.rounds), step
+
+
+def referee_contents(state) -> tuple:
+    """Copies of what a referee state holds: its loss flag, rounds and
+    marks, and the entries of its indexes (a key whose list a pop emptied
+    holds none)."""
+    def entries(index):
+        return {key: list(values) for key, values in index.items() if values}
+
+    return (state.lost, list(state.rounds), dict(state.marks), entries(state.wraps),
+            entries(state.affirmed), entries(state.denied_existentials), entries(state.witness_bodies))
 
 
 STEPS = st.lists(st.sampled_from(FAULTS + ["push", "pop"]), min_size=1, max_size=24)
@@ -654,3 +674,19 @@ class TestRefereeOracle:
                 rng.shuffle(rounds)
             steps = [rng.choice(FAULTS + ["push", "pop"]) for _ in range(24)]
             agree_step_by_step(game, rounds, steps)
+
+
+class TestFrames:
+    """Popping a frame undoes what the rounds played inside it did to the
+    referee state: its loss, rounds, marks and index entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(memoryless_rounds(12), st.data())
+    def test_pop_frame_restores_the_push(self, case, data):
+        game, rounds = case
+        pushed = []
+        for step, state in play_steps(game, data.draw(st.permutations(rounds)), data.draw(STEPS)):
+            if step == "push":
+                pushed.append(referee_contents(state))
+            elif step == "pop":
+                assert referee_contents(state) == pushed.pop()

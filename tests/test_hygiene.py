@@ -405,10 +405,10 @@ def test_cached_formula_facts_are_reads():
 
 
 def test_truthgames_reads_follow_ups_off_the_instance():
-    """FormulaInstance.parts and FormulaInstance.witness_body are the only
-    places the truth games get a sub-instance or a witness body from; the
-    referee, drivers and tellers read them off the instance and never
-    substitute themselves.  So does
+    """An instance's parts (its ``parts``, or the node's own slots) and its
+    ``witness_body`` are the only places the truth games get a sub-instance
+    or a witness body from; the referee, drivers and tellers read them off
+    the instance and never substitute themselves.  So does
     tarski_check, for the parts of a negation or conjunction and for the
     instantiations of an existential.  The presearch pool builds its
     negations from the instance's closed formula, not its assignment."""

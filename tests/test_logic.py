@@ -662,7 +662,7 @@ def random_case(rng: random.Random, rank: int):
     return Structure(build_universe(rank), preds), f, env
 
 
-def least_witness(M, f, env):
+def scanned_witness(M, f, env):
     for b in M.universe.elements:
         if tarski_eval(M, f.body, {**env, f.var: b}):
             return b
@@ -728,7 +728,7 @@ class TestBitmaskEvaluator:
         inst = instance(f, env)
         assert eval_instance(M, inst) is want, (to_text(f), env)
         if isinstance(f, Exists):
-            w = least_witness(M, f, env)
+            w = scanned_witness(M, f, env)
             assert (w is not None) is want
             if want:
                 assert skolem_witness(M, inst) == w, (to_text(f), env)
@@ -744,7 +744,7 @@ class TestBitmaskEvaluator:
         want = tarski_eval(M, f, env)
         inst = instance(f, env)
         assert eval_instance(M, inst) is want, (to_text(f), env)
-        w = least_witness(M, f, env)
+        w = scanned_witness(M, f, env)
         assert (w is not None) is want
         if want:
             assert skolem_witness(M, inst) == w, (to_text(f), env)
@@ -935,6 +935,33 @@ class TestSkolem:
                     V3, instantiate(inst, inst.formula.var, b)
                 )
             checked += 1
+
+
+class TestLeastWitness:
+    """``logic.least_witness``, the search both the honest teller and
+    ``skolem_witness`` run, against a Tarski scan of the codes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([V2, V3]), st.integers(0, 2**32), st.integers(3, 14))
+    def test_agrees_with_a_tarski_scan(self, M, seed, most):
+        rng = random.Random(seed)
+        g = random_formula(rng, M.universe, most)
+        free = sorted(free_vars(g))
+        var = rng.choice(free) if free else "x"
+        ex = instance(Exists(var, g), {v: rng.randrange(M.universe.size) for v in free})
+        want = scanned_witness(M, ex, {})
+        assert logic.least_witness(M, ex) == want, to_text(ex)
+        if want is None:
+            with pytest.raises(NoWitnessError) as raised:
+                skolem_witness(M, ex)
+            assert str(raised.value) == f"no witness for {print_instance(ex)}"
+        else:
+            assert skolem_witness(M, ex) == want
+
+    def test_not_exported(self):
+        import hfgames
+
+        assert not hasattr(hfgames, "least_witness")
 
 
 class TestSerialization:

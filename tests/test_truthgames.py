@@ -494,6 +494,50 @@ class TestTellerByClauses:
         assert len(calls) == len(set(calls)) and set(calls) <= atoms
         assert len(calls) > k  # at x = 1 no disjunct holds, so every one is read
 
+    def test_only_affirmed_existentials_get_a_reply_of_their_own(self, monkeypatch):
+        # Every other answer is one of two shared pronouncements, so the
+        # teller builds none for an atom, a connective or a false
+        # existential.  Run on criterion 4's rule shapes and criterion 1's
+        # targets.
+        built = []
+
+        class Counted(Pronouncement):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(truthgames, "Pronouncement", Counted)
+        dag = WellFoundedRelation(frozenset({0, 1, 2, 3}), frozenset({(0, 1), (1, 2), (0, 3)}))
+        tellers = []
+        for text in [
+            "x = #2 | Ej. ((j <| i) & F(j, x))",
+            "x = i | Ej. ((j <| i) & F(j, x))",
+            "(x in i) | Ej. ((j <| i) & F(j, x))",
+            "x = #2 | Ej. (Ey. ((j <| i) & F(j, y) & x in y))",
+        ]:
+            rule = RecursionRule.parse(text)
+            solution = etr_solve(V3, dag, rule)
+            game = recursion_game(V3, dag, rule)
+            tellers.append(honest_teller(game, V3, solution=solution))
+            assert extract_solution(tellers[-1], game) == solution
+        game, targets = truth_game(V3), enumerate_instances(V3, 5)
+        tellers.append(honest_teller(game, V3))
+        assert extract_satisfaction(tellers[-1], game, targets) == build_truth_predicate(V3, targets)
+        affirmed = 0
+        for teller in tellers:
+            M = teller.source
+            for inquiry, pron in teller._cache.items():
+                verdict = tarski_eval(M, inquiry, {})
+                got = (pron.verdict, pron.witness, pron.witness_instance)
+                if verdict and isinstance(inquiry, Exists):
+                    w = skolem_witness(M, inquiry)
+                    assert type(pron) is Counted and got == (True, w, inquiry.witness_body(w))
+                    affirmed += 1
+                else:
+                    assert type(pron) is Pronouncement and got == (verdict, None, None)
+        # 222 of the 1,432 answers are affirmed existentials.
+        assert affirmed > 100 and len(built) == affirmed
+
     def test_deep_chain_answered_without_recursion(self):
         game = truth_game(V2)
         teller = honest_teller(game, V2)

@@ -64,6 +64,19 @@ class TestBuildUniverse:
         for k in range(4):
             assert universe_size(k + 1) == 2 ** universe_size(k)
 
+    def test_size_set_once_outside_the_fields(self, monkeypatch):
+        # Each universe counts its codes when built; code membership and
+        # the full mask read that count and never recount.
+        universes = [build_universe(r) for r in range(6)]
+        assert [U.size for U in universes] == [universe_size(r) for r in range(6)]
+        U, again = universes[3], build_universe(3)
+        monkeypatch.setattr("hfgames.universe.universe_size", None)
+        assert 3 in U and 4 not in U and U.full_mask() == 0b1111
+        # size is no dataclass field: repr, == and hash read the rank alone.
+        assert repr(U) == "Universe(rank=3)"
+        assert U == again and hash(U) == hash(again) == hash((3,))
+        assert U != universes[2]
+
 
 class TestMember:
     def test_empty_in_singleton(self):
