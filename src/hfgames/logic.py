@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -46,8 +47,10 @@ EDGE_SYMBOL = "<|"
 # Terms, formula nodes and instances are interned (hash-consing): each is
 # built once per distinct class and arguments, so equal means identical, and
 # they compare and hash by identity.  The one table maps (class, *arguments)
-# to a weak reference whose callback drops the entry when its object dies, so
-# the table holds only what the program still holds.  On a miss ``_intern``
+# to its entry, one weak reference to the object that carries that key.
+# Every entry shares one callback, which drops the key when its object dies,
+# and only while the key's entry is dead, so the table holds only what the
+# program still holds and never loses a live object.  On a miss ``_intern``
 # sets the arguments, then the facts, which a constructor has ``_facts``
 # compute once from the children's: free variables, size (every AST node,
 # terms included), predicate symbols and depth (formula nodes on the longest
@@ -68,6 +71,22 @@ def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
 
 
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference that carries its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(table: dict, remove, entry: _Entry) -> None:
+    remove(table, entry.key)
+
+
+# The one callback.  It holds the table and the C helper itself, so it still
+# works while the interpreter shuts down and module globals are cleared; the
+# helper leaves a key alone that is gone or maps to a live entry.
+_on_death = partial(_forget, _interned, _remove_dead_weakref)
+
+
 def _intern(key: tuple, values: tuple):
     """A new object for key, ``(class, *arguments)``, with its slots set to
     values, the arguments and then the facts, and its entry in the table.
@@ -75,8 +94,8 @@ def _intern(key: tuple, values: tuple):
     obj = object.__new__(key[0])
     for setter, value in zip(key[0]._setters, values):
         setter(obj, value)
-    # A C callback: no Python code runs inside a deallocation.
-    _interned[key] = weakref.ref(obj, partial(_interned.pop, key))
+    entry = _interned[key] = _Entry(obj, _on_death)
+    entry.key = key
     return obj
 
 

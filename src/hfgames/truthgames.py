@@ -207,8 +207,10 @@ class RefereeState:
         self.affirmed: dict[tuple, list] = {}
         self.denied_existentials: dict[tuple, list] = {}
         self.witness_bodies: dict[Formula, list] = {}
-        # The undo records of the innermost pushed frame; None outside
-        # frames, where nothing is ever undone.
+        # The undo records of the innermost pushed frame, ``(index, key,
+        # position)`` for an index entry and ``(None, instance, previous
+        # bits)`` for a mark; None outside frames, where nothing is ever
+        # undone.  Undoing an entry drops a key whose list it empties.
         self._log: Optional[list] = None
         # Per pushed frame: the round count, loss flag and log to restore.
         self._frame_starts: list[tuple[int, bool, Optional[list]]] = []
@@ -225,13 +227,16 @@ class RefereeState:
         log = self._log
         n, self.lost, self._log = self._frame_starts.pop()
         del self.rounds[n:]
-        for tag, a, b in reversed(log):
-            if tag == "lst":
-                a.pop(b)
+        for index, key, b in reversed(log):
+            if index is not None:
+                lst = index[key]
+                lst.pop(b)
+                if not lst:
+                    del index[key]
             elif b == 0:
-                del self.marks[a]
+                del self.marks[key]
             else:
-                self.marks[a] = b
+                self.marks[key] = b
 
     def _register(self, index: dict, key, value, front: bool = False) -> None:
         lst = index.get(key)
@@ -242,7 +247,7 @@ class RefereeState:
         else:
             lst.append(value)
         if self._log is not None:
-            self._log.append(("lst", lst, 0 if front else -1))
+            self._log.append((index, key, 0 if front else -1))
 
     # -- the checks
 
@@ -257,7 +262,7 @@ class RefereeState:
         if prev & bit:
             return []
         if self._log is not None:
-            self._log.append(("mark", inst, prev))
+            self._log.append((None, inst, prev))
         marks[inst] = prev | bit
         out: list[TarskiViolation] = []
         t = type(inst)

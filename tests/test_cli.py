@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hfgames import games, suites
+from hfgames import games, logic, suites
 from hfgames.cli import main
 from hfgames.logic import MAX_NESTING
 
@@ -24,16 +24,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 JSON_DIGEST = "0f67fd2748fa87b60f4bbc049f3b01e8ba221283e46fb03652c1e462216a8077"
 
 
-def run_child(argv, env=(), address_limit=None, timeout=60):
+def run_child(argv, env=(), address_limit=None, timeout=60, prelude=""):
     """Run main(argv) in a fresh interpreter, which first caps its own
-    address space at ``address_limit`` bytes if given."""
+    address space at ``address_limit`` bytes if given, then runs the
+    source ``prelude``."""
     code = "import sys\n"
     if address_limit is not None:
         code += (
             "import resource\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
         )
-    code += f"from hfgames.cli import main\nsys.exit(main({list(argv)!r}))\n"
+    code += prelude + f"from hfgames.cli import main\nsys.exit(main({list(argv)!r}))\n"
     environ = {**os.environ, "PYTHONPATH": str(SRC), **dict(env)}
     return subprocess.run(
         [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=timeout
@@ -593,6 +594,46 @@ class TestBoundedMemory:
             if Path(d.traceback[0].filename).name == "argparse.py"
         )
         assert growth < 1024
+
+    def test_verify_runs_in_process_leave_the_intern_table_as_it_was(self, capsys):
+        """Twenty in-process runs of ``verify all`` leave as many live
+        entries in the intern table as two warm-up runs left: every node a
+        run builds goes with it.  A count, so a resize of the table's dict
+        cannot move it."""
+        import gc
+
+        def runs(n):
+            for _ in range(n):
+                assert run(capsys, "verify", "all", "--seed", "1", "--json")[0] == 0
+                gc.collect()
+
+        runs(2)
+        before = len(logic._interned)
+        runs(20)
+        assert len(logic._interned) == before
+
+    def test_nodes_alive_at_exit_leave_quietly(self):
+        """Nodes still held by another module's globals and by ``builtins``
+        die while the interpreter shuts down.  ``sys`` keeps that module and
+        ``logic`` alive to the end, so ``logic``'s globals are cleared
+        first (modules go in reverse import order) and the chain in
+        ``json`` dies after them: the entries' one callback must not read a
+        global.  One that read the helper from ``logic``'s globals printed
+        "Exception ignored" here."""
+        prelude = (
+            "import builtins, json\n"
+            "from hfgames import logic\n"
+            "from hfgames.logic import Const, Member, Not, Var, instance\n"
+            "f = Member(Var('x'), Const(7))\n"
+            "for _ in range(3000):\n"
+            "    f = Not(f)\n"
+            "json.kept_formula = f\n"
+            "builtins.kept_instances = [instance(f, {'x': 0}), *(Member(Const(c), Var('y')) for c in range(1000))]\n"
+            "sys.kept_modules = (json, logic)\n"
+            "del f\n"
+        )
+        child = run_child(["eval", "#0 in #1"], prelude=prelude)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "true\n", "")
 
 
 class TestRankBounds:

@@ -644,10 +644,10 @@ def agree_step_by_step(game, rounds, steps):
 
 def referee_contents(state) -> tuple:
     """Copies of what a referee state holds: its loss flag, rounds and
-    marks, and the entries of its indexes (a key whose list a pop emptied
-    holds none)."""
+    marks, and its indexes, empty lists included: a pop drops the key of a
+    list it empties."""
     def entries(index):
-        return {key: list(values) for key, values in index.items() if values}
+        return {key: list(values) for key, values in index.items()}
 
     return (state.lost, list(state.rounds), dict(state.marks), entries(state.wraps),
             entries(state.affirmed), entries(state.denied_existentials), entries(state.witness_bodies))

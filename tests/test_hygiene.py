@@ -492,6 +492,73 @@ def test_no_unbounded_module_caches(path):
     assert unbounded == []
 
 
+WEAK_MODULES = ("weakref", "_weakref")
+WEAK_MAKERS = {"ref", "proxy", "KeyedRef", "WeakMethod", "WeakSet", "WeakKeyDictionary",
+               "WeakValueDictionary", "finalize"}
+
+
+def weak_reference_sites(modules: dict[str, str]) -> list[str]:
+    """``module.function`` (``module.<module>`` outside any function, a
+    method as ``module.Class.method``) of each call in modules that makes a
+    weak reference: of a maker of ``weakref`` or ``_weakref``, reached
+    through the module or imported by name, or of a class of the same
+    module that subclasses one, however deep."""
+    sites = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        through = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names if a.name in WEAK_MODULES}
+        makers = {a.asname or a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module in WEAK_MODULES
+                  for a in n.names if a.name in WEAK_MAKERS}
+
+        def makes(func) -> bool:
+            if isinstance(func, ast.Attribute):
+                return getattr(func.value, "id", None) in through and func.attr in WEAK_MAKERS
+            return getattr(func, "id", None) in makers
+
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        grown = True
+        while grown:
+            found = {c.name for c in classes if any(makes(b) for b in c.bases)}
+            grown = not found <= makers
+            makers |= found
+        parent = {child: n for n in ast.walk(tree) for child in ast.iter_child_nodes(n)}
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and makes(call.func):
+                names, n = [], parent[call]
+                while n in parent:
+                    if isinstance(n, (*FUNCTIONS, ast.ClassDef)):
+                        names.append(n.name)
+                    n = parent[n]
+                sites.append(".".join([module, *reversed(names)] if names else [module, "<module>"]))
+    return sorted(sites)
+
+
+def test_weak_references_made_only_by_the_intern_table():
+    """The package keeps one weak table, with one callback: ``logic._intern``
+    is the one place that makes a weak reference."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert weak_reference_sites(sources) == ["logic._intern"]
+
+
+def test_weak_reference_scan_flags_every_maker():
+    source = (
+        "import weakref as w\nfrom _weakref import ref\nfrom weakref import WeakSet, _remove_dead_weakref\n\n"
+        "class Keyed(w.ref):\n    __slots__ = ('key',)\n\n"
+        "class Deeper(Keyed):\n    pass\n\n"
+        "TABLE = w.WeakValueDictionary()\n\n"
+        "def plain(x):\n    return ref(x)\n\n"
+        "def keyed(x):\n    def inner():\n        return Deeper(x)\n    return Keyed(x), inner\n\n"
+        "class K:\n    def m(self):\n        return WeakSet()\n\n"
+        "def spared(d, k):\n    _remove_dead_weakref(d, k)\n    return w.getweakrefcount(k), dict(d)\n"
+    )
+    other = "import weakref\n\nclass Keyed:\n    pass\n\ndef fine():\n    return Keyed(), weakref.getweakrefs(1)\n"
+    assert weak_reference_sites({"m": source, "n": other}) == [
+        "m.<module>", "m.K.m", "m.keyed", "m.keyed.inner", "m.plain",
+    ]
+
+
 def _paper_map_rows() -> list[str]:
     """The body rows of the README's paper-to-code table."""
     section = (ROOT / "README.md").read_text().split("## Paper-to-code map", 1)[1]

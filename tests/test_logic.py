@@ -1,9 +1,13 @@
 import copy
 import gc
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +371,56 @@ class TestInterning:
         del f, inst
         gc.collect()
         assert len(logic._interned) == before
+
+    def test_an_entry_is_one_weak_reference_carrying_its_key(self):
+        f = Not(Member(Var("x"), Const(982)))
+        entry = logic._interned[(Not, f.body)]
+        assert type(entry) is logic._Entry and isinstance(entry, weakref.ref)
+        assert entry() is f and entry.key == (Not, f.body) and not hasattr(entry, "__dict__")
+        assert entry.__callback__ is logic._interned[(Member, Var("x"), Const(982))].__callback__
+
+    def test_the_callback_spares_a_live_entry(self):
+        # A dead entry's callback drops its key only while the key maps to
+        # a dead entry: never the live node's entry that replaced it.
+        class Gone:
+            pass
+
+        gone = Gone()
+        stale = logic._Entry(gone)
+        stale.key = key = (Not, Member(Var("x"), Const(984)))
+        del gone
+        assert stale() is None
+        logic._on_death(stale)  # the key is not in the table
+        f = Not(key[1])
+        live = logic._interned[key]
+        logic._on_death(stale)
+        assert logic._interned[key] is live and Not(key[1]) is f
+        del f
+        gc.collect()
+        assert key not in logic._interned
+
+    def test_a_new_node_costs_under_400_bytes(self):
+        # Traced in a child that traces from its start, so a resize of the
+        # table's dict frees what it allocated, and the dict's growth, which
+        # can land on any run, is left out.  The parts are built first, so
+        # only the 10,000 And nodes, their keys and entries are new.
+        code = (
+            "import sys, tracemalloc\n"
+            "from hfgames import logic\n"
+            "from hfgames.logic import And, Const, Member, Var\n"
+            "base = Member(Var('x'), Const(0))\n"
+            "parts = [Member(Var('x'), Const(c)) for c in range(1, 10_001)]\n"
+            "table = sys.getsizeof(logic._interned)\n"
+            "before = tracemalloc.get_traced_memory()[0]\n"
+            "nodes = [And(base, part) for part in parts]\n"
+            "traced = tracemalloc.get_traced_memory()[0] - before\n"
+            "print((traced - sys.getsizeof(logic._interned) + table) / len(nodes))\n"
+        )
+        src = Path(logic.__file__).resolve().parent.parent
+        child = subprocess.run([sys.executable, "-X", "tracemalloc", "-c", code], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert float(child.stdout) < 400
 
 
 class TestInstanceBuilding:

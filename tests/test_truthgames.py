@@ -1058,6 +1058,26 @@ class TestDerivedInstanceLifetime:
         gc.collect()
         assert len(logic._interned) == before
 
+    def test_dropped_recursion_game_leaves_the_intern_table(self):
+        # Criterion 4's deepest rule shape: its (i, x) instances are built
+        # by substitution off one plan, and extraction asks for their parts
+        # and witness bodies.
+        rel = WellFoundedRelation(frozenset({0, 1, 2, 3}), frozenset({(0, 1), (1, 2), (0, 3)}))
+        rule = RecursionRule.parse("x = #2 | Ej. (Ey. ((j <| i) & F(j, y) & x in y))")
+
+        def solve_and_extract():
+            solution = etr_solve(V3, rel, rule)
+            game = recursion_game(V3, rel, rule)
+            assert extract_solution(honest_teller(game, V3, solution=solution), game) == solution
+            return len(logic._interned)
+
+        solve_and_extract()
+        gc.collect()
+        before = len(logic._interned)
+        assert solve_and_extract() > before
+        gc.collect()
+        assert len(logic._interned) == before
+
 
 class TestFollowUpsFromTheGame:
     """Sub-instances and witness bodies are derived once, by the instance,
