@@ -14,7 +14,6 @@ from .universe import (
 )
 from .logic import (
     Formula,
-    FormulaInstance,
     SatisfactionClass,
     Structure,
     build_truth_predicate,

@@ -57,10 +57,10 @@ EDGE_SYMBOL = "<|"
 # path down to an atom, both ends included).  A class keeps a prefix of
 # those four in slots and reads the class default for the rest, so
 # substitution, which copies the facts of the node it replaces, hands every
-# class the same four.  An instance is its closed formula node: the instance
-# builders substitute the bindings they are given, and the parts and witness
-# bodies of a closed node are closed nodes too, so a proposition is one
-# object however it was reached.
+# class the same four.  An instance is its closed formula node: ``instance``
+# substitutes the codes it is given, and the parts and witness bodies of a
+# closed node are closed nodes too, so a proposition is one object however
+# it was reached.
 
 _EMPTY: frozenset[str] = frozenset()
 _interned: dict = {}
@@ -177,11 +177,11 @@ def _term(t) -> Term:
 class _FormulaNode(_Interned):
     """What the six formula classes share: the defaults of the cached facts,
     the text syntax for repr and str, so formulas of any depth print, and
-    what a closed formula reads as an instance: itself as its ``formula``,
-    no bindings, its ``parts`` and, for an existential, its
-    ``witness_body``.  ``_shape`` is left unset until ``shape`` fills it."""
+    what a closed formula reads as an instance: its ``parts`` and, for an
+    existential, its ``witness_body``; also itself as its ``formula`` and
+    no ``bindings``, the instance format the benchmark's reference reads."""
 
-    __slots__ = ("_shape",)
+    __slots__ = ()
     _size = 3
     _depth = 1
     _preds = _EMPTY
@@ -666,8 +666,8 @@ def parse_formula(text: str, signature: Optional[Mapping[str, int]] = None) -> F
 
 
 def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) -> Formula:
-    """The closed formula a user typed, as an instance: a free variable or a
-    constant outside the universe is a ParseError, as bad syntax is."""
+    """The closed formula a user typed: a free variable or a constant
+    outside the universe is a ParseError, as bad syntax is."""
     f = parse_formula(text, signature)
     free = free_vars(f)
     if free:
@@ -676,51 +676,38 @@ def parse_closed(text: str, signature: Mapping[str, int], universe: Universe) ->
         for t in _terms(g) if isinstance(g, ATOMIC_KINDS) else ():
             if type(t) is Const and t.code not in universe:
                 raise ParseError(f"constant #{t.code} outside the universe")
-    return FormulaInstance(f, ())
+    return f
 
 
 # ---------------------------------------------------------------------------
 # Instances, structures, evaluation.
 
 
-def FormulaInstance(formula: Formula, bindings: tuple) -> Formula:
-    """The proposition formula states at the bindings, one ``(name, code)``
-    pair per free variable, sorted by name, each code an ``int``: the
-    formula with the codes' constants substituted for the variables.  Any
-    other bindings are refused.  The instance is that closed formula node,
-    so ``(x in #1)`` at x = 0 and ``(#0 in #1)`` are one object."""
-    if bindings != () or _node(formula)._fv:
-        names = sorted(formula._fv)
-        if type(bindings) is not tuple or [
-            (b[0], type(b[1])) if type(b) is tuple and len(b) == 2 else b for b in bindings
-        ] != [(v, int) for v in names]:
-            raise MalformedInstanceError(
-                f"bindings {bindings!r} do not give the free variables {names}"
-                f" of {to_text(formula)} one int code each, in order")
-        formula = substitute(formula, dict(bindings))
-    return formula
-
-
 def instance(formula: Formula, assignment: Optional[Mapping[str, int]] = None) -> Formula:
-    """The closed instance of formula under the assignment, whose keys must
-    cover the free variables; other keys are dropped."""
+    """The proposition formula states under the assignment: the closed
+    formula node with the constant of its code for each free variable.
+    Each free variable needs an ``int`` code; other keys are dropped.  So
+    ``(x in #1)`` at x = 0 and ``(#0 in #1)`` are one object."""
+    fv = _node(formula)._fv
+    if not fv:
+        return formula
     a = assignment or {}
-    return FormulaInstance(formula, tuple((v, a[v]) for v in sorted(free_vars(formula)) if v in a))
+    if any(type(a.get(v)) is not int for v in fv):
+        raise MalformedInstanceError(
+            f"assignment {a!r} does not give the free variables {sorted(fv)}"
+            f" of {to_text(formula)} one int code each")
+    return substitute(formula, {v: a[v] for v in fv})
 
 
 def parse_instance(text: str) -> Formula:
     """Parse a closed formula as an instance."""
-    return FormulaInstance(parse_formula(text), ())
-
-
-# An instance prints as its closed formula.
-print_instance = to_text
+    return instance(parse_formula(text))
 
 
 def sub_instance(inst: Formula, sub: Formula) -> Formula:
     """The instance of sub, a subformula of inst's formula that must itself
     be closed."""
-    return FormulaInstance(sub, ())
+    return instance(sub)
 
 
 def instantiate(inst: Formula, var: str, code: int) -> Formula:
@@ -731,8 +718,9 @@ def instantiate(inst: Formula, var: str, code: int) -> Formula:
 
 def instantiation_witness(ex: Formula, inst: Formula) -> Optional[int]:
     """The code c with inst the body of the existential ex at c, or None if
-    there is none.  c is the constant inst holds where the body first has
-    the variable free, found by walking both in step, which also turns
+    there is none: exact, so it alone confirms a candidate that a coarser
+    lookup turned up.  c is the constant inst holds where the body first
+    has the variable free, found by walking both in step, which also turns
     inst away at the first node or constant it does not share with the
     body; one substitution confirms c.  A body without the variable is the
     same at every element, and 0 stands for them all."""
@@ -750,25 +738,6 @@ def instantiation_witness(ex: Formula, inst: Formula) -> Optional[int]:
             elif code is None and type(b) is Const and a.name == var:
                 code = b.code
     return code if code is not None and ex.witness_body(code) is inst else None
-
-
-# A term in ``to_text``: a constant, or a name that neither calls a
-# predicate nor is bound by the ``E`` before it.
-_TERM = re.compile(r"#\d+|\b[A-Za-z]\w*\b(?![(.])")
-
-
-def shape(f: Formula) -> int:
-    """A hash of f's skeleton, its text with every term erased.  An
-    existential's instantiations all have its body's shape; two shapes may
-    collide, so a candidate is confirmed by ``instantiation_witness``.
-    Built on first use and kept in the node's ``_shape`` slot, so building
-    a node pays nothing for it."""
-    try:
-        return f._shape
-    except AttributeError:
-        got = hash(_TERM.sub("", to_text(f)))
-        _setattr(f, "_shape", got)
-        return got
 
 
 @dataclass(frozen=True)
@@ -1014,10 +983,10 @@ def least_witness(M: Structure, ex: Exists) -> Optional[int]:
 def skolem_witness(M: Structure, inst: Formula) -> int:
     """Global-order-least witness of a true existential instance."""
     if not isinstance(inst, Exists):
-        raise MalformedInstanceError(f"not an existential: {print_instance(inst)}")
+        raise MalformedInstanceError(f"not an existential: {to_text(inst)}")
     w = least_witness(M, inst)
     if w is None:
-        raise NoWitnessError(f"no witness for {print_instance(inst)}")
+        raise NoWitnessError(f"no witness for {to_text(inst)}")
     return w
 
 
@@ -1072,7 +1041,7 @@ class TarskiViolation:
     detail: str
 
     def __str__(self) -> str:
-        return f"[{self.kind}] {print_instance(self.inst)}: {self.detail}"
+        return f"[{self.kind}] {to_text(self.inst)}: {self.detail}"
 
 
 def tarski_check(
@@ -1101,7 +1070,7 @@ def tarski_check(
             if marked == S.holds(sub):
                 violations.append(
                     TarskiViolation(
-                        "negation", inst, f"same mark as {print_instance(sub)}"
+                        "negation", inst, f"same mark as {to_text(sub)}"
                     )
                 )
         elif isinstance(inst, And):
@@ -1187,8 +1156,7 @@ def enumerate_instances(M: Structure, max_size: int) -> list[Formula]:
     out = []
     for f in enumerate_formulas(M.universe, max_size, signature=M.signature() or None):
         names = sorted(f._fv)
-        for codes in product(M.universe.elements, repeat=len(names)):
-            out.append(FormulaInstance(f, tuple(zip(names, codes))))
+        out += substitute_each(f, names, product(M.universe.elements, repeat=len(names)))
     return out
 
 
@@ -1242,4 +1210,4 @@ def random_formula(
 
 def random_instance(rng, M: Structure, max_size: int) -> Formula:
     f = random_formula(rng, M.universe, max_size, M.signature() or None)
-    return FormulaInstance(f, tuple((v, rng.randrange(M.universe.size)) for v in sorted(f._fv)))
+    return substitute(f, {v: rng.randrange(M.universe.size) for v in sorted(f._fv)})

@@ -7,7 +7,7 @@ dynamic programs.
 
 from __future__ import annotations
 
-from hfgames.errors import NotClopenError
+from hfgames.errors import MalformedInstanceError, NotClopenError
 from hfgames.etr import RecursionRule, etr_solve
 from hfgames.games import PLAYER_I, PLAYER_II, Game, other_player, turn
 from hfgames.logic import (
@@ -16,7 +16,6 @@ from hfgames.logic import (
     Const,
     Eq,
     Exists,
-    FormulaInstance,
     Member,
     Not,
     Pred,
@@ -89,9 +88,29 @@ def substitute(formula, env: dict):
     raise AssertionError(f"unknown formula {formula!r}")
 
 
+def free_variables(formula) -> frozenset:
+    """The variables free in formula, by plain recursion."""
+    if isinstance(formula, (Member, Eq)):
+        return frozenset(t.name for t in (formula.left, formula.right) if isinstance(t, Var))
+    if isinstance(formula, Pred):
+        return frozenset(t.name for t in formula.args if isinstance(t, Var))
+    if isinstance(formula, Not):
+        return free_variables(formula.body)
+    if isinstance(formula, And):
+        return free_variables(formula.left) | free_variables(formula.right)
+    if isinstance(formula, Exists):
+        return free_variables(formula.body) - {formula.var}
+    raise AssertionError(f"unknown formula {formula!r}")
+
+
 def proposition(formula, env: dict):
-    """The closed instance ``substitute`` makes of formula under env."""
-    return FormulaInstance(substitute(formula, env), ())
+    """The closed instance ``substitute`` makes of formula under env; env
+    must give every free variable a code."""
+    inst = substitute(formula, env)
+    left = free_variables(inst)
+    if left:
+        raise MalformedInstanceError(f"variables {sorted(left)} left free")
+    return inst
 
 
 def formula_facts(formula) -> tuple[int, int, frozenset]:

@@ -344,9 +344,7 @@ def suite_truthgames(cfg: RunConfig) -> Report:
         S = truthgames.extract_satisfaction(teller, game, targets)
         tp = logic.build_truth_predicate(M, targets)
         if S.entries != tp.entries:
-            diff = sorted(
-                logic.print_instance(i) for i in S.entries ^ tp.entries
-            )[:3]
+            diff = sorted(logic.to_text(i) for i in S.entries ^ tp.entries)[:3]
             return False, "extraction disagrees with truth", {"diff": diff}
         return True, f"extraction equals truth on {len(targets)} targets", None
 
@@ -475,7 +473,7 @@ def suite_etr(cfg: RunConfig) -> Report:
         closure = [
             logic.parse_instance("(#0 in #1)"),
             *(logic.instance(t_query, {"x": c}) for c in U.elements),
-            logic.instance(logic.parse_formula("Ex. T(#0, x)", sig), {}),
+            logic.parse_formula("Ex. T(#0, x)", sig),
         ]
         it = etr.iterated_truth(M, order, closure=closure, coding=coding)
         for i in order:

@@ -43,17 +43,15 @@ from .logic import (
     enumerate_formulas,
     eval_instance,
     free_vars,
-    instance,
     instantiation_witness,
     least_witness,
     parse_closed,
-    print_instance,
     random_instance,
-    shape,
     size,
     subformulas,
     substitute_each,
     tarski_check,
+    to_text,
 )
 from .universe import Ordinal, WellFoundedRelation, ordinal_compare
 
@@ -302,8 +300,8 @@ class RefereeState:
         universe = self.game.structure.universe
         for other in others:
             ex, cand = (other, inst) if verdict else (inst, other)
-            if shape(cand) == shape(ex.body) and instantiation_witness(ex, cand) in universe:
-                detail = f"denied but {print_instance(cand)} was affirmed"
+            if instantiation_witness(ex, cand) in universe:
+                detail = f"denied but {to_text(cand)} was affirmed"
                 out.insert(len(out) if verdict else 0, TarskiViolation("quantifier", ex, detail))
                 break
         return out
@@ -479,7 +477,7 @@ class HonestTeller:
             return self._by_clauses(game, inquiry)
         verdict = self.source.verdict(inquiry)
         if verdict is None:
-            raise CoverageError(f"inquiry outside closure: {print_instance(inquiry)}")
+            raise CoverageError(f"inquiry outside closure: {to_text(inquiry)}")
         if verdict and isinstance(inquiry, Exists):
             # The least code at which a marked entry is the body.
             if self._entries is None:
@@ -488,11 +486,10 @@ class HonestTeller:
                     self._entries.setdefault(_bucket(entry), []).append(entry)
             candidates = [
                 w for entry in self._entries.get(_bucket(inquiry.body), ())
-                if shape(entry) == shape(inquiry.body)
-                and (w := instantiation_witness(inquiry, entry)) is not None
+                if (w := instantiation_witness(inquiry, entry)) is not None
             ]
             if not candidates:
-                raise CoverageError(f"no marked witness for {print_instance(inquiry)}")
+                raise CoverageError(f"no marked witness for {to_text(inquiry)}")
             w = min(candidates)
             return Pronouncement(True, w, inquiry.witness_body(w))
         return _PLAIN[verdict]
@@ -660,7 +657,7 @@ def _probe(
         violations = state.ask(teller, game.clock(budget - len(state.rounds)), inquiry)
         if violations:
             raise NotWinningStrategyError(
-                f"teller lost a probe at {print_instance(inquiry)}: {violations[0]}"
+                f"teller lost a probe at {to_text(inquiry)}: {violations[0]}"
             )
         queue.extend(follow(game, inquiry, state.rounds[-1].pronouncement))
     return state
@@ -680,7 +677,7 @@ def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[Formula, int
                 clash = inst
             merged[inst] = prev | bits
         if clash is not None:
-            raise NotWinningStrategyError(f"{what} across probes on {print_instance(clash)}")
+            raise NotWinningStrategyError(f"{what} across probes on {to_text(clash)}")
     return merged
 
 
@@ -726,7 +723,7 @@ def extract_satisfaction(
         if found.plan is not None:
             raise NotWinningStrategyError(
                 "bounded search found a winning interrogator: "
-                + ", ".join(print_instance(i) for i in found.plan.inquiries)
+                + ", ".join(to_text(i) for i in found.plan.inquiries)
             )
         probes = (
             ((target,), clock_budget(target) + extra_clock, lifo)
@@ -775,7 +772,7 @@ def extract_solution(teller, game: TruthGame) -> Solution:
     if ob is None:
         raise InvariantError("extract_solution needs a recursion game")
     rules = game.rule_instances()
-    f_atoms = {(i, x): instance(Pred(ob.rule.f_symbol, (Const(i), Const(x)))) for i, x in rules}
+    f_atoms = {(i, x): Pred(ob.rule.f_symbol, (Const(i), Const(x))) for i, x in rules}
     probes = (((f_atoms[key], inst), clock_budget(inst), False) for key, inst in rules.items())
     merged = _read_marks(game, teller, probes, "incoherent slices")
     solution = Solution(frozenset(key for key, atom in f_atoms.items() if merged[atom] == _TRUE))
@@ -814,9 +811,7 @@ def default_inquiry_pool(game: TruthGame) -> list[Formula]:
     recursion mode the teller's F-atoms and the rule instances join in."""
     sig = game.signature()
     pool = [
-        instance(f, {})
-        for f in enumerate_formulas(game.structure.universe, 4, ("x",), sig or None)
-        if not free_vars(f)
+        f for f in enumerate_formulas(game.structure.universe, 4, ("x",), sig or None) if not free_vars(f)
     ]
     if game.obligation is not None:
         pool += game.rule_instances().values()
@@ -1030,7 +1025,7 @@ def transcript_doc(game: TruthGame, transcript: Transcript) -> dict:
     for k, rnd in enumerate(transcript.rounds):
         doc: dict = {"clock": _clock_to_json(rnd.clock)}
         if rnd.inquiry is not None:
-            doc["inquiry"] = print_instance(rnd.inquiry)
+            doc["inquiry"] = to_text(rnd.inquiry)
             doc["verdict"] = rnd.pronouncement.verdict
             witness = rnd.pronouncement.witness
             if witness is not None:

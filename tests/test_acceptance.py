@@ -40,7 +40,7 @@ from hfgames.logic import (
     instance,
     parse_formula,
     parse_instance,
-    print_instance,
+    to_text,
 )
 from hfgames.truthgames import (
     INTERROGATOR_WINS,
@@ -257,7 +257,7 @@ def test_criterion_6_iterated_truth():
             for b in V3.universe.elements:
                 q = instance(stage0_query, {"x": b})
                 if it.slice(1).holds(q) != eval_instance(M_oracle, q):
-                    failures.append((length, "T1-oracle", print_instance(q)))
+                    failures.append((length, "T1-oracle", to_text(q)))
     elapsed = time.monotonic() - started
     report(
         6,

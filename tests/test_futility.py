@@ -36,10 +36,10 @@ from hfgames.logic import (
     instance,
     instantiate,
     parse_instance,
-    print_instance,
     random_instance,
     sub_instance,
     tarski_check,
+    to_text,
 )
 from hfgames.etr import RecursionRule, Solution, etr_solve
 from hfgames.oracles import line_search, referee_lost
@@ -75,7 +75,7 @@ class Walked:
 
 
 def _digest(salt, inquiry) -> int:
-    return hashlib.sha256(f"{salt}:{print_instance(inquiry)}".encode()).digest()[0]
+    return hashlib.sha256(f"{salt}:{to_text(inquiry)}".encode()).digest()[0]
 
 
 class HashLiar:
@@ -111,7 +111,7 @@ class HashWitness:
         if honest.witness is None:
             return honest
         w = _digest(self.salt, inquiry) % game.structure.universe.size
-        return Pronouncement(True, w, instantiate(inquiry, inquiry.formula.var, w))
+        return Pronouncement(True, w, instantiate(inquiry, inquiry.var, w))
 
 
 def tarski_closure(M, pool) -> set:
@@ -122,13 +122,12 @@ def tarski_closure(M, pool) -> set:
         if inst in out:
             continue
         out.add(inst)
-        f = inst.formula
-        if isinstance(f, Not):
-            stack.append(sub_instance(inst, f.body))
-        elif isinstance(f, And):
-            stack += [sub_instance(inst, f.left), sub_instance(inst, f.right)]
-        elif isinstance(f, Exists):
-            stack += [instantiate(inst, f.var, b) for b in M.universe.elements]
+        if isinstance(inst, Not):
+            stack.append(sub_instance(inst, inst.body))
+        elif isinstance(inst, And):
+            stack += [sub_instance(inst, inst.left), sub_instance(inst, inst.right)]
+        elif isinstance(inst, Exists):
+            stack += [instantiate(inst, inst.var, b) for b in M.universe.elements]
     return out
 
 
@@ -349,7 +348,7 @@ class TestSinglePassExtraction:
         targets = enumerate_instances(M, max_size)
         # The class covers the presearch's pool: the targets, their parts
         # and their negations.
-        negations = [instance(Not(t.formula), {}) for t in targets]
+        negations = [Not(t) for t in targets]
         S = build_truth_predicate(M, tarski_closure(M, targets + negations))
 
         def make():
@@ -405,7 +404,7 @@ class TestSinglePassExtraction:
             rng = random.Random(salt)
             targets = [random_instance(rng, M, 5) for _ in range(6)]
             honest = honest_teller(game, M)
-            lie = rng.choice(sorted(tarski_closure(M, targets), key=print_instance))
+            lie = rng.choice(sorted(tarski_closure(M, targets), key=to_text))
             tellers = {
                 "honest": honest,
                 "hash liar": HashLiar(honest, salt, rate=8),
@@ -462,8 +461,8 @@ class TestSinglePassExtraction:
         one, probed = both_extractions(make, game, targets)
         assert one == probed == (
             NotWinningStrategyError,
-            f"teller lost a probe at {print_instance(lie)}:"
-            f" [atomic] {print_instance(lie)}: pronounced False, structure says True",
+            f"teller lost a probe at {to_text(lie)}:"
+            f" [atomic] {to_text(lie)}: pronounced False, structure says True",
         )
 
     def test_lie_only_the_presearch_asks_about(self):
@@ -521,7 +520,7 @@ WRONG = Solution(LEAST.pairs ^ {(2, 3), (1, 0)})
 RECURSION = recursion_game(STRUCTURES[3], CHAIN, RULE)
 GAMES = {rank: truth_game(STRUCTURES[rank]) for rank in (2, 3)}
 POOLS = {game: default_inquiry_pool(game) for game in GAMES.values()}
-POOLS[RECURSION] = [q for q in default_inquiry_pool(RECURSION) if "F" in print_instance(q)] + [
+POOLS[RECURSION] = [q for q in default_inquiry_pool(RECURSION) if "F" in to_text(q)] + [
     instance(RECURSION.rule_instance_formula, {"i": 3, "x": x}) for x in range(4)
 ]
 
@@ -553,17 +552,16 @@ def faulty_rounds(pick, most):
         q = pick(inquiries if inquiries and pick([False, True]) else pool)
         family = [q]
         extra = pick(["none", "parts", "negation", "conjunction", "witness", "instance"])
-        if extra == "parts" and isinstance(q.formula, (Not, And)):
+        if extra == "parts" and isinstance(q, (Not, And)):
             family += q.parts
         elif extra == "negation":
-            family.append(instance(Not(q.formula), {}))
-        elif extra == "conjunction" and not q.bindings:
+            family.append(Not(q))
+        elif extra == "conjunction":
             other = pick(pool)
-            if not other.bindings:
-                family += [other, instance(And(q.formula, other.formula), {})]
+            family += [other, And(q, other)]
         elif extra == "witness":
             family.append(teller.answer(game, q, 1, ()).witness_instance)
-        elif extra == "instance" and isinstance(q.formula, Exists):
+        elif extra == "instance" and isinstance(q, Exists):
             family.append(q.witness_body(pick(range(M.universe.size))))
         for i in family:
             if i is not None and i not in inquiries:

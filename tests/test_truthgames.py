@@ -39,12 +39,12 @@ from hfgames.logic import (
     parse_closed,
     parse_formula,
     parse_instance,
-    print_instance,
     random_formula,
     random_instance,
     size,
     skolem_witness,
     subformulas,
+    to_text,
 )
 from hfgames.truthgames import (
     INTERROGATOR_WINS,
@@ -132,13 +132,12 @@ class ClauseFlipper:
     def answer(self, game, inquiry, clock, history):
         got = self.cache.get(inquiry)
         if got is None:
-            f = inquiry.formula
             witness = None
-            if isinstance(f, Not):
+            if isinstance(inquiry, Not):
                 verdict = not self.answer(game, inquiry.parts[0], clock, history).verdict
-            elif isinstance(f, And):
+            elif isinstance(inquiry, And):
                 verdict = all(self.answer(game, p, clock, history).verdict for p in inquiry.parts)
-            elif isinstance(f, Exists):
+            elif isinstance(inquiry, Exists):
                 witness = next((b for b in self.M.universe.elements
                                 if self.answer(game, inquiry.witness_body(b), clock, history).verdict), None)
                 verdict = witness is not None
@@ -147,7 +146,7 @@ class ClauseFlipper:
             if inquiry is self.flip:
                 verdict = not verdict
                 witness = 0 if verdict else None
-            if verdict and isinstance(f, Exists):
+            if verdict and isinstance(inquiry, Exists):
                 got = Pronouncement(True, witness, inquiry.witness_body(witness))
             else:
                 got = Pronouncement(verdict)
@@ -379,7 +378,7 @@ class TestHonestTeller:
         teller = honest_teller(game, V2)
         pron = teller.answer(game, parse_instance("Ex. (x in #1)"), 5, ())
         assert pron.verdict and pron.witness == 0
-        assert print_instance(pron.witness_instance) == "(#0 in #1)"
+        assert to_text(pron.witness_instance) == "(#0 in #1)"
 
     def test_survives_exhaustive_depth2(self):
         game = truth_game(V3)
@@ -454,16 +453,15 @@ class TestTellerByClauses:
                 continue
             seen.add(inst)
             pron = teller.answer(game, inst, 9, ())
-            f, env = inst.formula, {}
-            assert pron.verdict == tarski_eval(M, f, env)
-            if isinstance(f, Exists) and pron.verdict:
-                holds = [tarski_eval(M, f.body, {**env, f.var: b}) for b in M.universe.elements]
+            assert pron.verdict == tarski_eval(M, inst, {})
+            if isinstance(inst, Exists) and pron.verdict:
+                holds = [tarski_eval(M, inst.body, {inst.var: b}) for b in M.universe.elements]
                 least = holds.index(True)
                 assert pron.witness == least == skolem_witness(M, inst)
                 assert pron.witness_instance is inst.witness_body(least)
             else:
                 assert pron.witness is None and pron.witness_instance is None
-            if isinstance(f, (Not, And)):
+            if isinstance(inst, (Not, And)):
                 todo.extend(inst.parts)
 
     @pytest.mark.parametrize("k", [1, 6, 24])
@@ -486,11 +484,7 @@ class TestTellerByClauses:
         for x in (0, 1):
             inquiry = game.rule_instances()[(k, x)]
             assert teller.answer(game, inquiry, 9, ()).verdict is True
-            atoms |= {
-                instance(g, {})
-                for g in subformulas(inquiry.formula)
-                if isinstance(g, ATOMIC_KINDS)
-            }
+            atoms |= {g for g in subformulas(inquiry) if isinstance(g, ATOMIC_KINDS)}
         assert len(calls) == len(set(calls)) and set(calls) <= atoms
         assert len(calls) > k  # at x = 1 no disjunct holds, so every one is read
 
@@ -737,8 +731,8 @@ class TestExtractionRefusals:
         game = recursion_game(V2, self.rel, rule)
         assert etr_solve(V2, self.rel, rule).pairs == {(0, 0), (1, 0), (1, 1)}
         M = honest_teller(game, V2, solution=Solution({(0, 0), (1, 1)})).source
-        (read,) = {g for g in subformulas(game.rule_instances()[(1, 0)].formula) if isinstance(g, Exists)}
-        teller = ClauseFlipper(M, instance(read))
+        (read,) = {g for g in subformulas(game.rule_instances()[(1, 0)]) if isinstance(g, Exists)}
+        teller = ClauseFlipper(M, read)
         assert refusal(lambda: extract_solution(teller, game)) == (
             "extracted predicate violates the recursion slice equations"
         )
@@ -779,11 +773,7 @@ class TestInterrogatorSearch:
         M = V2.with_predicate("Z", {(0,)})
         game = truth_game(M)
         pool = default_inquiry_pool(game)
-        assert any(
-            inst.formula.name == "Z"
-            for inst in pool
-            if hasattr(inst.formula, "name")
-        )
+        assert any(isinstance(inst, Pred) and inst.name == "Z" for inst in pool)
 
 
 class TestRecursionGame:
@@ -1010,7 +1000,7 @@ class TestWitnessDiscipline:
 
         class Teller:
             def answer(self, game, inquiry, clock, history):
-                if isinstance(inquiry.formula, Exists):
+                if isinstance(inquiry, Exists):
                     return Pronouncement(True, witness, None)
                 return honest.answer(game, inquiry, clock, history)
 
@@ -1032,7 +1022,7 @@ class TestDerivedInstanceLifetime:
         game = truth_game(V3)
         play_truth_game(game, ScriptedInterrogator([inquiry]), honest_teller(game, V3))
         conjunct = inquiry.parts[1]
-        assert print_instance(conjunct) == "Ex. ((x in #3) & !(x = #2))"
+        assert to_text(conjunct) == "Ex. ((x in #3) & !(x = #2))"
         refs = [weakref.ref(conjunct), weakref.ref(conjunct.witness_body(0))]
         del game, conjunct
         gc.collect()
@@ -1242,7 +1232,7 @@ class SloppyWitness:
         if fault == 1:
             return Pronouncement(True, game.structure.universe.size)
         if fault == 2:
-            other = instance(Not(inquiry.formula), {})
+            other = Not(inquiry)
             return Pronouncement(True, pron.witness, other)
         if fault == 3:
             w = self.rng.randrange(game.structure.universe.size)
@@ -1262,15 +1252,13 @@ def _framed_probes(game, teller, rng, rounds: int) -> None:
         pick = rng.randrange(5)
         if pick == 0:
             q = random_instance(rng, game.structure, 5)
-        elif pick == 1 and isinstance(q.formula, (Not, And)):
+        elif pick == 1 and isinstance(q, (Not, And)):
             q = rng.choice(q.parts)
         elif pick == 2:
-            q = instance(Not(q.formula), {})
+            q = Not(q)
         elif pick == 3:
-            other = rng.choice(asked)
-            if not q.bindings and not other.bindings:
-                q = instance(And(q.formula, other.formula), {})
-        elif isinstance(q.formula, Exists):
+            q = And(q, rng.choice(asked))
+        elif isinstance(q, Exists):
             q = q.witness_body(rng.randrange(size))
         state.push_frame()
         if state.ask(teller, game.clock(rounds + 1 - len(state.rounds)), q):
@@ -1318,7 +1306,7 @@ def _violation_lines(monkeypatch) -> list[str]:
                     extract_solution(teller, g)
             except NotWinningStrategyError:
                 pass
-            pool = [q for q in default_inquiry_pool(g) if size(q.formula) <= 3][:40]
+            pool = [q for q in default_inquiry_pool(g) if size(q) <= 3][:40]
             interrogator_search(g, teller, depth=2, pool=pool)
             _framed_probes(g, teller, rng, 300)
     return lines
@@ -1633,10 +1621,10 @@ class TestDeepSubstitution:
         ex = instance(Exists("x", f))
         body = ex.witness_body(0)
         assert body is instance(f, {"x": 0})
-        text = print_instance(body)
+        text = to_text(body)
         assert text == "!" * 3000 + "(#0 in #1)"
-        assert print_instance(ex) == "Ex. " + "!" * 3000 + "(x in #1)"
-        g = body.formula
+        assert to_text(ex) == "Ex. " + "!" * 3000 + "(x in #1)"
+        g = body
         for _ in range(3000):
             g = g.body
         assert g is Member(Const(0), Const(1))
