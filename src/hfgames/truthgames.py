@@ -810,9 +810,8 @@ def default_inquiry_pool(game: TruthGame) -> list[Formula]:
     """Closed instances of size at most 4 over the game's signature; in
     recursion mode the teller's F-atoms and the rule instances join in."""
     sig = game.signature()
-    pool = [
-        f for f in enumerate_formulas(game.structure.universe, 4, ("x",), sig or None) if not free_vars(f)
-    ]
+    formulas = enumerate_formulas(game.structure.universe, 4, ("x",), sig or None)
+    pool = [f for f in formulas if not free_vars(f)]
     if game.obligation is not None:
         pool += game.rule_instances().values()
     return pool
