@@ -332,7 +332,7 @@ def clock_outcome(clock_mode: str, rounds) -> str:
     return "spent" if spent else "running"
 
 
-def line_search(game, teller, depth: int, budget=None, pool=()):
+def line_search(game, teller, depth: int, pool=()):
     """Brute-force interrogator search: every line of inquiries to ``depth``
     rounds, each round picking from ``pool`` plus the witness instances
     named earlier on the line, visited depth first in pool order: each one
@@ -340,7 +340,7 @@ def line_search(game, teller, depth: int, budget=None, pool=()):
     Each line is replayed from scratch and judged by ``referee``.
 
     Returns (the first winning line or None, whether every line was seen,
-    lines visited); lines past ``budget`` are not seen.
+    lines visited).
     """
     pool = list(pool)
     nodes = 0
@@ -348,8 +348,6 @@ def line_search(game, teller, depth: int, budget=None, pool=()):
     while todo:
         line = todo.pop()
         nodes += 1
-        if budget is not None and nodes > budget:
-            return None, False, nodes
         rounds = []
         for k, q in enumerate(line):
             clock = game.clock(depth - k)

@@ -50,7 +50,6 @@ from .logic import (
     size,
     subformulas,
     substitute_each,
-    tarski_check,
     to_text,
 )
 from .universe import Ordinal, WellFoundedRelation, ordinal_compare
@@ -63,8 +62,6 @@ NATURAL = "first_move_natural"
 ORDINAL = "ordinal_countdown"
 
 CLOCK_FACTOR = 2
-# Node budget of the interrogator search extraction runs before its probes.
-PRESEARCH_BUDGET = 2000
 
 
 def clock_budget(target: Formula) -> int:
@@ -621,12 +618,20 @@ def play_truth_game(game: TruthGame, interrogator, teller) -> Transcript:
 def _unfold(
     game: TruthGame, inquiry: Formula, pron: Optional[Pronouncement]
 ) -> tuple[Formula, ...]:
-    """Immediate follow-up inquiries exposing the pronouncement's commitments."""
-    if isinstance(inquiry, Exists) and pron is not None and pron.verdict:
-        if pron.witness_instance is not None:
-            return (pron.witness_instance,)
-        if pron.witness is not None:
-            return (inquiry.witness_body(pron.witness),)
+    """Immediate follow-up inquiries exposing the pronouncement's commitments:
+    the inquiry's parts, an affirmed existential's named witness body, and a
+    denied existential's body at its least witness, unless the body reads
+    the teller's F."""
+    if isinstance(inquiry, Exists) and pron is not None:
+        if pron.verdict:
+            if pron.witness_instance is not None:
+                return (pron.witness_instance,)
+            if pron.witness is not None:
+                return (inquiry.witness_body(pron.witness),)
+        elif game.teller_symbol() not in inquiry._preds:
+            w = least_witness(game.structure, inquiry)
+            if w is not None:
+                return (inquiry.witness_body(w),)
     return inquiry.parts
 
 
@@ -639,18 +644,23 @@ def _probe(
     teller,
     opening: Sequence[Formula],
     budget: int,
-    lifo: bool = False,
     follow=_unfold,
 ) -> RefereeState:
     """One canonical probe play: announce the budget, ask the opening
     inquiries, each distinct one once, then the follow-ups ``follow`` reads
-    off each answer until the queue or the clock is spent.  Raises
-    NotWinningStrategyError if the teller loses the play."""
+    off each answer, breadth first, until the queue or the clock is spent.
+    Raises NotWinningStrategyError if the teller loses the play.
+
+    In a plain truth game each mark of a won ``_unfold`` probe is true, by
+    induction on size: an atomic lie is caught, a lie on a negation,
+    conjunction or affirmed existential forces one on a part or the named
+    witness body, and denying a true existential forces denying its body at
+    the least witness."""
     state = RefereeState(game)
     queue = deque(opening)
     asked: set[Formula] = set()
     while queue and len(state.rounds) < budget:
-        inquiry = queue.pop() if lifo else queue.popleft()
+        inquiry = queue.popleft()
         if inquiry in asked:
             continue
         asked.add(inquiry)
@@ -664,14 +674,14 @@ def _probe(
 
 
 def _read_marks(game: TruthGame, teller, probes, what: str) -> dict[Formula, int]:
-    """Play each ``(opening, budget, lifo)`` probe in turn and merge their
+    """Play each ``(opening, budget)`` probe in turn and merge their
     marks.  Raises NotWinningStrategyError, naming ``what``, at the first
     probe that marks an instance against an earlier probe's verdict, so
     each instance in the result carries one verdict."""
     merged: dict[Formula, int] = {}
-    for opening, budget, lifo in probes:
+    for opening, budget in probes:
         clash = None
-        for inst, bits in _probe(game, teller, opening, budget, lifo).marks.items():
+        for inst, bits in _probe(game, teller, opening, budget).marks.items():
             prev = merged.get(inst, 0)
             if (prev | bits) == 3 and prev != 3:
                 clash = inst
@@ -687,26 +697,20 @@ def extract_satisfaction(
     targets: Sequence[Formula],
     extra_clock: int = 0,
 ) -> SatisfactionClass:
-    """Read a satisfaction class off a winning teller strategy.
+    """Read a satisfaction class off a winning teller strategy: in a plain
+    truth game, the class equals the truth on the targets, or the teller is
+    refused, since a won probe's marks are all true (``_probe``).
 
-    A depth-2 interrogator search over the targets and their immediate
-    follow-ups, within ``PRESEARCH_BUDGET`` nodes, runs first.  Each
-    distinct target is then probed at its clock budget plus
-    ``extra_clock`` with the target asked first and follow-ups unfolded
-    breadth-first, then again in depth-first order; verdicts must agree
-    across all probes.  The marks,
-    parts and named witness bodies included, must pass the Tarskian audit.
+    Each distinct target is probed at its clock budget plus ``extra_clock``,
+    with the target asked first; verdicts must agree across the probes.
 
     A ``memoryless`` teller (see ``interrogator_search``) is read in one
-    pass instead: one referee state asks the search's pool, then the
-    targets, then every follow-up, each distinct inquiry once.  Every play
-    above asks a subset of those rounds and the teller answers each inquiry
-    alike wherever it is asked, so if the pass is won no search line wins,
-    no probe is lost and no verdicts clash, and the pass's marks are the
-    probes' verdicts.  The referee has judged every mark of a won pass
-    against each clause the audit reads, so the pass is not audited again.
-    If the pass is lost or raises, the search and probes run as described,
-    so a refusal is the same either way.
+    pass instead: one referee state asks the targets, then every follow-up,
+    each distinct inquiry once.  Every probe asks a subset of those rounds
+    and the teller answers each inquiry alike wherever it is asked, so if
+    the pass is won no probe is lost and no verdicts clash, and the pass's
+    marks are the probes' verdicts.  If the pass is lost or raises, the
+    probes run as described, so a refusal is the same either way.
 
     Every clock budget is at least 6 (the smallest formula has size 2), so
     a non-negative ``extra_clock`` leaves each probe a round for its target.
@@ -714,51 +718,15 @@ def extract_satisfaction(
     if extra_clock < 0:
         raise InvariantError(f"extra clock {extra_clock} below 0")
     targets = list(targets)
-    pool = _presearch_pool(targets)
     state = None
     if getattr(teller, "memoryless", False):
-        state = _single_pass(game, teller, pool + targets, _unfold)
+        state = _single_pass(game, teller, targets, _unfold)
     if state is None:
-        found = interrogator_search(game, teller, depth=2, budget=PRESEARCH_BUDGET, pool=pool)
-        if found.plan is not None:
-            raise NotWinningStrategyError(
-                "bounded search found a winning interrogator: "
-                + ", ".join(to_text(i) for i in found.plan.inquiries)
-            )
-        probes = (
-            ((target,), clock_budget(target) + extra_clock, lifo)
-            for target in dict.fromkeys(targets)
-            for lifo in (False, True)
-        )
+        probes = (((t,), clock_budget(t) + extra_clock) for t in dict.fromkeys(targets))
         marks = _read_marks(game, teller, probes, "pronouncement instability")
-        if game.obligation is None:
-            marked = SatisfactionClass(frozenset(i for i, b in marks.items() if b == _TRUE), marks)
-            violations = tarski_check(game.structure, marked, marks)
-            if violations:
-                raise NotWinningStrategyError(
-                    f"extracted class fails the Tarskian audit: {violations[0]}"
-                )
     else:
         marks = state.marks
     return SatisfactionClass(frozenset(t for t in targets if marks[t] == _TRUE), targets)
-
-
-def _presearch_pool(targets: Sequence[Formula]) -> list:
-    cap = 120
-    pool: list[Formula] = []
-    seen = set()
-    for t in targets:
-        for cand in (t, *t.parts):
-            if cand not in seen:
-                seen.add(cand)
-                pool.append(cand)
-        neg = Not(t)
-        if neg not in seen:
-            seen.add(neg)
-            pool.append(neg)
-        if len(pool) >= cap:
-            break
-    return pool[:cap]
 
 
 def extract_solution(teller, game: TruthGame) -> Solution:
@@ -773,7 +741,7 @@ def extract_solution(teller, game: TruthGame) -> Solution:
         raise InvariantError("extract_solution needs a recursion game")
     rules = game.rule_instances()
     f_atoms = {(i, x): Pred(ob.rule.f_symbol, (Const(i), Const(x))) for i, x in rules}
-    probes = (((f_atoms[key], inst), clock_budget(inst), False) for key, inst in rules.items())
+    probes = (((f_atoms[key], inst), clock_budget(inst)) for key, inst in rules.items())
     merged = _read_marks(game, teller, probes, "incoherent slices")
     solution = Solution(frozenset(key for key, atom in f_atoms.items() if merged[atom] == _TRUE))
     if not check_solution(game.structure, ob.relation, ob.rule, solution, ob.value_domain):
@@ -821,7 +789,6 @@ def interrogator_search(
     game: TruthGame,
     teller,
     depth: int,
-    budget: Optional[int] = None,
     pool: Optional[Sequence[Formula]] = None,
 ) -> SearchResult:
     """Search adaptive interrogator play to the given depth.
@@ -829,10 +796,10 @@ def interrogator_search(
     Walks every line of inquiries under a one-step countdown from
     ``depth``: each round picks from the pool plus the witness instances
     the teller named earlier on the line that ``_asked_back`` keeps.
-    Returns a winning plan if one trips the referee, a proven-none result if
-    the walk completed, or a none-within-budget result if the node budget
-    ran out first.  ``nodes`` counts the lines visited, capped at
-    ``budget + 1``.
+    Returns a winning plan if one trips the referee, or else a proven-none
+    result once the walk has completed, so ``exhausted`` holds exactly when
+    no plan is found.  ``nodes`` counts the lines visited.  The walk has no
+    cap: its size is set by ``depth`` and the pool alone.
 
     A teller may declare ``memoryless = True``: its answer depends only on
     the inquiry, never on the clock or the history (``HonestTeller`` does).
@@ -851,11 +818,7 @@ def interrogator_search(
     if depth > 0 and pool and getattr(teller, "memoryless", False):
         named = _futility_certificate(game, teller, pool)
         if named is not None:
-            cap = None if budget is None else max(budget, 0)
-            count = _line_count(pool, named, depth, cap)
-            if cap is not None and count > cap:
-                return SearchResult(None, False, cap + 1)
-            return SearchResult(None, True, count)
+            return SearchResult(None, True, _line_count(pool, named, depth))
     pool_set = set(pool)
     state = RefereeState(game)
     nodes = 0
@@ -871,8 +834,6 @@ def interrogator_search(
                 state.pop_frame()
             continue
         nodes += 1
-        if budget is not None and nodes > budget:
-            break
         state.push_frame()
         if state.ask(teller, clock, inquiry):
             line = tuple(r.inquiry for r in state.rounds)
@@ -886,7 +847,7 @@ def interrogator_search(
             if _asked_back(r.inquiry, r.pronouncement.witness_instance, pool_set)
         ]
         stack.append((game.clock(depth - len(stack)), iter(pool + derived if derived else pool)))
-    return SearchResult(None, not stack, nodes)
+    return SearchResult(None, True, nodes)
 
 
 def _single_pass(
@@ -957,10 +918,9 @@ def _line_count(
     pool: list[Formula],
     named: dict[Formula, Optional[Formula]],
     limit: int,
-    cap: Optional[int],
 ) -> int:
     """Nodes of the walk's line tree to ``limit`` rounds, for a teller whose
-    answers ``named`` records; stops at the first total past ``cap``.
+    answers ``named`` records.
 
     A line's candidates are the pool plus the witness instances named on it
     that ``_asked_back`` keeps, so the shape of its subtree depends only on how many of
@@ -991,8 +951,6 @@ def _line_count(
         deeper: dict = {}
         for held, lines in level.items():
             total += lines * (len(pool) + sum(held))
-            if cap is not None and total > cap:
-                return total
             if rounds_left == 1:
                 continue
             stay = plain + held[0]

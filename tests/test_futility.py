@@ -9,8 +9,7 @@ its rules restated over the set of rounds.
 
 ``extract_satisfaction`` reads a memoryless teller's class off one referee
 pass in the same way; hidden behind ``Walked``, the same teller takes the
-presearch and the per-target probes, and both give the same class or the
-same refusal.
+per-target probes, and both give the same class or the same refusal.
 """
 
 import hashlib
@@ -33,8 +32,10 @@ from hfgames.logic import (
     Structure,
     build_truth_predicate,
     enumerate_instances,
+    eval_instance,
     instance,
     instantiate,
+    least_witness,
     parse_instance,
     random_instance,
     sub_instance,
@@ -51,6 +52,7 @@ from hfgames.truthgames import (
     RefereeState,
     Round,
     SearchResult,
+    clock_budget,
     default_inquiry_pool,
     extract_satisfaction,
     honest_teller,
@@ -59,6 +61,7 @@ from hfgames.truthgames import (
     truth_game,
 )
 from hfgames.universe import WellFoundedRelation, build_universe
+from test_truthgames import ClauseFlipper
 
 STRUCTURES = {rank: Structure(build_universe(rank)) for rank in (1, 2, 3, 4)}
 
@@ -144,10 +147,10 @@ def as_oracle(res: SearchResult):
     return (res.plan.inquiries if res.plan else None, res.exhausted, res.nodes)
 
 
-def three_ways(game, teller, depth, budget, pool):
-    cert = interrogator_search(game, teller, depth, budget=budget, pool=pool)
-    walk = interrogator_search(game, Walked(teller), depth, budget=budget, pool=pool)
-    oracle = line_search(game, teller, depth, budget, pool)
+def three_ways(game, teller, depth, pool):
+    cert = interrogator_search(game, teller, depth, pool=pool)
+    walk = interrogator_search(game, Walked(teller), depth, pool=pool)
+    oracle = line_search(game, teller, depth, pool)
     return cert, walk, oracle
 
 
@@ -164,59 +167,32 @@ class TestAgreement:
         certified = truthgames._futility_certificate(game, teller, pool)
         # The liar takes the fallback path; the honest tellers do not.
         assert (certified is None) == (kind == "liar")
-        budgets = (None, 0, 5, 2000)
         if kind == "class" and (rank, depth) in ((2, 3), (3, 2)):
             # The two largest trees (41,222 and 13,124 lines) are replayed
             # whole once, for the structure-backed teller, which answers
             # every inquiry the search can ask exactly as this teller does.
             structure = honest_teller(game, M)
             assert all(teller.answer(game, q, 1, ()) == structure.answer(game, q, 1, ()) for q in certified)
-            budgets = (0, 5, 2000)
-        for budget in budgets:
-            cert = interrogator_search(game, teller, depth, budget=budget, pool=pool)
-            assert as_oracle(cert) == line_search(game, teller, depth, budget, pool), budget
-            if cert.plan is not None:
-                assert cert.plan.initial_clock == depth
-            # The walk is held to the oracle over whole trees up to 13,124
-            # lines here; over the 41,222-line tree only the certificate is.
-            if (rank, depth, budget) != (2, 3, None):
-                walk = interrogator_search(game, Walked(teller), depth, budget=budget, pool=pool)
-                assert cert == walk, budget
-
-    def test_budget_fifty(self):
-        game = truth_game(STRUCTURES[3])
-        teller = honest_teller(game, STRUCTURES[3])
-        pool = default_inquiry_pool(game)
-        cert, walk, oracle = three_ways(game, teller, 2, 50, pool)
-        assert cert == walk == SearchResult(None, False, 51)
-        assert oracle == (None, False, 51)
-
-    def test_budget_at_the_tree_size(self):
-        game = truth_game(STRUCTURES[2])
-        teller = honest_teller(game, STRUCTURES[2])
-        pool = default_inquiry_pool(game)
-        size = interrogator_search(game, teller, 2, pool=pool).nodes
-        for budget, want in (
-            (size - 1, SearchResult(None, False, size)),
-            (size, SearchResult(None, True, size)),
-            (size + 1, SearchResult(None, True, size)),
-            (-1, SearchResult(None, False, 1)),
-        ):
-            cert, walk, oracle = three_ways(game, teller, 2, budget, pool)
-            assert cert == walk == want
-            assert oracle == as_oracle(want)
-        # The count stops once past the budget, however deep the tree.
-        started = time.process_time()
-        res = interrogator_search(game, teller, 10**6, budget=5, pool=pool[:1])
-        assert time.process_time() - started < 0.1
-        assert res == SearchResult(None, False, 6)
+            assert interrogator_search(game, teller, depth, pool=pool) == interrogator_search(
+                game, structure, depth, pool=pool
+            )
+            return
+        cert = interrogator_search(game, teller, depth, pool=pool)
+        assert as_oracle(cert) == line_search(game, teller, depth, pool)
+        assert cert.exhausted == (cert.plan is None)
+        if cert.plan is not None:
+            assert cert.plan.initial_clock == depth
+        # The walk is held to the oracle over whole trees up to 13,124
+        # lines here; over the 41,222-line tree only the certificate is.
+        if (rank, depth) != (2, 3):
+            assert cert == interrogator_search(game, Walked(teller), depth, pool=pool)
 
     def test_shallow_depths_agree(self):
         game = truth_game(STRUCTURES[2])
         teller = honest_teller(game, STRUCTURES[2])
         pool = default_inquiry_pool(game)
         for depth in (0, 1, 2):
-            cert, walk, oracle = three_ways(game, teller, depth, None, pool)
+            cert, walk, oracle = three_ways(game, teller, depth, pool)
             assert cert == walk and as_oracle(cert) == oracle
 
     def test_out_of_pool_witness_chain(self):
@@ -229,7 +205,7 @@ class TestAgreement:
         pool = [chain, parse_instance("#0 in #1"), parse_instance("!(#1 = #2)")]
         named = truthgames._futility_certificate(game, teller, pool)
         assert sum(1 for w in named.values() if w is not None) == 3
-        cert, walk, oracle = three_ways(game, teller, 3, None, pool)
+        cert, walk, oracle = three_ways(game, teller, 3, pool)
         assert cert == walk and as_oracle(cert) == oracle
         started = time.process_time()
         deep = interrogator_search(game, teller, 6, pool=pool)
@@ -244,7 +220,7 @@ class TestAgreement:
         ex = parse_instance("Ex. Ey. (x in y)")
         pool = [ex, parse_instance("#0 in #1"), ex]
         for depth in (1, 2, 3, 4):
-            cert, walk, oracle = three_ways(game, teller, depth, None, pool)
+            cert, walk, oracle = three_ways(game, teller, depth, pool)
             assert cert == walk and as_oracle(cert) == oracle
 
     def test_witness_instances_off_existentials_take_the_walk(self):
@@ -263,7 +239,7 @@ class TestAgreement:
 
         assert truthgames._futility_certificate(game, Pointing(), [p]) is None
         for depth in (1, 2, 3, 4):
-            cert, walk, oracle = three_ways(game, Pointing(), depth, None, [p])
+            cert, walk, oracle = three_ways(game, Pointing(), depth, [p])
             assert cert == walk and as_oracle(cert) == oracle
 
     def test_v4_pool_certified_at_depth_three(self):
@@ -346,10 +322,9 @@ class TestSinglePassExtraction:
         M = STRUCTURES[rank]
         game = truth_game(M, mode)
         targets = enumerate_instances(M, max_size)
-        # The class covers the presearch's pool: the targets, their parts
-        # and their negations.
-        negations = [Not(t) for t in targets]
-        S = build_truth_predicate(M, tarski_closure(M, targets + negations))
+        # The class covers every follow-up: the targets' parts and
+        # instantiations.
+        S = build_truth_predicate(M, tarski_closure(M, targets))
 
         def make():
             return honest_teller(game, M) if kind == "structure" else HonestTeller(S)
@@ -365,8 +340,7 @@ class TestSinglePassExtraction:
         st.integers(1, 12),
     )
     def test_drawn_targets_agree(self, rank, mode, seed, count):
-        # Drawn targets need not hold their parts or witness bodies; the
-        # audit reads the marks of those the referee judged.
+        # Drawn targets need not hold their parts or witness bodies.
         M = STRUCTURES[rank]
         game = truth_game(M, mode)
         rng = random.Random(seed)
@@ -376,9 +350,8 @@ class TestSinglePassExtraction:
 
     @pytest.mark.parametrize("liar", [HashLiar, HashWitness])
     def test_memoryless_liars_refused_alike(self, liar):
-        # The audit reads every marked part and witness body, so a hashed
-        # witness that satisfies its body is no lie: such a run is accepted,
-        # and whatever is accepted is the truth on the targets.
+        # A hashed witness that satisfies its body is no lie: such a run is
+        # accepted, and whatever is accepted is the truth on the targets.
         refused = 0
         for salt in range(30):
             M = STRUCTURES[2 + salt % 2]
@@ -395,8 +368,8 @@ class TestSinglePassExtraction:
 
     @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
     def test_won_pass_audits_clean(self, mode):
-        # The referee judged every mark of a won pass against each clause
-        # the audit reads, so extraction audits the probe path only.
+        # The referee judged every mark of a won pass against each Tarskian
+        # clause, so the marks pass the audit whoever the teller is.
         won = Counter()
         for salt in range(40):
             M = STRUCTURES[2 + salt % 2]
@@ -411,9 +384,8 @@ class TestSinglePassExtraction:
                 "hash witness": HashWitness(honest, salt),
                 "one lie": OneLie(honest, lie),
             }
-            openings = truthgames._presearch_pool(targets) + targets
             for kind, teller in tellers.items():
-                state = truthgames._single_pass(game, teller, openings, truthgames._unfold)
+                state = truthgames._single_pass(game, teller, targets, truthgames._unfold)
                 if state is None:
                     continue
                 won[kind] += 1
@@ -442,22 +414,14 @@ class TestSinglePassExtraction:
         assert one == probed == (InvariantError, "extra clock -1 below 0")
 
     def test_lost_pass_falls_back_to_the_probes(self):
-        """A lie on the last of many targets loses the pass; the presearch
-        spends its node budget on lines that never ask it, and a probe
-        finds it.  Over V_4 the 512 closed atoms outnumber the presearch
-        pool's 120 inquiries, and the last target, (#15 = #15), is not
-        among them."""
+        """A lie on the last of many targets, (#15 = #15) over V_4, loses
+        the pass, and that target's probe finds it."""
         M = STRUCTURES[4]
         game = truth_game(M)
         targets = enumerate_instances(M, 3)
         lie = targets[-1]
-        assert lie not in truthgames._presearch_pool(targets)
         make = lambda: OneLie(honest_teller(game, M), lie)
         assert truthgames._single_pass(game, make(), targets, truthgames._unfold) is None
-        presearch = interrogator_search(
-            game, make(), 2, budget=truthgames.PRESEARCH_BUDGET, pool=truthgames._presearch_pool(targets)
-        )
-        assert presearch.plan is None and not presearch.exhausted
         one, probed = both_extractions(make, game, targets)
         assert one == probed == (
             NotWinningStrategyError,
@@ -466,21 +430,19 @@ class TestSinglePassExtraction:
         )
 
     def test_lie_only_the_presearch_asks_about(self):
-        # The negation of the target is in the presearch's pool, and no
-        # probe of the target asks it.
+        # The lie is on the target's negation, which no probe of the target
+        # asks, so the class is the truth on the target.
         M = STRUCTURES[2]
         game = truth_game(M)
         target = parse_instance("#0 in #1")
         make = lambda: OneLie(honest_teller(game, M), parse_instance("!(#0 in #1)"))
         one, probed = both_extractions(make, game, [target])
-        assert one == probed == (
-            NotWinningStrategyError,
-            "bounded search found a winning interrogator: (#0 in #1), !(#0 in #1)",
-        )
+        assert one == probed == build_truth_predicate(M, [target])
 
     def test_witness_instance_off_an_existential_takes_the_probes(self):
-        # The target's answer names the lie as its witness instance, so the
-        # presearch asks the lie; no probe does.
+        # The target's answer names the lie as its witness instance, which
+        # no probe follows off an atom, so the class is the truth on the
+        # target.
         M = STRUCTURES[2]
         game = truth_game(M)
         target, lie = parse_instance("#0 in #1"), parse_instance("#1 in #0")
@@ -491,14 +453,11 @@ class TestSinglePassExtraction:
                 return Pronouncement(pron.verdict, None, lie) if inquiry == target else pron
 
         one, probed = both_extractions(lambda: Pointing(honest_teller(game, M), lie), game, [target])
-        assert one == probed == (
-            NotWinningStrategyError,
-            "bounded search found a winning interrogator: (#0 in #1), (#1 in #0)",
-        )
+        assert one == probed == build_truth_predicate(M, [target])
 
     def test_criterion_one_asks_each_inquiry_once(self):
-        # The per-probe path asks 2,296 probe rounds, after a 2,000-line
-        # presearch walk, over these same 540 inquiries.
+        # The per-probe path asks 1,148 probe rounds, one probe per target,
+        # over these same 540 inquiries.
         M = STRUCTURES[3]
         game = truth_game(M)
         teller = Counting(honest_teller(game, M))
@@ -507,6 +466,78 @@ class TestSinglePassExtraction:
         assert S == build_truth_predicate(M, targets)
         assert len(teller.asks) == 540
         assert set(teller.asks.values()) == {1}
+
+
+def refused(outcome) -> bool:
+    return isinstance(outcome, tuple) and outcome[0] is NotWinningStrategyError
+
+
+class TestOnlyTruthWins:
+    """In a plain truth game every mark of a won probe is true, by induction
+    on size, so extraction returns the truth on its targets or refuses."""
+
+    @pytest.mark.parametrize("rank, max_size", [(2, 6), (3, 4)])
+    def test_every_clause_flip_is_refused(self, rank, max_size):
+        # One liar per distinct instance (504 over V_2, 164 over V_3), which
+        # is its only target: the liar follows Tarski's clauses over its own
+        # answers, but with that instance's verdict flipped.  A denied true
+        # existential loses on its body at the least witness.
+        M = STRUCTURES[rank]
+        game = truth_game(M)
+        for flip in dict.fromkeys(enumerate_instances(M, max_size)):
+            one, probed = both_extractions(lambda: ClauseFlipper(M, flip), game, [flip])
+            assert refused(one) and one == probed, to_text(flip)
+
+    @pytest.mark.parametrize("mode", [NATURAL, ORDINAL])
+    def test_won_probes_mark_only_truths(self, mode):
+        won = Counter()
+        for salt in range(200):
+            M = STRUCTURES[2 + salt % 2]
+            game = truth_game(M, mode)
+            rng = random.Random(salt)
+            targets = [random_instance(rng, M, 5) for _ in range(4)]
+            honest = honest_teller(game, M)
+            lie = rng.choice(sorted(tarski_closure(M, targets), key=to_text))
+            tellers = {
+                "honest": honest,
+                "hash liar": HashLiar(honest, salt, rate=8),
+                "hash witness": HashWitness(honest, salt),
+                "one lie": OneLie(honest, lie),
+            }
+            for kind, teller in tellers.items():
+                for target in targets:
+                    try:
+                        state = truthgames._probe(game, teller, [target], clock_budget(target))
+                    except NotWinningStrategyError:
+                        continue
+                    won[kind] += 1
+                    for inst, bits in state.marks.items():
+                        assert bits == (1 if eval_instance(M, inst) else 2), (kind, salt, to_text(inst))
+        assert won["honest"] == 800 and min(won.values()) > 0 and len(won) == 4
+
+    def test_extraction_asks_one_body_per_denied_existential(self, monkeypatch):
+        # Over V_5 an existential has 65,536 instantiations.  The probes of
+        # a teller without ``memoryless`` build none for a false one, and
+        # only the body at the least witness for a true one denied.
+        M = Structure(build_universe(5))
+        game = truth_game(M)
+        honest = honest_teller(game, M)
+        false, true = parse_instance("Ex. (x in #0)"), parse_instance("Ex. (#0 in x)")
+        built = {}
+        witness_body = Exists.witness_body
+
+        def recording(ex, witness):
+            built.setdefault(ex, set()).add(witness)
+            return witness_body(ex, witness)
+
+        monkeypatch.setattr(Exists, "witness_body", recording)
+        started = time.process_time()
+        assert extract_satisfaction(Walked(honest), game, [false]) == build_truth_predicate(M, [false])
+        assert built == {}
+        with pytest.raises(NotWinningStrategyError, match="denied but"):
+            extract_satisfaction(Walked(OneLie(honest, true)), game, [true])
+        assert time.process_time() - started < 0.1
+        assert built == {true: {least_witness(M, true)}}
 
 
 CHAIN = WellFoundedRelation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))

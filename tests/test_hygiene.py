@@ -438,17 +438,13 @@ def test_truthgames_reads_follow_ups_off_the_instance():
     or a witness body from; the referee, drivers and tellers read them off
     the instance and never substitute themselves.  So does
     tarski_check, for the parts of a negation or conjunction and for the
-    instantiations of an existential.  The presearch pool builds its
-    negations from the instance's closed formula, not its assignment."""
+    instantiations of an existential."""
     tree = ast.parse((PACKAGE / "truthgames.py").read_text())
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
     names = [(getattr(n.func, "id", None) or getattr(n.func, "attr", None), n.lineno) for n in calls]
     assert [(name, line) for name, line in names if name in ("sub_instance", "instantiate", "substitute")] == []
     logic_defs, _ = _definitions(ast.parse((PACKAGE / "logic.py").read_text()))
     assert _called_names(logic_defs["tarski_check"]).isdisjoint({"sub_instance", "instantiate"})
-    defs, _ = _definitions(tree)
-    reads = [n.attr for n in ast.walk(defs["_presearch_pool"]) if isinstance(n, ast.Attribute)]
-    assert "assignment" not in reads
 
 
 def _violation_kinds(node) -> list[str]:
